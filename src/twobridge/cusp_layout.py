@@ -94,12 +94,6 @@ class CuspLayout:
     def l_plus(self):
         return self.fold_plus.level
 
-    def line_for(self, triangle_index: int) -> ZigzagLine:
-        for line in self.lines:
-            if line.triangle_index == triangle_index:
-                return line
-        raise KeyError(triangle_index)
-
     def to_json(self):
         return {
             "r": str(self.r),

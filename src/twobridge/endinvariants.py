@@ -20,6 +20,7 @@ from .slopes import (
     Interval,
     ReflectionWord,
     Slope,
+    _mat_mul,
     fundamental_intervals,
     is_hyperbolic,
     reduce_slope,
@@ -85,20 +86,12 @@ class GapSystem:
                 total += hi - lo
         return total
 
-    def gap_containing(self, s: Slope):
-        for g in self.gaps:
-            if g.contains(s):
-                return g
-        return None
-
     def to_json(self):
         return {
             "r": str(self.r),
             "depth": self.depth,
-            "covered_length_in_unit_interval": [
-                self.covered_length().numerator,
-                self.covered_length().denominator,
-            ],
+            # a float: the exact sum's denominator can run to thousands of digits
+            "covered_length_in_unit_interval": float(self.covered_length()),
             "gaps": [
                 {
                     "interval": [str(g.left), str(g.right)],
@@ -116,12 +109,6 @@ def _canonical_matrix(m):
         if entry != 0:
             return m if entry > 0 else tuple(-x for x in m)
     raise InternalError("zero matrix in word enumeration")
-
-
-def _mat_mul(m, n):
-    a, b, c, d = m
-    e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def gap_intervals(r: Slope, depth: int) -> GapSystem:

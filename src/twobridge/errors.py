@@ -35,16 +35,21 @@ class RootFindingError(TwoBridgeError, RuntimeError):
         super().__init__(message)
 
 
-class NoGeometricRootError(TwoBridgeError, RuntimeError):
-    """No trace-polynomial root survived the geometricity filters."""
-
-
-class AmbiguousGeometricRootError(TwoBridgeError, RuntimeError):
-    """More than one root class survived the geometricity filters."""
+class GeometricRootError(TwoBridgeError, RuntimeError):
+    """Geometric-root selection failed; carries the selection report, which
+    says why each root class was rejected."""
 
     def __init__(self, message, report=None):
         self.report = report
         super().__init__(message)
+
+
+class NoGeometricRootError(GeometricRootError):
+    """No trace-polynomial root survived the geometricity filters."""
+
+
+class AmbiguousGeometricRootError(GeometricRootError):
+    """More than one root class survived the geometricity filters."""
 
 
 class NotGeometricEvaluationError(TwoBridgeError, RuntimeError):

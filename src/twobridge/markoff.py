@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import mpmath
 
@@ -21,6 +22,7 @@ from .errors import (
     DomainError,
     EllipticTraceError,
     NoGeometricRootError,
+    NonHyperbolicError,
     RootFindingError,
 )
 from .slopes import (
@@ -31,7 +33,6 @@ from .slopes import (
     farey_chain,
     is_hyperbolic,
 )
-from .errors import NonHyperbolicError
 
 __all__ = [
     "MarkoffTriple",
@@ -318,28 +319,94 @@ def _polish(coeffs, z, rounds=4):
 def polynomial_roots(poly: TracePolynomial, precision: str = "double"):
     """All complex roots with multiplicity.
 
-    ``precision`` is "double" or "extended"; degrees above 60 switch to
-    extended (mpmath) arithmetic automatically.  Every returned root
-    satisfies |P(root)| <= 1e-10 * max|coeff| * (1+|root|)^deg, otherwise a
-    RootFindingError carrying the partial results is raised.
+    Multiplicities are exact: the roots found numerically are those of the
+    squarefree part P / gcd(P, P'), computed over the Gaussian rationals,
+    and the roots of the gcd, found the same way, repeat their nearest
+    squarefree root.  Equal roots are therefore equal floats, so each root
+    class appears once among the distinct values.
+
+    ``precision`` is "double" or "extended"; squarefree parts of degree
+    above 60 switch to extended (mpmath) arithmetic automatically.  Every
+    returned root satisfies |P(root)| <= 1e-10 * max|coeff| * (1+|root|)^deg,
+    otherwise a RootFindingError carrying the partial results is raised.
     """
     if poly.degree < 1:
         raise DomainError("root finding needs degree >= 1")
     k = poly.content_power_of_x()
-    reduced = poly.shift_down(k)
-    roots = [0j] * k
-    if reduced.degree >= 1:
-        if precision == "extended" or reduced.degree > 60:
-            roots.extend(_roots_extended(reduced))
-        else:
-            roots.extend(_roots_double(reduced))
+    roots = [0j] * k + _nonzero_roots(poly.shift_down(k), precision)
     bad = [z for z in roots if abs(poly(complex(z))) > residual_bound(poly, z)]
     if bad:
         raise RootFindingError(
             "residual check failed for %d of %d roots" % (len(bad), len(roots)),
             partial_roots=roots,
         )
-    return _cluster(roots)
+    return roots
+
+
+def _nonzero_roots(poly: TracePolynomial, precision):
+    """Roots with multiplicity of a polynomial with nonzero constant term."""
+    if poly.degree < 1:
+        return []
+    exact = _exact_coeffs(poly)
+    gcd = _gcd(exact, _exact_coeffs(poly.derivative()))
+    square_free = _integral(_divmod_monic(exact, gcd)[0])
+    if precision == "extended" or square_free.degree > 60:
+        simple = _roots_extended(square_free)
+    else:
+        simple = _roots_double(square_free)
+    repeated = _nonzero_roots(_integral(gcd), precision)
+    return simple + [min(simple, key=lambda z: abs(z - w)) for w in repeated]
+
+
+# Exact arithmetic in Q(i)[x]: coefficients are (re, im) pairs of Fractions,
+# in ascending order with a nonzero leading pair.
+
+
+def _exact_coeffs(poly: TracePolynomial):
+    return [(Fraction(a), Fraction(b)) for a, b in poly.coeffs]
+
+
+def _gauss_mul(u, v):
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def _monic(a):
+    re, im = a[-1]
+    norm = re * re + im * im
+    inverse = (re / norm, -im / norm)
+    return [_gauss_mul(c, inverse) for c in a]
+
+
+def _divmod_monic(a, b):
+    """Quotient and remainder of a by the monic b."""
+    a = list(a)
+    quotient = [(0, 0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(a) - len(b), -1, -1):
+        lead = a[k + len(b) - 1]
+        quotient[k] = lead
+        for i, c in enumerate(b):
+            t = _gauss_mul(lead, c)
+            a[k + i] = (a[k + i][0] - t[0], a[k + i][1] - t[1])
+    remainder = a[:len(b) - 1]
+    while remainder and remainder[-1] == (0, 0):
+        remainder.pop()
+    return quotient, remainder
+
+
+def _gcd(a, b):
+    """The monic gcd."""
+    while b:
+        b = _monic(b)
+        a, b = b, _divmod_monic(a, b)[1]
+    return _monic(a)
+
+
+def _integral(a) -> TracePolynomial:
+    """The Z[i] polynomial lcm(denominators) * a."""
+    scale = 1
+    for re, im in a:
+        scale = math.lcm(scale, re.denominator, im.denominator)
+    return TracePolynomial([(re * scale, im * scale) for re, im in a])
 
 
 def _polish_mp(poly: TracePolynomial, z, dps=40, rounds=6):
@@ -390,23 +457,6 @@ def _roots_extended(poly: TracePolynomial):
         return [complex(zi) for zi in z]
 
 
-def _cluster(roots, rtol=1e-8):
-    """Merge numerically coincident roots so multiplicities are explicit."""
-    out = []
-    for z in sorted(roots, key=lambda t: (round(t.real, 10), round(t.imag, 10))):
-        for group in out:
-            if abs(z - group[0]) <= rtol * (1 + abs(z)):
-                group.append(z)
-                break
-        else:
-            out.append([z])
-    merged = []
-    for group in out:
-        centre = sum(group) / len(group)
-        merged.extend([centre] * len(group))
-    return merged
-
-
 # ---------------------------------------------------------------------------
 # Numeric Markoff maps
 
@@ -434,10 +484,6 @@ class MarkoffEvaluation:
     def seal(self):
         self._sealed = True
         return self
-
-    @property
-    def cache(self):
-        return dict(self._cache)
 
     def _store(self, s, value):
         if self._sealed and s not in self._cache:
@@ -488,10 +534,6 @@ class ComplexLength:
     value: complex
     parabolic: bool = False
 
-    @property
-    def real_length(self):
-        return self.value.real
-
 
 def translation_length(phi_s: complex) -> ComplexLength:
     """l with 2 cosh(l/2) = +-phi_s (the sign is immaterial mod 2 pi i)."""
@@ -538,77 +580,92 @@ def _sign_class_representative(z: complex) -> complex:
     return a if key(a) >= key(b) else b
 
 
-def select_geometric_root(roots, r: Slope, depth: int = 20) -> MarkoffEvaluation:
-    """Filter trace-polynomial roots down to the holonomy trace.
+# Depth of the second census scan; the first stops five levels earlier.
+_SCAN_DEPTH = 20
 
-    Keeps a root when (a) no slope explored in I1 u I2 to the given depth has
-    a real trace in (-2,2), (b) the census of |phi| <= 2 slopes has stopped
-    growing five levels earlier, and (c) the finite edge-sum identity holds.
-    Survivors occur in conjugate pairs; the one whose orbifold cusp modulus
-    has positive imaginary part is returned.
+
+def _rejection(r: Slope, ev: MarkoffEvaluation, edges):
+    """(reason or None, lambda(O) or None, census) for one root class.
+
+    The O(chain) checks run first; only a class that passes them is scanned.
     """
     from . import mcshane  # deferred: mcshane imports this module's types
     from .errors import NotGeometricEvaluationError
 
+    if abs(ev.root) <= 1e-12:
+        return "x = 0 gives the trivial triple", None, ()
+    try:
+        s1, s2 = mcshane.finite_edge_sums(r, ev, edges=edges, check=False)
+    except DomainError as exc:
+        return "zero trace: %s" % exc, None, ()
+    lam = 2 * s1
+    if abs(s1 + s2 + 1) > 1e-8:
+        return "edge-sum identity fails by %.3g" % abs(s1 + s2 + 1), lam, ()
+    if lam.imag <= 1e-12:
+        return "Im lambda(O) <= 0", lam, ()
+    try:
+        early = mcshane.census_scan(ev, edges, _SCAN_DEPTH - 5)
+        late = mcshane.census_scan(ev, edges, _SCAN_DEPTH)
+    except NotGeometricEvaluationError as exc:
+        return str(exc), lam, ()
+    census = tuple(sorted(late, key=str))
+    if early != late:
+        return "census still growing at depth %d" % _SCAN_DEPTH, lam, census
+    return None, lam, census
+
+
+def select_geometric_root(roots, r: Slope) -> MarkoffEvaluation:
+    """Filter trace-polynomial roots down to the holonomy trace.
+
+    The roots are grouped into sign classes {x, -x}, which give the same
+    traces up to sign; equal roots are equal floats (see
+    ``polynomial_roots``), so each class is judged once.  A class is
+    rejected by the first of these checks it fails, cheapest first:
+
+    1. x = 0 (the trivial triple);
+    2. a zero trace on the chain, where the edge sums are undefined;
+    3. the finite edge-sum identity S1 + S2 = -1, to 1e-8;
+    4. Im lambda(O) > 0, which picks one of each conjugate pair;
+    5. the census scans of I1 u I2 at depths 15 and 20: no real trace in
+       (-2, 2), the node budget not exhausted, and the census of slopes
+       with |phi| <= 2 the same at both depths.
+
+    Every candidate's report gives the reason it was rejected; the
+    selection report is attached to the returned evaluation and to the
+    NoGeometricRootError or AmbiguousGeometricRootError raised otherwise.
+    """
+    from . import mcshane
+
     report = SelectionReport(r=r)
-    reps = []
-    seen = set()
+    classes = []
     for z in roots:
-        if abs(z) <= 1e-12:
-            report.candidates.append(
-                RootCandidateReport(z, False, "x = 0 gives the trivial triple")
-            )
-            continue
         rep = _sign_class_representative(complex(z))
-        key = (round(rep.real, 9), round(rep.imag, 9))
-        if key not in seen:
-            seen.add(key)
-            reps.append(rep)
+        # x and -x are separate simple roots, equal only up to rounding
+        if all(abs(rep - w) > 1e-9 * (1 + abs(w)) for w in classes):
+            classes.append(rep)
 
     edges = mcshane.boundary_edge_sets(r)
     survivors = []
-    for rep in reps:
+    for rep in classes:
         ev = MarkoffEvaluation(r, rep, chain=edges.chain)
-        try:
-            early = mcshane.census_scan(ev, edges, depth - 5)
-            late = mcshane.census_scan(ev, edges, depth)
-        except NotGeometricEvaluationError as exc:
-            report.candidates.append(
-                RootCandidateReport(rep, False, "elliptic trace at %s" % exc.slope)
-            )
-            continue
-        if early != late:
-            report.candidates.append(
-                RootCandidateReport(rep, False, "census still growing at depth %d" % depth,
-                                    census=tuple(sorted(late, key=str)))
-            )
-            continue
-        s1, s2 = mcshane.finite_edge_sums(r, ev, edges=edges, check=False)
-        if abs(s1 + s2 + 1) > 1e-8:
-            report.candidates.append(
-                RootCandidateReport(rep, False, "edge-sum identity failed",
-                                    lambda_orbifold=2 * s1)
-            )
-            continue
-        lam = 2 * s1
-        report.candidates.append(
-            RootCandidateReport(rep, True, "passed", lambda_orbifold=lam,
-                                census=tuple(sorted(late, key=str)))
-        )
-        survivors.append((rep, lam))
+        reason, lam, census = _rejection(r, ev, edges)
+        report.candidates.append(RootCandidateReport(
+            rep, reason is None, reason or "passed", lambda_orbifold=lam,
+            census=census))
+        if reason is None:
+            survivors.append((rep, lam))
 
-    if not survivors:
-        raise NoGeometricRootError("no geometric root found for %s" % (r,))
-
-    positive = [(rep, lam) for rep, lam in survivors if lam.imag > 1e-12]
-    lam_keys = {(round(l.real, 6), round(l.imag, 6)) for _, l in positive}
+    lam_keys = {(round(l.real, 6), round(l.imag, 6)) for _, l in survivors}
     if len(lam_keys) > 1:
         raise AmbiguousGeometricRootError(
             "more than one root class survives for %s" % (r,), report=report
         )
-    if not positive:
+    if not survivors:
         raise NoGeometricRootError(
-            "no surviving root has Im(lambda(O)) > 0 for %s" % (r,)
+            "no geometric root found for %s: %s" % (
+                r, "; ".join("%s: %s" % (format(c.root, ".6g"), c.reason)
+                      for c in report.candidates)),
+            report=report,
         )
 
     # deterministic representative: Re > 0, ties broken by Im > 0
@@ -616,17 +673,17 @@ def select_geometric_root(roots, r: Slope, depth: int = 20) -> MarkoffEvaluation
         z = item[0]
         return (round(z.real, 12), round(z.imag, 12))
 
-    chosen = max(positive, key=rep_key)[0]
+    chosen = max(survivors, key=rep_key)[0]
     ev = MarkoffEvaluation(r, chosen, chain=edges.chain)
     report.selected = chosen
     ev.selection = report
     return ev
 
 
-def geometric_evaluation(r: Slope, precision: str = "double", depth: int = 20) -> MarkoffEvaluation:
+def geometric_evaluation(r: Slope, precision: str = "double") -> MarkoffEvaluation:
     """Full pipeline chain -> polynomial -> roots -> geometric root."""
     poly = trace_polynomial(r)
     roots = polynomial_roots(poly, precision=precision)
-    ev = select_geometric_root(roots, r, depth=depth)
+    ev = select_geometric_root(roots, r)
     ev.trace_poly = poly
     return ev

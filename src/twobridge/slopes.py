@@ -178,9 +178,6 @@ class ContinuedFraction:
         """c = sum of the coefficients = number of chain triangles."""
         return sum(self.coefficients)
 
-    def evaluate(self) -> Slope:
-        return evaluate_cf(self)
-
     def __str__(self):
         return "[" + ",".join(str(a) for a in self.coefficients) + "]"
 

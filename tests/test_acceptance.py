@@ -277,3 +277,21 @@ def test_criterion_10_end_invariants():
                 assert cov >= prev
             prev = cov
     print("\n[PASS] criterion 10: exceptional families to p <= 101, gaps sane")
+
+
+def test_criterion_11_link_symmetries(identity_reports):
+    """K(q'/p) = K(q/p) for q q' = 1 mod p, and K((p-q)/p) is the mirror of
+    K(q/p): lambda(mirror) = -conj(lambda) - 4/components.  Composing the
+    two, q q' = -1 mod p also gives the mirror.  All to 1e-8."""
+    def mirrored(rep):
+        return -rep.lambda_link.conjugate() - 4.0 / rep.components
+
+    for r, rep in identity_reports.items():
+        q, p = r.num, r.den
+        inverse = identity_reports[Slope(pow(q, -1, p), p)]
+        assert abs(inverse.lambda_link - rep.lambda_link) <= 1e-8, r
+        mirror = identity_reports[Slope(p - q, p)]
+        assert abs(mirror.lambda_link - mirrored(rep)) <= 1e-8, r
+        mirror_inverse = identity_reports[Slope(p - pow(q, -1, p), p)]
+        assert abs(mirror_inverse.lambda_link - mirrored(rep)) <= 1e-8, r
+    print("\n[PASS] criterion 11: link symmetries on %d slopes" % len(identity_reports))

@@ -79,6 +79,13 @@ class TestEndinv:
         assert doc["case"] == "exceptional-2"
         assert doc["extra_orbits"] == ["4/7"]
 
+    def test_covered_length_prints_for_long_gap_sums(self, capsys):
+        # the exact covered length of 3/10 has a denominator of thousands of digits
+        code, out, _ = run(capsys, "endinv", "3/10")
+        assert code == 0
+        doc = json.loads(out)
+        assert 0.99 < doc["gap_system"]["covered_length_in_unit_interval"] < 1
+
     def test_gaps_sorted(self, capsys):
         from fractions import Fraction
         _, out, _ = run(capsys, "endinv", "2/5", "--depth", "3")

@@ -132,6 +132,18 @@ class TestPolynomialRoots:
         for a, b in zip(roots, expected):
             assert abs(a - b) < 1e-12
 
+    def test_exact_multiplicities(self):
+        # x (x - 1)^3 (x + i)^2 = x^6 - (3 - 2i) x^5 + (2 - 6i) x^4
+        #                         + (2 + 6i) x^3 - (3 + 2i) x^2 + x
+        poly = TracePolynomial([(0, 0), (1, 0), (-3, -2), (2, 6), (2, -6),
+                                (-3, 2), (1, 0)])
+        roots = polynomial_roots(poly)
+        assert roots.count(0j) == 1
+        ones = [z for z in roots if abs(z - 1) < 1e-6]
+        minus_i = [z for z in roots if abs(z + 1j) < 1e-6]
+        assert len(ones) == 3 and len(set(ones)) == 1 and abs(ones[0] - 1) < 1e-14
+        assert len(minus_i) == 2 and len(set(minus_i)) == 1
+
     def test_simple_cases(self):
         assert sorted(polynomial_roots(TracePolynomial([(1, 0), (0, 0), (1, 0)])),
                       key=lambda z: z.imag) == [-1j, 1j]
@@ -182,8 +194,39 @@ class TestGeometricSelection:
                 assert not cand.passed
 
     def test_no_root_for_garbage(self):
-        with pytest.raises(NoGeometricRootError):
+        with pytest.raises(NoGeometricRootError) as info:
             select_geometric_root([0.2 + 0.1j], S25)
+        [cand] = info.value.report.candidates
+        assert not cand.passed and cand.reason.startswith("edge-sum")
+
+    def test_scan_failure_names_its_cause(self, evaluation_for):
+        reasons = [c.reason for c in evaluation_for(Slope(4, 9)).selection.candidates
+                   if not c.passed]
+        assert any("did not stabilise" in reason for reason in reasons)
+
+    @pytest.mark.parametrize("r, exact", [((7, 24), 1), ((17, 24), 1j)])
+    def test_exact_root_class_listed_once_and_rejected_unscanned(
+            self, r, exact, evaluation_for, monkeypatch):
+        """x = +-1 (7/24) and x = +-i (17/24) are multiple roots: one class
+        each, rejected by a zero chain trace before any census scan."""
+        from twobridge import mcshane
+        r = Slope(*r)
+        near = [c for c in evaluation_for(r).selection.candidates
+                if min(abs(c.root - exact), abs(c.root + exact)) < 1e-4]
+        assert len(near) == 1
+
+        roots = [z for z in polynomial_roots(trace_polynomial(r))
+                 if min(abs(z - exact), abs(z + exact)) < 1e-4]
+        assert len(roots) > 2  # both signs, each with multiplicity
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("census_scan ran")
+
+        monkeypatch.setattr(mcshane, "census_scan", no_scan)
+        with pytest.raises(NoGeometricRootError) as info:
+            select_geometric_root(roots, r)
+        [cand] = info.value.report.candidates
+        assert cand.root == exact and cand.reason.startswith("zero trace")
 
     @pytest.mark.parametrize("r", [(3, 7), (5, 17), (3, 8), (5, 12)])
     def test_constraint_residual(self, r, evaluation_for):
