@@ -17,6 +17,13 @@ Cells whose traces come within PARABOLIC_TOL of +-2 are never descended
 here; they are handed back to the caller, which sums parabolic fans
 analytically.  The compiled kernel in ``_series_kernel.pyx`` implements the
 identical contract; keep the two in sync.
+
+One part of the contract is scan-only and Python-only: once
+``len(out.census)`` passes ``out.census_cap`` (infinite unless a caller sets
+it) the exploration returns at once.  ``mcshane.census_scan`` sets the cap to
+what its census may still take and repeats the comparison after every call,
+so the compiled kernel, which ignores the cap, reaches the same decisions
+with more work.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ class CellOutcome:
     __slots__ = (
         "sum_re", "sum_im", "comp_re", "comp_im", "tail", "census",
         "deferred", "elliptic", "depth_capped", "nodes", "max_depth_seen",
+        "census_cap",
     )
 
     def __init__(self):
@@ -59,6 +67,7 @@ class CellOutcome:
         self.depth_capped = False
         self.nodes = 0
         self.max_depth_seen = 0
+        self.census_cap = float("inf")  # stop once len(census) exceeds it
 
     def add(self, re, im):
         y = re - self.comp_re
@@ -120,8 +129,9 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
         av = abs(phi_v)
         if min(au, av) < PRUNE_MODULUS:
             _comb(out, stack, u_num, u_den, phi_u, v_num, v_den, phi_v,
-                  phi_opp, depth, eps_share, max_depth)
-            if out.elliptic is not None:
+                  phi_opp, depth, eps_share, max_depth, node_budget)
+            if (out.elliptic is not None or out.nodes > node_budget
+                    or len(out.census) > out.census_cap):
                 return
             continue
 
@@ -142,6 +152,8 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
         am = abs(phi_m)
         if am <= 2.0 + CENSUS_TOL:
             out.census.append((m_num, m_den, phi_m))
+            if len(out.census) > out.census_cap:
+                return
 
         if au >= PRUNE_MODULUS and av >= PRUNE_MODULUS and \
                 abs(phi_opp) <= 0.5 * au * av:
@@ -168,7 +180,7 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
 
 
 def _comb(out, stack, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
-          depth, eps_share, max_depth):
+          depth, eps_share, max_depth, node_budget):
     """Walk the fan around the small-trace endpoint of the cell.
 
     The pivot is the endpoint with |trace| < 8; fan vertices w_n step by the
@@ -177,7 +189,8 @@ def _comb(out, stack, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
     gamma_n = P mu^n + Q mu^-n with mu + 1/mu = t, |mu| > 1.  Each step
     pushes the off-comb cell (w_{n+1}, w_n) onto the binary stack; the walk
     stops once the geometric decay of 2h(gamma_n) ~ 8/|P mu^n|^2 bounds the
-    remainder inside the eps share.
+    remainder inside the eps share.  Like ``explore`` it stops on the node
+    budget and on the census cap.
     """
     if abs(phi_u) < abs(phi_v):
         p_num, p_den, t = u_num, u_den, phi_u
@@ -200,6 +213,10 @@ def _comb(out, stack, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
     while True:
         n += 1
         out.nodes += 1
+        if out.nodes > node_budget:
+            out.depth_capped = True
+            out.tail += 1.0
+            return
         gamma1 = t * gamma0 - gamma_prev
         w_num = c_num + p_num
         w_den = c_den + p_den
@@ -227,6 +244,8 @@ def _comb(out, stack, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
         ag = abs(gamma1)
         if ag <= 2.0 + CENSUS_TOL:
             out.census.append((w_num, w_den, gamma1))
+            if len(out.census) > out.census_cap:
+                return
         hm = h_func(gamma1)
         out.add(2.0 * hm.real, 2.0 * hm.imag)
         stack.append((w_num, w_den, gamma1, c_num, c_den, gamma0, t,

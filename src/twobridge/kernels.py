@@ -3,7 +3,9 @@
 The compiled Cython kernel is preferred when built; set
 ``TWOBRIDGE_KERNEL=python`` to force the pure-Python fallback (used by the
 parity tests and the benchmark).  Both expose ``explore`` with the same
-contract and the module-level deferral kinds.
+contract and the module-level deferral kinds, except the scan-only census
+cap (``CellOutcome.census_cap``), which only the pure-Python kernel reads;
+``mcshane.census_scan`` enforces it after every call.
 """
 
 import os

@@ -470,7 +470,8 @@ class MarkoffEvaluation:
 
     phi(s) is computed by the canonical mediant walk from <0,1,inf> and every
     intermediate slope is cached.  Instances may be sealed, after which reads
-    are safe to share across threads.
+    are safe to share across threads.  ``edges`` keeps r's boundary edge
+    system (``mcshane.EdgeSystem``) once built, so one request builds it once.
     """
 
     def __init__(self, r: Slope, root: complex, chain: FareyChain | None = None):
@@ -480,6 +481,7 @@ class MarkoffEvaluation:
         self._cache = {INFINITY: 0j, Slope(0, 1): self.root, Slope(1, 1): 1j * self.root}
         self._sealed = False
         self.selection = None
+        self.edges = None
 
     def seal(self):
         self._sealed = True
@@ -626,9 +628,14 @@ def select_geometric_root(roots, r: Slope) -> MarkoffEvaluation:
     2. a zero trace on the chain, where the edge sums are undefined;
     3. the finite edge-sum identity S1 + S2 = -1, to 1e-8;
     4. Im lambda(O) > 0, which picks one of each conjugate pair;
-    5. the census scans of I1 u I2 at depths 15 and 20: no real trace in
-       (-2, 2), the node budget not exhausted, and the census of slopes
-       with |phi| <= 2 the same at both depths.
+    5. the census scans of I1 u I2 at depths 15 and 20 (see
+       ``mcshane.census_scan``): no real trace in (-2, 2), at most 64 slopes
+       with |phi| <= 2, the node budget not exhausted, and the census the
+       same at both depths.  A scan stops as soon as its census passes 64,
+       so a non-geometric class costs a few thousand nodes; the cap is a
+       scan-only contract that the pure-Python kernel implements and
+       ``census_scan`` enforces after every kernel call, so both kernel
+       backends reach the same decisions.
 
     Every candidate's report gives the reason it was rejected; the
     selection report is attached to the returned evaluation and to the
@@ -677,6 +684,7 @@ def select_geometric_root(roots, r: Slope) -> MarkoffEvaluation:
     ev = MarkoffEvaluation(r, chosen, chain=edges.chain)
     report.selected = chosen
     ev.selection = report
+    ev.edges = edges
     return ev
 
 

@@ -58,6 +58,8 @@ DEFAULT_EPS = 1e-8
 DEFAULT_MAX_DEPTH = 200
 _FAN_MIN_STEPS = 64
 _FAN_MAX_STEPS = 200_000
+# census_scan rejects a map with more slopes of |phi| <= 2 than this
+_CENSUS_CAP = 64
 
 
 def h(x):
@@ -170,6 +172,13 @@ def boundary_edge_sets(r: Slope, chain: FareyChain | None = None) -> EdgeSystem:
     e_plus = _directed_edge(chain, c - 2, u, v)  # tail triangle is sigma_c
     return EdgeSystem(chain=chain, i1=i1, i2=i2, e1=tuple(e1), e2=tuple(e2),
                       e_minus=e_minus, e_plus=e_plus)
+
+
+def _edge_system(r: Slope, ev: MarkoffEvaluation) -> EdgeSystem:
+    """r's edge system, built once per evaluation and kept on it."""
+    if ev.edges is None:
+        ev.edges = boundary_edge_sets(r, chain=ev.chain)
+    return ev.edges
 
 
 def psi(e: DirectedFareyEdge, ev: MarkoffEvaluation) -> complex:
@@ -383,7 +392,7 @@ def interval_series(r: Slope, ev: MarkoffEvaluation, j: int,
     traversal of the cut-off intervals of the E_j edges."""
     if j not in (1, 2):
         raise DomainError("j must be 1 or 2")
-    edges = boundary_edge_sets(r, chain=ev.chain)
+    edges = _edge_system(r, ev)
     group = edges.e1 if j == 1 else edges.e2
     if eps <= 0:
         raise DomainError("eps must be positive")
@@ -445,11 +454,24 @@ def census_scan(ev: MarkoffEvaluation, edges: EdgeSystem, depth: int,
     """Slopes with |phi| <= 2 discovered exploring both intervals to the
     given depth; used by the geometric-root filters.
 
+    A geometric map has no real trace in (-2, 2) on I1 u I2 and only
+    finitely many |phi| <= 2 there; the scan raises
+    NotGeometricEvaluationError as soon as it sees otherwise: an elliptic
+    trace, a census of more than ``_CENSUS_CAP`` slopes, or ``node_budget``
+    Stern-Brocot nodes spent over all edges.  The last two reasons name the
+    census size or the budget and the nodes spent.
+
+    The census cap is a scan-only contract.  Each kernel call gets the room
+    left under the cap on ``CellOutcome.census_cap``; the pure-Python kernel
+    returns once its census passes it, the compiled kernel ignores it and
+    explores the whole edge.  The comparison is repeated here after every
+    call, so both backends reach the same decisions.
+
     Parabolic cells are not expanded into fans here: the parabolic vertex is
     recorded and its fan walked by the bare trace recurrence.
     """
     found = set()
-    remaining = node_budget
+    spent = 0
     for edge in edges.e1 + edges.e2:
         for s in (edge.s1, edge.s2):
             val = ev.phi(s)
@@ -457,16 +479,22 @@ def census_scan(ev: MarkoffEvaluation, edges: EdgeSystem, depth: int,
             if abs(val) <= 2.0 + kernels.CENSUS_TOL:
                 found.add(s)
         out = kernels.CellOutcome()
+        out.census_cap = _CENSUS_CAP - len(found)
         u, v = edge.s1, edge.s2
         kernels.explore(out, u.num, u.den, ev.phi(u), v.num, v.den, ev.phi(v),
-                        ev.phi(edge.s0), 0, float("inf"), depth, remaining)
+                        ev.phi(edge.s0), 0, float("inf"), depth,
+                        node_budget - spent)
+        spent += out.nodes
         if out.elliptic is not None:
             num, den, val = out.elliptic
             raise NotGeometricEvaluationError(Slope(num, den), val)
-        remaining -= out.nodes
-        if remaining <= 0:
+        if len(out.census) > out.census_cap:
+            raise _census_overflow(edge, len(found) + len(out.census), spent)
+        if spent >= node_budget:
             raise NotGeometricEvaluationError(
-                edge.s1, 0j, note="exploration of %s did not stabilise" % (edge,))
+                edge.s1, 0j,
+                note="exploration of %s did not stabilise: %d nodes spent of "
+                     "a budget of %d" % (edge, spent, node_budget))
         for num, den, _ in out.census:
             found.add(Slope(num, den))
         for item in out.deferred:
@@ -486,10 +514,16 @@ def census_scan(ev: MarkoffEvaluation, edges: EdgeSystem, depth: int,
             else:
                 _fan_census(found, (v_num, v_den), _snap_parabolic(p_v),
                             (u_num, u_den), p_u, p_opp)
-        if len(found) > 64:
-            raise NotGeometricEvaluationError(
-                edge.s1, 0j, note="census of small traces keeps growing")
+        if len(found) > _CENSUS_CAP:
+            raise _census_overflow(edge, len(found), spent)
     return frozenset(found)
+
+
+def _census_overflow(edge, size, spent):
+    return NotGeometricEvaluationError(
+        edge.s1, 0j,
+        note="census of small traces keeps growing: %d slopes with |phi| <= 2 "
+             "after %d nodes (at %s)" % (size, spent, edge))
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +608,7 @@ def cusp_shape(r: Slope, eps: float = DEFAULT_EPS,
         raise NonHyperbolicError(r)
     if ev is None:
         ev = geometric_evaluation(r, precision=precision)
-    edges = boundary_edge_sets(r, chain=ev.chain)
+    edges = _edge_system(r, ev)
     fin1, fin2 = finite_edge_sums(r, ev, edges=edges, check=True)
     res1 = interval_series(r, ev, 1, eps=eps, max_depth=max_depth, kernel=kernel)
     res2 = interval_series(r, ev, 2, eps=eps, max_depth=max_depth, kernel=kernel)

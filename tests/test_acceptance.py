@@ -5,8 +5,10 @@ tests/test_acceptance.py`` to get the per-criterion verdicts.
 """
 
 import cmath
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -295,3 +297,16 @@ def test_criterion_11_link_symmetries(identity_reports):
         mirror_inverse = identity_reports[Slope(p - pow(q, -1, p), p)]
         assert abs(mirror_inverse.lambda_link - mirrored(rep)) <= 1e-8, r
     print("\n[PASS] criterion 11: link symmetries on %d slopes" % len(identity_reports))
+
+
+def test_criterion_12_lambda_matches_reference(identity_reports):
+    """lambda_link equals the benchmark's reference output to 1e-8 on every
+    slope it lists (the 134 census slopes, p <= 24)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    reference = json.loads(path.read_text())["slopes"]
+    assert len(reference) == 134
+    for text, ref in reference.items():
+        rep = identity_reports[Slope.parse(text)]
+        assert abs(rep.lambda_link - complex(*ref["lambda_link"])) <= 1e-8, text
+    print("\n[PASS] criterion 12: lambda matches the reference on %d slopes"
+          % len(reference))

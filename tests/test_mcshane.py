@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 
 import pytest
 
@@ -167,6 +168,52 @@ class TestIntervalSeries:
             edges = boundary_edge_sets(r)
             assert census_scan(ev, edges, 15) == census_scan(ev, edges, 20)
 
+    @staticmethod
+    def _failing_scan(monkeypatch, r, root, **kwargs):
+        """(message, nodes explored) of a depth-15 census scan that fails."""
+        nodes = []
+        explore = kernels.explore
+
+        def counting(out, *args, **kw):
+            explore(out, *args, **kw)
+            nodes.append(out.nodes)
+
+        edges = boundary_edge_sets(r)
+        monkeypatch.setattr(kernels, "explore", counting)
+        with pytest.raises(NotGeometricEvaluationError) as info:
+            census_scan(MarkoffEvaluation(r, root, chain=edges.chain), edges, 15,
+                        **kwargs)
+        return str(info.value), sum(nodes)
+
+    @staticmethod
+    def _scanned_rejects(ev):
+        """Root classes rejected by the census scans, not by a cheaper check."""
+        return [c.root for c in ev.selection.candidates if not c.passed
+                and c.lambda_orbifold is not None and c.lambda_orbifold.imag > 1e-12]
+
+    def test_scan_stops_once_census_overflows(self, evaluation_for, monkeypatch):
+        """4/9's non-geometric class is rejected within a few thousand nodes,
+        not after exhausting the 150 000-node budget."""
+        r = Slope(4, 9)
+        [root] = self._scanned_rejects(evaluation_for(r))
+        message, nodes = self._failing_scan(monkeypatch, r, root)
+        assert nodes < 20_000
+        m = re.match(r"census of small traces keeps growing: (\d+) slopes with "
+                     r"\|phi\| <= 2 after (\d+) nodes", message)
+        assert m and int(m.group(1)) > 64 and int(m.group(2)) == nodes
+
+    @pytest.mark.parametrize("budget", [10, 100, 1000])
+    def test_scan_stops_at_node_budget(self, budget, evaluation_for, monkeypatch):
+        """The budget also bounds the comb walks: a scan explores at most one
+        node past it."""
+        r = Slope(4, 9)
+        [root] = self._scanned_rejects(evaluation_for(r))
+        message, nodes = self._failing_scan(monkeypatch, r, root, node_budget=budget)
+        assert nodes <= budget + 1
+        m = re.search(r"did not stabilise: (\d+) nodes spent of a budget of (\d+)",
+                      message)
+        assert m and (int(m.group(1)), int(m.group(2))) == (nodes, budget)
+
     def test_parabolic_census_figure_eight(self, ev25):
         res1 = interval_series(S25, ev25, 1)
         res2 = interval_series(S25, ev25, 2)
@@ -230,6 +277,19 @@ class TestCuspShape:
         assert parsed["r"] == "2/5"
         assert parsed["components"] == 1
         assert len(parsed["lambda_link"]) == 2
+
+    def test_edge_system_built_once(self, monkeypatch):
+        from twobridge import mcshane
+        calls = []
+        build = mcshane.boundary_edge_sets
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(mcshane, "boundary_edge_sets", counting)
+        cusp_shape(Slope(3, 7))
+        assert len(calls) == 1
 
     def test_non_hyperbolic_rejected(self):
         from twobridge.errors import NonHyperbolicError
