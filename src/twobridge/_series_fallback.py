@@ -18,12 +18,13 @@ here; they are handed back to the caller, which sums parabolic fans
 analytically.  The compiled kernel in ``_series_kernel.pyx`` implements the
 identical contract; keep the two in sync.
 
-One part of the contract is scan-only and Python-only: once
+Two stops are Python-only; both only make a failing census scan cheaper.
+Comb walks stop at the node budget like the binary walk, and once
 ``len(out.census)`` passes ``out.census_cap`` (infinite unless a caller sets
-it) the exploration returns at once.  ``mcshane.census_scan`` sets the cap to
-what its census may still take and repeats the comparison after every call,
-so the compiled kernel, which ignores the cap, reaches the same decisions
-with more work.
+it; a scan-only contract) the exploration returns at once.
+``mcshane.census_scan`` sets the cap to what its census may still take and
+repeats both comparisons after every call, so the compiled kernel, which
+implements neither, reaches the same decisions with more work.
 """
 
 from __future__ import annotations
