@@ -155,16 +155,10 @@ class TracePolynomial:
         return TracePolynomial(out)
 
     def __call__(self, x):
-        """Horner evaluation; works for complex and for mpmath.mpc."""
-        if isinstance(x, (mpmath.mpc, mpmath.mpf)):
-            def conv(a, b):
-                return mpmath.mpc(a, b)
-        else:
-            def conv(a, b):
-                return complex(a, b)
-        acc = conv(0, 0)
+        """Horner evaluation at a complex x."""
+        acc = 0j
         for a, b in reversed(self.coeffs):
-            acc = acc * x + conv(a, b)
+            acc = acc * x + complex(a, b)
         return acc
 
     def derivative(self):
@@ -240,7 +234,30 @@ def trace_polynomial(r: Slope, chain: FareyChain | None = None) -> TracePolynomi
 
 
 # ---------------------------------------------------------------------------
-# Root finding (Aberth-Ehrlich followed by Newton polish)
+# Root finding
+#
+# Double-precision Aberth-Ehrlich iteration finds the roots of the
+# squarefree part, and Newton's method in fixed-point Gaussian integers
+# polishes each one against the exact Z[i] coefficients (``_polish_exact``).
+# The squarefree part is P itself when P's image over GF(_P) is coprime to
+# its derivative (``_squarefree_mod_p``); otherwise it is P / gcd(P, P'),
+# computed exactly over Q(i).  Squarefree parts of degree above 60, and
+# precision="extended", use mpmath Aberth and Newton (``_roots_extended``).
+
+# The polish holds w as (A + iB) / 2**_FIX_BITS, about 48 decimal digits
+# below the point.  Truncation in the Horner pass leaves noise in the low
+# bits, so A and B are rounded to multiples of 2**(_FIX_BITS - _KEPT_BITS)
+# before the final rounding: a vanishing component, or an exact root such
+# as x = 1, then comes out exact.
+_FIX_BITS = 160
+_KEPT_BITS = 120
+_POLISH_ROUNDS = 6
+
+# _P = 2**64 - 59 is prime and _P = 5 (mod 8), so 2 is a quadratic
+# non-residue and 2**((_P - 1) / 4) is a square root of -1: i -> _I_MOD_P
+# is a ring map from Z[i] onto GF(_P).
+_P = 2 ** 64 - 59
+_I_MOD_P = pow(2, (_P - 1) // 4, _P)
 
 
 def _horner_pair(coeffs, x):
@@ -320,21 +337,27 @@ def polynomial_roots(poly: TracePolynomial, precision: str = "double"):
     """All complex roots with multiplicity.
 
     Multiplicities are exact: the roots found numerically are those of the
-    squarefree part P / gcd(P, P'), computed over the Gaussian rationals,
-    and the roots of the gcd, found the same way, repeat their nearest
-    squarefree root.  Equal roots are therefore equal floats, so each root
-    class appears once among the distinct values.
+    squarefree part P / gcd(P, P'), and the roots of the gcd, found the same
+    way, repeat their nearest squarefree root.  Equal roots are therefore
+    equal floats, so each root class appears once among the distinct values.
+    A test over GF(2**64 - 59) proves most trace polynomials squarefree
+    (see ``_squarefree_mod_p``), and P is then its own squarefree part; the
+    others run the exact Euclid over the Gaussian rationals.
 
     ``precision`` is "double" or "extended"; squarefree parts of degree
-    above 60 switch to extended (mpmath) arithmetic automatically.  Every
-    returned root satisfies |P(root)| <= 1e-10 * max|coeff| * (1+|root|)^deg,
-    otherwise a RootFindingError carrying the partial results is raised.
+    above 60 switch to extended (mpmath) arithmetic automatically.  In
+    double precision each Aberth root is polished by Newton's method in
+    160-bit fixed point against the exact coefficients before it is rounded
+    to a complex, so a root such as x = 1 comes out exact and a real root
+    has imaginary part 0.  Every returned root is finite and
+    satisfies |P(root)| <= 1e-10 * max|coeff| * (1+|root|)^deg, otherwise a
+    RootFindingError carrying the partial results is raised.
     """
     if poly.degree < 1:
         raise DomainError("root finding needs degree >= 1")
     k = poly.content_power_of_x()
     roots = [0j] * k + _nonzero_roots(poly.shift_down(k), precision)
-    bad = [z for z in roots if abs(poly(complex(z))) > residual_bound(poly, z)]
+    bad = [z for z in roots if not _residual_ok(poly, z)]
     if bad:
         raise RootFindingError(
             "residual check failed for %d of %d roots" % (len(bad), len(roots)),
@@ -343,19 +366,65 @@ def polynomial_roots(poly: TracePolynomial, precision: str = "double"):
     return roots
 
 
+def _residual_ok(poly: TracePolynomial, z) -> bool:
+    """z is finite and |P(z)| is within ``residual_bound``."""
+    z = complex(z)
+    return cmath.isfinite(z) and abs(poly(z)) <= residual_bound(poly, z)
+
+
 def _nonzero_roots(poly: TracePolynomial, precision):
     """Roots with multiplicity of a polynomial with nonzero constant term."""
     if poly.degree < 1:
         return []
-    exact = _exact_coeffs(poly)
-    gcd = _gcd(exact, _exact_coeffs(poly.derivative()))
-    square_free = _integral(_divmod_monic(exact, gcd)[0])
+    if _squarefree_mod_p(poly):
+        square_free, repeated = poly, []
+    else:
+        exact = _exact_coeffs(poly)
+        gcd = _gcd(exact, _exact_coeffs(poly.derivative()))
+        square_free = _integral(_divmod_monic(exact, gcd)[0])
+        repeated = _nonzero_roots(_integral(gcd), precision)
     if precision == "extended" or square_free.degree > 60:
         simple = _roots_extended(square_free)
     else:
         simple = _roots_double(square_free)
-    repeated = _nonzero_roots(_integral(gcd), precision)
     return simple + [min(simple, key=lambda z: abs(z - w)) for w in repeated]
+
+
+# Arithmetic in GF(_P)[x]: ascending lists of residues.
+
+
+def _squarefree_mod_p(poly: TracePolynomial) -> bool:
+    """True when P is proved squarefree by its image over GF(_P).
+
+    If i -> _I_MOD_P keeps the leading coefficient and the image is coprime
+    to its derivative, the image's discriminant is nonzero.  It is the image
+    of disc(P), so disc(P) != 0 and gcd(P, P') = 1 over Q(i).  False says
+    only that the test cannot decide: P has a repeated factor, or _P
+    divides disc(P) or the leading coefficient.
+    """
+    a = [(re + im * _I_MOD_P) % _P for re, im in poly.coeffs]
+    if a[-1] == 0:
+        return False
+    b = [k * c % _P for k, c in enumerate(a)][1:]  # deg P < _P: degree kept
+    while b:
+        a, b = b, _rem_mod_p(a, b)
+    return len(a) == 1
+
+
+def _rem_mod_p(a, b):
+    """Remainder of a by b, whose leading residue is nonzero."""
+    a = list(a)
+    n = len(b) - 1
+    inverse = pow(b[-1], -1, _P)
+    for k in range(len(a) - 1, n - 1, -1):
+        q = a[k] * inverse % _P
+        if q:
+            for i, c in enumerate(b):
+                a[k - n + i] = (a[k - n + i] - q * c) % _P
+    del a[n:]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
 # Exact arithmetic in Q(i)[x]: coefficients are (re, im) pairs of Fractions,
@@ -409,35 +478,63 @@ def _integral(a) -> TracePolynomial:
     return TracePolynomial([(re * scale, im * scale) for re, im in a])
 
 
-def _polish_mp(poly: TracePolynomial, z, dps=40, rounds=6):
-    """Newton refinement against the exact Z[i] coefficients.
+def _to_fixed(x: float) -> int:
+    """floor(x * 2**_FIX_BITS), exactly."""
+    num, den = x.as_integer_ratio()
+    return (num << _FIX_BITS) // den
+
+
+def _polish_exact(poly: TracePolynomial, z: complex) -> complex:
+    """Newton refinement in fixed point against the exact Z[i] coefficients.
 
     The double-precision Aberth roots carry enough error at higher degrees
-    to blur the +-2 parabolic traces of the exceptional slopes; a few
-    extended-precision steps pin them to ~1e-30.
+    to blur the +-2 parabolic traces of the exceptional slopes.  Here
+    w = (A + iB) / 2**_FIX_BITS with Python ints A, B, and one Horner pass
+    gives P(w) and P'(w) at the same scale.  The iteration stops at
+    P'(w) = 0, after _POLISH_ROUNDS steps, or once a step is at most
+    2**-80 |w|, past which Newton's quadratic convergence leaves nothing
+    above the scale.  The result is rounded to _KEPT_BITS bits below the
+    point and then once to a complex (int true division is correctly
+    rounded).  A non-finite z is returned unchanged, for the residual check
+    to reject.
     """
-    dpoly = poly.derivative()
-    with mpmath.workdps(dps):
-        w = mpmath.mpc(z)
-        for _ in range(rounds):
-            dp = dpoly(w)
-            if dp == 0:
-                break
-            w = w - poly(w) / dp
-        return complex(w)
+    if not cmath.isfinite(z):
+        return z
+    f = _FIX_BITS
+    a, b = _to_fixed(z.real), _to_fixed(z.imag)
+    coeffs = [(re << f, im << f) for re, im in reversed(poly.coeffs)]
+    for _ in range(_POLISH_ROUNDS):
+        p_re, p_im = coeffs[0]
+        d_re = d_im = 0
+        for c_re, c_im in coeffs[1:]:
+            d_re, d_im = (((d_re * a - d_im * b) >> f) + p_re,
+                          ((d_re * b + d_im * a) >> f) + p_im)
+            p_re, p_im = (((p_re * a - p_im * b) >> f) + c_re,
+                          ((p_re * b + p_im * a) >> f) + c_im)
+        norm = d_re * d_re + d_im * d_im
+        if norm == 0:
+            break
+        step_re = ((p_re * d_re + p_im * d_im) << f) // norm  # P conj(P') / |P'|^2
+        step_im = ((p_im * d_re - p_re * d_im) << f) // norm
+        a -= step_re
+        b -= step_im
+        if (step_re * step_re + step_im * step_im) << f <= a * a + b * b:
+            break  # |step| <= 2**(-f/2) |w|
+    drop = f - _KEPT_BITS
+    half = 1 << (drop - 1)
+    return complex(((a + half) >> drop) / (1 << _KEPT_BITS),
+                   ((b + half) >> drop) / (1 << _KEPT_BITS))
 
 
 def _roots_double(poly: TracePolynomial):
     coeffs = [complex(a, b) for a, b in poly.coeffs]
     z, converged = _aberth(coeffs, 1 + 0j, math.pi, cmath.exp)
-    z = [_polish_mp(poly, zi) for zi in z]
-    if not converged:
-        ok = all(abs(poly(zi)) <= residual_bound(poly, zi) for zi in z)
-        if not ok:
-            raise RootFindingError(
-                "Aberth iteration did not converge in 1000 rounds",
-                partial_roots=z,
-            )
+    z = [_polish_exact(poly, zi) for zi in z]
+    if not converged and not all(_residual_ok(poly, zi) for zi in z):
+        raise RootFindingError(
+            "Aberth iteration did not converge in 1000 rounds",
+            partial_roots=z,
+        )
     return z
 
 
@@ -616,7 +713,8 @@ def _rejection(r: Slope, ev: MarkoffEvaluation, edges):
     return None, lam, census
 
 
-def select_geometric_root(roots, r: Slope) -> MarkoffEvaluation:
+def select_geometric_root(roots, r: Slope,
+                          chain: FareyChain | None = None) -> MarkoffEvaluation:
     """Filter trace-polynomial roots down to the holonomy trace.
 
     The roots are grouped into sign classes {x, -x}, which give the same
@@ -640,6 +738,7 @@ def select_geometric_root(roots, r: Slope) -> MarkoffEvaluation:
     Every candidate's report gives the reason it was rejected; the
     selection report is attached to the returned evaluation and to the
     NoGeometricRootError or AmbiguousGeometricRootError raised otherwise.
+    ``chain`` is r's Farey chain, built here unless the caller has it.
     """
     from . import mcshane
 
@@ -651,7 +750,7 @@ def select_geometric_root(roots, r: Slope) -> MarkoffEvaluation:
         if all(abs(rep - w) > 1e-9 * (1 + abs(w)) for w in classes):
             classes.append(rep)
 
-    edges = mcshane.boundary_edge_sets(r)
+    edges = mcshane.boundary_edge_sets(r, chain=chain)
     survivors = []
     for rep in classes:
         ev = MarkoffEvaluation(r, rep, chain=edges.chain)
@@ -689,9 +788,13 @@ def select_geometric_root(roots, r: Slope) -> MarkoffEvaluation:
 
 
 def geometric_evaluation(r: Slope, precision: str = "double") -> MarkoffEvaluation:
-    """Full pipeline chain -> polynomial -> roots -> geometric root."""
-    poly = trace_polynomial(r)
+    """Full pipeline chain -> polynomial -> roots -> geometric root; the
+    chain is built once and shared by every step."""
+    if not is_hyperbolic(r):
+        raise NonHyperbolicError(r)
+    chain = farey_chain(r)
+    poly = trace_polynomial(r, chain)
     roots = polynomial_roots(poly, precision=precision)
-    ev = select_geometric_root(roots, r)
+    ev = select_geometric_root(roots, r, chain=chain)
     ev.trace_poly = poly
     return ev

@@ -137,7 +137,7 @@ def boundary_edge_sets(r: Slope, chain: FareyChain | None = None) -> EdgeSystem:
         chain = farey_chain(r)
     if not chain.hyperbolic:
         raise NonHyperbolicError(r)
-    i1, i2 = fundamental_intervals(r)
+    i1, i2 = fundamental_intervals(r, chain)
     triangles = chain.triangles
     c = len(triangles)
 

@@ -445,12 +445,13 @@ def _interval_endpoints_cf(cf):
     return head_minus, head
 
 
-def fundamental_intervals(r: Slope):
+def fundamental_intervals(r: Slope, chain: FareyChain | None = None):
     """I1(r) = [0, r1] and I2(r) = [r2, 1].
 
     r1 and r2 are computed from the parity-split truncations of the continued
-    fraction and cross-checked against the final chain triangle, whose
-    non-r vertices are exactly {r1, r2}.
+    fraction and cross-checked against the final triangle of r's chain
+    (built here unless the caller passes it), whose non-r vertices are
+    exactly {r1, r2}.
     """
     if not is_hyperbolic(r):
         raise NonHyperbolicError(r)
@@ -458,7 +459,8 @@ def fundamental_intervals(r: Slope):
     t1, t2 = _interval_endpoints_cf(cf)
     r1 = evaluate_cf(t1)
     r2 = evaluate_cf(t2)
-    chain = farey_chain(r)
+    if chain is None:
+        chain = farey_chain(r)
     final = set(chain.triangles[-1].vertices) - {r}
     if final != {r1, r2}:
         raise InternalError(

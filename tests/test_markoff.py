@@ -5,12 +5,14 @@ import math
 import random
 import re
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from twobridge.errors import EllipticTraceError, NoGeometricRootError
+from twobridge import markoff
+from twobridge.errors import EllipticTraceError, NoGeometricRootError, RootFindingError
 from twobridge.markoff import (
     MarkoffEvaluation,
     MarkoffTriple,
@@ -175,6 +177,75 @@ class TestPolynomialRoots:
         assert len(roots) == 5
         assert min(abs(z - cmath.exp(-1j * cmath.pi / 6)) for z in roots) < 1e-14
 
+    @pytest.mark.parametrize("r", [(5, 27), (9, 17), (39, 41)])
+    def test_roots_correctly_rounded(self, r):
+        """Each root is the double nearest the exact root: Newton at 80
+        digits from the returned value, rounded once, gives it back.  Real
+        roots come out with imaginary part exactly 0."""
+        poly = trace_polynomial(Slope(*r))
+        k = poly.content_power_of_x()
+        coeffs = [mpmath.mpc(a, b) for a, b in reversed(poly.shift_down(k).coeffs)]
+        roots = polynomial_roots(poly)
+        assert roots[:k] == [0j] * k
+        with mpmath.workdps(80):
+            for z in roots[k:]:
+                w = mpmath.mpc(z)
+                for _ in range(8):
+                    value, slope = mpmath.polyval(coeffs, w, derivative=True)
+                    w -= value / slope
+                assert z == complex(w)
+        if r == (5, 27):
+            assert 1 + 0j in roots
+
+    def test_non_finite_root_fails_residual_check(self, monkeypatch):
+        aberth = markoff._aberth
+
+        def one_nan(*args, **kwargs):
+            z, converged = aberth(*args, **kwargs)
+            return [complex("nan+nanj")] + z[1:], converged
+
+        monkeypatch.setattr(markoff, "_aberth", one_nan)
+        with pytest.raises(RootFindingError) as info:
+            polynomial_roots(trace_polynomial(Slope(3, 7)))
+        assert sum(cmath.isnan(z) for z in info.value.partial_roots) == 1
+
+    def test_exact_gcd_only_for_repeated_roots(self, monkeypatch):
+        """The modular test proves every other trace polynomial with p <= 30
+        squarefree, so only 7/24 and 17/24 run the exact Euclid.  The numeric
+        root finder is stubbed out: only the split into squarefree part and
+        repeated roots is under test."""
+        exact_gcd = markoff._gcd
+        calls = []
+
+        def counted(a, b):
+            calls.append(r)
+            return exact_gcd(a, b)
+
+        monkeypatch.setattr(markoff, "_gcd", counted)
+        monkeypatch.setattr(markoff, "_roots_double", lambda poly: [1j] * poly.degree)
+        for p in range(3, 31):
+            for q in range(1, p):
+                r = Slope(q, p)
+                if math.gcd(q, p) == 1 and is_hyperbolic(r):
+                    poly = trace_polynomial(r)
+                    poly = poly.shift_down(poly.content_power_of_x())
+                    assert len(markoff._nonzero_roots(poly, "double")) == poly.degree
+        assert set(calls) == {Slope(7, 24), Slope(17, 24)}
+
+    def test_squarefree_mod_p_cannot_decide(self):
+        assert markoff._I_MOD_P ** 2 % markoff._P == markoff._P - 1
+        # x^4 - x^2 + 1 is squarefree
+        assert markoff._squarefree_mod_p(
+            TracePolynomial([(1, 0), (0, 0), (-1, 0), (0, 0), (1, 0)]))
+        # (x - 1)^2 (x + 2) = x^3 - 3x + 2
+        assert not markoff._squarefree_mod_p(
+            TracePolynomial([(2, 0), (-3, 0), (0, 0), (1, 0)]))
+        # p x^2 + x + 1 is squarefree, but its image over GF(p) has degree 1
+        lead_vanishes = TracePolynomial([(1, 0), (1, 0), (markoff._P, 0)])
+        assert not markoff._squarefree_mod_p(lead_vanishes)
+        roots = polynomial_roots(lead_vanishes)
+        assert len(set(roots)) == 2
+
 
 class TestGeometricSelection:
     def test_figure_eight_root(self, ev25):
@@ -231,6 +302,28 @@ class TestGeometricSelection:
             select_geometric_root(roots, r)
         [cand] = info.value.report.candidates
         assert cand.root == exact and cand.reason.startswith("zero trace")
+
+    @pytest.mark.parametrize("r, exact", [((5, 27), 1), ((22, 27), 1j)])
+    def test_exact_simple_root_rejected_by_zero_trace(self, r, exact,
+                                                      evaluation_for):
+        """x = 1 (5/27) and x = i (22/27) are simple roots, found exactly; a
+        chain trace vanishes there."""
+        [cand] = [c for c in evaluation_for(Slope(*r)).selection.candidates
+                  if c.root == exact]
+        assert not cand.passed and cand.reason.startswith("zero trace")
+
+    def test_chain_built_once(self, monkeypatch):
+        from twobridge import mcshane, slopes
+        built = []
+
+        def counted(r):
+            built.append(r)
+            return farey_chain(r)
+
+        for module in (slopes, markoff, mcshane):
+            monkeypatch.setattr(module, "farey_chain", counted)
+        geometric_evaluation(Slope(5, 17))
+        assert built == [Slope(5, 17)]
 
     @pytest.mark.parametrize("r", [(3, 7), (5, 17), (3, 8), (5, 12)])
     def test_constraint_residual(self, r, evaluation_for):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from twobridge.errors import NonHyperbolicError, SlopeError
+from twobridge.errors import InternalError, NonHyperbolicError, SlopeError
 from twobridge.slopes import (
     INFINITY,
     Slope,
@@ -194,6 +194,12 @@ class TestFundamentalIntervals:
     def test_rejects_non_hyperbolic(self):
         with pytest.raises(NonHyperbolicError):
             fundamental_intervals(Slope(1, 3))
+
+    def test_cross_checks_the_callers_chain(self):
+        r = Slope(5, 17)
+        assert fundamental_intervals(r, farey_chain(r)) == fundamental_intervals(r)
+        with pytest.raises(InternalError):
+            fundamental_intervals(r, farey_chain(Slope(4, 13)))
 
 
 def _group_generators(r):
