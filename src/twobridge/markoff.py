@@ -730,10 +730,7 @@ def select_geometric_root(roots, r: Slope,
        ``mcshane.census_scan``): no real trace in (-2, 2), at most 64 slopes
        with |phi| <= 2, the node budget not exhausted, and the census the
        same at both depths.  A scan stops as soon as its census passes 64,
-       so a non-geometric class costs a few thousand nodes; the cap is a
-       scan-only contract that the pure-Python kernel implements and
-       ``census_scan`` enforces after every kernel call, so both kernel
-       backends reach the same decisions.
+       so a non-geometric class costs a few thousand nodes.
 
     Every candidate's report gives the reason it was rejected; the
     selection report is attached to the returned evaluation and to the

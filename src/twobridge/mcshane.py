@@ -16,7 +16,7 @@ families) are summed as analytic fans via the Hurwitz zeta function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath
 
@@ -322,7 +322,7 @@ def _explore_fan(out, kernel, u, phi_u, w0, gamma0, gamma_minus1,
 def _explore_edge(ev: MarkoffEvaluation, edge: DirectedFareyEdge, eps_edge,
                   max_depth, kernel=None, node_budget=5_000_000):
     """Interior sum 2*sum h(phi(s)) over the open cut-off interval of one
-    boundary edge, with deferred parabolic fans and overflow cells."""
+    boundary edge, with deferred parabolic fans."""
     if kernel is None:
         kernel = kernels.active_kernel
     out = kernels.CellOutcome()
@@ -339,11 +339,7 @@ def _explore_edge(ev: MarkoffEvaluation, edge: DirectedFareyEdge, eps_edge,
             # calls, which defer on the parabolic endpoint.
             continue
         kind, u_num, u_den, p_u, v_num, v_den, p_v, p_opp, depth, share = item
-        if kind == kernels.DEFER_OVERFLOW:
-            kernels.python_kernel.explore(
-                out, u_num, u_den, p_u, v_num, v_den, p_v, p_opp,
-                depth, share, max_depth, node_budget)
-        elif kind == kernels.DEFER_MEDIANT:
+        if kind == kernels.DEFER_MEDIANT:
             m_num, m_den = u_num + v_num, u_den + v_den
             phi_m = _snap_parabolic(p_u * p_v - p_opp)
             out.census.append((m_num, m_den, phi_m))
@@ -462,10 +458,8 @@ def census_scan(ev: MarkoffEvaluation, edges: EdgeSystem, depth: int,
     census size or the budget and the nodes spent.
 
     The census cap is a scan-only contract.  Each kernel call gets the room
-    left under the cap on ``CellOutcome.census_cap``; the pure-Python kernel
-    returns once its census passes it, the compiled kernel ignores it and
-    explores the whole edge.  The comparison is repeated here after every
-    call, so both backends reach the same decisions.
+    left under the cap on ``CellOutcome.census_cap``; the kernel returns
+    once its census passes it, and the comparison after the call raises.
 
     Parabolic cells are not expanded into fans here: the parabolic vertex is
     recorded and its fan walked by the bare trace recurrence.
@@ -498,9 +492,6 @@ def census_scan(ev: MarkoffEvaluation, edges: EdgeSystem, depth: int,
         for num, den, _ in out.census:
             found.add(Slope(num, den))
         for item in out.deferred:
-            if item[0] == kernels.DEFER_OVERFLOW:
-                raise NotGeometricEvaluationError(
-                    edge.s1, 0j, note="slopes overflow during census scan")
             _, u_num, u_den, p_u, v_num, v_den, p_v, p_opp, d, share = item
             if item[0] == kernels.DEFER_MEDIANT:
                 m = (u_num + v_num, u_den + v_den)
@@ -552,7 +543,6 @@ class IdentityReport:
     partial: bool
     slopes_small_trace: tuple
     accidental_parabolics: tuple
-    kernel_backend: str = field(default="")
 
     @property
     def identity_residual(self) -> float:
@@ -595,13 +585,12 @@ class IdentityReport:
                                    for s, v in self.slopes_small_trace],
             "accidental_parabolics": [[str(s), v.real, v.imag]
                                       for s, v in self.accidental_parabolics],
-            "kernel_backend": self.kernel_backend,
         }
 
 
 def cusp_shape(r: Slope, eps: float = DEFAULT_EPS,
                max_depth: int = DEFAULT_MAX_DEPTH, precision: str = "double",
-               ev: MarkoffEvaluation | None = None, kernel=None) -> IdentityReport:
+               ev: MarkoffEvaluation | None = None) -> IdentityReport:
     """Full pipeline: chain -> trace polynomial -> geometric root -> finite
     edge sums -> interval series -> cusp moduli."""
     if not is_hyperbolic(r):
@@ -610,8 +599,8 @@ def cusp_shape(r: Slope, eps: float = DEFAULT_EPS,
         ev = geometric_evaluation(r, precision=precision)
     edges = _edge_system(r, ev)
     fin1, fin2 = finite_edge_sums(r, ev, edges=edges, check=True)
-    res1 = interval_series(r, ev, 1, eps=eps, max_depth=max_depth, kernel=kernel)
-    res2 = interval_series(r, ev, 2, eps=eps, max_depth=max_depth, kernel=kernel)
+    res1 = interval_series(r, ev, 1, eps=eps, max_depth=max_depth)
+    res2 = interval_series(r, ev, 2, eps=eps, max_depth=max_depth)
 
     for fin, res, name in ((fin1, res1, "S1"), (fin2, res2, "S2")):
         if abs(res.value - fin) > res.tail_bound + 1e-8:
@@ -651,5 +640,4 @@ def cusp_shape(r: Slope, eps: float = DEFAULT_EPS,
         partial=res1.partial or res2.partial,
         slopes_small_trace=tuple((s, census[s]) for s in order),
         accidental_parabolics=parabolic,
-        kernel_backend=(kernel or kernels.active_kernel).BACKEND,
     )

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from twobridge import kernels, plat
+from twobridge import plat
 from twobridge.cusp_layout import check_simply_folded, layout_cusp
 from twobridge.endinvariants import bowditch_L, gap_intervals
 from twobridge.markoff import MarkoffEvaluation, trace_polynomial

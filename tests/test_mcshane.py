@@ -170,10 +170,9 @@ class TestIntervalSeries:
 
     @staticmethod
     def _failing_scan(monkeypatch, r, root, **kwargs):
-        """(message, nodes explored) of a depth-15 census scan that fails,
-        run on the pure-Python kernel: the compiled one has neither stop."""
+        """(message, nodes explored) of a depth-15 census scan that fails."""
         nodes = []
-        explore = kernels.python_kernel.explore
+        explore = kernels.explore
 
         def counting(out, *args, **kw):
             explore(out, *args, **kw)
@@ -228,22 +227,6 @@ class TestIntervalSeries:
         ev = MarkoffEvaluation(S25, 1.5 + 0j)
         with pytest.raises(NotGeometricEvaluationError):
             interval_series(S25, ev, 1)
-
-    def test_kernel_parity(self, evaluation_for):
-        if kernels.compiled_kernel is None:
-            pytest.skip("compiled kernel not built")
-        py = kernels.get_kernel("python")
-        cy = kernels.get_kernel("compiled")
-        for rs in ((2, 5), (3, 7), (5, 17)):
-            r = Slope(*rs)
-            ev = evaluation_for(r)
-            for j in (1, 2):
-                a = interval_series(r, ev, j, kernel=py)
-                b = interval_series(r, ev, j, kernel=cy)
-                assert abs(a.value - b.value) <= 1e-12
-                assert abs(a.tail_bound - b.tail_bound) <= 1e-12
-                assert a.nodes == b.nodes
-                assert [s for s, _ in a.census] == [s for s, _ in b.census]
 
 
 class TestCuspShape:
