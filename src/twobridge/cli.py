@@ -55,8 +55,7 @@ def _census_csv(report) -> str:
 
 def cmd_identity(args) -> int:
     r = Slope.parse(args.r)
-    report = mcshane.cusp_shape(r, eps=args.eps, max_depth=args.depth,
-                                precision=args.precision)
+    report = mcshane.cusp_shape(r, eps=args.eps, precision=args.precision)
     if args.format == "csv":
         _write(_census_csv(report), args.out)
     else:
@@ -106,7 +105,7 @@ def cmd_endinv(args) -> int:
     return 0
 
 
-def _batch_rows(pmax, eps, depth):
+def _batch_rows(pmax, eps):
     for p in range(3, pmax + 1):
         for q in range(1, p):
             if math.gcd(q, p) != 1:
@@ -114,7 +113,7 @@ def _batch_rows(pmax, eps, depth):
             r = Slope(q, p)
             if not is_hyperbolic(r):
                 continue
-            report = mcshane.cusp_shape(r, eps=eps, max_depth=depth)
+            report = mcshane.cusp_shape(r, eps=eps)
             lk = plat.linking_number_formula(r)
             lk_diag = plat.linking_number_diagram(r)
             case = endinvariants.bowditch_L(r, depth=0).case
@@ -140,7 +139,7 @@ _BATCH_COLUMNS = ("schema", "r", "q", "p", "components", "lambda_link_re",
 
 
 def cmd_batch(args) -> int:
-    rows = list(_batch_rows(args.pmax, args.eps, args.depth))
+    rows = list(_batch_rows(args.pmax, args.eps))
     if args.format == "json":
         _write(json.dumps(rows, indent=2), args.out)
         return 0
@@ -172,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identity", help="McShane-type identity and cusp moduli")
     common(p, ("json", "csv"))
     p.add_argument("--eps", type=float, default=mcshane.DEFAULT_EPS)
-    p.add_argument("--depth", type=int, default=mcshane.DEFAULT_MAX_DEPTH)
     p.add_argument("--precision", choices=("double", "extended"), default="double")
     p.set_defaults(func=cmd_identity)
 
@@ -196,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="one row per hyperbolic slope up to --pmax")
     p.add_argument("--pmax", type=int, required=True)
     p.add_argument("--eps", type=float, default=mcshane.DEFAULT_EPS)
-    p.add_argument("--depth", type=int, default=mcshane.DEFAULT_MAX_DEPTH)
     p.add_argument("--out", "-o", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_batch)

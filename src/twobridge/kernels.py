@@ -17,17 +17,27 @@ Cells whose traces come within PARABOLIC_TOL of +-2 are never descended
 here; they are handed back to the caller, which sums parabolic fans
 analytically.
 
-Two stops only make a failing census scan cheaper.  Comb walks stop at the
-node budget like the binary walk, and once ``len(out.census)`` passes
-``out.census_cap`` (infinite unless a caller sets it; a scan-only contract)
-the exploration returns at once.  ``mcshane.census_scan`` sets the cap to
-what its census may still take and raises on the same comparison after
-every call.
+The eps contract: a cell's share of eps bounds everything it adds to
+``out.tail``.  A binary cell either takes its tail estimate (when it fits
+the share) or passes half the share to each child.  A comb gives its n-th
+off-comb cell 0.3 * share / n^2 (at most pi^2/20 < 1/2 of the share in all)
+and stops its own walk, or defers its parabolic remainder, within the other
+half.  Sum mode has no depth limit, so the shares alone decide where a
+series stops; only the node budget and the comb's step cap can cut it
+short, and they mark ``out.depth_capped``.
+
+Two limits serve only the census scan, which ignores ``out.tail``.  Its
+optional ``max_depth`` stops the descent at that depth, and once
+``len(out.census)`` passes ``out.census_cap`` (infinite unless a caller
+sets it) the exploration returns at once.  ``mcshane.census_scan`` sets the
+cap to what its census may still take and raises on the same comparison
+after every call.  The node budget stops binary and comb walks alike.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import sys
 
 PRUNE_MODULUS = 8.0
@@ -99,14 +109,25 @@ def _is_elliptic(x: complex) -> bool:
 
 
 def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
-            depth, eps_share, max_depth, node_budget=5_000_000):
+            depth, eps_share, node_budget=5_000_000, max_depth=math.inf):
     """Sum the open cell (u, v) into ``out``.
 
     ``phi_opp`` is the trace at the vertex opposite the edge <u, v> on the
     parent side, so the first mediant trace is phi_u*phi_v - phi_opp.
     Deterministic order: combs walk outward, binary cells left before right.
+    ``max_depth`` is the census scan's depth limit (see the module
+    docstring); sum mode leaves it infinite.
     """
-    stack = [(u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp, depth, eps_share)]
+    cell = (u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp, depth, eps_share)
+    if _near_parabolic(phi_u) or _near_parabolic(phi_v):
+        # Only the root cell can have a parabolic endpoint: every endpoint
+        # pushed below it is a mediant or comb trace, tested when made.
+        out.nodes += 1
+        if depth > out.max_depth_seen:
+            out.max_depth_seen = depth
+        out.deferred.append((DEFER_ENDPOINT,) + cell)
+        return
+    stack = [cell]
     while stack:
         (u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
          depth, eps_share) = stack.pop()
@@ -117,16 +138,12 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
             out.depth_capped = True
             out.tail += 1.0
             return
-        if _near_parabolic(phi_u) or _near_parabolic(phi_v):
-            out.deferred.append((DEFER_ENDPOINT, u_num, u_den, phi_u,
-                                 v_num, v_den, phi_v, phi_opp, depth, eps_share))
-            continue
 
         au = abs(phi_u)
         av = abs(phi_v)
-        if min(au, av) < PRUNE_MODULUS:
+        if au < PRUNE_MODULUS or av < PRUNE_MODULUS:
             _comb(out, stack, u_num, u_den, phi_u, v_num, v_den, phi_v,
-                  phi_opp, depth, eps_share, max_depth, node_budget)
+                  phi_opp, depth, eps_share, node_budget)
             if (out.elliptic is not None or out.nodes > node_budget
                     or len(out.census) > out.census_cap):
                 return
@@ -135,19 +152,17 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
         m_num = u_num + v_num
         m_den = u_den + v_den
         phi_m = phi_u * phi_v - phi_opp
-
-        if _is_elliptic(phi_m):
-            if out.elliptic is None:
-                out.elliptic = (m_num, m_den, phi_m)
-            return
-
-        if _near_parabolic(phi_m):
-            out.deferred.append((DEFER_MEDIANT, u_num, u_den, phi_u,
-                                 v_num, v_den, phi_v, phi_opp, depth, eps_share))
-            continue
-
         am = abs(phi_m)
+        # elliptic and near-parabolic traces both lie in this disc
         if am <= 2.0 + CENSUS_TOL:
+            if _is_elliptic(phi_m):
+                if out.elliptic is None:
+                    out.elliptic = (m_num, m_den, phi_m)
+                return
+            if _near_parabolic(phi_m):
+                out.deferred.append((DEFER_MEDIANT, u_num, u_den, phi_u, v_num,
+                                     v_den, phi_v, phi_opp, depth, eps_share))
+                continue
             out.census.append((m_num, m_den, phi_m))
             if len(out.census) > out.census_cap:
                 return
@@ -158,17 +173,11 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
             if est <= eps_share:
                 out.tail += est
                 continue
+        if depth >= max_depth:
+            continue
 
         hm = h_func(phi_m)
         out.add(2.0 * hm.real, 2.0 * hm.imag)
-
-        if depth >= max_depth:
-            est, crude = cap_tail(am, au, av)
-            out.tail += est
-            if crude:
-                out.depth_capped = True
-            continue
-
         half = 0.5 * eps_share
         stack.append((m_num, m_den, phi_m, v_num, v_den, phi_v, phi_u,
                       depth + 1, half))
@@ -177,7 +186,7 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
 
 
 def _comb(out, stack, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
-          depth, eps_share, max_depth, node_budget):
+          depth, eps_share, node_budget):
     """Walk the fan around the small-trace endpoint of the cell.
 
     The pivot is the endpoint with |trace| < 8; fan vertices w_n step by the
@@ -186,8 +195,9 @@ def _comb(out, stack, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
     gamma_n = P mu^n + Q mu^-n with mu + 1/mu = t, |mu| > 1.  Each step
     pushes the off-comb cell (w_{n+1}, w_n) onto the binary stack; the walk
     stops once the geometric decay of 2h(gamma_n) ~ 8/|P mu^n|^2 bounds the
-    remainder inside the eps share.  Like ``explore`` it stops on the node
-    budget and on the census cap.
+    remainder inside half the eps share; the off-comb cells share the other
+    half.  Like ``explore`` it stops on the node budget and on the census
+    cap.
     """
     if abs(phi_u) < abs(phi_v):
         p_num, p_den, t = u_num, u_den, phi_u
@@ -218,19 +228,25 @@ def _comb(out, stack, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
         w_num = c_num + p_num
         w_den = c_den + p_den
         cell_depth = depth + n
-        if cell_depth > out.max_depth_seen and cell_depth <= max_depth:
+        if cell_depth > out.max_depth_seen:
             out.max_depth_seen = cell_depth
-        if _is_elliptic(gamma1):
-            if out.elliptic is None:
-                out.elliptic = (w_num, w_den, gamma1)
-            return
-        if _near_parabolic(gamma1):
-            # remaining comb = cell (current moving endpoint, pivot) whose
-            # mediant is the parabolic vertex: hand it back whole
-            out.deferred.append((DEFER_MEDIANT, c_num, c_den, gamma0,
-                                 p_num, p_den, t, gamma_prev,
-                                 cell_depth - 1, eps_share))
-            return
+        ag = abs(gamma1)
+        if ag <= 2.0 + CENSUS_TOL:
+            if _is_elliptic(gamma1):
+                if out.elliptic is None:
+                    out.elliptic = (w_num, w_den, gamma1)
+                return
+            if _near_parabolic(gamma1):
+                # remaining comb = cell (current moving endpoint, pivot)
+                # whose mediant is the parabolic vertex: hand it back whole,
+                # with the half of the share the off-comb cells do not use
+                out.deferred.append((DEFER_MEDIANT, c_num, c_den, gamma0,
+                                     p_num, p_den, t, gamma_prev,
+                                     cell_depth - 1, 0.5 * eps_share))
+                return
+            out.census.append((w_num, w_den, gamma1))
+            if len(out.census) > out.census_cap:
+                return
         if n == 1 and usable:
             p_coef = (gamma1 - gamma0 / mu) / (mu - 1.0 / mu)
             p_abs = abs(p_coef)
@@ -238,18 +254,10 @@ def _comb(out, stack, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
                 beta = abs(gamma0 - p_coef) / (p_abs * mu2)
         elif beta > 0.0:
             beta /= mu2
-        ag = abs(gamma1)
-        if ag <= 2.0 + CENSUS_TOL:
-            out.census.append((w_num, w_den, gamma1))
-            if len(out.census) > out.census_cap:
-                return
         hm = h_func(gamma1)
         out.add(2.0 * hm.real, 2.0 * hm.imag)
         stack.append((w_num, w_den, gamma1, c_num, c_den, gamma0, t,
                       cell_depth + 1, 0.3 * eps_share / (n * n)))
-
-        # the comb is walked past max_depth like the parabolic fans: the
-        # remainder estimate below is the analytic continuation
         if 0.0 <= beta <= 0.25 and ag >= 32.0:
             grow = (1.0 + beta) * (1.0 + beta) / ((1.0 - beta) * (1.0 - beta))
             est = 8.0 * grow / ((mu2 - 1.0) * ag * ag)
@@ -262,26 +270,6 @@ def _comb(out, stack, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
             return
         gamma_prev, gamma0 = gamma0, gamma1
         c_num, c_den = w_num, w_den
-
-
-def cap_tail(am, au, av):
-    """(tail estimate, is_crude) for an unexplored cell at the depth cap.
-
-    ``am`` is the mediant trace modulus, ``au``/``av`` the edge traces.  When
-    the slow side sits near 2 the values along the residual comb grow only
-    like powers of mu with mu + 1/mu = min(au, av), so the plain 10/am^2
-    estimate is inflated by mu^2/(mu^2 - 1).
-    """
-    if am <= 3.0:
-        return 1.0, True
-    g = au if au < av else av
-    if g >= PRUNE_MODULUS:
-        return TAIL_COEFFICIENT / (am * am), False
-    if g <= 2.0 + 1e-9:
-        return 1.0, True
-    half = 0.5 * (g + (g * g - 4.0) ** 0.5)
-    mu2 = half * half
-    return 20.0 * (mu2 / (mu2 - 1.0)) / (am * am), False
 
 
 # perfbench reads these names; its tracer replaces ``active_kernel.explore``,

@@ -566,8 +566,7 @@ class MarkoffEvaluation:
     map it generates: phi(inf) = 0, phi(0) = x*, phi(1) = i x*.
 
     phi(s) is computed by the canonical mediant walk from <0,1,inf> and every
-    intermediate slope is cached.  Instances may be sealed, after which reads
-    are safe to share across threads.  ``edges`` keeps r's boundary edge
+    intermediate slope is cached.  ``edges`` keeps r's boundary edge
     system (``mcshane.EdgeSystem``) once built, so one request builds it once.
     """
 
@@ -576,18 +575,8 @@ class MarkoffEvaluation:
         self.root = complex(root)
         self.chain = chain if chain is not None else farey_chain(r)
         self._cache = {INFINITY: 0j, Slope(0, 1): self.root, Slope(1, 1): 1j * self.root}
-        self._sealed = False
         self.selection = None
         self.edges = None
-
-    def seal(self):
-        self._sealed = True
-        return self
-
-    def _store(self, s, value):
-        if self._sealed and s not in self._cache:
-            raise DomainError("evaluation is sealed; slope %s not cached" % (s,))
-        self._cache[s] = value
 
     def phi(self, s: Slope) -> complex:
         cached = self._cache.get(s)
@@ -596,7 +585,7 @@ class MarkoffEvaluation:
         x = self.root
         if s.den == 1:
             val = _INT_PHI_PATTERN[s.num % 4] * x
-            self._store(s, val)
+            self._cache[s] = val
             return val
         m = s.num // s.den
         lo, hi = Slope(m, 1), Slope(m + 1, 1)
@@ -606,7 +595,7 @@ class MarkoffEvaluation:
         while True:
             med = lo.mediant(hi)
             phi_med = phi_lo * phi_hi - phi_opp
-            self._store(med, phi_med)
+            self._cache[med] = phi_med
             if med == s:
                 return phi_med
             if s < med:

@@ -56,6 +56,15 @@ def test_criterion_01_main_identity(identity_reports):
           % (len(identity_reports), worst))
 
 
+def test_tail_within_eps(identity_reports):
+    """Both series are summed to the requested eps: their tail bounds add
+    up to at most eps and no report is partial, for every p <= 30."""
+    for r, rep in identity_reports.items():
+        assert rep.tail_bound_1 + rep.tail_bound_2 <= rep.eps, r
+        assert not rep.partial, r
+    print("\n[PASS] tails within eps on %d slopes" % len(identity_reports))
+
+
 def test_criterion_02_finite_identity(identity_reports, evaluation_for):
     """Finite edge sums: E1+E2 sum to -1 and the full edge sum to 1."""
     worst_minus = worst_one = 0.0

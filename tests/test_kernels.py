@@ -21,11 +21,11 @@ def test_unknown_backend():
         kernels.get_kernel("fortran")
 
 
-def _raw_explore(ev, edge, eps=1e-8, max_depth=120):
+def _raw_explore(ev, edge, eps=1e-8):
     out = kernels.CellOutcome()
     u, v = edge.s1, edge.s2
     kernels.explore(out, u.num, u.den, ev.phi(u), v.num, v.den, ev.phi(v),
-                    ev.phi(edge.s0), 0, eps, max_depth)
+                    ev.phi(edge.s0), 0, eps)
     return out
 
 

@@ -148,18 +148,37 @@ class TestIntervalSeries:
                 res = interval_series(r, ev, j)
                 assert abs(res.value - edges_sums[j - 1]) <= res.tail_bound + 1e-8
 
-    def test_huge_eps_returns_shallow(self, ev25):
-        res = interval_series(S25, ev25, 1, eps=1.0, max_depth=50)
-        assert res.tail_bound > 0
-        assert res.value == res.value  # finite, no assertion failure
+    def test_huge_eps_stays_shallow(self, ev25):
+        shallow = interval_series(S25, ev25, 1, eps=1.0)
+        deep = interval_series(S25, ev25, 1, eps=1e-8)
+        assert 0 < shallow.tail_bound <= 1.0
+        assert shallow.nodes < deep.nodes
+        assert cmath.isfinite(shallow.value)
 
-    def test_tail_monotone_in_depth(self, evaluation_for):
-        r = Slope(5, 17)
+    @pytest.mark.parametrize("text", ["5/17", "11/23"])
+    def test_tail_within_each_eps(self, text, evaluation_for):
+        """The tail bound follows eps down and the value stays within it,
+        also on 11/23, whose combs walk a thousand steps at eps = 1e-8."""
+        r = Slope.parse(text)
         ev = evaluation_for(r)
-        tails = [interval_series(r, ev, 1, eps=1e-8, max_depth=d).tail_bound
-                 for d in (30, 60, 120, 200)]
-        for a, b in zip(tails, tails[1:]):
-            assert b <= a + 1e-15
+        fin = finite_edge_sums(r, ev)
+        for j in (1, 2):
+            nodes = 0
+            for eps in (1e-4, 1e-6, 1e-8, 1e-10):
+                res = interval_series(r, ev, j, eps=eps)
+                assert res.tail_bound <= eps and not res.partial, (j, eps)
+                assert abs(res.value - fin[j - 1]) <= eps, (j, eps)
+                assert res.nodes >= nodes
+                nodes = res.nodes
+
+    @pytest.mark.parametrize("text", ["2/47", "39/41"])
+    def test_near_parabolic_series_meet_eps(self, text):
+        """Combs around loops with trace near +-2 walk thousands of steps;
+        summed to eps they close the identity to 1e-9."""
+        rep = cusp_shape(Slope.parse(text))
+        assert rep.identity_residual <= 1e-9
+        assert rep.tail_bound_1 + rep.tail_bound_2 <= rep.eps
+        assert not rep.partial
 
     def test_census_stabilises(self, evaluation_for):
         for rs in ((2, 5), (5, 17), (3, 8)):
