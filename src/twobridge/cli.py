@@ -71,19 +71,18 @@ def cmd_cusp(args) -> int:
     ev = geometric_evaluation(r, precision=args.precision)
     layout = cusp_layout.layout_cusp(r, ev)
     fold = cusp_layout.check_simply_folded(layout, r)
+    svg_options = {"periods": args.periods}
+    if args.format == "svg":
+        _write(cusp_layout.render_svg(layout, svg_options), args.out)
+        return 0
+    # JSON goes to stdout; --out receives the SVG
     doc = layout.to_json()
     doc["folds_ok"] = fold["ok"]
     doc["fold_slopes"] = [str(layout.fold_minus.fold_slope),
                           str(layout.fold_plus.fold_slope)]
     if args.out:
-        svg = cusp_layout.render_svg(layout, {"periods": args.periods})
-        with open(args.out, "w") as fh:
-            fh.write(svg)
+        _write(cusp_layout.render_svg(layout, svg_options), args.out)
         doc["svg_written_to"] = args.out
-    if args.format == "svg":
-        _write(cusp_layout.render_svg(layout, {"periods": args.periods}),
-               None if args.out else None)
-        return 0
     _write(json.dumps(doc, indent=2), None)
     return 0
 

@@ -7,12 +7,32 @@ the fundamental domain: two at infinity (over 0 and 1) and two at r (over
 r1 and r2).  Rational points of the limit set are exactly the orbit of
 infinity and r, so membership is decided by slope reduction; everything
 else is covered by open gaps, the images of the interval interiors.
+
+Only the empty word and the reduced words whose outermost letter (the one
+acting last) is R<r,r1> or R<r,r2> can reach (0, 1).  This is ping-pong:
+the reflection at infinity over 0 maps everything outside (-inf, 0) into
+[-inf, 0], the one over 1 into [1, inf], and R<r,r1>, R<r,r2> map into
+[r1, r] and [r, r2].  A reduced word therefore maps I1, I2, inf and r into
+the closed region of its outermost letter, and the words ending in an
+infinity reflection land outside (0, 1).  The same regions make the group
+the free product of the four reflections (ping-pong again), so distinct
+reduced words are distinct elements, whose images of int I1 and int I2 are
+disjoint: a depth-d system has 2 * 3^d gaps, and the enumeration needs no
+test for repeated elements.
+
+Gap endpoints are images of slopes under integer matrices of determinant
++-1, so they are in lowest terms once their sign is fixed; the gap system
+is built, sorted and checked by integer cross-multiplication.  The printed
+covered length is N / D for the exact, unreduced sum N/D of the gap
+lengths; CPython's int / int division is correctly rounded, as is
+``float`` of a ``Fraction``, so it equals float(covered_length()).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DomainError, InternalError, NonHyperbolicError
 from .slopes import (
@@ -69,46 +89,83 @@ class Gap:
 
 @dataclass(frozen=True)
 class GapSystem:
+    """The gaps of one depth, sorted, as integer rows
+
+        (left num, left den, right num, right den, source, letters, text)
+
+    with ``letters`` the word's letters and ``text`` its string; ``gaps``
+    turns them into ``Gap`` objects on first use."""
+
     r: Slope
     depth: int
-    gaps: tuple
+    rows: tuple
     parabolic_points: tuple  # orbit points of inf and r discovered on the way
     duplicate_words: int = 0  # distinct group elements producing the same gap
 
+    @cached_property
+    def gaps(self) -> tuple:
+        return tuple(Gap(left=Slope._from_coprime(xn, xd),
+                         right=Slope._from_coprime(yn, yd),
+                         source=source, word=ReflectionWord(letters))
+                     for xn, xd, yn, yd, source, letters, _ in self.rows)
+
+    def _covered(self):
+        """(N, D), N/D the total gap length inside (0, 1), unreduced.
+
+        The lengths are added pairwise, as a balanced tree, so that each
+        product multiplies numbers of similar size; nothing is reduced by a
+        gcd.
+        """
+        terms = []
+        for xn, xd, yn, yd, *_ in self.rows:
+            if xn < 0:
+                xn, xd = 0, 1
+            if yn > yd:
+                yn, yd = 1, 1
+            if yn * xd > xn * yd:
+                terms.append((yn * xd - xn * yd, yd * xd))
+        while len(terms) > 1:
+            paired = [(a * d + c * b, b * d)
+                      for (a, b), (c, d) in zip(terms[::2], terms[1::2])]
+            if len(terms) % 2:
+                paired.append(terms[-1])
+            terms = paired
+        return terms[0] if terms else (0, 1)
+
     def covered_length(self) -> Fraction:
         """Total gap length inside (0, 1)."""
-        zero, one = Fraction(0), Fraction(1)
-        total = Fraction(0)
-        for g in self.gaps:
-            lo = max(zero, g.left.as_fraction())
-            hi = min(one, g.right.as_fraction())
-            if hi > lo:
-                total += hi - lo
-        return total
+        return Fraction(*self._covered())
 
     def to_json(self):
+        num, den = self._covered()
         return {
             "r": str(self.r),
             "depth": self.depth,
-            # a float: the exact sum's denominator can run to thousands of digits
-            "covered_length_in_unit_interval": float(self.covered_length()),
+            # a float: the exact sum's denominator can run to thousands of
+            # digits; int / int is correctly rounded (module docstring)
+            "covered_length_in_unit_interval": num / den,
             "gaps": [
                 {
-                    "interval": [str(g.left), str(g.right)],
-                    "source": g.source,
-                    "word": str(g.word),
-                    "word_length": len(g.word),
+                    "interval": ["%d/%d" % (xn, xd), "%d/%d" % (yn, yd)],
+                    "source": source,
+                    "word": text,
+                    "word_length": len(letters),
                 }
-                for g in self.gaps
+                for xn, xd, yn, yd, source, letters, text in self.rows
             ],
         }
 
 
-def _canonical_matrix(m):
-    for entry in m:
-        if entry != 0:
-            return m if entry > 0 else tuple(-x for x in m)
-    raise InternalError("zero matrix in word enumeration")
+def _exact_key(max_den):
+    """A sort key that orders tuples starting (num, den), 0 < den <= max_den,
+    as the rationals num/den: floor(num * 2^k / den) with 2^k > 2 den den'
+    for every pair of them, so distinct values never share a key."""
+    shift = 2 * max_den.bit_length() + 1
+    return lambda pt: (pt[0] << shift) // pt[1]
+
+
+def _interval_text(num, den, num2, den2, *_):
+    return "[%d/%d, %d/%d]" % (num, den, num2, den2)
 
 
 def gap_intervals(r: Slope, depth: int) -> GapSystem:
@@ -126,72 +183,71 @@ def gap_intervals(r: Slope, depth: int) -> GapSystem:
         reflection_in_edge(r, r1),
         reflection_in_edge(r, r2),
     )
+    names = [str(g) for g in generators]
 
-    identity = (1, 0, 0, 1)
-    frontier = [(identity, -1, ())]
-    seen = {_canonical_matrix(identity)}
-    elements = [(identity, ())]
-    for _ in range(depth):
-        new_frontier = []
-        for matrix, last, letters in frontier:
-            for idx, gen in enumerate(generators):
-                if idx == last:
-                    continue
-                m2 = _mat_mul(matrix, gen.matrix)
-                key = _canonical_matrix(m2)
-                if key in seen:
-                    continue
-                seen.add(key)
-                # matrix = g1...gd acts as g1(g2(...)): letters apply
-                # first-to-last, so the new letter goes in front
-                w2 = (gen,) + letters
-                new_frontier.append((m2, idx, w2))
-                elements.append((m2, w2))
-        frontier = new_frontier
+    # matrix = g1...gd acts as g1(g2(...)): letters apply first-to-last,
+    # so each new letter goes in front of the word and on the right of the
+    # matrix.  The outermost letter is chosen at the first level, and only
+    # the r-reflections can reach (0, 1) there (module docstring).
+    frontier = [((1, 0, 0, 1), -1, (), "<empty word>")]
+    elements = list(frontier)
+    choices = (2, 3)
+    for level in range(depth):
+        frontier = [(_mat_mul(matrix, generators[idx].matrix), idx,
+                     (generators[idx],) + letters,
+                     names[idx] + " . " + text if level else names[idx])
+                    for matrix, last, letters, text in frontier
+                    for idx in choices if idx != last]
+        elements.extend(frontier)
+        choices = (0, 1, 2, 3)
 
-    zero, one = Slope(0, 1), Slope(1, 1)
-    ends = {1: (zero, r1), 2: (r2, one)}
-    gaps = {}
+    rn, rd = r.num, r.den
+    ends = ((1, 0, 1, r1.num, r1.den), (2, r2.num, r2.den, 1, 1))
+    found = {}  # (left num, left den, right num, right den) -> row
     parabolics = set()
     duplicates = 0
-    for matrix, letters in elements:
-        word = ReflectionWord(letters)
-        for pt in (INFINITY, r):
-            image = _apply(matrix, pt)
-            if not image.is_infinite and zero < image < one:
-                parabolics.add(image)
-        for j in (1, 2):
-            a = _apply(matrix, ends[j][0])
-            b = _apply(matrix, ends[j][1])
-            if a.is_infinite or b.is_infinite:
-                raise InternalError("gap endpoint at infinity for word %s" % word)
-            left, right = (a, b) if a < b else (b, a)
-            if right <= zero or left >= one:
+    for (a, b, c, d), _, letters, text in elements:
+        # the images of inf and r, denominators made positive
+        for n, m in ((a, c), (a * rn + b * rd, c * rn + d * rd)):
+            if m < 0:
+                n, m = -n, -m
+            if 0 < n < m:
+                parabolics.add((n, m))
+        for source, un, ud, vn, vd in ends:
+            xn, xd = a * un + b * ud, c * un + d * ud
+            yn, yd = a * vn + b * vd, c * vn + d * vd
+            if xd == 0 or yd == 0:
+                raise InternalError("gap endpoint at infinity for word %s" % text)
+            if xd < 0:
+                xn, xd = -xn, -xd
+            if yd < 0:
+                yn, yd = -yn, -yd
+            if yn * xd < xn * yd:
+                xn, xd, yn, yd = yn, yd, xn, xd
+            if yn <= 0 or xn >= xd:
                 continue
-            key = (left, right)
-            if key in gaps:
+            key = (xn, xd, yn, yd)
+            if key in found:
                 duplicates += 1
                 continue
-            gaps[key] = Gap(left=left, right=right, source=j, word=word)
+            found[key] = key + (source, letters, text)
 
-    ordered = sorted(gaps.values(), key=lambda g: g.left.as_fraction())
-    for g1, g2 in zip(ordered, ordered[1:]):
-        if g2.left < g1.right:
-            raise InternalError(
-                "gaps %s and %s overlap for r=%s" % (g1.interval, g2.interval, r)
-            )
-    for g in ordered:
-        if g.contains(r):
-            raise InternalError("gap %s contains r=%s" % (g.interval, r))
-    return GapSystem(r=r, depth=depth, gaps=tuple(ordered),
-                     parabolic_points=tuple(sorted(parabolics,
-                                                   key=lambda s: s.as_fraction())),
+    rows = sorted(found.values(), key=_exact_key(max(k[1] for k in found)))
+    for g1, g2 in zip(rows, rows[1:]):
+        if g2[0] * g1[3] < g1[2] * g2[1]:
+            raise InternalError("gaps %s and %s overlap for r=%s"
+                                % (_interval_text(*g1), _interval_text(*g2), r))
+    for row in rows:
+        xn, xd, yn, yd, *_ = row
+        if xn * rd < rn * xd and rn * yd < yn * rd:
+            raise InternalError("gap %s contains r=%s"
+                                % (_interval_text(*row), r))
+    # never empty: the empty word contributes r itself
+    points = sorted(parabolics, key=_exact_key(max(m for _, m in parabolics)))
+    return GapSystem(r=r, depth=depth, rows=tuple(rows),
+                     parabolic_points=tuple(Slope._from_coprime(n, m)
+                                            for n, m in points),
                      duplicate_words=duplicates)
-
-
-def _apply(matrix, s: Slope) -> Slope:
-    a, b, c, d = matrix
-    return Slope(a * s.num + b * s.den, c * s.num + d * s.den)
 
 
 @dataclass(frozen=True)
@@ -284,12 +340,12 @@ def render_gaps_svg(system: GapSystem, width: int = 900, height: int = 160) -> s
         out.append('<text x="%.3f" y="%.3f" font-size="11" '
                    'font-family="monospace" text-anchor="middle">%s</text>'
                    % (x, axis_y + 22, label))
-    for g in system.gaps:
-        lo = max(0.0, float(g.left.as_fraction()))
-        hi = min(1.0, float(g.right.as_fraction()))
+    for xn, xd, yn, yd, source, *_ in system.rows:
+        lo = max(0.0, xn / xd)
+        hi = min(1.0, yn / yd)
         if hi <= lo:
             continue
-        colour = "#7fb2d9" if g.source == 1 else "#8fce9f"
+        colour = "#7fb2d9" if source == 1 else "#8fce9f"
         out.append(
             '<rect x="%.3f" y="%.3f" width="%.3f" height="%.3f" fill="%s" '
             'stroke="none"/>'
@@ -310,8 +366,8 @@ def interval_meets_limit_set(r: Slope, u: Slope, v: Slope, depth: int = 8) -> st
         u, v = v, u
     system = gap_intervals(r, depth)
     probe = Interval(u, v)
-    for g in system.gaps:
-        if g.left <= u and v <= g.right:
+    for xn, xd, yn, yd, *_ in system.rows:
+        if xn * u.den <= u.num * xd and v.num * yd <= yn * v.den:
             return "no"
     for pt in system.parabolic_points:
         if probe.interior_contains(pt):

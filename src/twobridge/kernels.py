@@ -92,11 +92,16 @@ class CellOutcome:
 
 
 def h_func(x: complex) -> complex:
-    """h(x) = (1 - sqrt(1 - 4/x^2)) / 2 with Re sqrt >= 0."""
-    s = cmath.sqrt(1.0 - 4.0 / (x * x))
-    if s.real < 0.0:
-        s = -s
-    return 0.5 * (1.0 - s)
+    """h(x) = (1 - s)/2 = 2/(x^2 (1 + s)), s = sqrt(1 - 4/x^2), Re s >= 0.
+
+    Computed as (t/2)/(1 + s) with t = (2/x)^2.  1 - s cancels for large
+    |x| (about x^2 machine epsilons of relative error); 1 + s has real part
+    at least 1, since cmath.sqrt is the principal branch; and t goes to 0
+    where x^2 would overflow.
+    """
+    y = 2.0 / x
+    t = y * y
+    return 0.5 * t / (1.0 + cmath.sqrt(1.0 - t))
 
 
 def _near_parabolic(x: complex) -> bool:

@@ -66,7 +66,9 @@ def h(x):
 
     Defined on the complement of the open real interval (-2, 2); at the
     closed endpoints +-2 the formula degenerates to the parabolic limit 1/2.
-    Satisfies h(2 cosh(l/2)) = 1/(1 + e^l) for Re l >= 0.
+    Satisfies h(2 cosh(l/2)) = 1/(1 + e^l) for Re l >= 0.  Evaluated as
+    2/(x^2 (1 + sqrt(1 - 4/x^2))) (``kernels.h_func``), which keeps full
+    relative accuracy for large |x|, where the first form cancels.
     """
     x = complex(x)
     if x.imag == 0.0:

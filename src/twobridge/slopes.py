@@ -58,6 +58,16 @@ class Slope:
     def __setattr__(self, name, value):
         raise AttributeError("Slope is immutable")
 
+    @classmethod
+    def _from_coprime(cls, num, den):
+        """num/den already in lowest terms with den > 0, as the image of a
+        slope under an integer matrix of determinant +-1 is once its sign
+        is fixed; skips the constructor's gcd."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "num", num)
+        object.__setattr__(s, "den", den)
+        return s
+
     @property
     def is_infinite(self):
         return self.den == 0

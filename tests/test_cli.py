@@ -1,5 +1,6 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -57,6 +58,22 @@ class TestCusp:
         run(capsys, "cusp", "2/5", "-o", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_svg_format_to_stdout(self, capsys):
+        code, out, _ = run(capsys, "cusp", "2/5", "--format", "svg")
+        assert code == 0
+        assert out.startswith("<?xml") and out.count("<svg") == 1
+
+    def test_svg_format_to_file_only(self, capsys, tmp_path):
+        path = tmp_path / "cusp.svg"
+        code, out, _ = run(capsys, "cusp", "2/5", "--format", "svg",
+                           "-o", str(path))
+        assert code == 0
+        assert out == ""
+        svg = path.read_text()
+        assert svg.startswith("<?xml") and svg.count("<svg") == 1
+        _, stdout_svg, _ = run(capsys, "cusp", "2/5", "--format", "svg")
+        assert svg == stdout_svg
+
 
 class TestLongitude:
     def test_oracle_equality(self, capsys):
@@ -85,6 +102,36 @@ class TestEndinv:
         assert code == 0
         doc = json.loads(out)
         assert 0.99 < doc["gap_system"]["covered_length_in_unit_interval"] < 1
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("2/5", "--depth", "6"),
+         "aec8d73484cc1960f704bae28738a08ab16ac1245b6401424316da713db14e98"),
+        (("3/7", "--depth", "6"),
+         "2f4eb97743e85ae1fee396fe4287a6ffddbb45eb1d9e7c9273d6bd51a3e8f978"),
+        (("2/9", "--depth", "6"),
+         "2e99ee86187ed546cb14dbe870b1d01139c63c3541aaad14f608e121ebb67766"),
+        (("3/8", "--depth", "6"),
+         "87df3ae858a39714682b324a0f90a20e36e57a31393f40f0a045a7b4fe6fe95d"),
+        (("5/8", "--depth", "6"),
+         "7a763813f1a4e4206a0fa019ba757e4deabef333ce9b74832a45211c1a597b3c"),
+        (("7/11", "--depth", "6"),
+         "40d5df4951ee86ae28ee02b9189211bdafea5257427401b005590a887f005416"),
+        (("5/13", "--depth", "6"),
+         "c9e73e17b80e1708839079f1d4702e2e651f99b1edff426dfb95d44fd60a8fec"),
+        (("2/5", "--depth", "8"),
+         "6b6107a12f2253b06ae282e4097598c56da3f8ce80f5deb127eaf03094ebe87c"),
+        (("3/10", "--depth", "0"),
+         "da488d3eeb93e58c7e6be67885f78169bde1f268f22ee18bf61156fdd0c81ef6"),
+        (("2/5", "--depth", "6", "--format", "svg"),
+         "d854bf9a526794db77a25e66b6fe2ac60a1127436ff2a8b98116dfed5da9a3c3"),
+    ])
+    def test_output_digests(self, capsys, tmp_path, argv, digest):
+        """The --out file is byte for byte the one the Fraction-based gap
+        system wrote, down to the printed covered length."""
+        path = tmp_path / "endinv.out"
+        code, _, _ = run(capsys, "endinv", *argv, "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_gaps_sorted(self, capsys):
         from fractions import Fraction

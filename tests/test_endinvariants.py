@@ -1,5 +1,6 @@
 """Limit-set membership, gap systems, Bowditch exceptional families."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from twobridge.slopes import (
     INFINITY,
     Slope,
     fundamental_intervals,
+    is_hyperbolic,
     reflection_in_edge,
 )
 
@@ -101,6 +103,26 @@ class TestGapSystem:
             a, b = ends[g.source]
             image = {g.word.apply(a), g.word.apply(b)}
             assert image == {g.left, g.right}
+
+    def test_counts_outer_letters_and_printed_length(self):
+        """For every hyperbolic slope with p <= 21 and depth <= 5: 2 * 3^d
+        gaps, every non-empty word ends (acts last) with R<r,r1> or
+        R<r,r2>, and the printed covered length is the exact one, rounded."""
+        for p in range(5, 22):
+            for q in range(2, p - 1):
+                r = Slope(q, p)
+                if math.gcd(q, p) != 1 or not is_hyperbolic(r):
+                    continue
+                i1, i2 = fundamental_intervals(r)
+                outer = {str(reflection_in_edge(r, i1.right)),
+                         str(reflection_in_edge(r, i2.left))}
+                for depth in range(6):
+                    system = gap_intervals(r, depth)
+                    assert len(system.gaps) == 2 * 3 ** depth, (r, depth)
+                    assert all(str(g.word.letters[-1]) in outer
+                               for g in system.gaps if g.word.letters)
+                    printed = system.to_json()["covered_length_in_unit_interval"]
+                    assert printed == float(system.covered_length()), (r, depth)
 
     def test_depth_cap(self):
         with pytest.raises(DomainError):

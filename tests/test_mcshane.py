@@ -30,10 +30,12 @@ class TestH:
         assert abs(h(3) - (1 - math.sqrt(5) / 3) / 2) < 1e-15
 
     def test_decay(self):
-        # h(x) x^2 -> 1; the cancellation in 1 - sqrt(1 - 4/x^2) costs
-        # relative accuracy ~ x^2 eps, hence the additive term
-        for x in (1e3, 1e5, 1e7):
-            assert abs(h(x) * x * x - 1) < 5 / x ** 2 + 1e-16 * x ** 2
+        # h(x) x^2 = 1 + 1/x^2 + O(1/x^4), to full relative accuracy: the
+        # evaluation avoids the cancellation in 1 - sqrt(1 - 4/x^2)
+        for x in (1e3, 1e5, 1e7, 1e100):
+            assert abs(h(x) * x * x - 1) < 5 / x ** 2 + 1e-15
+        # where x^2 overflows, h underflows to 0 rather than turning nan
+        assert h(1e200) == 0 and h(complex(1e200, 1e199)) == 0
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -170,6 +172,17 @@ class TestIntervalSeries:
                 assert abs(res.value - fin[j - 1]) <= eps, (j, eps)
                 assert res.nodes >= nodes
                 nodes = res.nodes
+
+    @pytest.mark.parametrize("text, j", [("2/5", 1), ("3/7", 2), ("11/23", 2)])
+    def test_value_within_tail_bound_at_small_eps(self, text, j, evaluation_for):
+        """At eps = 1e-12 the series stays within its tail bound (about
+        5e-13) of the finite edge sum; evaluating h as (1 - s)/2 put it
+        1.6-1.8e-12 away, from cancellation at large traces."""
+        r = Slope.parse(text)
+        ev = evaluation_for(r)
+        res = interval_series(r, ev, j, eps=1e-12)
+        assert res.tail_bound <= 1e-12 and not res.partial
+        assert abs(res.value - finite_edge_sums(r, ev)[j - 1]) <= res.tail_bound
 
     @pytest.mark.parametrize("text", ["2/47", "39/41"])
     def test_near_parabolic_series_meet_eps(self, text):
