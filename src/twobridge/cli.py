@@ -100,7 +100,7 @@ def cmd_endinv(args) -> int:
     if args.format == "svg":
         _write(endinvariants.render_gaps_svg(report.gap_system), args.out)
         return 0
-    _write(json.dumps(report.to_json(), indent=2), args.out)
+    _write(report.to_json_text(), args.out)
     return 0
 
 

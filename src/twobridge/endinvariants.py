@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import DomainError, InternalError, NonHyperbolicError
 from .slopes import (
@@ -58,6 +59,17 @@ __all__ = [
 ]
 
 MAX_GAP_DEPTH = 12
+
+# one gap of GapSystem.to_json() as json.dumps(..., indent=2) writes it
+_GAP_JSON = """    {
+      "interval": [
+        "%d/%d",
+        "%d/%d"
+      ],
+      "source": %d,
+      "word": %s,
+      "word_length": %d
+    }"""
 
 
 def is_end_invariant(s: Slope, r: Slope) -> bool:
@@ -154,6 +166,19 @@ class GapSystem:
                 for xn, xd, yn, yd, source, letters, text in self.rows
             ],
         }
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json(), indent=2)``, byte for byte, written
+        straight from the rows: with ``indent`` set, ``json`` runs its
+        pure-Python encoder, which took half of a cold depth-6 ``endinv``."""
+        num, den = self._covered()
+        gaps = ",\n".join([
+            _GAP_JSON % (xn, xd, yn, yd, source, _json_string(text), len(letters))
+            for xn, xd, yn, yd, source, letters, text in self.rows])
+        return ('{\n  "r": %s,\n  "depth": %d,\n'
+                '  "covered_length_in_unit_interval": %r,\n  "gaps": %s\n}'
+                % (_json_string(str(self.r)), self.depth, num / den,
+                   "[\n%s\n  ]" % gaps if gaps else "[]"))
 
 
 def _exact_key(max_den):
@@ -274,6 +299,17 @@ class EndInvariantReport:
             "mirrored": self.mirrored,
             "gap_system": self.gap_system.to_json(),
         }
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json(), indent=2)``, byte for byte (see
+        ``GapSystem.to_json_text``)."""
+        extras = ",\n".join("    " + _json_string(str(s)) for s in self.extra_orbits)
+        return ('{\n  "r": %s,\n  "case": %s,\n  "extra_orbits": %s,\n'
+                '  "mirrored": %s,\n  "gap_system": %s\n}'
+                % (_json_string(str(self.r)), _json_string(self.case),
+                   "[\n%s\n  ]" % extras if extras else "[]",
+                   "true" if self.mirrored else "false",
+                   self.gap_system.to_json_text().replace("\n", "\n  ")))
 
 
 def _classify(q, p):

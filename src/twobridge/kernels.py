@@ -22,16 +22,24 @@ The eps contract: a cell's share of eps bounds everything it adds to
 the share) or passes half the share to each child.  A comb gives its n-th
 off-comb cell 0.3 * share / n^2 (at most pi^2/20 < 1/2 of the share in all)
 and stops its own walk, or defers its parabolic remainder, within the other
-half.  Sum mode has no depth limit, so the shares alone decide where a
-series stops; only the node budget and the comb's step cap can cut it
-short, and they mark ``out.depth_capped``.
+half.  A parabolic fan (``mcshane._explore_fan``) gives its n-th
+off-comb cell 0.3 * share / n^2 in the same way; the other half bounds
+its closed-form remainder, which covers both the comb and the off-comb
+cells beyond its last step (the first mediants summed exactly, their
+subtrees by this kernel's TAIL_COEFFICIENT estimate).  Sum mode has no
+depth limit, so the shares alone decide where a series stops; only the
+node budget and the comb's step cap can cut it short, and they mark
+``out.depth_capped``.
 
-Two limits serve only the census scan, which ignores ``out.tail``.  Its
-optional ``max_depth`` stops the descent at that depth, and once
-``len(out.census)`` passes ``out.census_cap`` (infinite unless a caller
-sets it) the exploration returns at once.  ``mcshane.census_scan`` sets the
-cap to what its census may still take and raises on the same comparison
-after every call.  The node budget stops binary and comb walks alike.
+The census scan passes eps_share = inf and reads only ``census``,
+``elliptic``, ``nodes`` and ``deferred``, so with an infinite share
+nothing is summed: h is not evaluated and ``out.add`` is never called.
+Two limits serve only the scan, which ignores ``out.tail``.  Its optional
+``max_depth`` stops the descent at that depth, and once ``len(out.census)``
+passes ``out.census_cap`` (infinite unless a caller sets it) the
+exploration returns at once.  ``mcshane.census_scan`` sets the cap to what
+its census may still take and raises on the same comparison after every
+call.  The node budget stops binary and comb walks alike.
 """
 
 from __future__ import annotations
@@ -132,6 +140,7 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
             out.max_depth_seen = depth
         out.deferred.append((DEFER_ENDPOINT,) + cell)
         return
+    summing = eps_share != math.inf
     stack = [cell]
     while stack:
         (u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
@@ -181,8 +190,9 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
         if depth >= max_depth:
             continue
 
-        hm = h_func(phi_m)
-        out.add(2.0 * hm.real, 2.0 * hm.imag)
+        if summing:
+            hm = h_func(phi_m)
+            out.add(2.0 * hm.real, 2.0 * hm.imag)
         half = 0.5 * eps_share
         stack.append((m_num, m_den, phi_m, v_num, v_den, phi_v, phi_u,
                       depth + 1, half))
@@ -211,6 +221,7 @@ def _comb(out, stack, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
         p_num, p_den, t = v_num, v_den, phi_v
         c_num, c_den, gamma0 = u_num, u_den, phi_u
     gamma_prev = phi_opp
+    summing = eps_share != math.inf
 
     root = cmath.sqrt(0.25 * t * t - 1.0)
     mu = 0.5 * t + root
@@ -259,8 +270,9 @@ def _comb(out, stack, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
                 beta = abs(gamma0 - p_coef) / (p_abs * mu2)
         elif beta > 0.0:
             beta /= mu2
-        hm = h_func(gamma1)
-        out.add(2.0 * hm.real, 2.0 * hm.imag)
+        if summing:
+            hm = h_func(gamma1)
+            out.add(2.0 * hm.real, 2.0 * hm.imag)
         stack.append((w_num, w_den, gamma1, c_num, c_den, gamma0, t,
                       cell_depth + 1, 0.3 * eps_share / (n * n)))
         if 0.0 <= beta <= 0.25 and ag >= 32.0:

@@ -11,14 +11,35 @@ lambda(K(r)) = 2 lambda(O(r)) / |K(r)|.  The series are summed over the
 Stern-Brocot subdivision of the cut-off interval of each boundary edge,
 pruning by the trace-growth tail estimate; accidental parabolics (traces
 exactly +-2, which occur inside the intervals for the exceptional slope
-families) are summed as analytic fans via the Hurwitz zeta function.
+families) are summed as analytic fans.
+
+A fan around a parabolic u with phi(u) = 2 sigma has traces
+gamma_n = sigma^n (a + b n) along its comb, and the first mediant of its
+n-th off-comb cell has trace m_n = gamma_n gamma_{n-1} - 2 sigma
+= sigma (x_n^2 - c^2), x_n = a + b(n - 1/2), c^2 = b^2/4 + 2.  After N
+steps the rest is added in closed form:
+
+    sum_{n>N} 2[(a + bn)^-2 + (a + bn)^-4]
+        = 2 zeta(2, z0)/b^2 + 2 zeta(4, z0)/b^4,   z0 = N + 1 + a/b,
+    sum_{n>N} 2/m_n^2
+        = (1/(2c^2)) [(zeta(2, z-) + zeta(2, z+))/b^2
+                      - (psi(z+) - psi(z-))/(b c)],
+          z+- = N + 1 + (a - b/2 +- c)/b,
+
+from partial fractions of 1/(x^2 - c^2)^2.  zeta(s, z) is the Hurwitz
+zeta function and psi the digamma function, both evaluated by their
+asymptotic series in complex floats, which need Re z >= 32; the fan's stop
+rule (N >= 64, |b| N >= 4|a| + 8) keeps Re z above 0.57 N, and a smaller
+argument raises InternalError.  What is left, the comb's h-expansion
+remainder, the subtrees below the first mediants and the O(m_n^-4) part
+of 2h(m_n), is bounded by (6/5 + 8)/(|b| F^5), F = |b| N - |a|
+(``_fan_tail_bound``).
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-
-import mpmath
 
 from . import kernels
 from .errors import (
@@ -57,6 +78,14 @@ __all__ = [
 DEFAULT_EPS = 1e-8
 _FAN_MIN_STEPS = 64
 _FAN_MAX_STEPS = 200_000
+# the asymptotic series of the fan tail keep B_2 .. B_10; at Re z >= 32
+# the first term left out (B_12) is below 1e-17 of each sum
+_FAN_MIN_RE = 32.0
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66)
+# B_2j (2j+2)(2j+1)/6, the coefficient of z^(-2j-3) in zeta(4, z)
+_ZETA4_COEFS = (1 / 3, -1 / 6, 2 / 9, -1 / 2, 5 / 3)
+# B_2j / 2j, the coefficient of z^(-2j) in psi(z)
+_DIGAMMA_COEFS = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132)
 # census_scan rejects a map with more slopes of |phi| <= 2 than this
 _CENSUS_CAP = 64
 
@@ -236,21 +265,95 @@ def _check_elliptic(slope_pair, x):
         raise NotGeometricEvaluationError(Slope(*slope_pair), x)
 
 
+def _hurwitz_zeta2(z):
+    """zeta(2, z) = sum_{k >= 0} (z + k)^-2 for Re z >= _FAN_MIN_RE, from
+    1/z + 1/(2z^2) + sum_j B_2j z^(-2j-1)."""
+    w = 1.0 / z
+    w2 = w * w
+    acc = 0.0
+    for coef in reversed(_BERNOULLI):
+        acc = acc * w2 + coef
+    return w + 0.5 * w2 + w * w2 * acc
+
+
+def _hurwitz_zeta4(z):
+    """zeta(4, z) for Re z >= _FAN_MIN_RE, from
+    1/(3z^3) + 1/(2z^4) + sum_j B_2j (2j+2)(2j+1)/6 z^(-2j-3)."""
+    w = 1.0 / z
+    w2 = w * w
+    w3 = w * w2
+    acc = 0.0
+    for coef in reversed(_ZETA4_COEFS):
+        acc = acc * w2 + coef
+    return w3 / 3.0 + 0.5 * w * w3 + w3 * w2 * acc
+
+
+def _digamma_difference(z, shift):
+    """psi(z + shift) - psi(z - shift) for Re(z +- shift) >= _FAN_MIN_RE,
+    from psi(z) = log z - 1/(2z) - sum_j B_2j/(2j z^2j).
+
+    Nothing cancels: the logarithms enter as 2 atanh(shift/z), and with
+    p = 1/(z - shift), q = 1/(z + shift) each power as
+    p^2j - q^2j = (p - q)(p + q) h_{j-1}(p^2, q^2), h_k the complete
+    homogeneous polynomial of degree k and p - q = 2 shift p q.
+    """
+    p, q = 1.0 / (z - shift), 1.0 / (z + shift)
+    pp, qq = p * p, q * q
+    h, q_power, acc = 1.0, 1.0, 0.0
+    for coef in _DIGAMMA_COEFS:
+        acc += coef * h
+        q_power *= qq
+        h = pp * h + q_power
+    return (2.0 * cmath.atanh(shift / z)
+            + 2.0 * shift * p * q * (0.5 + (p + q) * acc))
+
+
+def _fan_tail_value(a, b, n_stop):
+    """The fan beyond step n_stop in closed form (module docstring): the
+    comb, sum_{n > n_stop} 2[(a + bn)^-2 + (a + bn)^-4], plus the first
+    mediants of the off-comb cells, sum_{n > n_stop} 2/m_n^2.
+
+    Raises InternalError if an argument of the series has real part below
+    _FAN_MIN_RE; the fan's stop rule keeps them above 0.57 n_stop >= 36.
+    """
+    c = cmath.sqrt(0.25 * b * b + 2.0)
+    z0 = (n_stop + 1) + a / b
+    z_mid, shift = z0 - 0.5, c / b
+    zm, zp = z_mid - shift, z_mid + shift
+    low = min(z0.real, zm.real, zp.real)
+    if low < _FAN_MIN_RE:
+        raise InternalError("fan tail series at Re z = %.3g < %g (a=%r, b=%r, "
+                            "n=%d)" % (low, _FAN_MIN_RE, a, b, n_stop))
+    b2 = b * b
+    comb = 2.0 * (_hurwitz_zeta2(z0) + _hurwitz_zeta4(z0) / b2) / b2
+    off_comb = ((_hurwitz_zeta2(zm) + _hurwitz_zeta2(zp)) / b2
+                - _digamma_difference(z_mid, shift) / (b * c)) / (2.0 * c * c)
+    return comb + off_comb
+
+
 def _fan_tail_bound(a_abs, b_abs, n_stop):
-    """Cheap bound for everything the zeta terms do not capture beyond
-    n_stop: the h-expansion remainder and the off-comb subtrees."""
+    """Bound C/(|b| F^5), F = |b| n_stop - |a|, C = 6/5 + 8, for what the
+    closed form leaves out beyond n_stop.
+
+    The stop rule (n_stop >= 64, |b| n_stop >= 4|a| + 8) gives
+    |x_n| >= F >= 8 and |x_n| >= 48|b| for n > n_stop, and since the terms
+    are convex in n, sum_{n > n_stop} |x_n|^-6 <= 1/(5|b| F^5).  Left out:
+
+    * the comb's h-expansion remainder, 2h(g) - 2g^-2 - 2g^-4 <= 4.2|g|^-6,
+      at most 0.84/(|b| F^5), taken as 6/5;
+    * the two child cells of each first mediant m_n: their mediant traces
+      g_n m_n - g_{n-1} and m_n g_{n-1} - g_n exceed 0.94|x_n|^3, so the
+      kernel's own estimate TAIL_COEFFICIENT/|t|^2 gives them at most
+      22.5|x_n|^-6, 4.5/(|b| F^5) in all;
+    * the O(|m_n|^-4) part of 2h(m_n), below 2.4|x_n|^-8, 0.01/(|b| F^5)
+      in all.
+
+    The last two, 4.51/(|b| F^5), are taken as 8.
+    """
     floor = b_abs * n_stop - a_abs
     if floor < 8:
         return 1.0
-    return 6.0 / (5.0 * b_abs * floor ** 5) + 4.0 / (b_abs * floor ** 3)
-
-
-def _fan_zeta_value(a, b, n_stop):
-    """sum_{n > n_stop} 2[(A+Bn)^-2 + (A+Bn)^-4] via the Hurwitz zeta."""
-    z0 = complex(n_stop + 1) + a / b
-    zeta2 = complex(mpmath.zeta(2, mpmath.mpc(z0.real, z0.imag)))
-    zeta4 = complex(mpmath.zeta(4, mpmath.mpc(z0.real, z0.imag)))
-    return 2.0 * zeta2 / (b * b) + 2.0 * zeta4 / (b * b * b * b)
+    return (6.0 / 5.0 + 8.0) / (b_abs * floor ** 5)
 
 
 def _explore_fan(out, kernel, u, phi_u, w0, gamma0, gamma_minus1,
@@ -258,9 +361,14 @@ def _explore_fan(out, kernel, u, phi_u, w0, gamma0, gamma_minus1,
     """Sum the cell (u, w0) whose endpoint u carries a parabolic trace.
 
     The Farey neighbours of u inside the cell are w_n = w_{n-1} + u with
-    traces gamma following gamma_{n+1} = phi_u gamma_n - gamma_{n-1}; since
-    phi_u = +-2 the folded values grow linearly, so the comb tail has a
-    closed form while every off-comb cell is summed by the regular kernel.
+    traces gamma_{n+1} = phi_u gamma_n - gamma_{n-1}; as phi_u = 2 sigma,
+    gamma_n = sigma^n (a + b n), a = gamma_0, b = sigma gamma_1 - gamma_0.
+    Each step adds 2h(gamma_n) and sums the off-comb cell (w_n, w_{n-1})
+    with the regular kernel.  Once n >= _FAN_MIN_STEPS, |gamma_n| >= 32,
+    |b| n >= 4|a| + 8 and ``_fan_tail_bound`` fits half the share, the
+    rest of the comb and the first mediants of the remaining off-comb
+    cells are added in closed form (``_fan_tail_value``) and the bound
+    goes to ``out.tail``: the remainder falls like n^-5.
     """
     sigma = 1.0 if abs(phi_u - 2.0) <= kernels.PARABOLIC_TOL else -1.0
     # folded values |gamma_n| = |A + B n| since the recurrence has a double
@@ -305,7 +413,7 @@ def _explore_fan(out, kernel, u, phi_u, w0, gamma0, gamma_minus1,
             bound = _fan_tail_bound(abs(a_lin), abs(b_lin), n)
             cutoff = fan_eps if fan_eps != float("inf") else 1.0
             if bound <= 0.5 * cutoff or n >= _FAN_MAX_STEPS:
-                tail_value = _fan_zeta_value(a_lin, b_lin, n)
+                tail_value = _fan_tail_value(a_lin, b_lin, n)
                 out.add(tail_value.real, tail_value.imag)
                 out.tail += bound
                 break

@@ -1,5 +1,6 @@
 """Limit-set membership, gap systems, Bowditch exceptional families."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -177,6 +178,19 @@ class TestBowditchL:
     def test_non_hyperbolic_rejected(self):
         with pytest.raises(NonHyperbolicError):
             bowditch_L(Slope(1, 4))
+
+    def test_json_text_is_json_dumps(self):
+        """The direct writer gives json.dumps(to_json(), indent=2) byte for
+        byte, mirrored and exceptional slopes included, for p <= 13."""
+        for p in range(5, 14):
+            for q in range(2, p - 1):
+                r = Slope(q, p)
+                if math.gcd(q, p) != 1 or not is_hyperbolic(r):
+                    continue
+                for depth in range(7):
+                    rep = bowditch_L(r, depth)
+                    expected = json.dumps(rep.to_json(), indent=2)
+                    assert rep.to_json_text() == expected, (r, depth)
 
 
 class TestIntervalQuery:

@@ -68,3 +68,18 @@ def test_every_kernel_call_looks_up_the_module_attribute(monkeypatch):
     sums = [n for eps, n in seen if eps != math.inf]
     assert 0 < len(sums) < len(seen) and len(series_nodes) == 2
     assert sum(sums) == sum(series_nodes)
+
+
+def test_scan_mode_evaluates_no_h(monkeypatch, evaluation_for):
+    """The census scan (eps_share = inf) reads no sums, so it evaluates no
+    h, and its census is unchanged."""
+    r = Slope(5, 17)
+    ev = evaluation_for(r)
+    edges = boundary_edge_sets(r)
+    census = mcshane.census_scan(ev, edges, 15)
+
+    def no_h(x):
+        raise AssertionError("h evaluated in scan mode")
+
+    monkeypatch.setattr(kernels, "h_func", no_h)
+    assert mcshane.census_scan(ev, edges, 15) == census

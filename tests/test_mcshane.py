@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from twobridge import kernels
+from twobridge import kernels, mcshane
 from twobridge.errors import DomainError, InternalError, NotGeometricEvaluationError
 from twobridge.markoff import MarkoffEvaluation, polynomial_roots, trace_polynomial
 from twobridge.mcshane import (
@@ -259,6 +259,93 @@ class TestIntervalSeries:
         ev = MarkoffEvaluation(S25, 1.5 + 0j)
         with pytest.raises(NotGeometricEvaluationError):
             interval_series(S25, ev, 1)
+
+
+class TestFanTail:
+    """The closed-form remainder of a parabolic fan."""
+
+    @staticmethod
+    def _grid():
+        for re_z in (32.0, 33.7, 50.5, 128.0, 1e3 + 0.25, 4.4e4, 1e6):
+            for im_z in (-50.0, -7.5, -0.3, 0.0, 1.0, 12.25, 50.0):
+                yield complex(re_z, im_z)
+
+    def test_zeta_and_digamma_match_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+
+        def rel(value, ref):
+            return float(abs(mp.mpc(value) - ref) / abs(ref))
+
+        for z in self._grid():
+            mz = mp.mpc(z.real, z.imag)
+            assert rel(mcshane._hurwitz_zeta2(z), mp.zeta(2, mz)) <= 1e-14, z
+            assert rel(mcshane._hurwitz_zeta4(z), mp.zeta(4, mz)) <= 1e-14, z
+            # the fans' shifts c/b have |c/b| of 0.5-0.9
+            for shift in (0.5, 0.866 + 0.5j, 3j, 40.0):
+                if min((z + shift).real, (z - shift).real) < mcshane._FAN_MIN_RE:
+                    continue
+                ms = mp.mpc(shift.real, shift.imag)
+                ref = mp.digamma(mz + ms) - mp.digamma(mz - ms)
+                assert rel(mcshane._digamma_difference(z, shift), ref) <= 1e-14, \
+                    (z, shift)
+
+    @pytest.mark.parametrize("a, b, n_stop", [
+        (1.5 + 0.866j, 2.0, 64),
+        (-0.5 + 2.7j, -2.0j, 64),
+        (2.1 - 0.4j, 1.7 + 0.9j, 300),
+    ])
+    def test_closed_form_matches_nsum(self, a, b, n_stop):
+        """Comb and off-comb first mediants beyond n_stop, against the
+        direct sum of 2(a + bn)^-2 + 2(a + bn)^-4 + 2/m_n^2."""
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        A, B = mp.mpc(a.real, a.imag), mp.mpc(b.real, b.imag)
+
+        def term(n):
+            g = A + B * n
+            x = A + B * (n - mp.mpf(1) / 2)
+            m = x * x - B * B / 4 - 2
+            return 2 / g ** 2 + 2 / g ** 4 + 2 / m ** 2
+
+        ref = mp.nsum(term, [n_stop + 1, mp.inf], method="euler-maclaurin")
+        value = mcshane._fan_tail_value(a, b, n_stop)
+        assert float(abs(mp.mpc(value) - ref)) <= 1e-15 * float(abs(ref))
+
+    def test_low_argument_raises(self):
+        with pytest.raises(InternalError):
+            mcshane._fan_tail_value(-30.0, 1.0, 40)
+
+    @pytest.mark.parametrize("text", ["2/5", "3/7", "11/23"])
+    def test_fans_stop_early(self, text, evaluation_for, monkeypatch):
+        """Every fan at eps 1e-8 stops within twice _FAN_MIN_STEPS steps:
+        its remainder falls like n^-5 (the comb-only zeta tail needed up to
+        1 102 steps)."""
+        steps = []
+        explore_fan = mcshane._explore_fan
+
+        def counting(out, kernel, *args):
+            calls = []
+
+            class Counting:
+                @staticmethod
+                def explore(*a, **kw):
+                    calls.append(1)
+                    return kernel.explore(*a, **kw)
+
+            explore_fan(out, Counting, *args)
+            steps.append(len(calls))
+
+        monkeypatch.setattr(mcshane, "_explore_fan", counting)
+        r = Slope.parse(text)
+        ev = evaluation_for(r)
+        fin = finite_edge_sums(r, ev)
+        for j in (1, 2):
+            res = interval_series(r, ev, j, eps=1e-8)
+            assert abs(res.value - fin[j - 1]) <= res.tail_bound <= 1e-8
+        assert steps and max(steps) <= 2 * mcshane._FAN_MIN_STEPS, steps
 
 
 class TestCuspShape:
