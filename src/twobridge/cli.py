@@ -55,7 +55,7 @@ def _census_csv(report) -> str:
 
 def cmd_identity(args) -> int:
     r = Slope.parse(args.r)
-    report = mcshane.cusp_shape(r, eps=args.eps, precision=args.precision)
+    report = mcshane.cusp_shape(r, eps=args.eps)
     if args.format == "csv":
         _write(_census_csv(report), args.out)
     else:
@@ -68,7 +68,7 @@ def cmd_identity(args) -> int:
 
 def cmd_cusp(args) -> int:
     r = Slope.parse(args.r)
-    ev = geometric_evaluation(r, precision=args.precision)
+    ev = geometric_evaluation(r)
     layout = cusp_layout.layout_cusp(r, ev)
     fold = cusp_layout.check_simply_folded(layout, r)
     svg_options = {"periods": args.periods}
@@ -157,7 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twobridge",
         description="Cusp shapes, trace identities and end invariants of "
-                    "hyperbolic 2-bridge links.",
+                    "hyperbolic 2-bridge links.  The holonomy trace is a "
+                    "root of the trace polynomial, certified at whatever "
+                    "precision it needs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -170,13 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identity", help="McShane-type identity and cusp moduli")
     common(p, ("json", "csv"))
     p.add_argument("--eps", type=float, default=mcshane.DEFAULT_EPS)
-    p.add_argument("--precision", choices=("double", "extended"), default="double")
     p.set_defaults(func=cmd_identity)
 
     p = sub.add_parser("cusp", help="cusp triangulation zigzag layout and SVG")
     common(p, ("json", "svg"))
     p.add_argument("--periods", type=int, default=2)
-    p.add_argument("--precision", choices=("double", "extended"), default="double")
     p.set_defaults(func=cmd_cusp)
 
     p = sub.add_parser("longitude", help="longitude homology class and linking numbers")

@@ -34,12 +34,12 @@ node budget and the comb's step cap can cut it short, and they mark
 The census scan passes eps_share = inf and reads only ``census``,
 ``elliptic``, ``nodes`` and ``deferred``, so with an infinite share
 nothing is summed: h is not evaluated and ``out.add`` is never called.
-Two limits serve only the scan, which ignores ``out.tail``.  Its optional
-``max_depth`` stops the descent at that depth, and once ``len(out.census)``
-passes ``out.census_cap`` (infinite unless a caller sets it) the
-exploration returns at once.  ``mcshane.census_scan`` sets the cap to what
-its census may still take and raises on the same comparison after every
-call.  The node budget stops binary and comb walks alike.
+One limit serves only the scan, which ignores ``out.tail``: once
+``len(out.census)`` passes ``out.census_cap`` (infinite unless a caller
+sets it) the exploration returns at once.  ``mcshane.census_scan`` sets
+the cap to what its census may still take and raises on the same
+comparison after every call.  The node budget stops binary and comb walks
+alike.
 """
 
 from __future__ import annotations
@@ -122,14 +122,12 @@ def _is_elliptic(x: complex) -> bool:
 
 
 def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
-            depth, eps_share, node_budget=5_000_000, max_depth=math.inf):
+            depth, eps_share, node_budget=5_000_000):
     """Sum the open cell (u, v) into ``out``.
 
     ``phi_opp`` is the trace at the vertex opposite the edge <u, v> on the
     parent side, so the first mediant trace is phi_u*phi_v - phi_opp.
     Deterministic order: combs walk outward, binary cells left before right.
-    ``max_depth`` is the census scan's depth limit (see the module
-    docstring); sum mode leaves it infinite.
     """
     cell = (u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp, depth, eps_share)
     if _near_parabolic(phi_u) or _near_parabolic(phi_v):
@@ -187,8 +185,6 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
             if est <= eps_share:
                 out.tail += est
                 continue
-        if depth >= max_depth:
-            continue
 
         if summing:
             hm = h_func(phi_m)

@@ -241,8 +241,19 @@ def trace_polynomial(r: Slope, chain: FareyChain | None = None) -> TracePolynomi
 # polishes each one against the exact Z[i] coefficients (``_polish_exact``).
 # The squarefree part is P itself when P's image over GF(_P) is coprime to
 # its derivative (``_squarefree_mod_p``); otherwise it is P / gcd(P, P'),
-# computed exactly over Q(i).  Squarefree parts of degree above 60, and
-# precision="extended", use mpmath Aberth and Newton (``_roots_extended``).
+# computed exactly over Q(i).
+#
+# The polished roots z_1..z_n of the squarefree part are then certified by
+# their inclusion disks, centred at z_i with radius
+# r_i = n |P(z_i)| / |a_n prod_{j != i} (z_i - z_j)|.  The union of the
+# disks holds every root, and a connected union of m disks holds exactly m
+# of them (Neumaier, "Enclosing clusters of zeros of polynomials",
+# J. Comput. Appl. Math. 156 (2003)), so pairwise disjoint disks hold one
+# root each (``_overlapping_disks``).  Where the disks overlap, or Aberth
+# does not converge, the polynomial is solved again in mpmath, doubling
+# the digits until the disks of the rounded roots separate
+# (``_roots_extended``): the precision escalation of MPSolve
+# (Bini-Fiorentino, Numer. Algorithms 23 (2000)).
 
 # The polish holds w as (A + iB) / 2**_FIX_BITS, about 48 decimal digits
 # below the point.  Truncation in the Horner pass leaves noise in the low
@@ -253,6 +264,13 @@ _FIX_BITS = 160
 _KEPT_BITS = 120
 _POLISH_ROUNDS = 6
 
+# rounds after which Aberth gives up and the roots escalate
+_ABERTH_ROUNDS = 1000
+# unit roundoff of a double
+_UNIT = 2.0 ** -53
+# precision escalation gives up past this many digits
+_MAX_DPS = 400
+
 # _P = 2**64 - 59 is prime and _P = 5 (mod 8), so 2 is a quadratic
 # non-residue and 2**((_P - 1) / 4) is a square root of -1: i -> _I_MOD_P
 # is a ring map from Z[i] onto GF(_P).
@@ -260,19 +278,28 @@ _P = 2 ** 64 - 59
 _I_MOD_P = pow(2, (_P - 1) // 4, _P)
 
 
-def _horner_pair(coeffs, x):
-    """(P(x), P'(x)) for ascending complex coeffs."""
-    p = 0 * x
-    dp = 0 * x
-    for c in reversed(coeffs):
+def _horner(coeffs, sizes, x):
+    """(P(x), P'(x), sum |c_k| |x|^k) for the complex coeffs and their
+    moduli ``sizes``, both in descending order."""
+    p = dp = 0 * x
+    ax = abs(x)
+    size = 0 * ax
+    for c, a in zip(coeffs, sizes):
         dp = dp * x + p
         p = p * x + c
-    return p, dp
+        size = size * ax + a
+    return p, dp, size
 
 
-def _aberth(coeffs, one, pi_val, exp_func, max_iter=1000, eps=None):
+def _aberth(coeffs, one, pi_val, exp_func, eps=1e-14):
     """Simultaneous root iteration; ``coeffs`` ascending, constant and
-    leading coefficient nonzero.  Generic over complex/mpc via ``one``."""
+    leading coefficient nonzero.  Generic over complex/mpc via ``one``.
+
+    The iteration stops after the first round that starts with every
+    |P(z_i)| <= eps * sum |c_k| |z_i|^k, the size of the rounding error of
+    the Horner value itself when eps is a few units of the working
+    precision, and returns (roots, converged).
+    """
     n = len(coeffs) - 1
     lead = coeffs[-1]
     monic = [c / lead for c in coeffs]
@@ -280,60 +307,41 @@ def _aberth(coeffs, one, pi_val, exp_func, max_iter=1000, eps=None):
     low_rest = max(abs(c) for c in monic[1:])
     lower = abs(monic[0]) / (abs(monic[0]) + low_rest) if low_rest else 1.0
     radius = (upper * lower) ** 0.5
-    if eps is None:
-        eps = 1e-14
+    monic.reverse()
+    sizes = [abs(c) for c in monic]
 
     z = [
         one * radius * exp_func(1j * (2 * pi_val * k / n + 0.4))
         for k in range(n)
     ]
-    prev_step = float("inf")
-    for _ in range(max_iter):
-        max_step = 0.0
+    for _ in range(_ABERTH_ROUNDS):
+        converged = True
         for i in range(n):
-            p, dp = _horner_pair(monic, z[i])
+            zi = z[i]
+            p, dp, size = _horner(monic, sizes, zi)
+            if abs(p) > eps * size:
+                converged = False
             if p == 0:
                 continue
             if dp == 0:
-                z[i] = z[i] + eps * (1 + abs(z[i]))
-                max_step = float("inf")
+                z[i] = zi + eps * (1 + abs(zi))
                 continue
             ratio = p / dp
-            s = 0 * z[i]
+            s = 0 * zi
             for j in range(n):
                 if j != i:
-                    diff = z[i] - z[j]
+                    diff = zi - z[j]
                     if diff == 0:
-                        diff = eps * (1 + abs(z[i]))
+                        diff = eps * (1 + abs(zi))
                     s = s + 1 / diff
             denom = 1 - ratio * s
-            w = ratio if denom == 0 else ratio / denom
-            z[i] = z[i] - w
-            step = abs(w) / (1 + abs(z[i]))
-            if step > max_step:
-                max_step = float(step)
-        if max_step < eps:
+            z[i] = zi - (ratio if denom == 0 else ratio / denom)
+        if converged:
             return z, True
-        if max_step < 1e-11 and max_step >= 0.5 * prev_step:
-            # stagnating at rounding level; the Newton polish finishes the job
-            return z, True
-        prev_step = max_step
     return z, False
 
 
-def _polish(coeffs, z, rounds=4):
-    for _ in range(rounds):
-        p, dp = _horner_pair(coeffs, z)
-        if dp == 0:
-            return z
-        step = p / dp
-        if abs(step) > 0.5 * (1 + abs(z)):
-            return z
-        z = z - step
-    return z
-
-
-def polynomial_roots(poly: TracePolynomial, precision: str = "double"):
+def polynomial_roots(poly: TracePolynomial):
     """All complex roots with multiplicity.
 
     Multiplicities are exact: the roots found numerically are those of the
@@ -344,19 +352,22 @@ def polynomial_roots(poly: TracePolynomial, precision: str = "double"):
     (see ``_squarefree_mod_p``), and P is then its own squarefree part; the
     others run the exact Euclid over the Gaussian rationals.
 
-    ``precision`` is "double" or "extended"; squarefree parts of degree
-    above 60 switch to extended (mpmath) arithmetic automatically.  In
-    double precision each Aberth root is polished by Newton's method in
-    160-bit fixed point against the exact coefficients before it is rounded
-    to a complex, so a root such as x = 1 comes out exact and a real root
-    has imaginary part 0.  Every returned root is finite and
-    satisfies |P(root)| <= 1e-10 * max|coeff| * (1+|root|)^deg, otherwise a
+    Each Aberth root is polished by Newton's method in 160-bit fixed point
+    against the exact coefficients before it is rounded to a complex, so a
+    root such as x = 1 comes out exact and a real root has imaginary part 0.
+    The roots of each squarefree part are certified: their inclusion disks
+    are pairwise disjoint, so each holds exactly one root and no root is
+    missed or found twice.  Where double precision cannot certify them,
+    mpmath Aberth runs at as many digits as certification needs, and a
+    RootFindingError naming the overlapping roots is raised past _MAX_DPS.
+    As a last safety check every returned root is finite and satisfies
+    |P(root)| <= 1e-10 * max|coeff| * (1+|root|)^deg, otherwise a
     RootFindingError carrying the partial results is raised.
     """
     if poly.degree < 1:
         raise DomainError("root finding needs degree >= 1")
     k = poly.content_power_of_x()
-    roots = [0j] * k + _nonzero_roots(poly.shift_down(k), precision)
+    roots = [0j] * k + _nonzero_roots(poly.shift_down(k))
     bad = [z for z in roots if not _residual_ok(poly, z)]
     if bad:
         raise RootFindingError(
@@ -372,7 +383,7 @@ def _residual_ok(poly: TracePolynomial, z) -> bool:
     return cmath.isfinite(z) and abs(poly(z)) <= residual_bound(poly, z)
 
 
-def _nonzero_roots(poly: TracePolynomial, precision):
+def _nonzero_roots(poly: TracePolynomial):
     """Roots with multiplicity of a polynomial with nonzero constant term."""
     if poly.degree < 1:
         return []
@@ -382,11 +393,8 @@ def _nonzero_roots(poly: TracePolynomial, precision):
         exact = _exact_coeffs(poly)
         gcd = _gcd(exact, _exact_coeffs(poly.derivative()))
         square_free = _integral(_divmod_monic(exact, gcd)[0])
-        repeated = _nonzero_roots(_integral(gcd), precision)
-    if precision == "extended" or square_free.degree > 60:
-        simple = _roots_extended(square_free)
-    else:
-        simple = _roots_double(square_free)
+        repeated = _nonzero_roots(_integral(gcd))
+    simple = _certified_roots(square_free)
     return simple + [min(simple, key=lambda z: abs(z - w)) for w in repeated]
 
 
@@ -526,32 +534,102 @@ def _polish_exact(poly: TracePolynomial, z: complex) -> complex:
                    ((b + half) >> drop) / (1 << _KEPT_BITS))
 
 
-def _roots_double(poly: TracePolynomial):
-    coeffs = [complex(a, b) for a, b in poly.coeffs]
-    z, converged = _aberth(coeffs, 1 + 0j, math.pi, cmath.exp)
-    z = [_polish_exact(poly, zi) for zi in z]
-    if not converged and not all(_residual_ok(poly, zi) for zi in z):
-        raise RootFindingError(
-            "Aberth iteration did not converge in 1000 rounds",
-            partial_roots=z,
-        )
-    return z
+def _certified_roots(poly: TracePolynomial):
+    """The roots of a squarefree P with nonzero constant term, certified by
+    pairwise disjoint inclusion disks; mpmath runs only where the double
+    roots cannot be certified."""
+    z, converged = _aberth([complex(a, b) for a, b in poly.coeffs],
+                           1 + 0j, math.pi, cmath.exp)
+    if converged:
+        z = [_polish_exact(poly, zi) for zi in z]
+        if not _overlapping_disks(poly, z):
+            return z
+    return _roots_extended(poly)
 
 
 def _roots_extended(poly: TracePolynomial):
+    """mpmath Aberth from max(30, n/2 + 25) digits, doubled until the
+    polished roots are certified; past _MAX_DPS digits a RootFindingError
+    names the roots whose disks still overlap."""
     dps = max(30, poly.degree // 2 + 25)
-    with mpmath.workdps(dps):
-        coeffs = [mpmath.mpc(a, b) for a, b in poly.coeffs]
-        one = mpmath.mpc(1, 0)
-        z, converged = _aberth(
-            coeffs, one, mpmath.pi, mpmath.exp, eps=mpmath.mpf(10) ** (-dps + 6)
-        )
-        z = [_polish(coeffs, zi, rounds=6) for zi in z]
-        if not converged:
-            raise RootFindingError(
-                "extended-precision Aberth did not converge", partial_roots=z
-            )
-        return [complex(zi) for zi in z]
+    while True:
+        with mpmath.workdps(dps):
+            coeffs = [mpmath.mpc(a, b) for a, b in poly.coeffs]
+            z, converged = _aberth(coeffs, mpmath.mpc(1, 0), mpmath.pi,
+                                   mpmath.exp, eps=mpmath.mpf(10) ** (6 - dps))
+        z = [_polish_exact(poly, complex(zi)) for zi in z]
+        overlaps = _overlapping_disks(poly, z) if converged else []
+        if converged and not overlaps:
+            return z
+        if 2 * dps > _MAX_DPS:
+            break
+        dps *= 2
+    if not converged:
+        message = "Aberth did not converge at %d digits" % dps
+    else:
+        message = "inclusion disks overlap at %d digits: %s" % (dps, ", ".join(
+            "%s and %s" % (format(z[i], ".6g"), format(z[j], ".6g"))
+            for i, j in overlaps))
+    raise RootFindingError(message, partial_roots=z)
+
+
+def _overlapping_disks(poly: TracePolynomial, z):
+    """Index pairs (i, j), i < j, whose inclusion disks meet.
+
+    |P(z_i)| is bounded first by its double Horner value plus the rounding
+    error of that value, at most 8 (n + 1) u sum |c_k| |z_i|^k with
+    u = 2**-53 (the rounding of the coefficients included).  Only a root
+    whose disk then meets another gets the exact bound of
+    ``_exact_residual``.  A non-finite or repeated z_i meets every disk.
+    """
+    n = len(z)
+    coeffs = [complex(a, b) for a, b in reversed(poly.coeffs)]
+    sizes = [abs(c) for c in coeffs]
+    bounds = []
+    for zi in z:
+        p, _, size = _horner(coeffs, sizes, zi)
+        bounds.append(abs(p) + 8 * (n + 1) * _UNIT * size)
+    pairs = _meeting_pairs(sizes[0], z, bounds)
+    if pairs:
+        for i in {i for pair in pairs for i in pair}:
+            if cmath.isfinite(z[i]):
+                bounds[i] = _exact_residual(poly, z[i])
+        pairs = _meeting_pairs(sizes[0], z, bounds)
+    return pairs
+
+
+def _meeting_pairs(lead, z, bounds):
+    """Pairs whose disks meet, with radii n bounds[i] / |lead prod (z_i - z_j)|
+    enlarged by 8 (n + 2) u for the rounding of the product and of the
+    distances."""
+    n = len(z)
+    dist = [[abs(a - b) for b in z] for a in z]
+    scale = n * (1 + 8 * (n + 2) * _UNIT)
+    radii = []
+    for i, row in enumerate(dist):
+        denom = lead * math.prod(row[:i]) * math.prod(row[i + 1:])
+        radii.append(scale * bounds[i] / denom if denom > 0 else math.inf)
+    return [(i, j) for i in range(n) for j in range(i + 1, n)
+            if not radii[i] + radii[j] < dist[i][j]]
+
+
+def _exact_residual(poly: TracePolynomial, z: complex) -> float:
+    """|P(z)| rounded up, exactly: z is dyadic, (A + iB) / 2**e, so
+    2**(e n) P(z) is a Gaussian integer, found by one Horner pass."""
+    (a, den_a), (b, den_b) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    e_a, e_b = den_a.bit_length() - 1, den_b.bit_length() - 1
+    e = max(e_a, e_b)
+    a <<= e - e_a
+    b <<= e - e_b
+    g_re, g_im = poly.coeffs[-1]
+    shift = 0
+    for c_re, c_im in reversed(poly.coeffs[:-1]):
+        shift += e
+        g_re, g_im = (g_re * a - g_im * b + (c_re << shift),
+                      g_re * b + g_im * a + (c_im << shift))
+    norm = g_re * g_re + g_im * g_im
+    root = math.isqrt(norm)
+    return (root + (root * root < norm)) / (1 << shift)
 
 
 # ---------------------------------------------------------------------------
@@ -668,10 +746,6 @@ def _sign_class_representative(z: complex) -> complex:
     return a if key(a) >= key(b) else b
 
 
-# Depth of the second census scan; the first stops five levels earlier.
-_SCAN_DEPTH = 20
-
-
 def _rejection(r: Slope, ev: MarkoffEvaluation, edges):
     """(reason or None, lambda(O) or None, census) for one root class.
 
@@ -692,14 +766,10 @@ def _rejection(r: Slope, ev: MarkoffEvaluation, edges):
     if lam.imag <= 1e-12:
         return "Im lambda(O) <= 0", lam, ()
     try:
-        early = mcshane.census_scan(ev, edges, _SCAN_DEPTH - 5)
-        late = mcshane.census_scan(ev, edges, _SCAN_DEPTH)
+        census = mcshane.census_scan(ev, edges)
     except NotGeometricEvaluationError as exc:
         return str(exc), lam, ()
-    census = tuple(sorted(late, key=str))
-    if early != late:
-        return "census still growing at depth %d" % _SCAN_DEPTH, lam, census
-    return None, lam, census
+    return None, lam, tuple(sorted(census, key=str))
 
 
 def select_geometric_root(roots, r: Slope,
@@ -715,11 +785,12 @@ def select_geometric_root(roots, r: Slope,
     2. a zero trace on the chain, where the edge sums are undefined;
     3. the finite edge-sum identity S1 + S2 = -1, to 1e-8;
     4. Im lambda(O) > 0, which picks one of each conjugate pair;
-    5. the census scans of I1 u I2 at depths 15 and 20 (see
-       ``mcshane.census_scan``): no real trace in (-2, 2), at most 64 slopes
-       with |phi| <= 2, the node budget not exhausted, and the census the
-       same at both depths.  A scan stops as soon as its census passes 64,
-       so a non-geometric class costs a few thousand nodes.
+    5. the census scan of I1 u I2 (see ``mcshane.census_scan``): no real
+       trace in (-2, 2), at most 64 slopes with |phi| <= 2, and the node
+       budget not exhausted.  The scan has no depth limit: the growth of
+       the traces ends it on a geometric class, and it stops as soon as
+       its census passes 64, so a non-geometric class costs a few thousand
+       nodes.
 
     Every candidate's report gives the reason it was rejected; the
     selection report is attached to the returned evaluation and to the
@@ -773,14 +844,14 @@ def select_geometric_root(roots, r: Slope,
     return ev
 
 
-def geometric_evaluation(r: Slope, precision: str = "double") -> MarkoffEvaluation:
+def geometric_evaluation(r: Slope) -> MarkoffEvaluation:
     """Full pipeline chain -> polynomial -> roots -> geometric root; the
     chain is built once and shared by every step."""
     if not is_hyperbolic(r):
         raise NonHyperbolicError(r)
     chain = farey_chain(r)
     poly = trace_polynomial(r, chain)
-    roots = polynomial_roots(poly, precision=precision)
+    roots = polynomial_roots(poly)
     ev = select_geometric_root(roots, r, chain=chain)
     ev.trace_poly = poly
     return ev

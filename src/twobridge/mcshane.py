@@ -558,10 +558,11 @@ def _fan_census(found, u, t, w, gamma0, gamma_minus1, steps=48):
             found.add(Slope(w_num, w_den))
 
 
-def census_scan(ev: MarkoffEvaluation, edges: EdgeSystem, depth: int,
+def census_scan(ev: MarkoffEvaluation, edges: EdgeSystem,
                 node_budget: int = 150_000):
-    """Slopes with |phi| <= 2 discovered exploring both intervals to the
-    given depth; used by the geometric-root filters.
+    """Slopes with |phi| <= 2 discovered exploring both intervals; used by
+    the geometric-root filters.  There is no depth limit: a cell is pruned
+    once its traces grow (see ``kernels.explore``).
 
     A geometric map has no real trace in (-2, 2) on I1 u I2 and only
     finitely many |phi| <= 2 there; the scan raises
@@ -589,8 +590,7 @@ def census_scan(ev: MarkoffEvaluation, edges: EdgeSystem, depth: int,
         out.census_cap = _CENSUS_CAP - len(found)
         u, v = edge.s1, edge.s2
         kernels.explore(out, u.num, u.den, ev.phi(u), v.num, v.den, ev.phi(v),
-                        ev.phi(edge.s0), 0, float("inf"), node_budget - spent,
-                        max_depth=depth)
+                        ev.phi(edge.s0), 0, float("inf"), node_budget - spent)
         spent += out.nodes
         if out.elliptic is not None:
             num, den, val = out.elliptic
@@ -701,7 +701,7 @@ class IdentityReport:
         }
 
 
-def cusp_shape(r: Slope, eps: float = DEFAULT_EPS, precision: str = "double",
+def cusp_shape(r: Slope, eps: float = DEFAULT_EPS,
                ev: MarkoffEvaluation | None = None) -> IdentityReport:
     """Full pipeline: chain -> trace polynomial -> geometric root -> finite
     edge sums -> interval series -> cusp moduli.
@@ -714,7 +714,7 @@ def cusp_shape(r: Slope, eps: float = DEFAULT_EPS, precision: str = "double",
     if not is_hyperbolic(r):
         raise NonHyperbolicError(r)
     if ev is None:
-        ev = geometric_evaluation(r, precision=precision)
+        ev = geometric_evaluation(r)
     edges = _edge_system(r, ev)
     fin1, fin2 = finite_edge_sums(r, ev, edges=edges, check=True)
     res1 = interval_series(r, ev, 1, eps=0.5 * eps)

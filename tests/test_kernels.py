@@ -76,10 +76,10 @@ def test_scan_mode_evaluates_no_h(monkeypatch, evaluation_for):
     r = Slope(5, 17)
     ev = evaluation_for(r)
     edges = boundary_edge_sets(r)
-    census = mcshane.census_scan(ev, edges, 15)
+    census = mcshane.census_scan(ev, edges)
 
     def no_h(x):
         raise AssertionError("h evaluated in scan mode")
 
     monkeypatch.setattr(kernels, "h_func", no_h)
-    assert mcshane.census_scan(ev, edges, 15) == census
+    assert mcshane.census_scan(ev, edges) == census

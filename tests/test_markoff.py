@@ -172,21 +172,30 @@ class TestPolynomialRoots:
                 assert abs(a - b) < 1e-6 * (1 + abs(b))
 
     def test_extended_precision(self):
+        """The escalation routine, called directly, certifies the same
+        correctly rounded roots as double precision does."""
         poly = trace_polynomial(S25)
-        roots = polynomial_roots(poly, precision="extended")
-        assert len(roots) == 5
+        poly = poly.shift_down(poly.content_power_of_x())
+        roots = markoff._roots_extended(poly)
+        assert len(roots) == poly.degree
+        assert not markoff._overlapping_disks(poly, roots)
+        assert sorted(roots, key=repr) == sorted(markoff._certified_roots(poly), key=repr)
         assert min(abs(z - cmath.exp(-1j * cmath.pi / 6)) for z in roots) < 1e-14
 
-    @pytest.mark.parametrize("r", [(5, 27), (9, 17), (39, 41)])
+    @pytest.mark.parametrize("r", [(5, 27), (9, 17), (39, 41), (2, 47)])
     def test_roots_correctly_rounded(self, r):
         """Each root is the double nearest the exact root: Newton at 80
-        digits from the returned value, rounded once, gives it back.  Real
-        roots come out with imaginary part exactly 0."""
+        digits from the returned value, rounded once, gives it back, and no
+        two returned roots refine onto the same root.  Real roots come out
+        with imaginary part exactly 0.  On 2/47 the double-precision roots
+        near +-1.98218 +- 0.00076i fail certification, so all of its roots
+        come from the mpmath escalation."""
         poly = trace_polynomial(Slope(*r))
         k = poly.content_power_of_x()
         coeffs = [mpmath.mpc(a, b) for a, b in reversed(poly.shift_down(k).coeffs)]
         roots = polynomial_roots(poly)
         assert roots[:k] == [0j] * k
+        limits = []
         with mpmath.workdps(80):
             for z in roots[k:]:
                 w = mpmath.mpc(z)
@@ -194,8 +203,40 @@ class TestPolynomialRoots:
                     value, slope = mpmath.polyval(coeffs, w, derivative=True)
                     w -= value / slope
                 assert z == complex(w)
+                limits.append(w)
+            assert all(abs(a - b) > 1e-30 for i, a in enumerate(limits)
+                       for b in limits[:i])
         if r == (5, 27):
             assert 1 + 0j in roots
+
+    def test_double_roots_certified_up_to_p30(self, monkeypatch):
+        """Every squarefree part of a trace polynomial with p <= 30 is
+        certified in double precision: escalation never fires."""
+        escalated = []
+        extended = markoff._roots_extended
+
+        def counting(poly):
+            escalated.append(poly.degree)
+            return extended(poly)
+
+        monkeypatch.setattr(markoff, "_roots_extended", counting)
+        slopes = [Slope(q, p) for p in range(3, 31) for q in range(1, p)
+                  if math.gcd(q, p) == 1 and is_hyperbolic(Slope(q, p))]
+        assert len(slopes) == 220
+        for r in slopes:
+            poly = trace_polynomial(r)
+            assert len(polynomial_roots(poly)) == poly.degree
+        assert escalated == []
+
+    def test_duplicated_approximation_fails_certification(self):
+        """Two approximations of one root leave another root uncovered;
+        their disks meet, whether the two are equal or merely close."""
+        poly = trace_polynomial(Slope(3, 7))
+        poly = poly.shift_down(poly.content_power_of_x())
+        roots = markoff._certified_roots(poly)
+        assert markoff._overlapping_disks(poly, roots) == []
+        for copy in (roots[0], roots[0] + 1e-9):
+            assert (0, 1) in markoff._overlapping_disks(poly, [roots[0], copy] + roots[2:])
 
     def test_non_finite_root_fails_residual_check(self, monkeypatch):
         aberth = markoff._aberth
@@ -222,14 +263,14 @@ class TestPolynomialRoots:
             return exact_gcd(a, b)
 
         monkeypatch.setattr(markoff, "_gcd", counted)
-        monkeypatch.setattr(markoff, "_roots_double", lambda poly: [1j] * poly.degree)
+        monkeypatch.setattr(markoff, "_certified_roots", lambda poly: [1j] * poly.degree)
         for p in range(3, 31):
             for q in range(1, p):
                 r = Slope(q, p)
                 if math.gcd(q, p) == 1 and is_hyperbolic(r):
                     poly = trace_polynomial(r)
                     poly = poly.shift_down(poly.content_power_of_x())
-                    assert len(markoff._nonzero_roots(poly, "double")) == poly.degree
+                    assert len(markoff._nonzero_roots(poly)) == poly.degree
         assert set(calls) == {Slope(7, 24), Slope(17, 24)}
 
     def test_squarefree_mod_p_cannot_decide(self):

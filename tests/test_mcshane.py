@@ -185,24 +185,25 @@ class TestIntervalSeries:
         assert abs(res.value - finite_edge_sums(r, ev)[j - 1]) <= res.tail_bound
 
     @pytest.mark.parametrize("text", ["2/47", "39/41"])
-    def test_near_parabolic_series_meet_eps(self, text):
+    def test_near_parabolic_series_meet_eps(self, text, report_for):
         """Combs around loops with trace near +-2 walk thousands of steps;
         summed to eps they close the identity to 1e-9."""
-        rep = cusp_shape(Slope.parse(text))
+        rep = report_for(Slope.parse(text))
         assert rep.identity_residual <= 1e-9
         assert rep.tail_bound_1 + rep.tail_bound_2 <= rep.eps
         assert not rep.partial
 
-    def test_census_stabilises(self, evaluation_for):
+    def test_scan_census_matches_series(self, evaluation_for, report_for):
+        """The one census scan finds the same slopes with |phi| <= 2 as the
+        series that sums to eps."""
         for rs in ((2, 5), (5, 17), (3, 8)):
             r = Slope(*rs)
-            ev = evaluation_for(r)
-            edges = boundary_edge_sets(r)
-            assert census_scan(ev, edges, 15) == census_scan(ev, edges, 20)
+            census = census_scan(evaluation_for(r), boundary_edge_sets(r))
+            assert census == {s for s, _ in report_for(r).slopes_small_trace}
 
     @staticmethod
     def _failing_scan(monkeypatch, r, root, **kwargs):
-        """(message, nodes explored) of a depth-15 census scan that fails."""
+        """(message, nodes explored) of a census scan that fails."""
         nodes = []
         explore = kernels.explore
 
@@ -213,7 +214,7 @@ class TestIntervalSeries:
         edges = boundary_edge_sets(r)
         monkeypatch.setattr(kernels, "explore", counting)
         with pytest.raises(NotGeometricEvaluationError) as info:
-            census_scan(MarkoffEvaluation(r, root, chain=edges.chain), edges, 15,
+            census_scan(MarkoffEvaluation(r, root, chain=edges.chain), edges,
                         **kwargs)
         return str(info.value), sum(nodes)
 
@@ -368,6 +369,19 @@ class TestCuspShape:
         rep = report_for(Slope(3, 8))
         assert rep.form_disagreement <= 2 * (rep.tail_bound_1 + rep.tail_bound_2) + 1e-8
         assert rep.components == 2
+
+    def test_defect_slope_45_47_passes(self, report_for):
+        """45/47 passes every acceptance rule, and its lambda is the mirror
+        of 2/47's.  Double precision finds neither polynomial's roots well
+        enough to certify them; mpmath does."""
+        rep = report_for(Slope(45, 47))
+        assert rep.identity_residual <= 1e-6
+        assert rep.finite_identity_residual <= 1e-9
+        assert rep.form_disagreement <= 1e-6
+        assert not rep.partial
+        mirror = report_for(Slope(2, 47))
+        assert abs(rep.lambda_link + mirror.lambda_link.conjugate()
+                   + 4.0 / mirror.components) <= 1e-8
 
     def test_running_example(self, report_for):
         rep = report_for(Slope(5, 17))
