@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import GluingMismatchError, InternalError, TwoBridgeError
 from .markoff import MarkoffEvaluation
-from .mcshane import EdgeSystem, boundary_edge_sets, finite_edge_sums, psi
+from .mcshane import _edge_system, psi
 from .slopes import Slope
 
 __all__ = [
@@ -141,12 +141,11 @@ def _line_from_anchor(ev, index, rotation, anchor):
                       points=(p0, p1, p2, p0 + 1))
 
 
-def layout_cusp(r: Slope, ev: MarkoffEvaluation,
-                edges: EdgeSystem | None = None) -> CuspLayout:
+def layout_cusp(r: Slope, ev: MarkoffEvaluation) -> CuspLayout:
     """Lay out the zigzag lines of sigma_2 ... sigma_{c-1} and the
-    longitude path across the E1 vertices."""
-    if edges is None:
-        edges = boundary_edge_sets(r, chain=ev.chain)
+    longitude path across the E1 vertices, on the evaluation's edge
+    system."""
+    edges = _edge_system(r, ev)
     chain = edges.chain
     triangles = chain.triangles
     c = len(triangles)

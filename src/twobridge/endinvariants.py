@@ -44,7 +44,7 @@ from .slopes import (
     _mat_mul,
     fundamental_intervals,
     is_hyperbolic,
-    reduce_slope,
+    is_nullhomotopic,
     reflection_in_edge,
 )
 
@@ -74,8 +74,7 @@ _GAP_JSON = """    {
 
 def is_end_invariant(s: Slope, r: Slope) -> bool:
     """True iff s lies in the limit set, i.e. reduces to inf or r."""
-    s0, _ = reduce_slope(s, r)
-    return s0 == r or s0.is_infinite
+    return is_nullhomotopic(s, r)
 
 
 @dataclass(frozen=True)

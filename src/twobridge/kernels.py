@@ -31,15 +31,16 @@ depth limit, so the shares alone decide where a series stops; only the
 node budget and the comb's step cap can cut it short, and they mark
 ``out.depth_capped``.
 
-The census scan passes eps_share = inf and reads only ``census``,
-``elliptic``, ``nodes`` and ``deferred``, so with an infinite share
-nothing is summed: h is not evaluated and ``out.add`` is never called.
-One limit serves only the scan, which ignores ``out.tail``: once
-``len(out.census)`` passes ``out.census_cap`` (infinite unless a caller
-sets it) the exploration returns at once.  ``mcshane.census_scan`` sets
-the cap to what its census may still take and raises on the same
-comparison after every call.  The node budget stops binary and comb walks
-alike.
+The census scan runs the series' own driver (``mcshane._explore_edge``)
+with eps_share = inf and reads only ``census``, ``elliptic`` and
+``nodes``, so with an infinite share nothing is summed: neither the
+kernel nor the fans evaluate h.  One limit serves only the scan, which
+ignores ``out.tail``: once ``len(out.census)`` passes ``out.census_cap``
+(infinite unless a caller sets it) the exploration returns at once.
+``mcshane._explore_edge`` sets the cap on the outcome it creates;
+``mcshane.census_scan`` passes what its census may still take and raises
+on the same comparison after every edge.  The node budget stops binary,
+comb and fan walks alike (``CellOutcome.stopped``).
 """
 
 from __future__ import annotations
@@ -97,6 +98,12 @@ class CellOutcome:
     @property
     def total(self):
         return complex(self.sum_re, self.sum_im)
+
+    def stopped(self, node_budget):
+        """An elliptic trace found, ``node_budget`` passed or the census
+        over its cap: every walk on this outcome returns."""
+        return (self.elliptic is not None or self.nodes > node_budget
+                or len(self.census) > self.census_cap)
 
 
 def h_func(x: complex) -> complex:
@@ -156,8 +163,7 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
         if au < PRUNE_MODULUS or av < PRUNE_MODULUS:
             _comb(out, stack, u_num, u_den, phi_u, v_num, v_den, phi_v,
                   phi_opp, depth, eps_share, node_budget)
-            if (out.elliptic is not None or out.nodes > node_budget
-                    or len(out.census) > out.census_cap):
+            if out.stopped(node_budget):
                 return
             continue
 

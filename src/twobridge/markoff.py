@@ -27,7 +27,6 @@ from .errors import (
 )
 from .slopes import (
     INFINITY,
-    ContinuedFraction,
     FareyChain,
     Slope,
     farey_chain,
@@ -787,8 +786,9 @@ def select_geometric_root(roots, r: Slope,
     4. Im lambda(O) > 0, which picks one of each conjugate pair;
     5. the census scan of I1 u I2 (see ``mcshane.census_scan``): no real
        trace in (-2, 2), at most 64 slopes with |phi| <= 2, and the node
-       budget not exhausted.  The scan has no depth limit: the growth of
-       the traces ends it on a geometric class, and it stops as soon as
+       budget not exhausted.  The scan explores I1 u I2 as the series
+       does, parabolic fans included, and has no depth limit: the growth
+       of the traces ends it on a geometric class, and it stops as soon as
        its census passes 64, so a non-geometric class costs a few thousand
        nodes.
 
@@ -851,7 +851,4 @@ def geometric_evaluation(r: Slope) -> MarkoffEvaluation:
         raise NonHyperbolicError(r)
     chain = farey_chain(r)
     poly = trace_polynomial(r, chain)
-    roots = polynomial_roots(poly)
-    ev = select_geometric_root(roots, r, chain=chain)
-    ev.trace_poly = poly
-    return ev
+    return select_geometric_root(polynomial_roots(poly), r, chain=chain)

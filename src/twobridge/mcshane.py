@@ -50,7 +50,6 @@ from .errors import (
 )
 from .markoff import MarkoffEvaluation, geometric_evaluation
 from .slopes import (
-    INFINITY,
     FareyChain,
     Interval,
     Slope,
@@ -363,12 +362,15 @@ def _explore_fan(out, kernel, u, phi_u, w0, gamma0, gamma_minus1,
     The Farey neighbours of u inside the cell are w_n = w_{n-1} + u with
     traces gamma_{n+1} = phi_u gamma_n - gamma_{n-1}; as phi_u = 2 sigma,
     gamma_n = sigma^n (a + b n), a = gamma_0, b = sigma gamma_1 - gamma_0.
-    Each step adds 2h(gamma_n) and sums the off-comb cell (w_n, w_{n-1})
-    with the regular kernel.  Once n >= _FAN_MIN_STEPS, |gamma_n| >= 32,
-    |b| n >= 4|a| + 8 and ``_fan_tail_bound`` fits half the share, the
-    rest of the comb and the first mediants of the remaining off-comb
-    cells are added in closed form (``_fan_tail_value``) and the bound
-    goes to ``out.tail``: the remainder falls like n^-5.
+    Each step adds 2h(gamma_n) and explores the off-comb cell
+    (w_n, w_{n-1}) with the regular kernel.  The traces grow once
+    |gamma_n| >= 32 and |b| n >= 4|a| + 8.  A census scan (infinite
+    share) stops there.  A sum also needs n >= _FAN_MIN_STEPS and
+    ``_fan_tail_bound`` within half the share; then the rest of the comb
+    and the first mediants of the remaining off-comb cells are added in
+    closed form (``_fan_tail_value``) and the bound goes to ``out.tail``:
+    the remainder falls like n^-5.  Like the kernel, the walk stops on an
+    elliptic trace, the node budget or the census cap.
     """
     sigma = 1.0 if abs(phi_u - 2.0) <= kernels.PARABOLIC_TOL else -1.0
     # folded values |gamma_n| = |A + B n| since the recurrence has a double
@@ -382,41 +384,42 @@ def _explore_fan(out, kernel, u, phi_u, w0, gamma0, gamma_minus1,
             note="degenerate parabolic fan at %s/%s" % u,
         )
 
-    fan_eps = eps_share
+    summing = eps_share != float("inf")
     gamma_prev, gamma = gamma_minus1, gamma0
     w = w0
     n = 0
-    while True:
+    while not out.stopped(node_budget):
         n += 1
         gamma_next = phi_u * gamma - gamma_prev
         w_next = (w[0] + u[0], w[1] + u[1])
         _check_elliptic(w_next, gamma_next)
         if kernels._near_parabolic(gamma_next):
-            snapped = _snap_parabolic(gamma_next)
-            out.census.append((w_next[0], w_next[1], snapped))
-            out.deferred.append(("fan_parabolic", w_next, snapped))
+            out.census.append((w_next[0], w_next[1], _snap_parabolic(gamma_next)))
             out.add(1.0, 0.0)
         else:
             if abs(gamma_next) <= 2.0 + kernels.CENSUS_TOL:
                 out.census.append((w_next[0], w_next[1], complex(gamma_next)))
-            hm = kernels.h_func(complex(gamma_next))
-            out.add(2.0 * hm.real, 2.0 * hm.imag)
+            if summing:
+                hm = kernels.h_func(complex(gamma_next))
+                out.add(2.0 * hm.real, 2.0 * hm.imag)
+        if out.stopped(node_budget):
+            break
         # off-comb cell strictly between w_next and w, opposite vertex u
-        share = (0.3 * fan_eps / (n * n)) if fan_eps != float("inf") else fan_eps
         kernel.explore(out, w_next[0], w_next[1], complex(gamma_next),
                        w[0], w[1], complex(gamma), complex(phi_u),
-                       depth + 1, share, node_budget)
+                       depth + 1, 0.3 * eps_share / (n * n), node_budget)
         gamma_prev, gamma = gamma, gamma_next
         w = w_next
-        if n >= _FAN_MIN_STEPS and abs(gamma) >= 32.0 \
-                and abs(b_lin) * n >= 4.0 * abs(a_lin) + 8.0:
-            bound = _fan_tail_bound(abs(a_lin), abs(b_lin), n)
-            cutoff = fan_eps if fan_eps != float("inf") else 1.0
-            if bound <= 0.5 * cutoff or n >= _FAN_MAX_STEPS:
-                tail_value = _fan_tail_value(a_lin, b_lin, n)
-                out.add(tail_value.real, tail_value.imag)
-                out.tail += bound
+        if abs(gamma) >= 32.0 and abs(b_lin) * n >= 4.0 * abs(a_lin) + 8.0:
+            if not summing:
                 break
+            if n >= _FAN_MIN_STEPS:
+                bound = _fan_tail_bound(abs(a_lin), abs(b_lin), n)
+                if bound <= 0.5 * eps_share or n >= _FAN_MAX_STEPS:
+                    tail_value = _fan_tail_value(a_lin, b_lin, n)
+                    out.add(tail_value.real, tail_value.imag)
+                    out.tail += bound
+                    break
         if n >= _FAN_MAX_STEPS:
             out.depth_capped = True
             out.tail += 1.0
@@ -424,25 +427,27 @@ def _explore_fan(out, kernel, u, phi_u, w0, gamma0, gamma_minus1,
 
 
 def _explore_edge(ev: MarkoffEvaluation, edge: DirectedFareyEdge, eps_edge,
-                  kernel=None, node_budget=5_000_000):
+                  kernel=None, node_budget=5_000_000, census_cap=float("inf")):
     """Interior sum 2*sum h(phi(s)) over the open cut-off interval of one
-    boundary edge, with deferred parabolic fans."""
+    boundary edge, with the deferred parabolic cells summed as fans.
+
+    With ``eps_edge`` infinite this is the census scan's exploration: it
+    sums nothing, and the fans stop where their traces grow.  The walk
+    stops early on an elliptic trace (raised here), on ``node_budget`` or
+    once the census passes ``census_cap``.
+    """
     if kernel is None:
         kernel = kernels.active_kernel
     out = kernels.CellOutcome()
+    out.census_cap = census_cap
     u, v = edge.s1, edge.s2
     phi_u, phi_v = ev.phi(u), ev.phi(v)
     phi_opp = ev.phi(edge.s0)
     kernel.explore(out, u.num, u.den, phi_u, v.num, v.den, phi_v, phi_opp,
                    0, eps_edge, node_budget)
-    while out.deferred:
-        item = out.deferred.pop()
-        if item[0] == "fan_parabolic":
-            # a parabolic vertex discovered inside a fan needs no action:
-            # its neighbouring cells are handled by the off-comb kernel
-            # calls, which defer on the parabolic endpoint.
-            continue
-        kind, u_num, u_den, p_u, v_num, v_den, p_v, p_opp, depth, share = item
+    while out.deferred and not out.stopped(node_budget):
+        kind, u_num, u_den, p_u, v_num, v_den, p_v, p_opp, depth, share = \
+            out.deferred.pop()
         if kind == kernels.DEFER_MEDIANT:
             m_num, m_den = u_num + v_num, u_den + v_den
             phi_m = _snap_parabolic(p_u * p_v - p_opp)
@@ -470,18 +475,20 @@ def _explore_edge(ev: MarkoffEvaluation, edge: DirectedFareyEdge, eps_edge,
     return out
 
 
-def _h_boundary(ev, slope, records):
-    """h at a cut-off interval endpoint, with parabolic snapping."""
+def _boundary_trace(ev, slope, records):
+    """phi at a cut-off interval endpoint, snapped to +-2 if parabolic.
+
+    A trace with |phi| <= 2 goes to ``records`` as (slope, phi); an
+    elliptic one raises NotGeometricEvaluationError.
+    """
     val = ev.phi(slope)
     if kernels._near_parabolic(val):
-        snapped = _snap_parabolic(val)
-        records.append((slope, snapped))
-        return 0.5 + 0j
+        val = _snap_parabolic(val)
+    elif kernels._is_elliptic(val):
+        raise NotGeometricEvaluationError(slope, val)
     if abs(val) <= 2.0 + kernels.CENSUS_TOL:
         records.append((slope, val))
-    if kernels._is_elliptic(val):
-        raise NotGeometricEvaluationError(slope, val)
-    return kernels.h_func(val)
+    return val
 
 
 def interval_series(r: Slope, ev: MarkoffEvaluation, j: int,
@@ -516,8 +523,10 @@ def interval_series(r: Slope, ev: MarkoffEvaluation, j: int,
     nodes = 0
     boundary_records = []
     for edge in group:
-        total += _h_boundary(ev, edge.s1, boundary_records)
-        total += _h_boundary(ev, edge.s2, boundary_records)
+        for s in (edge.s1, edge.s2):
+            val = _boundary_trace(ev, s, boundary_records)
+            # h(+-2) = 1/2 at a snapped parabolic
+            total += 0.5 if kernels._near_parabolic(val) else kernels.h_func(val)
         out = _explore_edge(ev, edge, eps_edge, kernel=kernel)
         total += out.total
         tail += out.tail
@@ -543,26 +552,16 @@ def interval_series(r: Slope, ev: MarkoffEvaluation, j: int,
     )
 
 
-def _fan_census(found, u, t, w, gamma0, gamma_minus1, steps=48):
-    """Record |gamma| <= 2 vertices along the fan around the parabolic u
-    without exploring off-comb cells (their traces are products and stay
-    large for maps passing the filters)."""
-    gamma_prev, gamma = gamma_minus1, gamma0
-    w_num, w_den = w
-    for _ in range(steps):
-        gamma_prev, gamma = gamma, t * gamma - gamma_prev
-        w_num += u[0]
-        w_den += u[1]
-        _check_elliptic((w_num, w_den), gamma)
-        if abs(gamma) <= 2.0 + kernels.CENSUS_TOL:
-            found.add(Slope(w_num, w_den))
-
-
 def census_scan(ev: MarkoffEvaluation, edges: EdgeSystem,
                 node_budget: int = 150_000):
     """Slopes with |phi| <= 2 discovered exploring both intervals; used by
-    the geometric-root filters.  There is no depth limit: a cell is pruned
-    once its traces grow (see ``kernels.explore``).
+    the geometric-root filters.
+
+    Each edge of E1 u E2 is explored by the series' own driver
+    (``_explore_edge``) with an infinite eps share: the same kernel, the
+    same deferred parabolic cells and the same fans, which evaluate no h
+    and stop where their traces grow.  There is no depth limit: a cell is
+    pruned once its traces grow (see ``kernels.explore``).
 
     A geometric map has no real trace in (-2, 2) on I1 u I2 and only
     finitely many |phi| <= 2 there; the scan raises
@@ -571,30 +570,21 @@ def census_scan(ev: MarkoffEvaluation, edges: EdgeSystem,
     Stern-Brocot nodes spent over all edges.  The last two reasons name the
     census size or the budget and the nodes spent.
 
-    The census cap is a scan-only contract.  Each kernel call gets the room
-    left under the cap on ``CellOutcome.census_cap``; the kernel returns
-    once its census passes it, and the comparison after the call raises.
-
-    Parabolic cells are not expanded into fans here: the parabolic vertex is
-    recorded and its fan walked by the bare trace recurrence.
+    The census cap is a scan-only contract.  Each edge's exploration gets
+    the room left under the cap on ``CellOutcome.census_cap``; it returns
+    once its census passes it, and the comparison after the edge raises.
     """
     found = set()
     spent = 0
     for edge in edges.e1 + edges.e2:
+        records = []
         for s in (edge.s1, edge.s2):
-            val = ev.phi(s)
-            _check_elliptic((s.num, s.den), val)
-            if abs(val) <= 2.0 + kernels.CENSUS_TOL:
-                found.add(s)
-        out = kernels.CellOutcome()
-        out.census_cap = _CENSUS_CAP - len(found)
-        u, v = edge.s1, edge.s2
-        kernels.explore(out, u.num, u.den, ev.phi(u), v.num, v.den, ev.phi(v),
-                        ev.phi(edge.s0), 0, float("inf"), node_budget - spent)
+            _boundary_trace(ev, s, records)
+        found.update(s for s, _ in records)
+        out = _explore_edge(ev, edge, float("inf"),
+                            node_budget=node_budget - spent,
+                            census_cap=_CENSUS_CAP - len(found))
         spent += out.nodes
-        if out.elliptic is not None:
-            num, den, val = out.elliptic
-            raise NotGeometricEvaluationError(Slope(num, den), val)
         if len(out.census) > out.census_cap:
             raise _census_overflow(edge, len(found) + len(out.census), spent)
         if spent >= node_budget:
@@ -602,24 +592,7 @@ def census_scan(ev: MarkoffEvaluation, edges: EdgeSystem,
                 edge.s1, 0j,
                 note="exploration of %s did not stabilise: %d nodes spent of "
                      "a budget of %d" % (edge, spent, node_budget))
-        for num, den, _ in out.census:
-            found.add(Slope(num, den))
-        for item in out.deferred:
-            _, u_num, u_den, p_u, v_num, v_den, p_v, p_opp, d, share = item
-            if item[0] == kernels.DEFER_MEDIANT:
-                m = (u_num + v_num, u_den + v_den)
-                phi_m = _snap_parabolic(p_u * p_v - p_opp)
-                found.add(Slope(*m))
-                _fan_census(found, m, phi_m, (u_num, u_den), p_u, p_v)
-                _fan_census(found, m, phi_m, (v_num, v_den), p_v, p_u)
-            elif kernels._near_parabolic(p_u):
-                _fan_census(found, (u_num, u_den), _snap_parabolic(p_u),
-                            (v_num, v_den), p_v, p_opp)
-            else:
-                _fan_census(found, (v_num, v_den), _snap_parabolic(p_v),
-                            (u_num, u_den), p_u, p_opp)
-        if len(found) > _CENSUS_CAP:
-            raise _census_overflow(edge, len(found), spent)
+        found.update(Slope(num, den) for num, den, _ in out.census)
     return frozenset(found)
 
 

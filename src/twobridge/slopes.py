@@ -19,7 +19,6 @@ __all__ = [
     "INFINITY",
     "ContinuedFraction",
     "FareyTriangle",
-    "Block",
     "FareyChain",
     "Interval",
     "EdgeReflection",
@@ -289,28 +288,12 @@ def opposite_vertex(u: Slope, v: Slope, w: Slope) -> Slope:
 
 
 @dataclass(frozen=True)
-class Block:
-    """One block of the chain: the a_k triangles sharing the pivot s*^(k).
-
-    ``vertices`` is the non-pivot sequence s_0^(k), ..., s_{a_k}^(k) in chain
-    order; triangle i of the block (0-based) is {pivot, vertices[i],
-    vertices[i+1]}.
-    """
-
-    index: int
-    pivot: Slope
-    vertices: tuple
-    triangle_range: tuple  # [start, stop) into FareyChain.triangles
-
-
-@dataclass(frozen=True)
 class FareyChain:
     """The chain of Farey triangles crossed by the geodesic from inf to r."""
 
     r: Slope
     cf: ContinuedFraction
     triangles: tuple
-    blocks: tuple
     hyperbolic: bool
 
     def __len__(self):
@@ -356,54 +339,8 @@ def farey_chain(r: Slope) -> FareyChain:
             % (len(triangles), cf.total, r)
         )
 
-    chain = FareyChain(
-        r=r,
-        cf=cf,
-        triangles=tuple(triangles),
-        blocks=_build_blocks(r, cf, triangles),
-        hyperbolic=is_hyperbolic(r),
-    )
-    return chain
-
-
-def _build_blocks(r, cf, triangles):
-    """Blocks and pivots.
-
-    Pivot of block 1 is 0; thereafter the pivot of block k+1 is the last
-    non-pivot vertex of block k, and the first non-pivot vertex of block k+1
-    is the pivot of block k (they cross over at the block boundary).
-    """
-    blocks = []
-    start = 0
-    for k, a in enumerate(cf, start=1):
-        stop = start + a
-        if k == 1:
-            # sigma_1 = <0,1,inf> contributes both s_0 = inf and s_1 = 1
-            pivot = ZERO
-            verts = [INFINITY, ONE]
-            first_new = start + 1
-        else:
-            pivot = blocks[-1].vertices[-1]
-            verts = [blocks[-1].pivot]
-            first_new = start
-        for i in range(first_new, stop):
-            prev = triangles[i - 1].vertex_set()
-            (fresh,) = [v for v in triangles[i].vertices if v not in prev]
-            verts.append(fresh)
-        if len(verts) != a + 1:
-            raise InternalError("block %d of %s has %d vertices, wanted %d"
-                                % (k, r, len(verts), a + 1))
-        for j in range(a):
-            expect = {pivot, verts[j], verts[j + 1]}
-            if triangles[start + j].vertex_set() != expect:
-                raise InternalError(
-                    "block %d triangle %d of %s is not {pivot, s_%d, s_%d}"
-                    % (k, j, r, j, j + 1)
-                )
-        blocks.append(Block(index=k, pivot=pivot, vertices=tuple(verts),
-                            triangle_range=(start, stop)))
-        start = stop
-    return tuple(blocks)
+    return FareyChain(r=r, cf=cf, triangles=tuple(triangles),
+                      hyperbolic=is_hyperbolic(r))
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,24 @@ class TestFolds:
         assert max(layout.fold_minus.residual,
                    layout.fold_plus.residual) >= 1e-3
 
+    def test_layout_reuses_the_evaluation_edge_system(self, monkeypatch):
+        """A cusp request builds r's edge system once: the root selection
+        keeps it on the evaluation and the layout takes it from there."""
+        from twobridge import cusp_layout, mcshane
+        from twobridge.markoff import geometric_evaluation
+
+        r = Slope(3, 7)
+        ev = geometric_evaluation(r)
+
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("edge system built again")
+
+        # under any name cusp_layout might hold it by
+        monkeypatch.setattr(mcshane, "boundary_edge_sets", no_rebuild)
+        monkeypatch.setattr(cusp_layout, "boundary_edge_sets", no_rebuild,
+                            raising=False)
+        check_simply_folded(layout_cusp(r, ev), r)
+
 
 class TestSvg:
     def test_deterministic(self, layouts):

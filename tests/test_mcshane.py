@@ -195,11 +195,33 @@ class TestIntervalSeries:
 
     def test_scan_census_matches_series(self, evaluation_for, report_for):
         """The one census scan finds the same slopes with |phi| <= 2 as the
-        series that sums to eps."""
-        for rs in ((2, 5), (5, 17), (3, 8)):
+        series that sums to eps, also on the exceptional slopes, whose
+        parabolic fans the scan explores as the series does."""
+        for rs in ((2, 5), (5, 17), (3, 8), (2, 7), (3, 7), (2, 9), (4, 9),
+                   (2, 11), (5, 11), (2, 13), (6, 13), (7, 15), (2, 15)):
             r = Slope(*rs)
             census = census_scan(evaluation_for(r), boundary_edge_sets(r))
             assert census == {s for s, _ in report_for(r).slopes_small_trace}
+
+    def test_scan_explores_off_comb_cells_of_fans(self, evaluation_for,
+                                                  monkeypatch):
+        """The census scan of 2/5 walks its parabolic fans with the series'
+        own fan walker: some scan-mode kernel call is an off-comb cell, below
+        the edge's root cell and opposite the parabolic vertex."""
+        calls = []
+        explore = kernels.explore
+
+        def recording(out, *args, **kwargs):
+            calls.append(args)
+            explore(out, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "explore", recording)
+        census_scan(evaluation_for(S25), boundary_edge_sets(S25))
+        scan = [args for args in calls if args[8] == math.inf]
+        assert scan and len(scan) == len(calls)
+        # args[6] is the opposite trace, args[7] the depth
+        assert any(args[7] >= 1 and kernels._near_parabolic(args[6])
+                   for args in scan)
 
     @staticmethod
     def _failing_scan(monkeypatch, r, root, **kwargs):
@@ -246,6 +268,16 @@ class TestIntervalSeries:
         m = re.search(r"did not stabilise: (\d+) nodes spent of a budget of (\d+)",
                       message)
         assert m and (int(m.group(1)), int(m.group(2))) == (nodes, budget)
+
+    def test_scan_budget_bounds_the_fans(self, ev25):
+        """On 2/5's geometric class the budget also cuts the parabolic fans
+        and their off-comb cells at most one node past it."""
+        edges = boundary_edge_sets(S25)
+        for budget in range(1, 300, 7):  # the whole scan takes 340 nodes
+            with pytest.raises(NotGeometricEvaluationError) as info:
+                census_scan(ev25, edges, node_budget=budget)
+            m = re.search(r"(\d+) nodes spent of a budget of", str(info.value))
+            assert budget <= int(m.group(1)) <= budget + 1
 
     def test_parabolic_census_figure_eight(self, ev25):
         res1 = interval_series(S25, ev25, 1)

@@ -128,13 +128,6 @@ class TestFareyChain:
         assert len(chain) == 2
         assert not chain.hyperbolic
 
-    def test_block_structure(self):
-        chain = farey_chain(Slope(5, 17))
-        pivots = [str(b.pivot) for b in chain.blocks]
-        assert pivots == ["0/1", "1/3", "2/7"]
-        for block, a in zip(chain.blocks, chain.cf):
-            assert len(block.vertices) == a + 1
-
     def test_consecutive_triangles_share_an_edge(self):
         for r in (S25, Slope(5, 17), Slope(7, 17), Slope(5, 12)):
             chain = farey_chain(r)
