@@ -2,12 +2,32 @@
 
 Walks the binary subdivision tree of a Farey interval carrying the Markoff
 triple around each cell, summing 2*h(phi(mediant)) with compensated
-accumulation.  Two regimes:
+accumulation.  A cell (u, v), whose first mediant m has trace
+phi_m = phi_u phi_v - phi_opp, is pruned by the criterion C(T):
 
-* both edge traces >= 8 in modulus: trace growth is at least Fibonacci-like,
-  and the subtree is pruned once the geometric tail estimate 10/|phi_m|^2
-  fits inside the cell's share of eps;
-* one edge trace below 8 (a fan around a short loxodromic): the cell is a
+    |phi_u|, |phi_v| >= T   and   |phi_opp| <= |phi_u| |phi_v| / 2.
+
+For T >= 2, C(T) gives |phi_m| >= |phi_u||phi_v| - |phi_opp| >= T^2/2 >= T,
+and both children inherit it: in the child (u, m), opposite v,
+|phi_u||phi_m|/2 >= |phi_u|^2 |phi_v|/4 >= |phi_v|, and (m, v) likewise.
+So every trace in the subtree has |phi| >= T^2/2, and each level multiplies
+the traces by at least T/2.  This is the quantitative form of Bowditch's
+attracting-subtree argument (Proc. LMS 77 (1998); Tan-Wong-Zhang,
+Adv. Math. 217 (2008)).  The kernel has two regimes:
+
+* both edge traces >= T in modulus: binary subdivision.  In sum mode
+  T = PRUNE_MODULUS = 8, and a cell meeting C(8) is pruned once the tail
+  estimate 10/|phi_m|^2 fits inside its share of eps: the traces grow
+  fourfold per level while the cells double, so 2|h| summed over m and its
+  subtree stays below 2.4/|phi_m|^2.  The census scan (eps_share = inf)
+  uses T = SCAN_MODULUS = 2 + delta, delta = 1e-6, and prunes every cell
+  meeting C(T): no trace below it has |phi| <= 2, so none is elliptic or
+  joins the census (|phi| <= 2 + CENSUS_TOL).  The bound holds for the
+  computed traces too: a computed mediant lies within 6u|phi_u phi_v| of
+  phi_u phi_v - phi_opp, u = 2^-53, so the same induction runs on it for
+  any delta above about 20u and keeps every |phi| >= 2 + 2 delta - 24u;
+  delta = 1e-6 puts that bound 2e-6 above 2, 2 000 times CENSUS_TOL.
+* one edge trace below T (a fan around a short loxodromic): the cell is a
   "comb" walked linearly with the two-term recurrence
   gamma_{n+1} = t gamma_n - gamma_{n-1}, its off-comb cells re-entering the
   binary regime.  The comb stops when the measured growth ratio bounds the
@@ -40,7 +60,9 @@ ignores ``out.tail``: once ``len(out.census)`` passes ``out.census_cap``
 ``mcshane._explore_edge`` sets the cap on the outcome it creates;
 ``mcshane.census_scan`` passes what its census may still take and raises
 on the same comparison after every edge.  The node budget stops binary,
-comb and fan walks alike (``CellOutcome.stopped``).
+comb and fan walks alike (``CellOutcome.stopped``).  The parabolic fans
+test C(SCAN_MODULUS) themselves (``_scan_prunes``) before each off-comb
+cell, so the scan makes no call for a cell pruned at its first node.
 """
 
 from __future__ import annotations
@@ -50,6 +72,7 @@ import math
 import sys
 
 PRUNE_MODULUS = 8.0
+SCAN_MODULUS = 2.0 + 1e-6  # 2 + delta (module docstring)
 TAIL_COEFFICIENT = 10.0
 COMB_STOP_ABS = 1e30
 PARABOLIC_TOL = 1e-11
@@ -146,6 +169,7 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
         out.deferred.append((DEFER_ENDPOINT,) + cell)
         return
     summing = eps_share != math.inf
+    modulus = PRUNE_MODULUS if summing else SCAN_MODULUS
     stack = [cell]
     while stack:
         (u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
@@ -160,7 +184,7 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
 
         au = abs(phi_u)
         av = abs(phi_v)
-        if au < PRUNE_MODULUS or av < PRUNE_MODULUS:
+        if au < modulus or av < modulus:
             _comb(out, stack, u_num, u_den, phi_u, v_num, v_den, phi_v,
                   phi_opp, depth, eps_share, node_budget)
             if out.stopped(node_budget):
@@ -185,8 +209,7 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
             if len(out.census) > out.census_cap:
                 return
 
-        if au >= PRUNE_MODULUS and av >= PRUNE_MODULUS and \
-                abs(phi_opp) <= 0.5 * au * av:
+        if abs(phi_opp) <= 0.5 * au * av:  # C(modulus); the scan's share is inf
             est = TAIL_COEFFICIENT / (am * am)
             if est <= eps_share:
                 out.tail += est
@@ -202,11 +225,21 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
                       depth + 1, half))
 
 
+def _scan_prunes(phi_u, phi_v, phi_opp):
+    """C(SCAN_MODULUS) on a cell: the census scan prunes it, as no trace in
+    its subtree has |phi| <= 2 (module docstring)."""
+    au = abs(phi_u)
+    av = abs(phi_v)
+    return (au >= SCAN_MODULUS and av >= SCAN_MODULUS
+            and abs(phi_opp) <= 0.5 * au * av)
+
+
 def _comb(out, stack, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
           depth, eps_share, node_budget):
     """Walk the fan around the small-trace endpoint of the cell.
 
-    The pivot is the endpoint with |trace| < 8; fan vertices w_n step by the
+    The pivot is the endpoint with |trace| below the mode's modulus
+    (PRUNE_MODULUS or SCAN_MODULUS); fan vertices w_n step by the
     pivot vector and their traces obey gamma_{n+1} = t gamma_n - gamma_{n-1}
     with gamma_0 the moving endpoint's trace and gamma_{-1} = phi_opp, so
     gamma_n = P mu^n + Q mu^-n with mu + 1/mu = t, |mu| > 1.  Each step

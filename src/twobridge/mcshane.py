@@ -222,13 +222,16 @@ def finite_edge_sums(r: Slope, ev: MarkoffEvaluation, edges: EdgeSystem | None =
                      check: bool = True):
     """(sum over E1 of psi, sum over E2 of psi); their total is -1.
 
-    With ``check`` the -1 identity and the full-sum identity
-    sum_{E(r)} psi = 1 are asserted to 1e-8.
+    The pair is kept on ``ev.finite_sums``, so the geometric-root filter and
+    ``cusp_shape`` sum it once.  With ``check`` the -1 identity and the
+    full-sum identity sum_{E(r)} psi = 1 are asserted to 1e-8.
     """
     if edges is None:
         edges = boundary_edge_sets(r)
-    s1 = sum((psi(e, ev) for e in edges.e1), 0j)
-    s2 = sum((psi(e, ev) for e in edges.e2), 0j)
+    if ev.finite_sums is None:
+        ev.finite_sums = (sum((psi(e, ev) for e in edges.e1), 0j),
+                          sum((psi(e, ev) for e in edges.e2), 0j))
+    s1, s2 = ev.finite_sums
     if check:
         if abs(s1 + s2 + 1) > 1e-8:
             raise InternalError(
@@ -363,7 +366,9 @@ def _explore_fan(out, kernel, u, phi_u, w0, gamma0, gamma_minus1,
     traces gamma_{n+1} = phi_u gamma_n - gamma_{n-1}; as phi_u = 2 sigma,
     gamma_n = sigma^n (a + b n), a = gamma_0, b = sigma gamma_1 - gamma_0.
     Each step adds 2h(gamma_n) and explores the off-comb cell
-    (w_n, w_{n-1}) with the regular kernel.  The traces grow once
+    (w_n, w_{n-1}) with the regular kernel; a census scan (infinite share)
+    skips a cell the kernel would prune at its first node
+    (``kernels._scan_prunes``).  The traces grow once
     |gamma_n| >= 32 and |b| n >= 4|a| + 8.  A census scan (infinite
     share) stops there.  A sum also needs n >= _FAN_MIN_STEPS and
     ``_fan_tail_bound`` within half the share; then the rest of the comb
@@ -404,10 +409,12 @@ def _explore_fan(out, kernel, u, phi_u, w0, gamma0, gamma_minus1,
                 out.add(2.0 * hm.real, 2.0 * hm.imag)
         if out.stopped(node_budget):
             break
-        # off-comb cell strictly between w_next and w, opposite vertex u
-        kernel.explore(out, w_next[0], w_next[1], complex(gamma_next),
-                       w[0], w[1], complex(gamma), complex(phi_u),
-                       depth + 1, 0.3 * eps_share / (n * n), node_budget)
+        # off-comb cell strictly between w_next and w, opposite vertex u;
+        # the scan skips one the kernel would prune at its first node
+        if summing or not kernels._scan_prunes(gamma_next, gamma, phi_u):
+            kernel.explore(out, w_next[0], w_next[1], complex(gamma_next),
+                           w[0], w[1], complex(gamma), complex(phi_u),
+                           depth + 1, 0.3 * eps_share / (n * n), node_budget)
         gamma_prev, gamma = gamma, gamma_next
         w = w_next
         if abs(gamma) >= 32.0 and abs(b_lin) * n >= 4.0 * abs(a_lin) + 8.0:
@@ -561,7 +568,8 @@ def census_scan(ev: MarkoffEvaluation, edges: EdgeSystem,
     (``_explore_edge``) with an infinite eps share: the same kernel, the
     same deferred parabolic cells and the same fans, which evaluate no h
     and stop where their traces grow.  There is no depth limit: a cell is
-    pruned once its traces grow (see ``kernels.explore``).
+    pruned once its traces provably stay above 2 below it, by the
+    criterion C(2 + delta) of the ``kernels`` docstring.
 
     A geometric map has no real trace in (-2, 2) on I1 u I2 and only
     finitely many |phi| <= 2 there; the scan raises

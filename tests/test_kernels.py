@@ -1,13 +1,14 @@
 """Kernel lookup and raw kernel behaviour."""
 
 import math
+import random
 
 import pytest
 
 from twobridge import kernels, mcshane
-from twobridge.markoff import MarkoffEvaluation
+from twobridge.markoff import MarkoffEvaluation, polynomial_roots, trace_polynomial
 from twobridge.mcshane import boundary_edge_sets
-from twobridge.slopes import Slope
+from twobridge.slopes import Slope, is_hyperbolic
 
 
 def test_backend_names():
@@ -83,3 +84,67 @@ def test_scan_mode_evaluates_no_h(monkeypatch, evaluation_for):
 
     monkeypatch.setattr(kernels, "h_func", no_h)
     assert mcshane.census_scan(ev, edges) == census
+
+
+def _scan_pruned_cells(ev, edges, levels):
+    """Cells of the scanned intervals, down to ``levels`` binary levels, on
+    which the criterion C(SCAN_MODULUS) first holds: (u, phi_u, v, phi_v,
+    phi_opp), u and v as (num, den)."""
+    found = []
+    stack = [((e.s1.num, e.s1.den), ev.phi(e.s1), (e.s2.num, e.s2.den),
+              ev.phi(e.s2), ev.phi(e.s0), 0) for e in edges.e1 + edges.e2]
+    while stack:
+        u, phi_u, v, phi_v, phi_opp, level = stack.pop()
+        if kernels._scan_prunes(phi_u, phi_v, phi_opp):
+            found.append((u, phi_u, v, phi_v, phi_opp))
+        elif level < levels:
+            m, phi_m = (u[0] + v[0], u[1] + v[1]), phi_u * phi_v - phi_opp
+            stack.append((u, phi_u, m, phi_m, phi_v, level + 1))
+            stack.append((m, phi_m, v, phi_v, phi_u, level + 1))
+    return found
+
+
+def _walk_pruned_subtree(phi_u, phi_v, phi_opp, levels):
+    """Every cell of the subtree keeps C(SCAN_MODULUS) and every mediant has
+    |phi| > 2 + CENSUS_TOL, down to ``levels`` levels; a cell whose mediant
+    passes 1e100 is not descended, as its children's products would
+    overflow.  Returns the mediants checked."""
+    stack = [(phi_u, phi_v, phi_opp, 1)]
+    checked = 0
+    while stack:
+        phi_u, phi_v, phi_opp, level = stack.pop()
+        assert kernels._scan_prunes(phi_u, phi_v, phi_opp)
+        phi_m = phi_u * phi_v - phi_opp
+        assert abs(phi_m) > 2.0 + kernels.CENSUS_TOL
+        checked += 1
+        if level < levels and abs(phi_m) < 1e100:
+            stack.append((phi_u, phi_m, phi_v, level + 1))
+            stack.append((phi_m, phi_v, phi_u, level + 1))
+    return checked
+
+
+def test_scan_pruning_is_sound():
+    """C(T), T = SCAN_MODULUS, is inherited by both children and keeps every
+    trace of the subtree above 2 (module docstring).  Cells on which the
+    scan-mode kernel stops at its first node are sampled from every root
+    class of twelve slopes with p <= 30, and each subtree is walked to
+    depth 10."""
+    rng = random.Random(11)
+    slopes = [Slope(q, p) for p in range(5, 31) for q in range(1, p)
+              if math.gcd(q, p) == 1 and is_hyperbolic(Slope(q, p))]
+    cells = []
+    for r in rng.sample(slopes, 12):
+        edges = boundary_edge_sets(r)
+        for root in {z for z in polynomial_roots(trace_polynomial(r)) if z}:
+            ev = MarkoffEvaluation(r, root, chain=edges.chain)
+            found = _scan_pruned_cells(ev, edges, 6)
+            cells += rng.sample(found, min(2, len(found)))
+    assert len(cells) >= 200
+    checked = 0
+    for u, phi_u, v, phi_v, phi_opp in cells:
+        out = kernels.CellOutcome()
+        kernels.explore(out, u[0], u[1], phi_u, v[0], v[1], phi_v, phi_opp,
+                        0, math.inf)
+        assert out.nodes == 1 and not out.census and not out.deferred
+        checked += _walk_pruned_subtree(phi_u, phi_v, phi_opp, 10)
+    assert checked > 100 * len(cells)

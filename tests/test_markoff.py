@@ -12,7 +12,12 @@ import sympy
 from hypothesis import given, strategies as st
 
 from twobridge import markoff
-from twobridge.errors import EllipticTraceError, NoGeometricRootError, RootFindingError
+from twobridge.errors import (
+    EllipticTraceError,
+    InternalError,
+    NoGeometricRootError,
+    RootFindingError,
+)
 from twobridge.markoff import (
     MarkoffEvaluation,
     MarkoffTriple,
@@ -97,6 +102,26 @@ class TestTracePolynomial:
             for q in range(2, p):
                 if math.gcd(q, p) == 1 and is_hyperbolic(Slope(q, p)):
                     assert trace_polynomial(Slope(q, p)).coeffs[0] == (0, 0)
+
+    def test_single_parity_up_to_p40(self):
+        """x -> -x sends every trace to +-itself, so the nonzero coefficients
+        of each trace polynomial sit at powers of x of one parity."""
+        slopes = [Slope(q, p) for p in range(3, 41) for q in range(1, p)
+                  if math.gcd(q, p) == 1 and is_hyperbolic(Slope(q, p))]
+        assert len(slopes) == 412
+        for r in slopes:
+            poly = trace_polynomial(r)
+            assert len({k % 2 for k, c in enumerate(poly.coeffs)
+                        if c != (0, 0)}) == 1
+
+    def test_mixed_parity_raises(self):
+        even = TracePolynomial([(1, 0), (0, 0), (0, -3)])
+        odd = TracePolynomial([(0, 0), (2, 1), (0, 0), (-1, 0)])
+        for poly in (even, odd):
+            assert markoff._check_sign_symmetry(poly, S25) is poly
+        mixed = TracePolynomial([(0, 0), (1, 0), (1, 0)])  # x + x^2
+        with pytest.raises(InternalError, match="mixes even and odd powers"):
+            markoff._check_sign_symmetry(mixed, S25)
 
     @pytest.mark.parametrize("r", [(2, 5), (3, 7), (3, 8), (5, 17), (4, 13)])
     def test_sympy_oracle(self, r):
@@ -187,9 +212,10 @@ class TestPolynomialRoots:
         """Each root is the double nearest the exact root: Newton at 80
         digits from the returned value, rounded once, gives it back, and no
         two returned roots refine onto the same root.  Real roots come out
-        with imaginary part exactly 0.  On 2/47 the double-precision roots
-        near +-1.98218 +- 0.00076i fail certification, so all of its roots
-        come from the mpmath escalation."""
+        with imaginary part exactly 0.  On 2/47 the cluster near
+        +-1.98218 +- 0.00076i is ill-conditioned in x: its roots certify in
+        y = x^2, and each x = sqrt(y) is polished from the y polished
+        against Q."""
         poly = trace_polynomial(Slope(*r))
         k = poly.content_power_of_x()
         coeffs = [mpmath.mpc(a, b) for a, b in reversed(poly.shift_down(k).coeffs)]
@@ -211,7 +237,9 @@ class TestPolynomialRoots:
 
     def test_double_roots_certified_up_to_p30(self, monkeypatch):
         """Every squarefree part of a trace polynomial with p <= 30 is
-        certified in double precision: escalation never fires."""
+        certified in double precision: escalation never fires.  Nor does it
+        on 43/45, 39/46, 2/47 and 45/47, whose roots escalated to mpmath
+        while they were found in x rather than in y = x^2."""
         escalated = []
         extended = markoff._roots_extended
 
@@ -223,6 +251,7 @@ class TestPolynomialRoots:
         slopes = [Slope(q, p) for p in range(3, 31) for q in range(1, p)
                   if math.gcd(q, p) == 1 and is_hyperbolic(Slope(q, p))]
         assert len(slopes) == 220
+        slopes += [Slope(43, 45), Slope(39, 46), Slope(2, 47), Slope(45, 47)]
         for r in slopes:
             poly = trace_polynomial(r)
             assert len(polynomial_roots(poly)) == poly.degree

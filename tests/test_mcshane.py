@@ -9,7 +9,12 @@ import pytest
 
 from twobridge import kernels, mcshane
 from twobridge.errors import DomainError, InternalError, NotGeometricEvaluationError
-from twobridge.markoff import MarkoffEvaluation, polynomial_roots, trace_polynomial
+from twobridge.markoff import (
+    MarkoffEvaluation,
+    geometric_evaluation,
+    polynomial_roots,
+    trace_polynomial,
+)
 from twobridge.mcshane import (
     boundary_edge_sets,
     census_scan,
@@ -224,21 +229,33 @@ class TestIntervalSeries:
                    for args in scan)
 
     @staticmethod
-    def _failing_scan(monkeypatch, r, root, **kwargs):
-        """(message, nodes explored) of a census scan that fails."""
+    def _counted_scan(monkeypatch, ev, edges, **kwargs):
+        """(census, or the NotGeometricEvaluationError raised, and the nodes
+        explored) of one census scan."""
         nodes = []
         explore = kernels.explore
 
         def counting(out, *args, **kw):
+            before = out.nodes
             explore(out, *args, **kw)
-            nodes.append(out.nodes)
+            nodes.append(out.nodes - before)
 
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "explore", counting)
+            try:
+                result = census_scan(ev, edges, **kwargs)
+            except NotGeometricEvaluationError as exc:
+                result = exc
+        return result, sum(nodes)
+
+    def _failing_scan(self, monkeypatch, r, root, **kwargs):
+        """(message, nodes explored) of a census scan that fails."""
         edges = boundary_edge_sets(r)
-        monkeypatch.setattr(kernels, "explore", counting)
-        with pytest.raises(NotGeometricEvaluationError) as info:
-            census_scan(MarkoffEvaluation(r, root, chain=edges.chain), edges,
-                        **kwargs)
-        return str(info.value), sum(nodes)
+        error, nodes = self._counted_scan(
+            monkeypatch, MarkoffEvaluation(r, root, chain=edges.chain), edges,
+            **kwargs)
+        assert isinstance(error, NotGeometricEvaluationError)
+        return str(error), nodes
 
     @staticmethod
     def _scanned_rejects(ev):
@@ -260,20 +277,47 @@ class TestIntervalSeries:
     @pytest.mark.parametrize("budget", [10, 100, 1000])
     def test_scan_stops_at_node_budget(self, budget, evaluation_for, monkeypatch):
         """The budget also bounds the comb walks: a scan explores at most one
-        node past it."""
+        node past it.  A budget above the nodes the unbudgeted scan of 4/9's
+        non-geometric class spends is not reached: the census overflow stops
+        that scan first, after the same nodes as without a budget."""
         r = Slope(4, 9)
         [root] = self._scanned_rejects(evaluation_for(r))
-        message, nodes = self._failing_scan(monkeypatch, r, root, node_budget=budget)
-        assert nodes <= budget + 1
-        m = re.search(r"did not stabilise: (\d+) nodes spent of a budget of (\d+)",
-                      message)
-        assert m and (int(m.group(1)), int(m.group(2))) == (nodes, budget)
+        _, total = self._failing_scan(monkeypatch, r, root)
+        message, nodes = self._failing_scan(monkeypatch, r, root,
+                                            node_budget=budget)
+        if budget < total:
+            assert nodes <= budget + 1
+            m = re.search(r"did not stabilise: (\d+) nodes spent of a budget "
+                          r"of (\d+)", message)
+            assert m and (int(m.group(1)), int(m.group(2))) == (nodes, budget)
+        else:
+            assert nodes == total
+            assert message.startswith("census of small traces keeps growing")
 
-    def test_scan_budget_bounds_the_fans(self, ev25):
+    def test_scan_stops_at_sampled_node_budgets(self, evaluation_for, monkeypatch):
+        """The budgets sample the range below the nodes the unbudgeted scan
+        of 4/9's non-geometric class spends before its census overflows."""
+        r = Slope(4, 9)
+        [root] = self._scanned_rejects(evaluation_for(r))
+        _, total = self._failing_scan(monkeypatch, r, root)
+        budgets = range(1, total, max(1, total // 20))
+        assert len(budgets) >= 10
+        for budget in budgets:
+            message, nodes = self._failing_scan(monkeypatch, r, root,
+                                                node_budget=budget)
+            assert nodes <= budget + 1
+            m = re.search(r"did not stabilise: (\d+) nodes spent of a budget "
+                          r"of (\d+)", message)
+            assert m and (int(m.group(1)), int(m.group(2))) == (nodes, budget)
+
+    def test_scan_budget_bounds_the_fans(self, ev25, monkeypatch):
         """On 2/5's geometric class the budget also cuts the parabolic fans
-        and their off-comb cells at most one node past it."""
+        and their off-comb cells at most one node past it, for every budget
+        up to the nodes the whole scan takes."""
         edges = boundary_edge_sets(S25)
-        for budget in range(1, 300, 7):  # the whole scan takes 340 nodes
+        census, total = self._counted_scan(monkeypatch, ev25, edges)
+        assert census == census_scan(ev25, edges) and total > 100
+        for budget in range(1, total + 1, 7):
             with pytest.raises(NotGeometricEvaluationError) as info:
                 census_scan(ev25, edges, node_budget=budget)
             m = re.search(r"(\d+) nodes spent of a budget of", str(info.value))
@@ -439,6 +483,28 @@ class TestCuspShape:
         monkeypatch.setattr(mcshane, "boundary_edge_sets", counting)
         cusp_shape(Slope(3, 7))
         assert len(calls) == 1
+
+    def test_finite_sums_summed_once(self, monkeypatch):
+        """cusp_shape reuses the finite edge sums the geometric-root filter
+        kept on the selected evaluation: its check evaluates psi on e- and
+        e+ only, and still rejects sums that break the -1 identity."""
+        r = Slope(5, 17)
+        ev = geometric_evaluation(r)
+        sums = ev.finite_sums
+        calls = []
+        real_psi = mcshane.psi
+
+        def counting(e, ev):
+            calls.append(e)
+            return real_psi(e, ev)
+
+        monkeypatch.setattr(mcshane, "psi", counting)
+        rep = cusp_shape(r, ev=ev)
+        assert calls == [ev.edges.e_minus, ev.edges.e_plus]
+        assert (rep.finite_sum_e1, rep.finite_sum_e2) == sums
+        ev.finite_sums = (sums[0], sums[1] + 1e-6)
+        with pytest.raises(InternalError, match="edge-sum identity violated"):
+            cusp_shape(r, ev=ev)
 
     def test_non_hyperbolic_rejected(self):
         from twobridge.errors import NonHyperbolicError

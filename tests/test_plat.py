@@ -2,11 +2,8 @@
 
 import math
 
-import pytest
-
 from twobridge.plat import (
     build_plat,
-    delta_vector,
     linking_number_diagram,
     linking_number_formula,
     longitude_class,
