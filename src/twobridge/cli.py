@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage/other error, 2 non-hyperbolic slope,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -153,7 +154,10 @@ def cmd_batch(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then reused, as
+    building it costs many times what parsing one command line does."""
     parser = argparse.ArgumentParser(
         prog="twobridge",
         description="Cusp shapes, trace identities and end invariants of "
@@ -201,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NonHyperbolicError as exc:

@@ -793,7 +793,7 @@ def _rejection(r: Slope, ev: MarkoffEvaluation, edges):
 
     The O(chain) checks run first; only a class that passes them is scanned.
     """
-    from . import mcshane  # deferred: mcshane imports this module's types
+    from . import mcshane  # imported here: mcshane imports this module's types
     from .errors import NotGeometricEvaluationError
 
     if abs(ev.root) <= 1e-12:

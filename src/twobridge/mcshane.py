@@ -7,38 +7,12 @@ interval sums satisfy S1 + S2 = -1, where
     S_j = 2 sum_{s in int I_j} h(phi(s)) + sum_{s in bd I_j} h(phi(s)),
 
 and the cusp moduli are lambda(O(r)) = 2 * sum_{E1} psi and
-lambda(K(r)) = 2 lambda(O(r)) / |K(r)|.  The series are summed over the
-Stern-Brocot subdivision of the cut-off interval of each boundary edge,
-pruning by the trace-growth tail estimate; accidental parabolics (traces
-exactly +-2, which occur inside the intervals for the exceptional slope
-families) are summed as analytic fans.
-
-A fan around a parabolic u with phi(u) = 2 sigma has traces
-gamma_n = sigma^n (a + b n) along its comb, and the first mediant of its
-n-th off-comb cell has trace m_n = gamma_n gamma_{n-1} - 2 sigma
-= sigma (x_n^2 - c^2), x_n = a + b(n - 1/2), c^2 = b^2/4 + 2.  After N
-steps the rest is added in closed form:
-
-    sum_{n>N} 2[(a + bn)^-2 + (a + bn)^-4]
-        = 2 zeta(2, z0)/b^2 + 2 zeta(4, z0)/b^4,   z0 = N + 1 + a/b,
-    sum_{n>N} 2/m_n^2
-        = (1/(2c^2)) [(zeta(2, z-) + zeta(2, z+))/b^2
-                      - (psi(z+) - psi(z-))/(b c)],
-          z+- = N + 1 + (a - b/2 +- c)/b,
-
-from partial fractions of 1/(x^2 - c^2)^2.  zeta(s, z) is the Hurwitz
-zeta function and psi the digamma function, both evaluated by their
-asymptotic series in complex floats, which need Re z >= 32; the fan's stop
-rule (N >= 64, |b| N >= 4|a| + 8) keeps Re z above 0.57 N, and a smaller
-argument raises InternalError.  What is left, the comb's h-expansion
-remainder, the subtrees below the first mediants and the O(m_n^-4) part
-of 2h(m_n), is bounded by (6/5 + 8)/(|b| F^5), F = |b| N - |a|
-(``_fan_tail_bound``).
+lambda(K(r)) = 2 lambda(O(r)) / |K(r)|.  The series are summed by the
+``kernels`` walker over the cut-off interval of each boundary edge.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 from . import kernels
@@ -75,16 +49,6 @@ __all__ = [
 ]
 
 DEFAULT_EPS = 1e-8
-_FAN_MIN_STEPS = 64
-_FAN_MAX_STEPS = 200_000
-# the asymptotic series of the fan tail keep B_2 .. B_10; at Re z >= 32
-# the first term left out (B_12) is below 1e-17 of each sum
-_FAN_MIN_RE = 32.0
-_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66)
-# B_2j (2j+2)(2j+1)/6, the coefficient of z^(-2j-3) in zeta(4, z)
-_ZETA4_COEFS = (1 / 3, -1 / 6, 2 / 9, -1 / 2, 5 / 3)
-# B_2j / 2j, the coefficient of z^(-2j) in psi(z)
-_DIGAMMA_COEFS = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132)
 # census_scan rejects a map with more slopes of |phi| <= 2 than this
 _CENSUS_CAP = 64
 
@@ -258,185 +222,10 @@ class SeriesResult:
     nodes: int
 
 
-def _snap_parabolic(x):
-    return 2.0 + 0j if abs(x - 2.0) <= kernels.PARABOLIC_TOL else -2.0 + 0j
-
-
-def _check_elliptic(slope_pair, x):
-    if kernels._is_elliptic(x):
-        raise NotGeometricEvaluationError(Slope(*slope_pair), x)
-
-
-def _hurwitz_zeta2(z):
-    """zeta(2, z) = sum_{k >= 0} (z + k)^-2 for Re z >= _FAN_MIN_RE, from
-    1/z + 1/(2z^2) + sum_j B_2j z^(-2j-1)."""
-    w = 1.0 / z
-    w2 = w * w
-    acc = 0.0
-    for coef in reversed(_BERNOULLI):
-        acc = acc * w2 + coef
-    return w + 0.5 * w2 + w * w2 * acc
-
-
-def _hurwitz_zeta4(z):
-    """zeta(4, z) for Re z >= _FAN_MIN_RE, from
-    1/(3z^3) + 1/(2z^4) + sum_j B_2j (2j+2)(2j+1)/6 z^(-2j-3)."""
-    w = 1.0 / z
-    w2 = w * w
-    w3 = w * w2
-    acc = 0.0
-    for coef in reversed(_ZETA4_COEFS):
-        acc = acc * w2 + coef
-    return w3 / 3.0 + 0.5 * w * w3 + w3 * w2 * acc
-
-
-def _digamma_difference(z, shift):
-    """psi(z + shift) - psi(z - shift) for Re(z +- shift) >= _FAN_MIN_RE,
-    from psi(z) = log z - 1/(2z) - sum_j B_2j/(2j z^2j).
-
-    Nothing cancels: the logarithms enter as 2 atanh(shift/z), and with
-    p = 1/(z - shift), q = 1/(z + shift) each power as
-    p^2j - q^2j = (p - q)(p + q) h_{j-1}(p^2, q^2), h_k the complete
-    homogeneous polynomial of degree k and p - q = 2 shift p q.
-    """
-    p, q = 1.0 / (z - shift), 1.0 / (z + shift)
-    pp, qq = p * p, q * q
-    h, q_power, acc = 1.0, 1.0, 0.0
-    for coef in _DIGAMMA_COEFS:
-        acc += coef * h
-        q_power *= qq
-        h = pp * h + q_power
-    return (2.0 * cmath.atanh(shift / z)
-            + 2.0 * shift * p * q * (0.5 + (p + q) * acc))
-
-
-def _fan_tail_value(a, b, n_stop):
-    """The fan beyond step n_stop in closed form (module docstring): the
-    comb, sum_{n > n_stop} 2[(a + bn)^-2 + (a + bn)^-4], plus the first
-    mediants of the off-comb cells, sum_{n > n_stop} 2/m_n^2.
-
-    Raises InternalError if an argument of the series has real part below
-    _FAN_MIN_RE; the fan's stop rule keeps them above 0.57 n_stop >= 36.
-    """
-    c = cmath.sqrt(0.25 * b * b + 2.0)
-    z0 = (n_stop + 1) + a / b
-    z_mid, shift = z0 - 0.5, c / b
-    zm, zp = z_mid - shift, z_mid + shift
-    low = min(z0.real, zm.real, zp.real)
-    if low < _FAN_MIN_RE:
-        raise InternalError("fan tail series at Re z = %.3g < %g (a=%r, b=%r, "
-                            "n=%d)" % (low, _FAN_MIN_RE, a, b, n_stop))
-    b2 = b * b
-    comb = 2.0 * (_hurwitz_zeta2(z0) + _hurwitz_zeta4(z0) / b2) / b2
-    off_comb = ((_hurwitz_zeta2(zm) + _hurwitz_zeta2(zp)) / b2
-                - _digamma_difference(z_mid, shift) / (b * c)) / (2.0 * c * c)
-    return comb + off_comb
-
-
-def _fan_tail_bound(a_abs, b_abs, n_stop):
-    """Bound C/(|b| F^5), F = |b| n_stop - |a|, C = 6/5 + 8, for what the
-    closed form leaves out beyond n_stop.
-
-    The stop rule (n_stop >= 64, |b| n_stop >= 4|a| + 8) gives
-    |x_n| >= F >= 8 and |x_n| >= 48|b| for n > n_stop, and since the terms
-    are convex in n, sum_{n > n_stop} |x_n|^-6 <= 1/(5|b| F^5).  Left out:
-
-    * the comb's h-expansion remainder, 2h(g) - 2g^-2 - 2g^-4 <= 4.2|g|^-6,
-      at most 0.84/(|b| F^5), taken as 6/5;
-    * the two child cells of each first mediant m_n: their mediant traces
-      g_n m_n - g_{n-1} and m_n g_{n-1} - g_n exceed 0.94|x_n|^3, so the
-      kernel's own estimate TAIL_COEFFICIENT/|t|^2 gives them at most
-      22.5|x_n|^-6, 4.5/(|b| F^5) in all;
-    * the O(|m_n|^-4) part of 2h(m_n), below 2.4|x_n|^-8, 0.01/(|b| F^5)
-      in all.
-
-    The last two, 4.51/(|b| F^5), are taken as 8.
-    """
-    floor = b_abs * n_stop - a_abs
-    if floor < 8:
-        return 1.0
-    return (6.0 / 5.0 + 8.0) / (b_abs * floor ** 5)
-
-
-def _explore_fan(out, kernel, u, phi_u, w0, gamma0, gamma_minus1,
-                 depth, eps_share, node_budget):
-    """Sum the cell (u, w0) whose endpoint u carries a parabolic trace.
-
-    The Farey neighbours of u inside the cell are w_n = w_{n-1} + u with
-    traces gamma_{n+1} = phi_u gamma_n - gamma_{n-1}; as phi_u = 2 sigma,
-    gamma_n = sigma^n (a + b n), a = gamma_0, b = sigma gamma_1 - gamma_0.
-    Each step adds 2h(gamma_n) and explores the off-comb cell
-    (w_n, w_{n-1}) with the regular kernel; a census scan (infinite share)
-    skips a cell the kernel would prune at its first node
-    (``kernels._scan_prunes``).  The traces grow once
-    |gamma_n| >= 32 and |b| n >= 4|a| + 8.  A census scan (infinite
-    share) stops there.  A sum also needs n >= _FAN_MIN_STEPS and
-    ``_fan_tail_bound`` within half the share; then the rest of the comb
-    and the first mediants of the remaining off-comb cells are added in
-    closed form (``_fan_tail_value``) and the bound goes to ``out.tail``:
-    the remainder falls like n^-5.  Like the kernel, the walk stops on an
-    elliptic trace, the node budget or the census cap.
-    """
-    sigma = 1.0 if abs(phi_u - 2.0) <= kernels.PARABOLIC_TOL else -1.0
-    # folded values |gamma_n| = |A + B n| since the recurrence has a double
-    # eigenvalue at sigma
-    gamma1 = phi_u * gamma0 - gamma_minus1
-    a_lin = gamma0
-    b_lin = (gamma1 if sigma > 0 else -gamma1) - gamma0
-    if abs(b_lin) < 1e-8:
-        raise NotGeometricEvaluationError(
-            Slope(*u), complex(phi_u),
-            note="degenerate parabolic fan at %s/%s" % u,
-        )
-
-    summing = eps_share != float("inf")
-    gamma_prev, gamma = gamma_minus1, gamma0
-    w = w0
-    n = 0
-    while not out.stopped(node_budget):
-        n += 1
-        gamma_next = phi_u * gamma - gamma_prev
-        w_next = (w[0] + u[0], w[1] + u[1])
-        _check_elliptic(w_next, gamma_next)
-        if kernels._near_parabolic(gamma_next):
-            out.census.append((w_next[0], w_next[1], _snap_parabolic(gamma_next)))
-            out.add(1.0, 0.0)
-        else:
-            if abs(gamma_next) <= 2.0 + kernels.CENSUS_TOL:
-                out.census.append((w_next[0], w_next[1], complex(gamma_next)))
-            if summing:
-                hm = kernels.h_func(complex(gamma_next))
-                out.add(2.0 * hm.real, 2.0 * hm.imag)
-        if out.stopped(node_budget):
-            break
-        # off-comb cell strictly between w_next and w, opposite vertex u;
-        # the scan skips one the kernel would prune at its first node
-        if summing or not kernels._scan_prunes(gamma_next, gamma, phi_u):
-            kernel.explore(out, w_next[0], w_next[1], complex(gamma_next),
-                           w[0], w[1], complex(gamma), complex(phi_u),
-                           depth + 1, 0.3 * eps_share / (n * n), node_budget)
-        gamma_prev, gamma = gamma, gamma_next
-        w = w_next
-        if abs(gamma) >= 32.0 and abs(b_lin) * n >= 4.0 * abs(a_lin) + 8.0:
-            if not summing:
-                break
-            if n >= _FAN_MIN_STEPS:
-                bound = _fan_tail_bound(abs(a_lin), abs(b_lin), n)
-                if bound <= 0.5 * eps_share or n >= _FAN_MAX_STEPS:
-                    tail_value = _fan_tail_value(a_lin, b_lin, n)
-                    out.add(tail_value.real, tail_value.imag)
-                    out.tail += bound
-                    break
-        if n >= _FAN_MAX_STEPS:
-            out.depth_capped = True
-            out.tail += 1.0
-            break
-
-
 def _explore_edge(ev: MarkoffEvaluation, edge: DirectedFareyEdge, eps_edge,
                   kernel=None, node_budget=5_000_000, census_cap=float("inf")):
     """Interior sum 2*sum h(phi(s)) over the open cut-off interval of one
-    boundary edge, with the deferred parabolic cells summed as fans.
+    boundary edge, in one kernel call.
 
     With ``eps_edge`` infinite this is the census scan's exploration: it
     sums nothing, and the fans stop where their traces grow.  The walk
@@ -448,34 +237,8 @@ def _explore_edge(ev: MarkoffEvaluation, edge: DirectedFareyEdge, eps_edge,
     out = kernels.CellOutcome()
     out.census_cap = census_cap
     u, v = edge.s1, edge.s2
-    phi_u, phi_v = ev.phi(u), ev.phi(v)
-    phi_opp = ev.phi(edge.s0)
-    kernel.explore(out, u.num, u.den, phi_u, v.num, v.den, phi_v, phi_opp,
-                   0, eps_edge, node_budget)
-    while out.deferred and not out.stopped(node_budget):
-        kind, u_num, u_den, p_u, v_num, v_den, p_v, p_opp, depth, share = \
-            out.deferred.pop()
-        if kind == kernels.DEFER_MEDIANT:
-            m_num, m_den = u_num + v_num, u_den + v_den
-            phi_m = _snap_parabolic(p_u * p_v - p_opp)
-            out.census.append((m_num, m_den, phi_m))
-            out.add(1.0, 0.0)  # 2 h(+-2) = 1
-            half = 0.5 * share
-            _explore_fan(out, kernel, (m_num, m_den), phi_m, (u_num, u_den),
-                         p_u, p_v, depth + 1, half, node_budget)
-            _explore_fan(out, kernel, (m_num, m_den), phi_m, (v_num, v_den),
-                         p_v, p_u, depth + 1, half, node_budget)
-        elif kind == kernels.DEFER_ENDPOINT:
-            if kernels._near_parabolic(p_u):
-                _explore_fan(out, kernel, (u_num, u_den), _snap_parabolic(p_u),
-                             (v_num, v_den), p_v, p_opp, depth, share,
-                             node_budget)
-            else:
-                _explore_fan(out, kernel, (v_num, v_den), _snap_parabolic(p_v),
-                             (u_num, u_den), p_u, p_opp, depth, share,
-                             node_budget)
-        else:
-            raise InternalError("unknown deferred cell kind %r" % (kind,))
+    kernel.explore(out, u.num, u.den, ev.phi(u), v.num, v.den, ev.phi(v),
+                   ev.phi(edge.s0), 0, eps_edge, node_budget)
     if out.elliptic is not None:
         num, den, val = out.elliptic
         raise NotGeometricEvaluationError(Slope(num, den), val)
@@ -490,7 +253,7 @@ def _boundary_trace(ev, slope, records):
     """
     val = ev.phi(slope)
     if kernels._near_parabolic(val):
-        val = _snap_parabolic(val)
+        val = kernels._snap_parabolic(val)
     elif kernels._is_elliptic(val):
         raise NotGeometricEvaluationError(slope, val)
     if abs(val) <= 2.0 + kernels.CENSUS_TOL:
@@ -507,7 +270,7 @@ def interval_series(r: Slope, ev: MarkoffEvaluation, j: int,
     The series is summed until its tail bound is within ``eps``, split
     evenly over the edges; ``cusp_shape`` gives each of its two series half
     of its own eps.  There is no depth limit, so ``partial`` means only
-    that the node budget or a comb or fan step cap was hit.
+    that the node budget was hit.
 
     ``max_depth`` is ignored.  It is kept only because
     ``perfbench/worker.py::kernel_parity`` passes it, and goes with that
@@ -565,9 +328,9 @@ def census_scan(ev: MarkoffEvaluation, edges: EdgeSystem,
     the geometric-root filters.
 
     Each edge of E1 u E2 is explored by the series' own driver
-    (``_explore_edge``) with an infinite eps share: the same kernel, the
-    same deferred parabolic cells and the same fans, which evaluate no h
-    and stop where their traces grow.  There is no depth limit: a cell is
+    (``_explore_edge``) with an infinite eps share: the same kernel and
+    the same fans, parabolic ones included, which evaluate no h and stop
+    where their traces grow.  There is no depth limit: a cell is
     pruned once its traces provably stay above 2 below it, by the
     criterion C(2 + delta) of the ``kernels`` docstring.
 
@@ -690,7 +453,7 @@ def cusp_shape(r: Slope, eps: float = DEFAULT_EPS,
     Each of the two series gets eps/2, so the report's
     ``tail_bound_1 + tail_bound_2`` stays within ``eps``, which the report
     keeps as requested.  ``partial`` means only that a series hit the node
-    budget or a step cap.
+    budget.
     """
     if not is_hyperbolic(r):
         raise NonHyperbolicError(r)

@@ -165,3 +165,12 @@ class TestParsing:
         code, _, err = run(capsys, "identity", "5/3")
         assert code == 1
         assert "error" in err
+
+    def test_parser_built_once(self, capsys):
+        """Two calls of main build the parser once, on the first call."""
+        from twobridge import cli
+        cli.build_parser.cache_clear()
+        run(capsys, "longitude", "2/5")
+        run(capsys, "identity", "1/3")
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)

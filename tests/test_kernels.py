@@ -30,26 +30,50 @@ def _raw_explore(ev, edge, eps=1e-8):
     return out
 
 
-def test_parabolic_cells_are_deferred():
+def test_explore_walks_parabolic_fans():
+    """explore walks 1/5's parabolic fan itself: 1/5 joins the census at -2
+    exactly, and the one call sums the whole cut-off interval of 2/5's E1
+    edge to its tail bound, with nothing left for the caller."""
+    r = Slope(2, 5)
+    ev = MarkoffEvaluation(r, complex(0.8660254037844387, -0.5))
+    edges = boundary_edge_sets(r)
+    (edge,) = edges.e1
+    out = _raw_explore(ev, edge)
+    assert (1, 5, -2 + 0j) in out.census
+    s1 = out.total + sum(mcshane.h(ev.phi(s)) for s in (edge.s1, edge.s2))
+    fin = mcshane.finite_edge_sums(r, ev, edges=edges, check=False)[0]
+    assert abs(s1 - fin) <= out.tail <= 1e-8
+    assert not out.depth_capped
+
+
+def test_parabolic_fan_steps_count_against_the_node_budget():
+    """Every fan step is a node: with a budget of five, the cell (0/1, 1/5)
+    of 2/5, opposite 1/4, stops in the fan around 1/5 after its own node
+    and four steps."""
     ev = MarkoffEvaluation(Slope(2, 5), complex(0.8660254037844387, -0.5))
-    edges = boundary_edge_sets(Slope(2, 5))
-    out = _raw_explore(ev, edges.e1[0])
-    kinds = {item[0] for item in out.deferred}
-    assert kernels.DEFER_MEDIANT in kinds  # the 1/5 parabolic fan
+    phi = [ev.phi(Slope(*s)) for s in ((0, 1), (1, 5), (1, 4))]
+    assert kernels._near_parabolic(phi[1])
+    out = kernels.CellOutcome()
+    kernels.explore(out, 0, 1, phi[0], 1, 5, phi[1], phi[2], 0, 1e-8, 5)
+    assert out.depth_capped and out.nodes == 6
+    assert out.max_depth_seen == 4  # the fan's fourth vertex, 4/21
 
 
 def test_elliptic_abort():
+    """An elliptic endpoint of the root cell is recorded before any node is
+    walked: with a real trace the fan around it would never grow."""
     ev = MarkoffEvaluation(Slope(2, 5), 1.5 + 0j)  # real trace: elliptic loops
     edges = boundary_edge_sets(Slope(2, 5))
     out = _raw_explore(ev, edges.e1[0])
     assert out.elliptic is not None
+    assert out.nodes <= 1
 
 
 def test_every_kernel_call_looks_up_the_module_attribute(monkeypatch):
     """perfbench's tracer wraps ``kernels.active_kernel.explore`` by
-    replacing the module attribute.  The census scans (eps = inf), the edge
-    sums and the parabolic fans of 2/5 must all reach the wrapper, so the
-    sum-mode nodes it sees are those ``interval_series`` reports."""
+    replacing the module attribute.  The census scans (eps = inf) and the
+    edge sums of 2/5, parabolic fans included, must all reach the wrapper,
+    so the sum-mode nodes it sees are those ``interval_series`` reports."""
     explore, series = kernels.active_kernel.explore, mcshane.interval_series
     seen, series_nodes = [], []
 
@@ -86,6 +110,13 @@ def test_scan_mode_evaluates_no_h(monkeypatch, evaluation_for):
     assert mcshane.census_scan(ev, edges) == census
 
 
+def _scan_prunes(phi_u, phi_v, phi_opp):
+    """C(SCAN_MODULUS) on a cell (``kernels`` docstring)."""
+    au, av = abs(phi_u), abs(phi_v)
+    return (au >= kernels.SCAN_MODULUS and av >= kernels.SCAN_MODULUS
+            and abs(phi_opp) <= 0.5 * au * av)
+
+
 def _scan_pruned_cells(ev, edges, levels):
     """Cells of the scanned intervals, down to ``levels`` binary levels, on
     which the criterion C(SCAN_MODULUS) first holds: (u, phi_u, v, phi_v,
@@ -95,7 +126,7 @@ def _scan_pruned_cells(ev, edges, levels):
               ev.phi(e.s2), ev.phi(e.s0), 0) for e in edges.e1 + edges.e2]
     while stack:
         u, phi_u, v, phi_v, phi_opp, level = stack.pop()
-        if kernels._scan_prunes(phi_u, phi_v, phi_opp):
+        if _scan_prunes(phi_u, phi_v, phi_opp):
             found.append((u, phi_u, v, phi_v, phi_opp))
         elif level < levels:
             m, phi_m = (u[0] + v[0], u[1] + v[1]), phi_u * phi_v - phi_opp
@@ -113,7 +144,7 @@ def _walk_pruned_subtree(phi_u, phi_v, phi_opp, levels):
     checked = 0
     while stack:
         phi_u, phi_v, phi_opp, level = stack.pop()
-        assert kernels._scan_prunes(phi_u, phi_v, phi_opp)
+        assert _scan_prunes(phi_u, phi_v, phi_opp)
         phi_m = phi_u * phi_v - phi_opp
         assert abs(phi_m) > 2.0 + kernels.CENSUS_TOL
         checked += 1
@@ -145,6 +176,6 @@ def test_scan_pruning_is_sound():
         out = kernels.CellOutcome()
         kernels.explore(out, u[0], u[1], phi_u, v[0], v[1], phi_v, phi_opp,
                         0, math.inf)
-        assert out.nodes == 1 and not out.census and not out.deferred
+        assert out.nodes == 1 and not out.census
         checked += _walk_pruned_subtree(phi_u, phi_v, phi_opp, 10)
     assert checked > 100 * len(cells)

@@ -200,33 +200,45 @@ class TestIntervalSeries:
 
     def test_scan_census_matches_series(self, evaluation_for, report_for):
         """The one census scan finds the same slopes with |phi| <= 2 as the
-        series that sums to eps, also on the exceptional slopes, whose
-        parabolic fans the scan explores as the series does."""
-        for rs in ((2, 5), (5, 17), (3, 8), (2, 7), (3, 7), (2, 9), (4, 9),
-                   (2, 11), (5, 11), (2, 13), (6, 13), (7, 15), (2, 15)):
-            r = Slope(*rs)
-            census = census_scan(evaluation_for(r), boundary_edge_sets(r))
-            assert census == {s for s, _ in report_for(r).slopes_small_trace}
+        series that sums to eps, on every hyperbolic slope with p <= 24 that
+        has an accidental parabolic: the scan walks their parabolic fans
+        with the series' own fan walker."""
+        checked = 0
+        for p in range(5, 25):
+            for q in range(1, p):
+                r = Slope(q, p)
+                if math.gcd(q, p) != 1 or not is_hyperbolic(r):
+                    continue
+                rep = report_for(r)
+                if not rep.accidental_parabolics:
+                    continue
+                census = census_scan(evaluation_for(r), boundary_edge_sets(r))
+                assert census == {s for s, _ in rep.slopes_small_trace}, r
+                checked += 1
+        assert checked == 38
 
     def test_scan_explores_off_comb_cells_of_fans(self, evaluation_for,
                                                   monkeypatch):
-        """The census scan of 2/5 walks its parabolic fans with the series'
-        own fan walker: some scan-mode kernel call is an off-comb cell, below
-        the edge's root cell and opposite the parabolic vertex."""
-        calls = []
-        explore = kernels.explore
+        """The census scan of 2/5 walks its parabolic fans with the kernel's
+        own fan walker: the fans push off-comb cells below the edges' root
+        cells, opposite the parabolic vertex, and the scan pops every one."""
+        fan = kernels._fan
+        pushed, stacks = [], []
 
-        def recording(out, *args, **kwargs):
-            calls.append(args)
-            explore(out, *args, **kwargs)
+        def recording(out, stack, *args):
+            size = len(stack)
+            fan(out, stack, *args)
+            pushed.extend(stack[size:])
+            stacks.append(stack)
 
-        monkeypatch.setattr(kernels, "explore", recording)
+        monkeypatch.setattr(kernels, "_fan", recording)
         census_scan(evaluation_for(S25), boundary_edge_sets(S25))
-        scan = [args for args in calls if args[8] == math.inf]
-        assert scan and len(scan) == len(calls)
-        # args[6] is the opposite trace, args[7] the depth
-        assert any(args[7] >= 1 and kernels._near_parabolic(args[6])
-                   for args in scan)
+        # a cell is (u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
+        # depth, eps_share)
+        assert pushed and all(cell[8] == math.inf for cell in pushed)
+        assert any(cell[7] >= 1 and kernels._near_parabolic(cell[6])
+                   for cell in pushed)
+        assert not any(stacks)
 
     @staticmethod
     def _counted_scan(monkeypatch, ev, edges, **kwargs):
@@ -357,15 +369,15 @@ class TestFanTail:
 
         for z in self._grid():
             mz = mp.mpc(z.real, z.imag)
-            assert rel(mcshane._hurwitz_zeta2(z), mp.zeta(2, mz)) <= 1e-14, z
-            assert rel(mcshane._hurwitz_zeta4(z), mp.zeta(4, mz)) <= 1e-14, z
+            assert rel(kernels._hurwitz_zeta2(z), mp.zeta(2, mz)) <= 1e-14, z
+            assert rel(kernels._hurwitz_zeta4(z), mp.zeta(4, mz)) <= 1e-14, z
             # the fans' shifts c/b have |c/b| of 0.5-0.9
             for shift in (0.5, 0.866 + 0.5j, 3j, 40.0):
-                if min((z + shift).real, (z - shift).real) < mcshane._FAN_MIN_RE:
+                if min((z + shift).real, (z - shift).real) < kernels._FAN_MIN_RE:
                     continue
                 ms = mp.mpc(shift.real, shift.imag)
                 ref = mp.digamma(mz + ms) - mp.digamma(mz - ms)
-                assert rel(mcshane._digamma_difference(z, shift), ref) <= 1e-14, \
+                assert rel(kernels._digamma_difference(z, shift), ref) <= 1e-14, \
                     (z, shift)
 
     @pytest.mark.parametrize("a, b, n_stop", [
@@ -388,41 +400,35 @@ class TestFanTail:
             return 2 / g ** 2 + 2 / g ** 4 + 2 / m ** 2
 
         ref = mp.nsum(term, [n_stop + 1, mp.inf], method="euler-maclaurin")
-        value = mcshane._fan_tail_value(a, b, n_stop)
+        value = kernels._fan_tail_value(a, b, n_stop)
         assert float(abs(mp.mpc(value) - ref)) <= 1e-15 * float(abs(ref))
 
     def test_low_argument_raises(self):
         with pytest.raises(InternalError):
-            mcshane._fan_tail_value(-30.0, 1.0, 40)
+            kernels._fan_tail_value(-30.0, 1.0, 40)
 
     @pytest.mark.parametrize("text", ["2/5", "3/7", "11/23"])
     def test_fans_stop_early(self, text, evaluation_for, monkeypatch):
-        """Every fan at eps 1e-8 stops within twice _FAN_MIN_STEPS steps:
-        its remainder falls like n^-5 (the comb-only zeta tail needed up to
-        1 102 steps)."""
+        """Every parabolic fan at eps 1e-8 stops within twice _FAN_MIN_STEPS
+        steps: its remainder falls like n^-5 (the comb-only zeta tail needed
+        up to 1 102 steps).  Each fan step is one node of the kernel."""
         steps = []
-        explore_fan = mcshane._explore_fan
+        fan = kernels._fan
 
-        def counting(out, kernel, *args):
-            calls = []
+        def counting(out, stack, p_num, p_den, t, *args):
+            before = out.nodes
+            fan(out, stack, p_num, p_den, t, *args)
+            if kernels._near_parabolic(t):
+                steps.append(out.nodes - before)
 
-            class Counting:
-                @staticmethod
-                def explore(*a, **kw):
-                    calls.append(1)
-                    return kernel.explore(*a, **kw)
-
-            explore_fan(out, Counting, *args)
-            steps.append(len(calls))
-
-        monkeypatch.setattr(mcshane, "_explore_fan", counting)
+        monkeypatch.setattr(kernels, "_fan", counting)
         r = Slope.parse(text)
         ev = evaluation_for(r)
         fin = finite_edge_sums(r, ev)
         for j in (1, 2):
             res = interval_series(r, ev, j, eps=1e-8)
             assert abs(res.value - fin[j - 1]) <= res.tail_bound <= 1e-8
-        assert steps and max(steps) <= 2 * mcshane._FAN_MIN_STEPS, steps
+        assert steps and max(steps) <= 2 * kernels._FAN_MIN_STEPS, steps
 
 
 class TestCuspShape:
