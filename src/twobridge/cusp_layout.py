@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import GluingMismatchError, InternalError, TwoBridgeError
 from .markoff import MarkoffEvaluation
-from .mcshane import _edge_system, psi
+from .mcshane import psi
 from .slopes import Slope
 
 __all__ = [
@@ -145,7 +145,7 @@ def layout_cusp(r: Slope, ev: MarkoffEvaluation) -> CuspLayout:
     """Lay out the zigzag lines of sigma_2 ... sigma_{c-1} and the
     longitude path across the E1 vertices, on the evaluation's edge
     system."""
-    edges = _edge_system(r, ev)
+    edges = ev.edges
     chain = edges.chain
     triangles = chain.triangles
     c = len(triangles)
@@ -208,7 +208,6 @@ def layout_cusp(r: Slope, ev: MarkoffEvaluation) -> CuspLayout:
 
 def _longitude_path(ev, edges, lines):
     """Join the E1-side vertices; displacements are the psi values."""
-    chain = edges.chain
     line_by_index = {line.triangle_index: line for line in lines}
     path = []
     slopes = []

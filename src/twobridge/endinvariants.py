@@ -111,7 +111,6 @@ class GapSystem:
     depth: int
     rows: tuple
     parabolic_points: tuple  # orbit points of inf and r discovered on the way
-    duplicate_words: int = 0  # distinct group elements producing the same gap
 
     @cached_property
     def gaps(self) -> tuple:
@@ -227,9 +226,8 @@ def gap_intervals(r: Slope, depth: int) -> GapSystem:
 
     rn, rd = r.num, r.den
     ends = ((1, 0, 1, r1.num, r1.den), (2, r2.num, r2.den, 1, 1))
-    found = {}  # (left num, left den, right num, right den) -> row
+    rows = []
     parabolics = set()
-    duplicates = 0
     for (a, b, c, d), _, letters, text in elements:
         # the images of inf and r, denominators made positive
         for n, m in ((a, c), (a * rn + b * rd, c * rn + d * rd)):
@@ -250,13 +248,11 @@ def gap_intervals(r: Slope, depth: int) -> GapSystem:
                 xn, xd, yn, yd = yn, yd, xn, xd
             if yn <= 0 or xn >= xd:
                 continue
-            key = (xn, xd, yn, yd)
-            if key in found:
-                duplicates += 1
-                continue
-            found[key] = key + (source, letters, text)
+            rows.append((xn, xd, yn, yd, source, letters, text))
 
-    rows = sorted(found.values(), key=_exact_key(max(k[1] for k in found)))
+    # distinct reduced words give disjoint gaps (module docstring); a
+    # repeated gap would sort next to itself and fail the overlap check
+    rows.sort(key=_exact_key(max(row[1] for row in rows)))
     for g1, g2 in zip(rows, rows[1:]):
         if g2[0] * g1[3] < g1[2] * g2[1]:
             raise InternalError("gaps %s and %s overlap for r=%s"
@@ -270,8 +266,7 @@ def gap_intervals(r: Slope, depth: int) -> GapSystem:
     points = sorted(parabolics, key=_exact_key(max(m for _, m in parabolics)))
     return GapSystem(r=r, depth=depth, rows=tuple(rows),
                      parabolic_points=tuple(Slope._from_coprime(n, m)
-                                            for n, m in points),
-                     duplicate_words=duplicates)
+                                            for n, m in points))
 
 
 @dataclass(frozen=True)

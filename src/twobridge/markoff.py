@@ -14,6 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath
 
@@ -26,13 +27,7 @@ from .errors import (
     NonHyperbolicError,
     RootFindingError,
 )
-from .slopes import (
-    INFINITY,
-    FareyChain,
-    Slope,
-    farey_chain,
-    is_hyperbolic,
-)
+from .slopes import INFINITY, Slope, is_hyperbolic
 
 __all__ = [
     "MarkoffTriple",
@@ -207,32 +202,39 @@ def residual_bound(poly: TracePolynomial, root) -> float:
     return 1e-10 * poly.max_coeff_abs() * (1.0 + abs(root)) ** max(poly.degree, 0)
 
 
-def trace_polynomial(r: Slope, chain: FareyChain | None = None) -> TracePolynomial:
+def trace_polynomial(r: Slope) -> TracePolynomial:
     """phi(r) as a polynomial in x = phi(0), from the symbolic edge relation
-    pushed along the Farey chain with (phi(inf), phi(0), phi(1)) = (0, x, ix).
+    pushed down the mediant descent to r (``_descend``, the walk of
+    ``MarkoffEvaluation.phi``) from (phi(inf), phi(0), phi(1)) = (0, x, ix).
+    The descent crosses the triangles of r's Farey chain.
 
     The result is checked to be even or odd (``_check_sign_symmetry``).
     """
-    if chain is None:
-        if not is_hyperbolic(r):
-            raise NonHyperbolicError(r)
-        chain = farey_chain(r)
-    x = TracePolynomial.variable((1, 0))
-    ix = TracePolynomial.variable((0, 1))
-    values = {INFINITY: TracePolynomial.zero(), Slope(0, 1): x, Slope(1, 1): ix}
-    current = dict(values)  # slope -> poly on the current triangle
-    for i in range(1, len(chain.triangles)):
-        tri = chain.triangles[i]
-        prev = chain.triangles[i - 1]
-        fresh = chain.new_vertex(i)
-        dropped = next(v for v in prev.vertices if v not in tri.vertices)
-        kept = [v for v in tri.vertices if v != fresh]
-        current = {
-            kept[0]: current[kept[0]],
-            kept[1]: current[kept[1]],
-            fresh: current[kept[0]] * current[kept[1]] - current[dropped],
-        }
-    return _check_sign_symmetry(current[r], r)
+    if not is_hyperbolic(r):
+        raise NonHyperbolicError(r)
+    poly = _descend(r, Slope(0, 1), Slope(1, 1), TracePolynomial.variable((1, 0)),
+                    TracePolynomial.variable((0, 1)), TracePolynomial.zero())
+    return _check_sign_symmetry(poly, r)
+
+
+def _descend(s: Slope, lo: Slope, hi: Slope, phi_lo, phi_hi, phi_opp, seen=None):
+    """phi(s) for s strictly between the Farey neighbours lo < hi, by the
+    edge relation phi(med) = phi(lo) phi(hi) - phi(opp) down the mediant
+    descent, where opp is the third vertex of the triangle on <lo, hi>
+    away from s.  The values are complex numbers or ``TracePolynomial``s;
+    every mediant's value goes into the dict ``seen`` when one is given.
+    """
+    while True:
+        med = lo.mediant(hi)
+        phi_med = phi_lo * phi_hi - phi_opp
+        if seen is not None:
+            seen[med] = phi_med
+        if med == s:
+            return phi_med
+        if s < med:
+            hi, phi_opp, phi_hi = med, phi_hi, phi_med
+        else:
+            lo, phi_opp, phi_lo = med, phi_lo, phi_med
 
 
 def _check_sign_symmetry(poly: TracePolynomial, r) -> TracePolynomial:
@@ -684,20 +686,26 @@ class MarkoffEvaluation:
     map it generates: phi(inf) = 0, phi(0) = x*, phi(1) = i x*.
 
     phi(s) is computed by the canonical mediant walk from <0,1,inf> and every
-    intermediate slope is cached.  ``edges`` keeps r's boundary edge
-    system (``mcshane.EdgeSystem``) and ``finite_sums`` the pair of finite
-    edge sums (``mcshane.finite_edge_sums``) once computed, so one request
-    computes each once.
+    intermediate slope is cached.  ``edges`` is r's boundary edge system
+    (``mcshane.EdgeSystem``), which holds r's Farey chain:
+    ``select_geometric_root`` gives every candidate the one it builds, and
+    an evaluation made on its own builds it the first time it is read.
+    ``finite_sums`` keeps the pair of finite edge sums
+    (``mcshane.finite_edge_sums``) once computed, so one request computes
+    each once.
     """
 
-    def __init__(self, r: Slope, root: complex, chain: FareyChain | None = None):
+    def __init__(self, r: Slope, root: complex):
         self.r = r
         self.root = complex(root)
-        self.chain = chain if chain is not None else farey_chain(r)
         self._cache = {INFINITY: 0j, Slope(0, 1): self.root, Slope(1, 1): 1j * self.root}
         self.selection = None
-        self.edges = None
         self.finite_sums = None
+
+    @cached_property
+    def edges(self):
+        from . import mcshane  # imported here: mcshane imports this module's types
+        return mcshane.boundary_edge_sets(self.r)
 
     def phi(self, s: Slope) -> complex:
         cached = self._cache.get(s)
@@ -710,19 +718,8 @@ class MarkoffEvaluation:
             return val
         m = s.num // s.den
         lo, hi = Slope(m, 1), Slope(m + 1, 1)
-        phi_lo = self.phi(lo)
-        phi_hi = self.phi(hi)
-        phi_opp = 0j  # opposite vertex of <m, m+1> on the inf side
-        while True:
-            med = lo.mediant(hi)
-            phi_med = phi_lo * phi_hi - phi_opp
-            self._cache[med] = phi_med
-            if med == s:
-                return phi_med
-            if s < med:
-                hi, phi_opp, phi_hi = med, phi_hi, phi_med
-            else:
-                lo, phi_opp, phi_lo = med, phi_lo, phi_med
+        # the third vertex of <m, m+1> away from s is inf, with phi(inf) = 0
+        return _descend(s, lo, hi, self.phi(lo), self.phi(hi), 0j, self._cache)
 
     def triple(self, triangle) -> MarkoffTriple:
         a, b, c = triangle.vertices
@@ -788,7 +785,7 @@ def _representative_key(z: complex):
     return (z.real, z.imag)
 
 
-def _rejection(r: Slope, ev: MarkoffEvaluation, edges):
+def _rejection(r: Slope, ev: MarkoffEvaluation):
     """(reason or None, lambda(O) or None, census) for one root class.
 
     The O(chain) checks run first; only a class that passes them is scanned.
@@ -799,7 +796,7 @@ def _rejection(r: Slope, ev: MarkoffEvaluation, edges):
     if abs(ev.root) <= 1e-12:
         return "x = 0 gives the trivial triple", None, ()
     try:
-        s1, s2 = mcshane.finite_edge_sums(r, ev, edges=edges, check=False)
+        s1, s2 = mcshane.finite_edge_sums(r, ev, check=False)
     except DomainError as exc:
         return "zero trace: %s" % exc, None, ()
     lam = 2 * s1
@@ -808,14 +805,13 @@ def _rejection(r: Slope, ev: MarkoffEvaluation, edges):
     if lam.imag <= 1e-12:
         return "Im lambda(O) <= 0", lam, ()
     try:
-        census = mcshane.census_scan(ev, edges)
+        census = mcshane.census_scan(ev)
     except NotGeometricEvaluationError as exc:
         return str(exc), lam, ()
     return None, lam, tuple(sorted(census, key=str))
 
 
-def select_geometric_root(roots, r: Slope,
-                          chain: FareyChain | None = None) -> MarkoffEvaluation:
+def select_geometric_root(roots, r: Slope) -> MarkoffEvaluation:
     """Filter trace-polynomial roots down to the holonomy trace.
 
     The roots are grouped into sign classes {x, -x}, which give the same
@@ -839,13 +835,14 @@ def select_geometric_root(roots, r: Slope,
        median of 616 and at most 4 117 over the 1 966 such rejections on
        the slopes with p <= 40).
 
-    The evaluation returned is the one the checks ran on, so it keeps the
-    finite edge sums of step 3.
+    r's boundary edge system, and with it r's Farey chain, is built here
+    once and given to every candidate as ``edges``.  The evaluation
+    returned is the one the checks ran on, so it keeps that edge system and
+    the finite edge sums of step 3.
 
     Every candidate's report gives the reason it was rejected; the
     selection report is attached to the returned evaluation and to the
     NoGeometricRootError or AmbiguousGeometricRootError raised otherwise.
-    ``chain`` is r's Farey chain, built here unless the caller has it.
     """
     from . import mcshane
 
@@ -854,11 +851,12 @@ def select_geometric_root(roots, r: Slope,
     classes = list(dict.fromkeys(
         max(z, -z, key=_representative_key) + 0j for z in map(complex, roots)))
 
-    edges = mcshane.boundary_edge_sets(r, chain=chain)
+    edges = mcshane.boundary_edge_sets(r)
     survivors = []
     for rep in classes:
-        ev = MarkoffEvaluation(r, rep, chain=edges.chain)
-        reason, lam, census = _rejection(r, ev, edges)
+        ev = MarkoffEvaluation(r, rep)
+        ev.edges = edges
+        reason, lam, census = _rejection(r, ev)
         report.candidates.append(RootCandidateReport(
             rep, reason is None, reason or "passed", lambda_orbifold=lam,
             census=census))
@@ -881,15 +879,10 @@ def select_geometric_root(roots, r: Slope,
     ev = max(survivors, key=lambda item: _representative_key(item[0].root))[0]
     report.selected = ev.root
     ev.selection = report
-    ev.edges = edges
     return ev
 
 
 def geometric_evaluation(r: Slope) -> MarkoffEvaluation:
-    """Full pipeline chain -> polynomial -> roots -> geometric root; the
-    chain is built once and shared by every step."""
-    if not is_hyperbolic(r):
-        raise NonHyperbolicError(r)
-    chain = farey_chain(r)
-    poly = trace_polynomial(r, chain)
-    return select_geometric_root(polynomial_roots(poly), r, chain=chain)
+    """Full pipeline polynomial -> roots -> geometric root; r's Farey chain
+    is built once, with its edge system, by the root selection."""
+    return select_geometric_root(polynomial_roots(trace_polynomial(r)), r)

@@ -13,6 +13,7 @@ lambda(K(r)) = 2 lambda(O(r)) / |K(r)|.  The series are summed by the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import kernels
@@ -123,15 +124,22 @@ def _directed_edge(chain, head_index, s1, s2):
                              head_index=head_index, head_triangle=tri)
 
 
-def boundary_edge_sets(r: Slope, chain: FareyChain | None = None) -> EdgeSystem:
+def boundary_edge_sets(r: Slope) -> EdgeSystem:
     """Enumerate the directed edges with head dual to an inner chain triangle
-    and tail outside the dual path, split into E1, E2 and e-, e+."""
-    if chain is None:
-        chain = farey_chain(r)
-    if not chain.hyperbolic:
-        raise NonHyperbolicError(r)
-    i1, i2 = fundamental_intervals(r, chain)
+    and tail outside the dual path, split into E1, E2 and e-, e+.
+
+    This is the one place that builds r's Farey chain; the edge system
+    keeps it, and ``MarkoffEvaluation.edges`` carries the edge system.  The
+    interval endpoints r1, r2 of the continued fraction are checked to be
+    the vertices of the chain's final triangle other than r.
+    """
+    i1, i2 = fundamental_intervals(r)  # NonHyperbolicError for a non-hyperbolic r
+    chain = farey_chain(r)
     triangles = chain.triangles
+    if set(triangles[-1].vertices) - {r} != {i1.right, i2.left}:
+        raise InternalError(
+            "interval endpoints %s, %s disagree with final chain triangle %s"
+            % (i1.right, i2.left, triangles[-1]))
     c = len(triangles)
 
     e1, e2 = [], []
@@ -167,13 +175,6 @@ def boundary_edge_sets(r: Slope, chain: FareyChain | None = None) -> EdgeSystem:
                       e_minus=e_minus, e_plus=e_plus)
 
 
-def _edge_system(r: Slope, ev: MarkoffEvaluation) -> EdgeSystem:
-    """r's edge system, built once per evaluation and kept on it."""
-    if ev.edges is None:
-        ev.edges = boundary_edge_sets(r, chain=ev.chain)
-    return ev.edges
-
-
 def psi(e: DirectedFareyEdge, ev: MarkoffEvaluation) -> complex:
     """Complex probability phi(s0) / (phi(s1) phi(s2))."""
     denom = ev.phi(e.s1) * ev.phi(e.s2)
@@ -182,16 +183,15 @@ def psi(e: DirectedFareyEdge, ev: MarkoffEvaluation) -> complex:
     return ev.phi(e.s0) / denom
 
 
-def finite_edge_sums(r: Slope, ev: MarkoffEvaluation, edges: EdgeSystem | None = None,
-                     check: bool = True):
+def finite_edge_sums(r: Slope, ev: MarkoffEvaluation, check: bool = True):
     """(sum over E1 of psi, sum over E2 of psi); their total is -1.
 
-    The pair is kept on ``ev.finite_sums``, so the geometric-root filter and
+    The edges are those of the evaluation's edge system ``ev.edges``.  The
+    pair is kept on ``ev.finite_sums``, so the geometric-root filter and
     ``cusp_shape`` sum it once.  With ``check`` the -1 identity and the
     full-sum identity sum_{E(r)} psi = 1 are asserted to 1e-8.
     """
-    if edges is None:
-        edges = boundary_edge_sets(r)
+    edges = ev.edges
     if ev.finite_sums is None:
         ev.finite_sums = (sum((psi(e, ev) for e in edges.e1), 0j),
                           sum((psi(e, ev) for e in edges.e2), 0j))
@@ -216,7 +216,6 @@ class SeriesResult:
     value: complex
     tail_bound: float
     census: tuple          # (Slope, trace) with |trace| <= 2
-    parabolic: tuple       # subset of census snapped to +-2
     depth_used: int
     partial: bool
     nodes: int
@@ -278,16 +277,14 @@ def interval_series(r: Slope, ev: MarkoffEvaluation, j: int,
     """
     if j not in (1, 2):
         raise DomainError("j must be 1 or 2")
-    edges = _edge_system(r, ev)
-    group = edges.e1 if j == 1 else edges.e2
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise DomainError("eps must be positive and finite, got %r" % (eps,))
+    group = ev.edges.e1 if j == 1 else ev.edges.e2
     eps_edge = eps / max(len(group), 1)
 
     total = 0j
     tail = 0.0
     census = {}
-    parabolic = {}
     depth_used = 0
     partial = False
     nodes = 0
@@ -307,27 +304,22 @@ def interval_series(r: Slope, ev: MarkoffEvaluation, j: int,
             census[Slope(num, den)] = val
     for slope, val in boundary_records:
         census[slope] = val
-    for slope, val in census.items():
-        if kernels._near_parabolic(val):
-            parabolic[slope] = val
     order = sorted(census, key=lambda s: (s.den, s.num))
     return SeriesResult(
         value=total,
         tail_bound=tail,
         census=tuple((s, census[s]) for s in order),
-        parabolic=tuple((s, parabolic[s]) for s in order if s in parabolic),
         depth_used=depth_used,
         partial=partial,
         nodes=nodes,
     )
 
 
-def census_scan(ev: MarkoffEvaluation, edges: EdgeSystem,
-                node_budget: int = 150_000):
+def census_scan(ev: MarkoffEvaluation, node_budget: int = 150_000):
     """Slopes with |phi| <= 2 discovered exploring both intervals; used by
     the geometric-root filters.
 
-    Each edge of E1 u E2 is explored by the series' own driver
+    Each edge of E1 u E2 of ``ev.edges`` is explored by the series' own driver
     (``_explore_edge``) with an infinite eps share: the same kernel and
     the same fans, parabolic ones included, which evaluate no h and stop
     where their traces grow.  There is no depth limit: a cell is
@@ -347,7 +339,7 @@ def census_scan(ev: MarkoffEvaluation, edges: EdgeSystem,
     """
     found = set()
     spent = 0
-    for edge in edges.e1 + edges.e2:
+    for edge in ev.edges.e1 + ev.edges.e2:
         records = []
         for s in (edge.s1, edge.s2):
             _boundary_trace(ev, s, records)
@@ -447,8 +439,8 @@ class IdentityReport:
 
 def cusp_shape(r: Slope, eps: float = DEFAULT_EPS,
                ev: MarkoffEvaluation | None = None) -> IdentityReport:
-    """Full pipeline: chain -> trace polynomial -> geometric root -> finite
-    edge sums -> interval series -> cusp moduli.
+    """Full pipeline: trace polynomial -> geometric root and edge system ->
+    finite edge sums -> interval series -> cusp moduli.
 
     Each of the two series gets eps/2, so the report's
     ``tail_bound_1 + tail_bound_2`` stays within ``eps``, which the report
@@ -459,8 +451,7 @@ def cusp_shape(r: Slope, eps: float = DEFAULT_EPS,
         raise NonHyperbolicError(r)
     if ev is None:
         ev = geometric_evaluation(r)
-    edges = _edge_system(r, ev)
-    fin1, fin2 = finite_edge_sums(r, ev, edges=edges, check=True)
+    fin1, fin2 = finite_edge_sums(r, ev, check=True)
     res1 = interval_series(r, ev, 1, eps=0.5 * eps)
     res2 = interval_series(r, ev, 2, eps=0.5 * eps)
 

@@ -121,13 +121,16 @@ class Slope:
 
     @staticmethod
     def parse(text):
+        """Parse "q/p", an integer or "inf"; SlopeError on anything else."""
         text = text.strip()
         if text in ("inf", "infinity", "1/0"):
             return INFINITY
-        if "/" in text:
-            q, p = text.split("/", 1)
-            return Slope(int(q), int(p))
-        return Slope(int(text), 1)
+        q, slash, p = text.partition("/")
+        try:
+            num, den = int(q), int(p) if slash else 1
+        except ValueError:
+            raise SlopeError("malformed slope %r: expected q/p" % text) from None
+        return Slope(num, den)
 
 
 INFINITY = Slope(1, 0)
@@ -304,12 +307,6 @@ class FareyChain:
         """sigma_2, ..., sigma_{c-1} (0-based slice [1:-1])."""
         return self.triangles[1:-1]
 
-    def new_vertex(self, i):
-        """The vertex of triangles[i] absent from triangles[i-1] (i >= 1)."""
-        prev = self.triangles[i - 1].vertex_set()
-        (fresh,) = [v for v in self.triangles[i].vertices if v not in prev]
-        return fresh
-
     def to_json(self):
         return [[str(v) for v in t.vertices] for t in self.triangles]
 
@@ -377,43 +374,29 @@ class Interval:
 
 
 def _interval_endpoints_cf(cf):
-    """The truncations r1, r2 of §-two parity split, as coefficient tuples."""
+    """The truncations r1, r2 of §-two parity split, as coefficient tuples,
+    for a hyperbolic r, whose expansion has at least two coefficients."""
     a = cf.coefficients
-    n = len(a)
-    if n == 1:
-        shorter = (a[0] - 1,) if a[0] > 1 else (1,)
-        longer = shorter
-        # degenerate (non-hyperbolic) case; callers reject it anyway
-        return shorter, longer
     head = a[:-1]
     head_minus = a[:-1] + (a[-1] - 1,)
-    if n % 2 == 1:
+    if len(a) % 2 == 1:
         return head, head_minus
     return head_minus, head
 
 
-def fundamental_intervals(r: Slope, chain: FareyChain | None = None):
+def fundamental_intervals(r: Slope):
     """I1(r) = [0, r1] and I2(r) = [r2, 1].
 
-    r1 and r2 are computed from the parity-split truncations of the continued
-    fraction and cross-checked against the final triangle of r's chain
-    (built here unless the caller passes it), whose non-r vertices are
-    exactly {r1, r2}.
+    r1 and r2 are the parity-split truncations of the continued fraction;
+    no chain is built.  They are the two vertices of the final triangle of
+    r's Farey chain other than r, which ``mcshane.boundary_edge_sets``,
+    the one function holding both, checks.
     """
     if not is_hyperbolic(r):
         raise NonHyperbolicError(r)
-    cf = continued_fraction(r)
-    t1, t2 = _interval_endpoints_cf(cf)
+    t1, t2 = _interval_endpoints_cf(continued_fraction(r))
     r1 = evaluate_cf(t1)
     r2 = evaluate_cf(t2)
-    if chain is None:
-        chain = farey_chain(r)
-    final = set(chain.triangles[-1].vertices) - {r}
-    if final != {r1, r2}:
-        raise InternalError(
-            "interval endpoints %s, %s disagree with final chain triangle %s"
-            % (r1, r2, chain.triangles[-1])
-        )
     if not (r1 < r < r2):
         raise InternalError("expected r1 < r < r2 for %s" % (r,))
     return Interval(ZERO, r1), Interval(r2, ONE)

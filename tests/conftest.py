@@ -1,7 +1,10 @@
 import functools
+import sys
 
 import pytest
 
+import twobridge.cli  # noqa: F401  (loads every module that might hold farey_chain)
+from twobridge import slopes
 from twobridge.markoff import geometric_evaluation
 from twobridge.mcshane import cusp_shape
 from twobridge.slopes import Slope
@@ -27,6 +30,26 @@ def evaluation_for():
 def report_for():
     """Cached identity reports keyed by slope."""
     return lambda r: _report(r.num, r.den)
+
+
+@pytest.fixture
+def count_farey_chains(monkeypatch):
+    """The slopes whose Farey chain is built while the test runs: every
+    twobridge module attribute that refers to ``farey_chain`` is replaced
+    by a counting wrapper."""
+    built = []
+    original = slopes.farey_chain
+
+    def counted(r):
+        built.append(r)
+        return original(r)
+
+    for name, module in list(sys.modules.items()):
+        if name == "twobridge" or name.startswith("twobridge."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return built
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
 from twobridge.cli import main
+from twobridge.slopes import Slope
 
 
 def run(capsys, *argv):
@@ -40,6 +42,18 @@ class TestIdentity:
         t1 = json.loads(out1)["tail_bound_1"]
         t2 = json.loads(out2)["tail_bound_1"]
         assert t2 <= t1
+
+    @pytest.mark.parametrize("command", ["identity", "batch"])
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_rejected(self, capsys, command, eps):
+        """A non-finite eps is a named error, not a walk of the whole node
+        budget (nan) or a series that sums nothing (inf)."""
+        argv = ["identity", "2/5"] if command == "identity" else ["batch", "--pmax", "5"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--eps", eps)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "eps" in err
 
 
 class TestCusp:
@@ -159,12 +173,25 @@ class TestBatch:
             assert row["identity_residual"] < 1e-6
             assert row["lk_formula"] == row["lk_diagram"]
 
+    def test_one_farey_chain_per_row(self, count_farey_chains):
+        """A batch row (cusp shape, both linking numbers, end-invariant case)
+        builds r's Farey chain once, in its edge system."""
+        from twobridge import cli
+        row = next(cli._batch_rows(5, 1e-8))
+        assert row["r"] == "2/5" and count_farey_chains == [Slope(2, 5)]
+
 
 class TestParsing:
     def test_bad_slope_exit_1(self, capsys):
         code, _, err = run(capsys, "identity", "5/3")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("text", ["abc", "2/x", "1/2/3", "2/"])
+    def test_malformed_slope_exit_1(self, capsys, text):
+        code, out, err = run(capsys, "identity", text)
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed slope")
 
     def test_parser_built_once(self, capsys):
         """Two calls of main build the parser once, on the first call."""

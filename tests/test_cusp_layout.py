@@ -30,7 +30,7 @@ class TestLayout:
         probability of its dual directed edge."""
         for rs, layout in layouts.items():
             ev = evaluation_for(Slope(*rs))
-            chain = ev.chain
+            chain = ev.edges.chain
             for line in layout.lines:
                 tri = chain.triangles[line.triangle_index - 1]
                 for j in range(3):

@@ -77,8 +77,20 @@ class TestGapSystem:
             assert all(not g.contains(r) for g in system.gaps)
 
     def test_no_duplicate_gaps_to_depth_8(self):
+        """Distinct reduced words give distinct, disjoint gaps (module
+        docstring): 2 * 3^8 of them, and the overlap check passes."""
         for r in (S25, Slope(3, 7), Slope(3, 8), Slope(5, 17)):
-            assert gap_intervals(r, 8).duplicate_words == 0
+            assert len(gap_intervals(r, 8).rows) == 2 * 3 ** 8
+
+    def test_builds_no_farey_chain(self, count_farey_chains):
+        """Gap systems and slope reduction need only the interval endpoints
+        of the continued fraction."""
+        from twobridge.slopes import reduce_slope
+        r = Slope(5, 17)
+        gap_intervals(r, 6)
+        reduce_slope(Slope(7, 3), r)
+        bowditch_L(S25, depth=0)
+        assert count_farey_chains == []
 
     def test_gap_endpoints_reduce_to_interval_corners(self):
         from twobridge.slopes import reduce_slope

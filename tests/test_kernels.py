@@ -36,12 +36,11 @@ def test_explore_walks_parabolic_fans():
     edge to its tail bound, with nothing left for the caller."""
     r = Slope(2, 5)
     ev = MarkoffEvaluation(r, complex(0.8660254037844387, -0.5))
-    edges = boundary_edge_sets(r)
-    (edge,) = edges.e1
+    (edge,) = ev.edges.e1
     out = _raw_explore(ev, edge)
     assert (1, 5, -2 + 0j) in out.census
     s1 = out.total + sum(mcshane.h(ev.phi(s)) for s in (edge.s1, edge.s2))
-    fin = mcshane.finite_edge_sums(r, ev, edges=edges, check=False)[0]
+    fin = mcshane.finite_edge_sums(r, ev, check=False)[0]
     assert abs(s1 - fin) <= out.tail <= 1e-8
     assert not out.depth_capped
 
@@ -63,8 +62,7 @@ def test_elliptic_abort():
     """An elliptic endpoint of the root cell is recorded before any node is
     walked: with a real trace the fan around it would never grow."""
     ev = MarkoffEvaluation(Slope(2, 5), 1.5 + 0j)  # real trace: elliptic loops
-    edges = boundary_edge_sets(Slope(2, 5))
-    out = _raw_explore(ev, edges.e1[0])
+    out = _raw_explore(ev, ev.edges.e1[0])
     assert out.elliptic is not None
     assert out.nodes <= 1
 
@@ -100,14 +98,13 @@ def test_scan_mode_evaluates_no_h(monkeypatch, evaluation_for):
     h, and its census is unchanged."""
     r = Slope(5, 17)
     ev = evaluation_for(r)
-    edges = boundary_edge_sets(r)
-    census = mcshane.census_scan(ev, edges)
+    census = mcshane.census_scan(ev)
 
     def no_h(x):
         raise AssertionError("h evaluated in scan mode")
 
     monkeypatch.setattr(kernels, "h_func", no_h)
-    assert mcshane.census_scan(ev, edges) == census
+    assert mcshane.census_scan(ev) == census
 
 
 def _scan_prunes(phi_u, phi_v, phi_opp):
@@ -167,7 +164,8 @@ def test_scan_pruning_is_sound():
     for r in rng.sample(slopes, 12):
         edges = boundary_edge_sets(r)
         for root in {z for z in polynomial_roots(trace_polynomial(r)) if z}:
-            ev = MarkoffEvaluation(r, root, chain=edges.chain)
+            ev = MarkoffEvaluation(r, root)
+            ev.edges = edges
             found = _scan_pruned_cells(ev, edges, 6)
             cells += rng.sample(found, min(2, len(found)))
     assert len(cells) >= 200

@@ -79,7 +79,7 @@ def _sympy_trace_polynomial(r):
     for i in range(1, len(chain.triangles)):
         tri = chain.triangles[i]
         prev = chain.triangles[i - 1]
-        fresh = chain.new_vertex(i)
+        (fresh,) = [v for v in tri.vertices if v not in prev.vertices]
         dropped = next(v for v in prev.vertices if v not in tri.vertices)
         kept = [v for v in tri.vertices if v != fresh]
         current = {
@@ -382,18 +382,9 @@ class TestGeometricSelection:
                   if c.root == exact]
         assert not cand.passed and cand.reason.startswith("zero trace")
 
-    def test_chain_built_once(self, monkeypatch):
-        from twobridge import mcshane, slopes
-        built = []
-
-        def counted(r):
-            built.append(r)
-            return farey_chain(r)
-
-        for module in (slopes, markoff, mcshane):
-            monkeypatch.setattr(module, "farey_chain", counted)
+    def test_chain_built_once(self, count_farey_chains):
         geometric_evaluation(Slope(5, 17))
-        assert built == [Slope(5, 17)]
+        assert count_farey_chains == [Slope(5, 17)]
 
     @pytest.mark.parametrize("r", [(3, 7), (5, 17), (3, 8), (5, 12)])
     def test_constraint_residual(self, r, evaluation_for):
@@ -461,7 +452,7 @@ class TestEvaluatePhi:
     def test_markoff_equation_on_chain(self, evaluation_for):
         for r in (S25, Slope(5, 17), Slope(5, 12)):
             ev = evaluation_for(r)
-            for tri in ev.chain.triangles:
+            for tri in ev.edges.chain.triangles:
                 x, y, z = (ev.phi(v) for v in tri.vertices)
                 scale = max(1.0, abs(x), abs(y), abs(z)) ** 3
                 assert abs(x * x + y * y + z * z - x * y * z) <= 1e-10 * scale

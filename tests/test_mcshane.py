@@ -78,6 +78,18 @@ class TestEdgeSets:
         assert str(edges.e_minus.s3) == "inf"
         assert edges.e_plus.s3 == S25
 
+    def test_checks_intervals_against_the_final_triangle(self, monkeypatch):
+        """boundary_edge_sets holds both the continued-fraction endpoints
+        r1, r2 and the chain, and raises if they disagree."""
+        r = Slope(5, 17)
+        edges = boundary_edge_sets(r)
+        assert set(edges.chain.triangles[-1].vertices) == {edges.i1.right, r,
+                                                           edges.i2.left}
+        wrong = mcshane.fundamental_intervals(Slope(4, 13))
+        monkeypatch.setattr(mcshane, "fundamental_intervals", lambda s: wrong)
+        with pytest.raises(InternalError, match="final chain triangle"):
+            boundary_edge_sets(r)
+
     def test_cutoffs_tile_intervals(self):
         for r in (S25, Slope(5, 17), Slope(5, 12), Slope(9, 23)):
             edges = boundary_edge_sets(r)
@@ -212,7 +224,7 @@ class TestIntervalSeries:
                 rep = report_for(r)
                 if not rep.accidental_parabolics:
                     continue
-                census = census_scan(evaluation_for(r), boundary_edge_sets(r))
+                census = census_scan(evaluation_for(r))
                 assert census == {s for s, _ in rep.slopes_small_trace}, r
                 checked += 1
         assert checked == 38
@@ -232,7 +244,7 @@ class TestIntervalSeries:
             stacks.append(stack)
 
         monkeypatch.setattr(kernels, "_fan", recording)
-        census_scan(evaluation_for(S25), boundary_edge_sets(S25))
+        census_scan(evaluation_for(S25))
         # a cell is (u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
         # depth, eps_share)
         assert pushed and all(cell[8] == math.inf for cell in pushed)
@@ -241,7 +253,7 @@ class TestIntervalSeries:
         assert not any(stacks)
 
     @staticmethod
-    def _counted_scan(monkeypatch, ev, edges, **kwargs):
+    def _counted_scan(monkeypatch, ev, **kwargs):
         """(census, or the NotGeometricEvaluationError raised, and the nodes
         explored) of one census scan."""
         nodes = []
@@ -255,17 +267,15 @@ class TestIntervalSeries:
         with monkeypatch.context() as patch:
             patch.setattr(kernels, "explore", counting)
             try:
-                result = census_scan(ev, edges, **kwargs)
+                result = census_scan(ev, **kwargs)
             except NotGeometricEvaluationError as exc:
                 result = exc
         return result, sum(nodes)
 
     def _failing_scan(self, monkeypatch, r, root, **kwargs):
         """(message, nodes explored) of a census scan that fails."""
-        edges = boundary_edge_sets(r)
-        error, nodes = self._counted_scan(
-            monkeypatch, MarkoffEvaluation(r, root, chain=edges.chain), edges,
-            **kwargs)
+        error, nodes = self._counted_scan(monkeypatch, MarkoffEvaluation(r, root),
+                                          **kwargs)
         assert isinstance(error, NotGeometricEvaluationError)
         return str(error), nodes
 
@@ -326,19 +336,19 @@ class TestIntervalSeries:
         """On 2/5's geometric class the budget also cuts the parabolic fans
         and their off-comb cells at most one node past it, for every budget
         up to the nodes the whole scan takes."""
-        edges = boundary_edge_sets(S25)
-        census, total = self._counted_scan(monkeypatch, ev25, edges)
-        assert census == census_scan(ev25, edges) and total > 100
+        census, total = self._counted_scan(monkeypatch, ev25)
+        assert census == census_scan(ev25) and total > 100
         for budget in range(1, total + 1, 7):
             with pytest.raises(NotGeometricEvaluationError) as info:
-                census_scan(ev25, edges, node_budget=budget)
+                census_scan(ev25, node_budget=budget)
             m = re.search(r"(\d+) nodes spent of a budget of", str(info.value))
             assert budget <= int(m.group(1)) <= budget + 1
 
     def test_parabolic_census_figure_eight(self, ev25):
         res1 = interval_series(S25, ev25, 1)
         res2 = interval_series(S25, ev25, 2)
-        paras = {str(s): v for s, v in res1.parabolic + res2.parabolic}
+        paras = {str(s): v for s, v in res1.census + res2.census
+                 if kernels._near_parabolic(v)}
         assert set(paras) == {"1/5", "3/5"}
         for v in paras.values():
             assert abs(abs(v.real) - 2) < 1e-11 and v.imag == 0

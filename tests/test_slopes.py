@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from twobridge.errors import InternalError, NonHyperbolicError, SlopeError
+from twobridge.errors import NonHyperbolicError, SlopeError
 from twobridge.slopes import (
     INFINITY,
     Slope,
@@ -187,11 +187,20 @@ class TestFundamentalIntervals:
         with pytest.raises(NonHyperbolicError):
             fundamental_intervals(Slope(1, 3))
 
-    def test_cross_checks_the_callers_chain(self):
-        r = Slope(5, 17)
-        assert fundamental_intervals(r, farey_chain(r)) == fundamental_intervals(r)
-        with pytest.raises(InternalError):
-            fundamental_intervals(r, farey_chain(Slope(4, 13)))
+    def test_endpoints_are_the_final_triangle(self):
+        """r1 and r2, read off the continued fraction alone, are the two
+        vertices other than r of the last triangle of r's Farey chain."""
+        checked = 0
+        for p in range(5, 61):
+            for q in range(2, p):
+                r = Slope(q, p)
+                if math.gcd(q, p) != 1 or not is_hyperbolic(r):
+                    continue
+                i1, i2 = fundamental_intervals(r)
+                last = farey_chain(r).triangles[-1]
+                assert set(last.vertices) == {i1.right, r, i2.left}, r
+                checked += 1
+        assert checked == 984
 
 
 def _group_generators(r):
