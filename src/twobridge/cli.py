@@ -114,8 +114,9 @@ def _batch_rows(pmax, eps):
             if not is_hyperbolic(r):
                 continue
             report = mcshane.cusp_shape(r, eps=eps)
-            lk = plat.linking_number_formula(r)
-            lk_diag = plat.linking_number_diagram(r)
+            diagram = plat.build_plat(r)
+            lk = plat.linking_number_formula(r, diagram=diagram)
+            lk_diag = plat.linking_number_diagram(r, diagram=diagram)
             case = endinvariants.bowditch_L(r, depth=0).case
             yield {
                 "schema": CSV_SCHEMA_VERSION,
@@ -154,11 +155,20 @@ def cmd_batch(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as other bad input
+    does: argparse's own code 2 means a non-hyperbolic slope here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and then reused, as
     building it costs many times what parsing one command line does."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twobridge",
         description="Cusp shapes, trace identities and end invariants of "
                     "hyperbolic 2-bridge links.  The holonomy trace is a "

@@ -7,6 +7,14 @@ and c(P_{j+3}) = c(P_j) + 1.  No group elements are ever built: the lines
 are laid out purely from psi values, glued on the two generators shared by
 adjacent triangles, and the longitude appears as the path across the
 E1-side vertices whose total displacement is lambda(O(r))/2.
+
+The layout is read off the mediant descent of r's Farey chain, in which
+every inner triangle (lo, med, hi) is ascending and shares <lo, hi> with
+the triangle before it.  A line's slopes are its triangle's vertices in
+that order, except that sigma_2 = <0, 1/2, 1> is rotated to (1/2, 1, 0)
+when r > 1/2.  Each later line is anchored at the previous line's point on
+its first vertex lo, and its point on hi must meet the previous line's next
+point.  The boundary lines fold at 1/2 and at e+.s0.
 """
 
 from __future__ import annotations
@@ -124,20 +132,12 @@ def _delta(ev, a, b, c):
     return ev.phi(c) / (ev.phi(a) * ev.phi(b))
 
 
-def _rotation_with_dropped_last(triangle, dropped):
-    """Rotate the coherent vertex order so `dropped` sits at position 2."""
-    verts = triangle.vertices
-    k = verts.index(dropped)
-    shift = (k - 2) % 3
-    return tuple(verts[(i + shift) % 3] for i in range(3))
-
-
-def _line_from_anchor(ev, index, rotation, anchor):
-    t0, t1, t2 = rotation
+def _line_from_anchor(ev, index, slopes, anchor):
+    t0, t1, t2 = slopes
     p0 = anchor
     p1 = p0 + _delta(ev, t0, t1, t2)
     p2 = p1 + _delta(ev, t1, t2, t0)
-    return ZigzagLine(triangle_index=index, slopes=rotation,
+    return ZigzagLine(triangle_index=index, slopes=slopes,
                       points=(p0, p1, p2, p0 + 1))
 
 
@@ -146,41 +146,24 @@ def layout_cusp(r: Slope, ev: MarkoffEvaluation) -> CuspLayout:
     longitude path across the E1 vertices, on the evaluation's edge
     system."""
     edges = ev.edges
-    chain = edges.chain
-    triangles = chain.triangles
+    triangles = edges.chain.triangles
     c = len(triangles)
     if c < 4:
         raise InternalError("chain too short to lay out a cusp")
 
     scale = max(1.0, abs(ev.root))
 
-    # sigma_2 anchored at 0 on its first generator; its rotation puts the
-    # vertex dropped at sigma_3 last so the gluing normal form applies
-    dropped = next(v for v in triangles[1].vertices
-                   if v not in triangles[2].vertex_set())
-    rotation = _rotation_with_dropped_last(triangles[1], dropped)
-    lines = [_line_from_anchor(ev, 2, rotation, 0j)]
+    # sigma_2 = <0, 1/2, 1> starts, anchored at 0, on the first vertex of
+    # sigma_3: 0, or 1/2 when the descent turns right at 1/2
+    lo, half, hi = triangles[1].vertices
+    slopes = (half, hi, lo) if r > half else (lo, half, hi)
+    lines = [_line_from_anchor(ev, 2, slopes, 0j)]
 
     for i in range(2, c - 1):
         prev_line = lines[-1]
-        prev_tri = triangles[i - 1]
-        tri = triangles[i]
-        shared = tri.shared_edge(prev_tri)
-        prev_dropped = next(v for v in prev_tri.vertices if v not in shared)
-        prev_rot = _rotation_with_dropped_last(prev_tri, prev_dropped)
-        # normal form: (b0, b1, b2) = (a0, new vertex, a1)
-        fresh = next(v for v in tri.vertices if v not in shared)
-        rot = _rotation_with_dropped_last(
-            tri, next(v for v in tri.vertices
-                      if v != fresh and v != prev_rot[0]))
-        if rot[0] != prev_rot[0] or rot[1] != fresh or rot[2] != prev_rot[1]:
-            raise InternalError(
-                "gluing normal form violated between sigma_%d and sigma_%d"
-                % (i, i + 1)
-            )
-        k = prev_line.index_of(prev_rot[0])
-        anchor = prev_line.point(k)
-        line = _line_from_anchor(ev, i + 1, rot, anchor)
+        slopes = triangles[i].vertices
+        k = prev_line.index_of(slopes[0])
+        line = _line_from_anchor(ev, i + 1, slopes, prev_line.point(k))
         mismatch = abs(line.points[2] - prev_line.point(k + 1))
         if mismatch > GLUE_TOL * scale:
             raise GluingMismatchError(
@@ -192,8 +175,8 @@ def layout_cusp(r: Slope, ev: MarkoffEvaluation) -> CuspLayout:
     path, path_slopes = _longitude_path(ev, edges, lines)
     lam_half = path[-1] - path[0]
 
-    fold_minus = _fold_report(lines[0], chain, ev)
-    fold_plus = _fold_report(lines[-1], chain, ev)
+    fold_minus = _fold_report(lines[0], half)
+    fold_plus = _fold_report(lines[-1], edges.e_plus.s0)
 
     return CuspLayout(
         r=r,
@@ -214,15 +197,7 @@ def _longitude_path(ev, edges, lines):
     prev = None
     for e in edges.e1:
         line = line_by_index[e.head_index + 1]  # chain index is 1-based
-        j = None
-        for k in range(3):
-            if line.slope_at(k) == e.s1 and line.slope_at(k + 1) == e.s2:
-                j = k
-                break
-        if j is None:
-            raise InternalError(
-                "edge %s is not ascending-consecutive on its head line" % (e,))
-        start = line.point(j)
+        start = line.point(line.index_of(e.s1))
         step = psi(e, ev)
         if prev is None:
             path.append(start)
@@ -239,14 +214,10 @@ def _longitude_path(ev, edges, lines):
     return path, slopes
 
 
-def _fold_report(line, chain, ev):
-    """Fold data of a boundary line: sigma_2 folds at the slope dropped from
-    sigma_1 (always 1/2), sigma_{c-1} at the slope dropped from sigma_c."""
-    i = line.triangle_index
-    triangles = chain.triangles
-    neighbour = triangles[0] if i == 2 else triangles[-1]
-    fold_slope = next(v for v in triangles[i - 1].vertices
-                      if v not in neighbour.vertex_set())
+def _fold_report(line, fold_slope):
+    """Fold data of a boundary line at ``fold_slope``: 1/2, the vertex
+    sigma_2 adds to sigma_1, or e+.s0, the vertex sigma_c drops from
+    sigma_{c-1}."""
     j = line.index_of(fold_slope)
     spike = line.point(j)
     foot_a = line.point(j - 1)
@@ -256,7 +227,7 @@ def _fold_report(line, chain, ev):
     next_foot = line.point(j + 2)
     centers = (0.5 * (foot_b + next_foot), 0.5 * (next_foot + foot_b + 1))
     return FoldReport(
-        triangle_index=i,
+        triangle_index=line.triangle_index,
         fold_slope=fold_slope,
         spike=spike,
         foot=foot_b,

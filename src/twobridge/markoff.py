@@ -721,10 +721,6 @@ class MarkoffEvaluation:
         # the third vertex of <m, m+1> away from s is inf, with phi(inf) = 0
         return _descend(s, lo, hi, self.phi(lo), self.phi(hi), 0j, self._cache)
 
-    def triple(self, triangle) -> MarkoffTriple:
-        a, b, c = triangle.vertices
-        return MarkoffTriple(self.phi(a), self.phi(b), self.phi(c))
-
     def constraint_residual(self) -> float:
         """|phi(r)| for the defining constraint phi(r) = 0."""
         return abs(self.phi(self.r))

@@ -25,6 +25,9 @@ from .errors import (
 )
 from .markoff import MarkoffEvaluation, geometric_evaluation
 from .slopes import (
+    INFINITY,
+    ONE,
+    ZERO,
     FareyChain,
     Interval,
     Slope,
@@ -32,7 +35,6 @@ from .slopes import (
     fundamental_intervals,
     is_hyperbolic,
     num_components,
-    opposite_vertex,
 )
 
 __all__ = [
@@ -87,7 +89,6 @@ class DirectedFareyEdge:
     s0: Slope
     s3: Slope
     head_index: int  # 0-based index into the chain
-    head_triangle: object
 
     def cutoff_interval(self) -> Interval:
         """The closed arc of R bounded by s1, s2 away from the chain."""
@@ -114,19 +115,21 @@ class EdgeSystem:
         return self.e1 + self.e2 + (self.e_minus, self.e_plus)
 
 
-def _directed_edge(chain, head_index, s1, s2):
-    tri = chain.triangles[head_index]
-    s0 = tri.third_vertex(s1, s2)
-    s3 = opposite_vertex(s1, s2, s0)
-    if not s1.is_infinite and not s2.is_infinite and s2 < s1:
-        s1, s2 = s2, s1
-    return DirectedFareyEdge(s1=s1, s2=s2, s0=s0, s3=s3,
-                             head_index=head_index, head_triangle=tri)
-
-
 def boundary_edge_sets(r: Slope) -> EdgeSystem:
     """Enumerate the directed edges with head dual to an inner chain triangle
     and tail outside the dual path, split into E1, E2 and e-, e+.
+
+    Each inner chain triangle (lo, med, hi) of the mediant descent turns at
+    its mediant, and the turn fixes its boundary edge:
+
+    - r < med: the side edge <med, hi> is in E2, with s0 = lo and s3 the
+      mediant of med and hi; the next triangle drops hi.
+    - r > med: the side edge <lo, med> is in E1, with s0 = hi and s3 the
+      mediant of lo and med; the next triangle drops lo.
+
+    So E1 comes out ascending and E2 descending; E2 is reversed, and both
+    are listed left to right.  e- is <0, 1; 1/2, inf>, and e+ is the last
+    crossed edge, with s0 the vertex sigma_{c-1} drops and s3 = r.
 
     This is the one place that builds r's Farey chain; the edge system
     keeps it, and ``MarkoffEvaluation.edges`` carries the edge system.  The
@@ -136,41 +139,25 @@ def boundary_edge_sets(r: Slope) -> EdgeSystem:
     i1, i2 = fundamental_intervals(r)  # NonHyperbolicError for a non-hyperbolic r
     chain = farey_chain(r)
     triangles = chain.triangles
-    if set(triangles[-1].vertices) - {r} != {i1.right, i2.left}:
+    r1, _, r2 = triangles[-1].vertices
+    if (r1, r2) != (i1.right, i2.left):
         raise InternalError(
             "interval endpoints %s, %s disagree with final chain triangle %s"
             % (i1.right, i2.left, triangles[-1]))
-    c = len(triangles)
 
     e1, e2 = [], []
-    for i in range(1, c - 1):
-        tri = triangles[i]
-        prev_shared = tri.shared_edge(triangles[i - 1])
-        next_shared = tri.shared_edge(triangles[i + 1])
-        verts = list(tri.vertices)
-        pairs = [frozenset((verts[0], verts[1])),
-                 frozenset((verts[1], verts[2])),
-                 frozenset((verts[0], verts[2]))]
-        side = [p for p in pairs if p != prev_shared and p != next_shared]
-        if len(side) != 1:
-            raise InternalError("triangle %s has no unique side edge" % (tri,))
-        u, v = sorted(side[0], key=lambda s: s.as_fraction())
-        edge = _directed_edge(chain, i, u, v)
-        cut = edge.cutoff_interval()
-        if i1.contains_interval(cut):
-            e1.append(edge)
-        elif i2.contains_interval(cut):
-            e2.append(edge)
+    for i in range(1, len(triangles) - 1):
+        lo, med, hi = triangles[i].vertices
+        if r < med:
+            e2.append(DirectedFareyEdge(med, hi, lo, med.mediant(hi), i))
+            dropped = hi
         else:
-            raise InternalError("cut-off interval %s of %s lies in neither I1 nor I2"
-                                % (cut, edge))
-    e1.sort(key=lambda e: e.s1.as_fraction())
-    e2.sort(key=lambda e: e.s1.as_fraction())
+            e1.append(DirectedFareyEdge(lo, med, hi, lo.mediant(med), i))
+            dropped = lo
+    e2.reverse()
 
-    u, v = tuple(triangles[1].shared_edge(triangles[0]))
-    e_minus = _directed_edge(chain, 1, u, v)  # tail triangle is sigma_1
-    u, v = tuple(triangles[-2].shared_edge(triangles[-1]))
-    e_plus = _directed_edge(chain, c - 2, u, v)  # tail triangle is sigma_c
+    e_minus = DirectedFareyEdge(ZERO, ONE, Slope(1, 2), INFINITY, 1)
+    e_plus = DirectedFareyEdge(r1, r2, dropped, r, len(triangles) - 2)
     return EdgeSystem(chain=chain, i1=i1, i2=i2, e1=tuple(e1), e2=tuple(e2),
                       e_minus=e_minus, e_plus=e_plus)
 

@@ -26,7 +26,6 @@ __all__ = [
     "Crossing",
     "PlatDiagram",
     "build_plat",
-    "delta_vector",
     "linking_number_formula",
     "linking_number_diagram",
     "LongitudeClass",
@@ -213,11 +212,6 @@ def _walk(crossings, pos, direction, cid):
     return pos
 
 
-def delta_vector(diagram: PlatDiagram):
-    """delta_k = 0 when the two twisted strings of block k are parallel."""
-    return list(diagram.delta)
-
-
 def linking_number_formula(r: Slope, orientation: str = "default",
                            diagram: PlatDiagram | None = None) -> int:
     """lk(l, K(r)) for the cusp longitude, from the block parities.
@@ -283,8 +277,12 @@ def longitude_class(r: Slope, orientation: str = "default") -> LongitudeClass:
     """Coefficients of the cusp longitude against the preferred longitude
     and meridian; for links the half-integer expression is checked to be
     integral."""
-    diagram = build_plat(r, orientation)
-    lk_ell = linking_number_formula(r, orientation, diagram=diagram)
+    return _longitude_class(build_plat(r, orientation))
+
+
+def _longitude_class(diagram: PlatDiagram) -> LongitudeClass:
+    lk_ell = linking_number_formula(diagram.r, diagram.orientation,
+                                    diagram=diagram)
     cf = diagram.cf
     hyp = all(a % 2 == 0 for a in cf) and len(cf) % 2 == 1
     if diagram.components == 1:
@@ -298,7 +296,7 @@ def longitude_class(r: Slope, orientation: str = "default") -> LongitudeClass:
     if half % 2 != 0:
         raise InternalError(
             "longitude coefficient (lk - 2 lk12)/2 is not integral for %s"
-            % (r,)
+            % (diagram.r,)
         )
     return LongitudeClass(
         components=2, lk_ell_link=lk_ell, pairwise=lk12, a=1, b=half // 2,
@@ -309,14 +307,14 @@ def longitude_class(r: Slope, orientation: str = "default") -> LongitudeClass:
 
 def longitude_json(r: Slope, orientation: str = "default"):
     diagram = build_plat(r, orientation)
-    cls = longitude_class(r, orientation)
+    cls = _longitude_class(diagram)
     return {
         "r": str(r),
         "n": diagram.n,
         "a": list(diagram.cf),
         "orientation": orientation,
         "delta": list(diagram.delta),
-        "lk_formula": linking_number_formula(r, orientation, diagram=diagram),
+        "lk_formula": cls.lk_ell_link,
         "lk_diagram": linking_number_diagram(r, orientation, diagram=diagram),
         "lk_pairwise": cls.pairwise,
         "class": {"a": cls.a, "b": cls.b},

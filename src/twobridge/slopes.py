@@ -240,36 +240,8 @@ class FareyTriangle:
                 raise SlopeError("%s, %s is not a Farey edge" % (a, b))
         object.__setattr__(self, "vertices", v)
 
-    def vertex_set(self):
-        return frozenset(self.vertices)
-
-    def __contains__(self, s):
-        return s in self.vertices
-
-    def shared_edge(self, other):
-        common = self.vertex_set() & other.vertex_set()
-        if len(common) != 2:
-            raise SlopeError("triangles do not share an edge")
-        return common
-
-    def third_vertex(self, u, v):
-        """The vertex other than u and v."""
-        rest = [w for w in self.vertices if w != u and w != v]
-        if len(rest) != 1:
-            raise SlopeError("%s, %s is not an edge of this triangle" % (u, v))
-        return rest[0]
-
     def __str__(self):
         return "<%s>" % ", ".join(str(v) for v in self.vertices)
-
-
-def _coherent(vertices):
-    """Order three pairwise-neighbouring slopes coherently with <0,1,inf>:
-    finite vertices ascending, inf last."""
-    finite = sorted((v for v in vertices if not v.is_infinite),
-                    key=lambda s: Fraction(s.num, s.den))
-    infs = [v for v in vertices if v.is_infinite]
-    return FareyTriangle(tuple(finite + infs))
 
 
 def opposite_vertex(u: Slope, v: Slope, w: Slope) -> Slope:
@@ -314,16 +286,22 @@ class FareyChain:
 def farey_chain(r: Slope) -> FareyChain:
     """Build Sigma(r) by mediant descent from <0,1,inf>.
 
+    Every triangle after the first is (lo, med, hi), med the mediant of lo
+    and hi, already ascending.  The descent goes on with <lo, med> when
+    r < med and with <med, hi> otherwise; this one turn per triangle fixes
+    the chain's combinatorics, and ``mcshane.boundary_edge_sets`` reads the
+    edge system off it.
+
     Works for any r in (0,1); non-hyperbolic slopes are accepted for
     combinatorial experiments and flagged.
     """
     _require_unit_interval(r)
     cf = continued_fraction(r)
-    triangles = [_coherent((ZERO, ONE, INFINITY))]
+    triangles = [FareyTriangle((ZERO, ONE, INFINITY))]
     lo, hi = ZERO, ONE
     while True:
         med = lo.mediant(hi)
-        triangles.append(_coherent((lo, med, hi)))
+        triangles.append(FareyTriangle((lo, med, hi)))
         if med == r:
             break
         if r < med:
@@ -362,9 +340,6 @@ class Interval:
         if s.is_infinite:
             return False
         return self.left < s < self.right
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.left <= other.left and other.right <= self.right
 
     def length(self) -> Fraction:
         return self.right.as_fraction() - self.left.as_fraction()

@@ -193,6 +193,22 @@ class TestParsing:
         assert code == 1 and out == ""
         assert err.startswith("error: malformed slope")
 
+    @pytest.mark.parametrize("argv", [["identity", "2/5", "--bogus"],
+                                      ["identity", "2/5", "--eps", "-inf"]])
+    def test_usage_error_exit_1(self, capsys, argv):
+        """A usage error exits 1, not argparse's 2, which here means a
+        non-hyperbolic slope."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error: " in capsys.readouterr().err
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: " in capsys.readouterr().out
+
     def test_parser_built_once(self, capsys):
         """Two calls of main build the parser once, on the first call."""
         from twobridge import cli

@@ -1,5 +1,6 @@
 """Zigzag layout, folds, longitude path and SVG output."""
 
+import math
 import xml.dom.minidom
 
 import pytest
@@ -12,9 +13,18 @@ from twobridge.cusp_layout import (
 )
 from twobridge.markoff import MarkoffEvaluation
 from twobridge.mcshane import DirectedFareyEdge, boundary_edge_sets, finite_edge_sums, psi
-from twobridge.slopes import Slope, continued_fraction, evaluate_cf, opposite_vertex
+from twobridge.slopes import (
+    Slope,
+    continued_fraction,
+    evaluate_cf,
+    is_hyperbolic,
+    opposite_vertex,
+)
 
 S25 = Slope(2, 5)
+HALF = Slope(1, 2)
+HYPERBOLIC_30 = [Slope(q, p) for p in range(3, 31) for q in range(1, p)
+                 if math.gcd(q, p) == 1 and is_hyperbolic(Slope(q, p))]
 CASES = [(2, 5), (3, 7), (3, 8), (5, 17), (7, 17), (5, 12), (4, 13)]
 
 
@@ -30,9 +40,7 @@ class TestLayout:
         probability of its dual directed edge."""
         for rs, layout in layouts.items():
             ev = evaluation_for(Slope(*rs))
-            chain = ev.edges.chain
             for line in layout.lines:
-                tri = chain.triangles[line.triangle_index - 1]
                 for j in range(3):
                     s1, s2 = line.slope_at(j), line.slope_at(j + 1)
                     s0 = line.slope_at(j + 2)
@@ -40,7 +48,6 @@ class TestLayout:
                         s1=s1, s2=s2, s0=s0,
                         s3=opposite_vertex(s1, s2, s0),
                         head_index=line.triangle_index - 1,
-                        head_triangle=tri,
                     )
                     diff = line.point(j + 1) - line.point(j)
                     assert abs(diff - psi(edge, ev)) <= 1e-9
@@ -87,8 +94,36 @@ class TestLayout:
                                 hit = True
                 assert hit, (s, p)
 
+    def test_lines_follow_the_descent(self, evaluation_for):
+        """Each line's slopes are its chain triangle's vertices, ascending,
+        except sigma_2's, which are (1/2, 1, 0) when r > 1/2; for every
+        hyperbolic slope with p <= 30."""
+        for r in HYPERBOLIC_30:
+            ev = evaluation_for(r)
+            triangles = ev.edges.chain.triangles
+            lines = layout_cusp(r, ev).lines
+            assert [line.triangle_index for line in lines] == \
+                list(range(2, len(triangles)))
+            for line in lines:
+                expected = triangles[line.triangle_index - 1].vertices
+                if line.triangle_index == 2 and r > HALF:
+                    expected = (HALF, Slope(1, 1), Slope(0, 1))
+                assert line.slopes == expected, (r, line.triangle_index)
+
 
 class TestFolds:
+    def test_folds_at_the_dropped_vertices(self, evaluation_for):
+        """sigma_2 folds at 1/2, the vertex it adds to sigma_1, and
+        sigma_{c-1} at e+.s0, the vertex sigma_c drops from it; for every
+        hyperbolic slope with p <= 30."""
+        for r in HYPERBOLIC_30:
+            ev = evaluation_for(r)
+            triangles = ev.edges.chain.triangles
+            layout = layout_cusp(r, ev)
+            assert layout.fold_minus.fold_slope == HALF
+            dropped = set(triangles[-2].vertices) - set(triangles[-1].vertices)
+            assert {layout.fold_plus.fold_slope} == dropped == {ev.edges.e_plus.s0}
+
     def test_fold_slopes(self, layouts):
         for rs, layout in layouts.items():
             r = Slope(*rs)

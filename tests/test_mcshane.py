@@ -24,9 +24,11 @@ from twobridge.mcshane import (
     interval_series,
     psi,
 )
-from twobridge.slopes import Slope, farey_chain, is_hyperbolic
+from twobridge.slopes import INFINITY, Slope, farey_chain, is_hyperbolic, opposite_vertex
 
 S25 = Slope(2, 5)
+HYPERBOLIC_40 = [Slope(q, p) for p in range(3, 41) for q in range(1, p)
+                 if math.gcd(q, p) == 1 and is_hyperbolic(Slope(q, p))]
 
 
 class TestH:
@@ -91,15 +93,41 @@ class TestEdgeSets:
             boundary_edge_sets(r)
 
     def test_cutoffs_tile_intervals(self):
-        for r in (S25, Slope(5, 17), Slope(5, 12), Slope(9, 23)):
+        """In the order the edge system lists them, the cut-off intervals
+        of E1 tile I1 and those of E2 tile I2, for every hyperbolic slope
+        with p <= 40."""
+        for r in HYPERBOLIC_40:
             edges = boundary_edge_sets(r)
             for group, interval in ((edges.e1, edges.i1), (edges.e2, edges.i2)):
-                cuts = sorted((e.cutoff_interval() for e in group),
-                              key=lambda i: i.left.as_fraction())
-                assert cuts[0].left == interval.left
-                assert cuts[-1].right == interval.right
+                cuts = [e.cutoff_interval() for e in group]
+                assert cuts[0].left == interval.left, r
+                assert cuts[-1].right == interval.right, r
                 for a, b in zip(cuts, cuts[1:]):
-                    assert a.right == b.left
+                    assert a.right == b.left, r
+
+    def test_edges_cross_from_head_to_tail(self):
+        """Every edge <s1, s2> is ascending and lies on its head triangle,
+        whose third vertex is s0; s3 is the vertex across <s1, s2>.  The
+        tails of E1 and E2 lie off the chain, every inner triangle heads
+        one of them, and e-, e+ come from sigma_1 (s3 = inf) and sigma_c
+        (s3 = r).  For every hyperbolic slope with p <= 40."""
+        for r in HYPERBOLIC_40:
+            edges = boundary_edge_sets(r)
+            triangles = edges.chain.triangles
+            chain_sets = {frozenset(t.vertices) for t in triangles}
+            for e in edges.all_edges:
+                assert e.s1 < e.s2, (r, e)
+                assert {e.s1, e.s2, e.s0} == set(triangles[e.head_index].vertices)
+                assert opposite_vertex(e.s1, e.s2, e.s0) == e.s3, (r, e)
+            for e in edges.e1 + edges.e2:
+                assert frozenset((e.s1, e.s2, e.s3)) not in chain_sets, (r, e)
+            assert sorted(e.head_index for e in edges.e1 + edges.e2) == \
+                list(range(1, len(triangles) - 1))
+            e_minus, e_plus = edges.e_minus, edges.e_plus
+            assert (e_minus.head_index, e_minus.s3) == (1, INFINITY)
+            assert {e_minus.s1, e_minus.s2, e_minus.s3} == set(triangles[0].vertices)
+            assert (e_plus.head_index, e_plus.s3) == (len(triangles) - 2, r)
+            assert {e_plus.s1, e_plus.s2, e_plus.s3} == set(triangles[-1].vertices)
 
 
 class TestPsi:

@@ -119,8 +119,8 @@ class TestFareyChain:
     def test_chain_5_17_has_seven_triangles(self):
         chain = farey_chain(Slope(5, 17))
         assert len(chain) == 7  # c = 3 + 2 + 2
-        assert S25 not in chain.triangles[-1]
-        assert Slope(5, 17) in chain.triangles[-1]
+        assert S25 not in chain.triangles[-1].vertices
+        assert Slope(5, 17) in chain.triangles[-1].vertices
 
     def test_chain_1_2_flagged(self):
         chain = farey_chain(Slope(1, 2))
@@ -131,7 +131,7 @@ class TestFareyChain:
         for r in (S25, Slope(5, 17), Slope(7, 17), Slope(5, 12)):
             chain = farey_chain(r)
             for t1, t2 in zip(chain.triangles, chain.triangles[1:]):
-                assert len(t1.vertex_set() & t2.vertex_set()) == 2
+                assert len(set(t1.vertices) & set(t2.vertices)) == 2
 
     def test_inner_vertices_lie_in_unit_interval(self):
         for r in (S25, Slope(5, 17), Slope(7, 17)):

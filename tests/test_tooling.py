@@ -1,0 +1,35 @@
+"""The names perfbench's tracer wraps: a refactor that renames one of them
+breaks ``perfbench/run.py --trace 1`` and nothing else."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+from twobridge import kernels
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_layers_exist():
+    """Every function the tracer names exists on its twobridge module (the
+    kernels entry on the active backend)."""
+    for modname, fnames in _tracing().LAYERS.items():
+        owner = (kernels.active_kernel if modname == "kernels"
+                 else importlib.import_module("twobridge." + modname))
+        for fname in fnames:
+            assert callable(getattr(owner, fname, None)), "%s.%s" % (modname, fname)
+
+
+def test_explore_takes_eps_share_tenth():
+    """The tracer reads the kernel's eps share as its tenth argument to
+    split scan nodes from sum nodes."""
+    params = list(inspect.signature(kernels.python_kernel.explore).parameters)
+    assert params[9] == "eps_share"
