@@ -155,6 +155,14 @@ def cmd_batch(args) -> int:
     return 0
 
 
+def positive_int(text):
+    """An int of at least 1, else a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit 1, as other bad input
     does: argparse's own code 2 means a non-hyperbolic slope here."""
@@ -190,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cusp", help="cusp triangulation zigzag layout and SVG")
     common(p, ("json", "svg"))
-    p.add_argument("--periods", type=int, default=2)
+    p.add_argument("--periods", type=positive_int, default=2)
     p.set_defaults(func=cmd_cusp)
 
     p = sub.add_parser("longitude", help="longitude homology class and linking numbers")

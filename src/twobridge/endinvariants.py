@@ -21,8 +21,10 @@ disjoint: a depth-d system has 2 * 3^d gaps, and the enumeration needs no
 test for repeated elements.
 
 Gap endpoints are images of slopes under integer matrices of determinant
-+-1, so they are in lowest terms once their sign is fixed; the gap system
-is built, sorted and checked by integer cross-multiplication.  The printed
++-1, so they are in lowest terms once their sign is fixed.  A gap is one
+integer row of ``GapSystem.rows``, from enumeration to output; the system
+is built, sorted and checked by integer cross-multiplication, and
+``to_json_text`` writes its JSON straight from the rows.  The printed
 covered length is N / D for the exact, unreduced sum N/D of the gap
 lengths; CPython's int / int division is correctly rounded, as is
 ``float`` of a ``Fraction``, so it equals float(covered_length()).
@@ -32,15 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import DomainError, InternalError, NonHyperbolicError
 from .slopes import (
     INFINITY,
-    Interval,
-    ReflectionWord,
     Slope,
+    _IDENTITY,
     _mat_mul,
     fundamental_intervals,
     is_hyperbolic,
@@ -50,7 +50,6 @@ from .slopes import (
 
 __all__ = [
     "is_end_invariant",
-    "Gap",
     "GapSystem",
     "gap_intervals",
     "EndInvariantReport",
@@ -60,7 +59,8 @@ __all__ = [
 
 MAX_GAP_DEPTH = 12
 
-# one gap of GapSystem.to_json() as json.dumps(..., indent=2) writes it
+# one gap of GapSystem.to_json_text(), laid out as json.dumps(..., indent=2)
+# lays out a dict
 _GAP_JSON = """    {
       "interval": [
         "%d/%d",
@@ -78,46 +78,19 @@ def is_end_invariant(s: Slope, r: Slope) -> bool:
 
 
 @dataclass(frozen=True)
-class Gap:
-    """An open interval of the discontinuity domain: the image of the
-    interior of I_1 or I_2 under a reduced reflection word."""
-
-    left: Slope
-    right: Slope
-    source: int  # 1 or 2: which fundamental interval maps here
-    word: ReflectionWord
-
-    @property
-    def interval(self) -> Interval:
-        return Interval(self.left, self.right)
-
-    def contains(self, s: Slope) -> bool:
-        return self.interval.interior_contains(s)
-
-    def length(self) -> Fraction:
-        return self.right.as_fraction() - self.left.as_fraction()
-
-
-@dataclass(frozen=True)
 class GapSystem:
     """The gaps of one depth, sorted, as integer rows
 
-        (left num, left den, right num, right den, source, letters, text)
+        (xn, xd, yn, yd, source, word_length, word_text)
 
-    with ``letters`` the word's letters and ``text`` its string; ``gaps``
-    turns them into ``Gap`` objects on first use."""
+    for the open gap (xn/xd, yn/yd), both fractions in lowest terms with
+    positive denominators, the image of the interior of I_source (1 or 2)
+    under the reduced word of ``word_length`` letters printed as
+    ``word_text``.  ``to_json_text`` is the one JSON writer."""
 
     r: Slope
     depth: int
     rows: tuple
-    parabolic_points: tuple  # orbit points of inf and r discovered on the way
-
-    @cached_property
-    def gaps(self) -> tuple:
-        return tuple(Gap(left=Slope._from_coprime(xn, xd),
-                         right=Slope._from_coprime(yn, yd),
-                         source=source, word=ReflectionWord(letters))
-                     for xn, xd, yn, yd, source, letters, _ in self.rows)
 
     def _covered(self):
         """(N, D), N/D the total gap length inside (0, 1), unreduced.
@@ -146,37 +119,20 @@ class GapSystem:
         """Total gap length inside (0, 1)."""
         return Fraction(*self._covered())
 
-    def to_json(self):
-        num, den = self._covered()
-        return {
-            "r": str(self.r),
-            "depth": self.depth,
-            # a float: the exact sum's denominator can run to thousands of
-            # digits; int / int is correctly rounded (module docstring)
-            "covered_length_in_unit_interval": num / den,
-            "gaps": [
-                {
-                    "interval": ["%d/%d" % (xn, xd), "%d/%d" % (yn, yd)],
-                    "source": source,
-                    "word": text,
-                    "word_length": len(letters),
-                }
-                for xn, xd, yn, yd, source, letters, text in self.rows
-            ],
-        }
-
     def to_json_text(self) -> str:
-        """``json.dumps(self.to_json(), indent=2)``, byte for byte, written
+        """The system's JSON document: ``r``, ``depth``, the covered length
+        as a float and each gap's interval, source, word and word length,
+        laid out as ``json.dumps(..., indent=2)`` would.  It is written
         straight from the rows: with ``indent`` set, ``json`` runs its
         pure-Python encoder, which took half of a cold depth-6 ``endinv``."""
         num, den = self._covered()
-        gaps = ",\n".join([
-            _GAP_JSON % (xn, xd, yn, yd, source, _json_string(text), len(letters))
-            for xn, xd, yn, yd, source, letters, text in self.rows])
+        body = ",\n".join([
+            _GAP_JSON % (xn, xd, yn, yd, source, _json_string(text), length)
+            for xn, xd, yn, yd, source, length, text in self.rows])
         return ('{\n  "r": %s,\n  "depth": %d,\n'
                 '  "covered_length_in_unit_interval": %r,\n  "gaps": %s\n}'
                 % (_json_string(str(self.r)), self.depth, num / den,
-                   "[\n%s\n  ]" % gaps if gaps else "[]"))
+                   "[\n%s\n  ]" % body if body else "[]"))
 
 
 def _exact_key(max_den):
@@ -191,15 +147,11 @@ def _interval_text(num, den, num2, den2, *_):
     return "[%d/%d, %d/%d]" % (num, den, num2, den2)
 
 
-def gap_intervals(r: Slope, depth: int) -> GapSystem:
-    """All gaps w(int I_j) for reduced words w of length <= depth that meet
-    the open unit interval, sorted and checked to be pairwise disjoint."""
-    if depth < 0 or depth > MAX_GAP_DEPTH:
-        raise DomainError("depth must lie in [0, %d]" % MAX_GAP_DEPTH)
-    if not is_hyperbolic(r):
-        raise NonHyperbolicError(r)
-    i1, i2 = fundamental_intervals(r)
-    r1, r2 = i1.right, i2.left
+def _reduced_words(r: Slope, r1: Slope, r2: Slope, depth: int):
+    """(matrix, length, text) for the empty word and each reduced word of
+    length <= depth whose outermost letter is R<r,r1> or R<r,r2>: the only
+    words that can reach (0, 1) (module docstring).  ``text`` lists the
+    letters in the order they act, the outermost last."""
     generators = (
         reflection_in_edge(INFINITY, Slope(0, 1)),
         reflection_in_edge(INFINITY, Slope(1, 1)),
@@ -210,31 +162,32 @@ def gap_intervals(r: Slope, depth: int) -> GapSystem:
 
     # matrix = g1...gd acts as g1(g2(...)): letters apply first-to-last,
     # so each new letter goes in front of the word and on the right of the
-    # matrix.  The outermost letter is chosen at the first level, and only
-    # the r-reflections can reach (0, 1) there (module docstring).
-    frontier = [((1, 0, 0, 1), -1, (), "<empty word>")]
-    elements = list(frontier)
+    # matrix.  The outermost letter is chosen at the first level.
+    yield _IDENTITY, 0, "<empty word>"
+    frontier = [(_IDENTITY, -1, "")]
     choices = (2, 3)
-    for level in range(depth):
+    for length in range(1, depth + 1):
         frontier = [(_mat_mul(matrix, generators[idx].matrix), idx,
-                     (generators[idx],) + letters,
-                     names[idx] + " . " + text if level else names[idx])
-                    for matrix, last, letters, text in frontier
+                     names[idx] + " . " + text if text else names[idx])
+                    for matrix, last, text in frontier
                     for idx in choices if idx != last]
-        elements.extend(frontier)
         choices = (0, 1, 2, 3)
+        for matrix, _, text in frontier:
+            yield matrix, length, text
 
-    rn, rd = r.num, r.den
+
+def gap_intervals(r: Slope, depth: int) -> GapSystem:
+    """All gaps w(int I_j) for reduced words w of length <= depth that meet
+    the open unit interval, sorted and checked to be pairwise disjoint."""
+    if depth < 0 or depth > MAX_GAP_DEPTH:
+        raise DomainError("depth must lie in [0, %d]" % MAX_GAP_DEPTH)
+    if not is_hyperbolic(r):
+        raise NonHyperbolicError(r)
+    i1, i2 = fundamental_intervals(r)
+    r1, r2 = i1.right, i2.left
     ends = ((1, 0, 1, r1.num, r1.den), (2, r2.num, r2.den, 1, 1))
     rows = []
-    parabolics = set()
-    for (a, b, c, d), _, letters, text in elements:
-        # the images of inf and r, denominators made positive
-        for n, m in ((a, c), (a * rn + b * rd, c * rn + d * rd)):
-            if m < 0:
-                n, m = -n, -m
-            if 0 < n < m:
-                parabolics.add((n, m))
+    for (a, b, c, d), length, text in _reduced_words(r, r1, r2, depth):
         for source, un, ud, vn, vd in ends:
             xn, xd = a * un + b * ud, c * un + d * ud
             yn, yd = a * vn + b * vd, c * vn + d * vd
@@ -248,7 +201,7 @@ def gap_intervals(r: Slope, depth: int) -> GapSystem:
                 xn, xd, yn, yd = yn, yd, xn, xd
             if yn <= 0 or xn >= xd:
                 continue
-            rows.append((xn, xd, yn, yd, source, letters, text))
+            rows.append((xn, xd, yn, yd, source, length, text))
 
     # distinct reduced words give disjoint gaps (module docstring); a
     # repeated gap would sort next to itself and fail the overlap check
@@ -257,16 +210,13 @@ def gap_intervals(r: Slope, depth: int) -> GapSystem:
         if g2[0] * g1[3] < g1[2] * g2[1]:
             raise InternalError("gaps %s and %s overlap for r=%s"
                                 % (_interval_text(*g1), _interval_text(*g2), r))
+    rn, rd = r.num, r.den
     for row in rows:
         xn, xd, yn, yd, *_ = row
         if xn * rd < rn * xd and rn * yd < yn * rd:
             raise InternalError("gap %s contains r=%s"
                                 % (_interval_text(*row), r))
-    # never empty: the empty word contributes r itself
-    points = sorted(parabolics, key=_exact_key(max(m for _, m in parabolics)))
-    return GapSystem(r=r, depth=depth, rows=tuple(rows),
-                     parabolic_points=tuple(Slope._from_coprime(n, m)
-                                            for n, m in points))
+    return GapSystem(r=r, depth=depth, rows=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -285,18 +235,10 @@ class EndInvariantReport:
     mirrored: bool
     gap_system: GapSystem
 
-    def to_json(self):
-        return {
-            "r": str(self.r),
-            "case": self.case,
-            "extra_orbits": [str(s) for s in self.extra_orbits],
-            "mirrored": self.mirrored,
-            "gap_system": self.gap_system.to_json(),
-        }
-
     def to_json_text(self) -> str:
-        """``json.dumps(self.to_json(), indent=2)``, byte for byte (see
-        ``GapSystem.to_json_text``)."""
+        """The report's JSON document: ``r``, ``case``, ``extra_orbits``,
+        ``mirrored`` and the ``gap_system`` document, laid out as
+        ``GapSystem.to_json_text`` lays out its own."""
         extras = ",\n".join("    " + _json_string(str(s)) for s in self.extra_orbits)
         return ('{\n  "r": %s,\n  "case": %s,\n  "extra_orbits": %s,\n'
                 '  "mirrored": %s,\n  "gap_system": %s\n}'
@@ -390,16 +332,21 @@ def render_gaps_svg(system: GapSystem, width: int = 900, height: int = 160) -> s
 
 def interval_meets_limit_set(r: Slope, u: Slope, v: Slope, depth: int = 8) -> str:
     """Three-valued test whether the open interval (u, v) meets the limit
-    set: "yes" when an orbit point of inf or r lies inside, "no" when one
-    gap covers it, otherwise "unknown" at this depth."""
+    set: "no" when one gap covers it, "yes" when an image of inf or r under
+    a word of the enumeration lies inside, otherwise "unknown" at this
+    depth."""
     if v < u:
         u, v = v, u
-    system = gap_intervals(r, depth)
-    probe = Interval(u, v)
-    for xn, xd, yn, yd, *_ in system.rows:
+    for xn, xd, yn, yd, *_ in gap_intervals(r, depth).rows:
         if xn * u.den <= u.num * xd and v.num * yd <= yn * v.den:
             return "no"
-    for pt in system.parabolic_points:
-        if probe.interior_contains(pt):
-            return "yes"
+    i1, i2 = fundamental_intervals(r)
+    rn, rd = r.num, r.den
+    for (a, b, c, d), _, _ in _reduced_words(r, i1.right, i2.left, depth):
+        # the images of inf and r, denominators made positive
+        for n, m in ((a, c), (a * rn + b * rd, c * rn + d * rd)):
+            if m < 0:
+                n, m = -n, -m
+            if u.num * m < n * u.den and n * v.den < v.num * m:
+                return "yes"
     return "unknown"

@@ -1,5 +1,5 @@
-"""Markoff triples, symbolic trace polynomials, root finding and the
-selection of the geometric root.
+"""Symbolic trace polynomials, root finding and the selection of the
+geometric root.
 
 The trace of the slope-s loop is phi(s); on every Farey triangle the triple
 (x, y, z) of traces satisfies x^2 + y^2 + z^2 = xyz and across an edge
@@ -30,8 +30,6 @@ from .errors import (
 from .slopes import INFINITY, Slope, is_hyperbolic
 
 __all__ = [
-    "MarkoffTriple",
-    "edge_flip",
     "TracePolynomial",
     "trace_polynomial",
     "polynomial_roots",
@@ -41,43 +39,6 @@ __all__ = [
     "ComplexLength",
     "translation_length",
 ]
-
-MARKOFF_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class MarkoffTriple:
-    """Traces at the three vertices of a Farey triangle, in vertex order."""
-
-    x: complex
-    y: complex
-    z: complex
-
-    def equation_residual(self):
-        x, y, z = self.x, self.y, self.z
-        scale = max(1.0, abs(x), abs(y), abs(z)) ** 3
-        return abs(x * x + y * y + z * z - x * y * z) / scale
-
-    def is_valid(self, tol=MARKOFF_TOL):
-        if self.x == 0 and self.y == 0 and self.z == 0:
-            return False
-        return self.equation_residual() <= tol
-
-    def coords(self):
-        return (self.x, self.y, self.z)
-
-
-def edge_flip(t: MarkoffTriple, vertex_index: int) -> MarkoffTriple:
-    """Replace one coordinate w by (product of the other two) - w."""
-    x, y, z = t.coords()
-    if vertex_index == 0:
-        return MarkoffTriple(y * z - x, y, z)
-    if vertex_index == 1:
-        return MarkoffTriple(x, x * z - y, z)
-    if vertex_index == 2:
-        return MarkoffTriple(x, y, x * y - z)
-    raise DomainError("vertex_index must be 0, 1 or 2")
-
 
 # ---------------------------------------------------------------------------
 # Z[i] polynomials
@@ -122,20 +83,11 @@ class TracePolynomial:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [(0, 0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [(0, 0)] * (n - len(other.coeffs))
-        return TracePolynomial([(p[0] + q[0], p[1] + q[1]) for p, q in zip(a, b)])
-
     def __sub__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [(0, 0)] * (n - len(self.coeffs))
         b = list(other.coeffs) + [(0, 0)] * (n - len(other.coeffs))
         return TracePolynomial([(p[0] - q[0], p[1] - q[1]) for p, q in zip(a, b)])
-
-    def __neg__(self):
-        return TracePolynomial([(-a, -b) for a, b in self.coeffs])
 
     def __mul__(self, other):
         if self.is_zero() or other.is_zero():
@@ -178,9 +130,6 @@ class TracePolynomial:
         if any(c != (0, 0) for c in self.coeffs[:k]):
             raise DomainError("polynomial not divisible by x^%d" % k)
         return TracePolynomial(self.coeffs[k:] or [(0, 0)])
-
-    def to_json(self):
-        return [[a, b] for a, b in self.coeffs]
 
     def __str__(self):
         terms = []

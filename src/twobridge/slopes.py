@@ -57,16 +57,6 @@ class Slope:
     def __setattr__(self, name, value):
         raise AttributeError("Slope is immutable")
 
-    @classmethod
-    def _from_coprime(cls, num, den):
-        """num/den already in lowest terms with den > 0, as the image of a
-        slope under an integer matrix of determinant +-1 is once its sign
-        is fixed; skips the constructor's gcd."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "num", num)
-        object.__setattr__(s, "den", den)
-        return s
-
     @property
     def is_infinite(self):
         return self.den == 0
@@ -274,14 +264,6 @@ class FareyChain:
     def __len__(self):
         return len(self.triangles)
 
-    @property
-    def inner_triangles(self):
-        """sigma_2, ..., sigma_{c-1} (0-based slice [1:-1])."""
-        return self.triangles[1:-1]
-
-    def to_json(self):
-        return [[str(v) for v in t.vertices] for t in self.triangles]
-
 
 def farey_chain(r: Slope) -> FareyChain:
     """Build Sigma(r) by mediant descent from <0,1,inf>.
@@ -335,14 +317,6 @@ class Interval:
         if s.is_infinite:
             return False
         return self.left <= s <= self.right
-
-    def interior_contains(self, s: Slope) -> bool:
-        if s.is_infinite:
-            return False
-        return self.left < s < self.right
-
-    def length(self) -> Fraction:
-        return self.right.as_fraction() - self.left.as_fraction()
 
     def __str__(self):
         return "[%s, %s]" % (self.left, self.right)

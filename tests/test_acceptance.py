@@ -279,9 +279,11 @@ def test_criterion_10_end_invariants():
         prev = None
         for depth in (0, 2, 4, 6):
             system = gap_intervals(r, depth)
-            for g1, g2 in zip(system.gaps, system.gaps[1:]):
-                assert g1.right <= g2.left
-            assert all(not g.contains(r) for g in system.gaps)
+            gaps = [(Slope(xn, xd), Slope(yn, yd))
+                    for xn, xd, yn, yd, *_ in system.rows]
+            for (_, right), (left, _) in zip(gaps, gaps[1:]):
+                assert right <= left
+            assert all(not left < r < right for left, right in gaps)
             cov = system.covered_length()
             assert cov < 1
             if prev is not None:

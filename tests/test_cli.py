@@ -194,7 +194,9 @@ class TestParsing:
         assert err.startswith("error: malformed slope")
 
     @pytest.mark.parametrize("argv", [["identity", "2/5", "--bogus"],
-                                      ["identity", "2/5", "--eps", "-inf"]])
+                                      ["identity", "2/5", "--eps", "-inf"],
+                                      ["cusp", "2/5", "--periods", "0"],
+                                      ["cusp", "2/5", "--periods", "-1"]])
     def test_usage_error_exit_1(self, capsys, argv):
         """A usage error exits 1, not argparse's 2, which here means a
         non-hyperbolic slope."""

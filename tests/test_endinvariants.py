@@ -25,6 +25,28 @@ from twobridge.slopes import (
 S25 = Slope(2, 5)
 
 
+def _gaps(system):
+    """Each row of the system as (left, right, source, word_length,
+    word_text), its endpoints as Slopes."""
+    return [(Slope(xn, xd), Slope(yn, yd), source, length, text)
+            for xn, xd, yn, yd, source, length, text in system.rows]
+
+
+def _generators(r):
+    """The four reflections of the slope group, by printed name."""
+    i1, i2 = fundamental_intervals(r)
+    gens = (reflection_in_edge(INFINITY, Slope(0, 1)),
+            reflection_in_edge(INFINITY, Slope(1, 1)),
+            reflection_in_edge(r, i1.right),
+            reflection_in_edge(r, i2.left))
+    return {str(g): g for g in gens}
+
+
+def _letters(text):
+    """The letter names of a printed word, in the order they act."""
+    return [] if text == "<empty word>" else text.split(" . ")
+
+
 class TestMembership:
     def test_parabolic_fixed_points(self):
         for r in (S25, Slope(3, 7), Slope(5, 12)):
@@ -39,13 +61,7 @@ class TestMembership:
     def test_orbit_points_are_members(self):
         random.seed(13)
         for r in (S25, Slope(3, 8)):
-            i1, i2 = fundamental_intervals(r)
-            gens = (
-                reflection_in_edge(INFINITY, Slope(0, 1)),
-                reflection_in_edge(INFINITY, Slope(1, 1)),
-                reflection_in_edge(r, i1.right),
-                reflection_in_edge(r, i2.left),
-            )
+            gens = tuple(_generators(r).values())
             for _ in range(25):
                 s = r if random.random() < 0.5 else INFINITY
                 for _ in range(6):
@@ -55,10 +71,10 @@ class TestMembership:
 
 class TestGapSystem:
     def test_depth_zero_is_the_fundamental_intervals(self):
-        system = gap_intervals(S25, 0)
-        assert [(str(g.left), str(g.right)) for g in system.gaps] == [
+        gaps = _gaps(gap_intervals(S25, 0))
+        assert [(str(left), str(right)) for left, right, *_ in gaps] == [
             ("0/1", "1/3"), ("1/2", "1/1")]
-        assert [len(g.word) for g in system.gaps] == [0, 0]
+        assert [length for *_, length, _ in gaps] == [0, 0]
 
     def test_monotone_coverage_below_one(self):
         for r in (S25, Slope(3, 7), Slope(5, 17)):
@@ -71,10 +87,10 @@ class TestGapSystem:
 
     def test_gaps_disjoint_and_avoid_r(self):
         for r in (S25, Slope(3, 8), Slope(5, 17)):
-            system = gap_intervals(r, 5)
-            for g1, g2 in zip(system.gaps, system.gaps[1:]):
-                assert g1.right <= g2.left
-            assert all(not g.contains(r) for g in system.gaps)
+            gaps = _gaps(gap_intervals(r, 5))
+            for g1, g2 in zip(gaps, gaps[1:]):
+                assert g1[1] <= g2[0]
+            assert all(not left < r < right for left, right, *_ in gaps)
 
     def test_no_duplicate_gaps_to_depth_8(self):
         """Distinct reduced words give distinct, disjoint gaps (module
@@ -97,25 +113,28 @@ class TestGapSystem:
         r = S25
         i1, i2 = fundamental_intervals(r)
         corners = {i1.left, i1.right, i2.left, i2.right}
-        system = gap_intervals(r, 4)
-        for g in system.gaps:
-            for end in (g.left, g.right):
+        for left, right, *_ in _gaps(gap_intervals(r, 4)):
+            for end in (left, right):
                 s0, _ = reduce_slope(end, r)
                 assert s0 in corners
 
     def test_gap_members_are_not_end_invariants(self):
-        system = gap_intervals(S25, 5)
-        for g in system.gaps[:60]:
-            mid = (g.left.as_fraction() + g.right.as_fraction()) / 2
+        for left, right, *_ in _gaps(gap_intervals(S25, 5))[:60]:
+            mid = (left.as_fraction() + right.as_fraction()) / 2
             assert not is_end_invariant(Slope(mid.numerator, mid.denominator), S25)
 
     def test_words_map_sources_onto_gaps(self):
+        """The printed word, applied letter by letter, maps the source
+        interval's endpoints onto the gap's."""
         i1, i2 = fundamental_intervals(S25)
         ends = {1: (i1.left, i1.right), 2: (i2.left, i2.right)}
-        for g in gap_intervals(S25, 4).gaps:
-            a, b = ends[g.source]
-            image = {g.word.apply(a), g.word.apply(b)}
-            assert image == {g.left, g.right}
+        gens = _generators(S25)
+        for left, right, source, length, text in _gaps(gap_intervals(S25, 4)):
+            image = set(ends[source])
+            for name in _letters(text):
+                image = {gens[name](s) for s in image}
+            assert len(_letters(text)) == length
+            assert image == {left, right}
 
     def test_counts_outer_letters_and_printed_length(self):
         """For every hyperbolic slope with p <= 21 and depth <= 5: 2 * 3^d
@@ -131,10 +150,11 @@ class TestGapSystem:
                          str(reflection_in_edge(r, i2.left))}
                 for depth in range(6):
                     system = gap_intervals(r, depth)
-                    assert len(system.gaps) == 2 * 3 ** depth, (r, depth)
-                    assert all(str(g.word.letters[-1]) in outer
-                               for g in system.gaps if g.word.letters)
-                    printed = system.to_json()["covered_length_in_unit_interval"]
+                    assert len(system.rows) == 2 * 3 ** depth, (r, depth)
+                    assert all(_letters(text)[-1] in outer
+                               for *_, length, text in system.rows if length)
+                    printed = json.loads(system.to_json_text())[
+                        "covered_length_in_unit_interval"]
                     assert printed == float(system.covered_length()), (r, depth)
 
     def test_depth_cap(self):
@@ -192,8 +212,9 @@ class TestBowditchL:
             bowditch_L(Slope(1, 4))
 
     def test_json_text_is_json_dumps(self):
-        """The direct writer gives json.dumps(to_json(), indent=2) byte for
-        byte, mirrored and exceptional slopes included, for p <= 13."""
+        """The direct writer gives json.dumps(doc, indent=2) byte for byte,
+        for the document built here from the report's fields and rows,
+        mirrored and exceptional slopes included, for p <= 13."""
         for p in range(5, 14):
             for q in range(2, p - 1):
                 r = Slope(q, p)
@@ -201,8 +222,30 @@ class TestBowditchL:
                     continue
                 for depth in range(7):
                     rep = bowditch_L(r, depth)
-                    expected = json.dumps(rep.to_json(), indent=2)
-                    assert rep.to_json_text() == expected, (r, depth)
+                    system = rep.gap_system
+                    expected = {
+                        "r": str(r),
+                        "case": rep.case,
+                        "extra_orbits": [str(s) for s in rep.extra_orbits],
+                        "mirrored": rep.mirrored,
+                        "gap_system": {
+                            "r": str(system.r),
+                            "depth": system.depth,
+                            "covered_length_in_unit_interval":
+                                float(system.covered_length()),
+                            "gaps": [
+                                {"interval": ["%d/%d" % (xn, xd),
+                                              "%d/%d" % (yn, yd)],
+                                 "source": source,
+                                 "word": text,
+                                 "word_length": length}
+                                for xn, xd, yn, yd, source, length, text
+                                in system.rows],
+                        },
+                    }
+                    text = rep.to_json_text()
+                    assert json.loads(text) == expected, (r, depth)
+                    assert json.dumps(expected, indent=2) == text, (r, depth)
 
 
 class TestIntervalQuery:
@@ -211,4 +254,9 @@ class TestIntervalQuery:
         assert interval_meets_limit_set(S25, Slope(0, 1), Slope(1, 3)) == "no"
         # a thin window away from known parabolic points at small depth
         assert interval_meets_limit_set(
-            S25, Slope(150, 401), Slope(151, 401), depth=2) in ("unknown", "no", "yes")
+            S25, Slope(150, 401), Slope(151, 401), depth=2) == "unknown"
+
+    def test_window_inside_a_depth_3_gap(self):
+        u, v = Slope(16630, 45549), Slope(16631, 45549)
+        assert interval_meets_limit_set(S25, u, v, depth=2) == "unknown"
+        assert interval_meets_limit_set(S25, u, v, depth=3) == "no"

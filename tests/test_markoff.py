@@ -1,4 +1,4 @@
-"""Markoff triples, trace polynomials, roots and translation lengths."""
+"""Trace polynomials, roots and translation lengths."""
 
 import cmath
 import math
@@ -9,7 +9,6 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, strategies as st
 
 from twobridge import markoff
 from twobridge.errors import (
@@ -20,9 +19,7 @@ from twobridge.errors import (
 )
 from twobridge.markoff import (
     MarkoffEvaluation,
-    MarkoffTriple,
     TracePolynomial,
-    edge_flip,
     geometric_evaluation,
     polynomial_roots,
     select_geometric_root,
@@ -32,41 +29,6 @@ from twobridge.markoff import (
 from twobridge.slopes import INFINITY, Slope, farey_chain, is_hyperbolic
 
 S25 = Slope(2, 5)
-
-complex_values = st.complex_numbers(
-    min_magnitude=0.5, max_magnitude=5, allow_nan=False, allow_infinity=False
-)
-
-
-class TestEdgeFlip:
-    def test_markoff_triple_333(self):
-        t = edge_flip(MarkoffTriple(3, 3, 3), 2)
-        assert t.coords() == (3, 3, 6)
-        assert t.is_valid()
-
-    def test_flip_zero_coordinate(self):
-        x = 1.3 - 0.4j
-        t = MarkoffTriple(0, x, 1j * x)
-        flipped = edge_flip(t, 0)
-        assert flipped.coords() == (1j * x * x, x, 1j * x)
-
-    @given(complex_values, complex_values)
-    def test_involution(self, x, y):
-        t = MarkoffTriple(x, y, x * y - (x + y))  # arbitrary triple
-        for k in (0, 1, 2):
-            back = edge_flip(edge_flip(t, k), k)
-            for a, b in zip(back.coords(), t.coords()):
-                assert abs(a - b) <= 1e-12 * max(1.0, abs(a) ** 2)
-
-    def test_flip_preserves_markoff_equation(self):
-        random.seed(1)
-        for _ in range(200):
-            x = complex(random.uniform(-2, 2), random.uniform(-2, 2))
-            t = MarkoffTriple(0, x, 1j * x)  # valid: x^2 + (ix)^2 = 0
-            assert t.is_valid() or x == 0
-            t2 = edge_flip(t, 0)
-            assert t2.is_valid()
-
 
 def _sympy_trace_polynomial(r):
     """Independent symbolic oracle: the same chain recursion pushed through

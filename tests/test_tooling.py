@@ -1,11 +1,15 @@
 """The names perfbench's tracer wraps: a refactor that renames one of them
-breaks ``perfbench/run.py --trace 1`` and nothing else."""
+breaks ``perfbench/run.py --trace 1`` and nothing else.  And every name a
+module exports: a deleted function left in ``__all__`` breaks only
+``from ... import *``."""
 
 import importlib
 import importlib.util
 import inspect
+import pkgutil
 from pathlib import Path
 
+import twobridge
 from twobridge import kernels
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -33,3 +37,11 @@ def test_explore_takes_eps_share_tenth():
     split scan nodes from sum nodes."""
     params = list(inspect.signature(kernels.python_kernel.explore).parameters)
     assert params[9] == "eps_share"
+
+
+def test_exported_names_exist():
+    """Every name in each twobridge module's ``__all__`` is defined there."""
+    for info in pkgutil.iter_modules(twobridge.__path__):
+        module = importlib.import_module("twobridge." + info.name)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), "%s.%s" % (info.name, name)
