@@ -61,10 +61,25 @@ def cmd_identity(args) -> int:
         _write(_census_csv(report), args.out)
     else:
         _write(json.dumps(report.to_json(), indent=2), args.out)
-    ok = (report.identity_residual <= 1e-6
-          and report.finite_identity_residual <= 1e-9
-          and not report.partial)
-    return 0 if ok else 1
+    failures = _acceptance_failures(report)
+    if failures:
+        print("error: %s fails the acceptance rules: %s"
+              % (r, "; ".join(failures)), file=sys.stderr)
+        return 1
+    return 0
+
+
+def _acceptance_failures(report) -> list:
+    """The acceptance rules an identity report fails, each with its figure."""
+    failures = []
+    if not report.identity_residual <= 1e-6:
+        failures.append("identity residual %.3g > 1e-6" % report.identity_residual)
+    if not report.finite_identity_residual <= 1e-9:
+        failures.append("finite residual %.3g > 1e-9"
+                        % report.finite_identity_residual)
+    if report.partial:
+        failures.append("partial: a series stopped at the node budget")
+    return failures
 
 
 def cmd_cusp(args) -> int:

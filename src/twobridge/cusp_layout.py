@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GluingMismatchError, InternalError, TwoBridgeError
+from .errors import DomainError, GluingMismatchError, InternalError, TwoBridgeError
 from .markoff import MarkoffEvaluation
 from .mcshane import psi
 from .slopes import Slope
@@ -292,12 +292,15 @@ def _fmt(x: float) -> str:
 
 
 def render_svg(layout: CuspLayout, options: dict | None = None) -> str:
-    """Deterministic SVG: one polyline per zigzag line over two fundamental
-    periods, the longitude path highlighted, fold spikes marked."""
+    """Deterministic SVG: one polyline per zigzag line over
+    ``options["periods"]`` fundamental periods (2 by default, at least 1,
+    else DomainError), the longitude path highlighted, fold spikes marked."""
     opts = {"width": 800, "height": 600, "periods": 2, "margin": 40.0}
     if options:
         opts.update(options)
     periods = int(opts["periods"])
+    if periods < 1:
+        raise DomainError("periods must be at least 1, got %r" % (opts["periods"],))
     width = int(opts["width"])
     height = int(opts["height"])
     margin = float(opts["margin"])

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-import mpmath
-
 from .errors import (
     AmbiguousGeometricRootError,
     DomainError,
@@ -221,26 +219,38 @@ def _check_sign_symmetry(poly: TracePolynomial, r) -> TracePolynomial:
 # of them (Neumaier, "Enclosing clusters of zeros of polynomials",
 # J. Comput. Appl. Math. 156 (2003)), so pairwise disjoint disks hold one
 # root each (``_overlapping_disks``).  Where the disks overlap, or Aberth
-# does not converge, the polynomial is solved again in mpmath, doubling
-# the digits until the disks of the rounded roots separate
-# (``_roots_extended``): the precision escalation of MPSolve
-# (Bini-Fiorentino, Numer. Algorithms 23 (2000)).
+# does not converge, the double approximations are refined in the same
+# fixed-point arithmetic (``_refined_roots``): Gauss-Seidel Aberth sweeps
+# on all roots, then a wider Newton polish of each, doubling the width
+# until the disks of the rounded roots separate.  This is the precision
+# escalation of MPSolve (Bini-Fiorentino, Numer. Algorithms 23 (2000)),
+# run in Python integers.
 
-# The polish holds w as (A + iB) / 2**_FIX_BITS, about 48 decimal digits
+# A fixed-point value is w = (A + iB) / 2**f with Python ints A, B.  The
+# polish of a double root runs at f = _FIX_BITS, about 48 decimal digits
 # below the point.  Truncation in the Horner pass leaves noise in the low
-# bits, so A and B are rounded to multiples of 2**(_FIX_BITS - _KEPT_BITS)
-# before the final rounding: a vanishing component, or an exact root such
-# as x = 1, then comes out exact.
+# bits of a root, about sqrt(2) sum_{k<n} |w|^k / |P'(w)| units: at most
+# 2**31 on the trace polynomials with p <= 40, and up to 2**44 on those
+# with 41 <= p <= 64 whose roots need the refinement.  So A and B are
+# rounded to multiples of 2**(f/4), 40 bits at f = 160 and 64 at the
+# refinement's 256, before the final rounding: a vanishing component, or
+# an exact root such as x = 1, then comes out exact.
 _FIX_BITS = 160
-_KEPT_BITS = 120
 _POLISH_ROUNDS = 6
 
-# rounds after which Aberth gives up and the roots escalate
+# The refinement's Aberth sweeps start at _REFINE_BITS, and its Newton
+# polish runs _REFINE_EXTRA_BITS wider, so that a component far below the
+# other (down to 1e-35 on the trace polynomials with p <= 64) still keeps
+# more than a double's 53 bits.  The sweep width doubles while it stays
+# within _MAX_REFINE_BITS, about 400 decimal digits.
+_REFINE_BITS = 192
+_REFINE_EXTRA_BITS = 64
+_MAX_REFINE_BITS = 1330
+
+# rounds after which Aberth gives up and the roots are refined
 _ABERTH_ROUNDS = 1000
 # unit roundoff of a double
 _UNIT = 2.0 ** -53
-# precision escalation gives up past this many digits
-_MAX_DPS = 400
 
 # _P = 2**64 - 59 is prime and _P = 5 (mod 8), so 2 is a quadratic
 # non-residue and 2**((_P - 1) / 4) is a square root of -1: i -> _I_MOD_P
@@ -250,11 +260,11 @@ _I_MOD_P = pow(2, (_P - 1) // 4, _P)
 
 
 def _horner(coeffs, sizes, x):
-    """(P(x), P'(x), sum |c_k| |x|^k) for the complex coeffs and their
-    moduli ``sizes``, both in descending order."""
-    p = dp = 0 * x
+    """(P(x), P'(x), sum |c_k| |x|^k) in double precision for the complex
+    coeffs and their moduli ``sizes``, both in descending order."""
+    p = dp = 0j
     ax = abs(x)
-    size = 0 * ax
+    size = 0.0
     for c, a in zip(coeffs, sizes):
         dp = dp * x + p
         p = p * x + c
@@ -262,29 +272,34 @@ def _horner(coeffs, sizes, x):
     return p, dp, size
 
 
-def _aberth(coeffs, one, pi_val, exp_func, eps=1e-14):
-    """Simultaneous root iteration; ``coeffs`` ascending, constant and
-    leading coefficient nonzero.  Generic over complex/mpc via ``one``.
-
-    The iteration stops after the first round that starts with every
-    |P(z_i)| <= eps * sum |c_k| |z_i|^k, the size of the rounding error of
-    the Horner value itself when eps is a few units of the working
-    precision, and returns (roots, converged).
-    """
+def _circle_start(coeffs):
+    """Aberth's n starting points, on the circle whose radius is the
+    geometric mean of bounds above and below on the moduli of the roots;
+    ``coeffs`` ascending, constant and leading coefficient nonzero."""
     n = len(coeffs) - 1
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
+    monic = [c / coeffs[-1] for c in coeffs]
     upper = 1 + max(abs(c) for c in monic[:-1])
     low_rest = max(abs(c) for c in monic[1:])
     lower = abs(monic[0]) / (abs(monic[0]) + low_rest) if low_rest else 1.0
     radius = (upper * lower) ** 0.5
-    monic.reverse()
-    sizes = [abs(c) for c in monic]
+    return [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4))
+            for k in range(n)]
 
-    z = [
-        one * radius * exp_func(1j * (2 * pi_val * k / n + 0.4))
-        for k in range(n)
-    ]
+
+def _aberth(coeffs):
+    """Simultaneous root iteration in double precision from
+    ``_circle_start``; ``coeffs`` complex, ascending, constant and leading
+    coefficient nonzero.
+
+    The iteration stops after the first round that starts with every
+    |P(z_i)| <= eps * sum |c_k| |z_i|^k, the size of the rounding error of
+    the Horner value itself, and returns (roots, converged).
+    """
+    eps = 1e-14
+    n = len(coeffs) - 1
+    monic = [c / coeffs[-1] for c in reversed(coeffs)]
+    sizes = [abs(c) for c in monic]
+    z = _circle_start(coeffs)
     for _ in range(_ABERTH_ROUNDS):
         converged = True
         for i in range(n):
@@ -298,7 +313,7 @@ def _aberth(coeffs, one, pi_val, exp_func, eps=1e-14):
                 z[i] = zi + eps * (1 + abs(zi))
                 continue
             ratio = p / dp
-            s = 0 * zi
+            s = 0j
             for j in range(n):
                 if j != i:
                     diff = zi - z[j]
@@ -323,14 +338,15 @@ def polynomial_roots(poly: TracePolynomial):
     (see ``_squarefree_mod_p``), and P is then its own squarefree part; the
     others run the exact Euclid over the Gaussian rationals.
 
-    Each Aberth root is polished by Newton's method in 160-bit fixed point
-    against the exact coefficients before it is rounded to a complex, so a
-    root such as x = 1 comes out exact and a real root has imaginary part 0.
-    The roots of each squarefree part are certified: their inclusion disks
-    are pairwise disjoint, so each holds exactly one root and no root is
-    missed or found twice.  Where double precision cannot certify them,
-    mpmath Aberth runs at as many digits as certification needs, and a
-    RootFindingError naming the overlapping roots is raised past _MAX_DPS.
+    Each double Aberth root is polished by Newton's method in 160-bit fixed
+    point against the exact coefficients before it is rounded to a complex,
+    so a root such as x = 1 comes out exact and a real root has imaginary
+    part 0.  The roots of each squarefree part are certified: their
+    inclusion disks are pairwise disjoint, so each holds exactly one root
+    and no root is missed or found twice.  Where the double roots cannot be
+    certified, fixed-point Aberth sweeps refine them from 192 bits, doubling
+    the width as certification needs, and a RootFindingError naming the
+    overlapping roots is raised past _MAX_REFINE_BITS (about 400 digits).
     As a last safety check every returned root is finite and satisfies
     |P(root)| <= 1e-10 * max|coeff| * (1+|root|)^deg, otherwise a
     RootFindingError carrying the partial results is raised.
@@ -338,10 +354,11 @@ def polynomial_roots(poly: TracePolynomial):
     An even P(x) / x^k = Q(x^2), as every trace polynomial gives (see
     ``trace_polynomial``), is solved in y = x^2 at half the degree: the
     squarefree test, the exact gcd, Aberth, the certification and any
-    escalation all run on Q, and each root y is polished against Q.  Then
-    x = sqrt(y) is polished once against P / x^k.  The roots come in pairs
-    x, -x, with x the sign class representative (Re x > 0, ties broken by
-    Im x > 0) and -x its exact negation, which is correctly rounded too.
+    refinement all run on Q, and each root y is polished against Q.  Then
+    x = sqrt(y) is polished once against P / x^k, at the width the y were
+    polished at.  The roots come in pairs x, -x, with x the sign class
+    representative (Re x > 0, ties broken by Im x > 0) and -x its exact
+    negation, which is correctly rounded too.
     """
     if poly.degree < 1:
         raise DomainError("root finding needs degree >= 1")
@@ -376,13 +393,13 @@ def _nonzero_roots(poly: TracePolynomial):
         gcd = _gcd(exact, _exact_coeffs(base.derivative()))
         square_free = _integral(_divmod_monic(exact, gcd)[0])
         repeated = _nonzero_roots(_integral(gcd))
-    simple = _certified_roots(square_free)
+    simple, f = _certified_roots(square_free)
     roots = simple + [min(simple, key=lambda z: abs(z - w)) for w in repeated]
     if not even:
         return roots
     pairs = {}
     for y in simple:
-        x = _polish_exact(poly, cmath.sqrt(y))
+        x = _polish_exact(poly, cmath.sqrt(y), f)
         x = max(x, -x, key=_representative_key)
         # + 0j turns the -0.0 parts of a negation into +0.0
         pairs[y] = (x + 0j, -x + 0j)
@@ -477,91 +494,173 @@ def _integral(a) -> TracePolynomial:
     return TracePolynomial([(re * scale, im * scale) for re, im in a])
 
 
-def _to_fixed(x: float) -> int:
-    """floor(x * 2**_FIX_BITS), exactly."""
+def _to_fixed(x: float, f: int) -> int:
+    """floor(x * 2**f), exactly."""
     num, den = x.as_integer_ratio()
-    return (num << _FIX_BITS) // den
+    return (num << f) // den
 
 
-def _polish_exact(poly: TracePolynomial, z: complex) -> complex:
-    """Newton refinement in fixed point against the exact Z[i] coefficients.
+def _fixed_coeffs(poly: TracePolynomial, f: int):
+    """The Z[i] coefficients at scale 2**f, in descending order."""
+    return [(re << f, im << f) for re, im in reversed(poly.coeffs)]
 
-    The double-precision Aberth roots carry enough error at higher degrees
-    to blur the +-2 parabolic traces of the exceptional slopes.  Here
-    w = (A + iB) / 2**_FIX_BITS with Python ints A, B, and one Horner pass
-    gives P(w) and P'(w) at the same scale.  The iteration stops at
-    P'(w) = 0, after _POLISH_ROUNDS steps, or once a step is at most
-    2**-80 |w|, past which Newton's quadratic convergence leaves nothing
-    above the scale.  The result is rounded to _KEPT_BITS bits below the
-    point and then once to a complex (int true division is correctly
-    rounded).  A non-finite z is returned unchanged, for the residual check
-    to reject.
+
+def _fixed_horner(coeffs, a, b, f):
+    """(Re P(w), Im P(w), Re P'(w), Im P'(w)) at w = (a + ib) / 2**f, all at
+    scale 2**f, for ``_fixed_coeffs(P, f)``; each product is truncated."""
+    p_re, p_im = coeffs[0]
+    d_re = d_im = 0
+    for c_re, c_im in coeffs[1:]:
+        d_re, d_im = (((d_re * a - d_im * b) >> f) + p_re,
+                      ((d_re * b + d_im * a) >> f) + p_im)
+        p_re, p_im = (((p_re * a - p_im * b) >> f) + c_re,
+                      ((p_re * b + p_im * a) >> f) + c_im)
+    return p_re, p_im, d_re, d_im
+
+
+def _fixed_quotient(u_re, u_im, v_re, v_im, f):
+    """u / v at scale 2**f, for u, v at one scale and v != 0:
+    u conj(v) / |v|^2, floored."""
+    norm = v_re * v_re + v_im * v_im
+    return (((u_re * v_re + u_im * v_im) << f) // norm,
+            ((u_im * v_re - u_re * v_im) << f) // norm)
+
+
+def _newton_fixed(coeffs, a, b, f):
+    """Newton's method on w = (a + ib) / 2**f for ``_fixed_coeffs(P, f)``.
+
+    The iteration stops at P'(w) = 0, after _POLISH_ROUNDS steps, or once a
+    step is at most 2**(-f/2) |w|, past which Newton's quadratic
+    convergence leaves nothing above the scale.
     """
-    if not cmath.isfinite(z):
-        return z
-    f = _FIX_BITS
-    a, b = _to_fixed(z.real), _to_fixed(z.imag)
-    coeffs = [(re << f, im << f) for re, im in reversed(poly.coeffs)]
     for _ in range(_POLISH_ROUNDS):
-        p_re, p_im = coeffs[0]
-        d_re = d_im = 0
-        for c_re, c_im in coeffs[1:]:
-            d_re, d_im = (((d_re * a - d_im * b) >> f) + p_re,
-                          ((d_re * b + d_im * a) >> f) + p_im)
-            p_re, p_im = (((p_re * a - p_im * b) >> f) + c_re,
-                          ((p_re * b + p_im * a) >> f) + c_im)
-        norm = d_re * d_re + d_im * d_im
-        if norm == 0:
+        p_re, p_im, d_re, d_im = _fixed_horner(coeffs, a, b, f)
+        if d_re == 0 and d_im == 0:
             break
-        step_re = ((p_re * d_re + p_im * d_im) << f) // norm  # P conj(P') / |P'|^2
-        step_im = ((p_im * d_re - p_re * d_im) << f) // norm
+        step_re, step_im = _fixed_quotient(p_re, p_im, d_re, d_im, f)
         a -= step_re
         b -= step_im
         if (step_re * step_re + step_im * step_im) << f <= a * a + b * b:
-            break  # |step| <= 2**(-f/2) |w|
-    drop = f - _KEPT_BITS
+            break
+    return a, b
+
+
+def _round_fixed(a, b, f) -> complex:
+    """(a + ib) / 2**f rounded to a multiple of 2**(f/4 - f) and then once
+    to a complex (int true division is correctly rounded)."""
+    drop = f // 4
     half = 1 << (drop - 1)
-    return complex(((a + half) >> drop) / (1 << _KEPT_BITS),
-                   ((b + half) >> drop) / (1 << _KEPT_BITS))
+    kept = 1 << (f - drop)
+    return complex(((a + half) >> drop) / kept, ((b + half) >> drop) / kept)
+
+
+def _polish_exact(poly: TracePolynomial, z: complex, f: int = _FIX_BITS) -> complex:
+    """Newton refinement of z in fixed point at scale 2**f against the
+    exact Z[i] coefficients, rounded by ``_round_fixed``.
+
+    The double-precision Aberth roots carry enough error at higher degrees
+    to blur the +-2 parabolic traces of the exceptional slopes.  A
+    non-finite z is returned unchanged, for the residual check to reject.
+    """
+    if not cmath.isfinite(z):
+        return z
+    a, b = _newton_fixed(_fixed_coeffs(poly, f), _to_fixed(z.real, f),
+                         _to_fixed(z.imag, f), f)
+    return _round_fixed(a, b, f)
 
 
 def _certified_roots(poly: TracePolynomial):
-    """The roots of a squarefree P with nonzero constant term, certified by
-    pairwise disjoint inclusion disks; mpmath runs only where the double
-    roots cannot be certified."""
-    z, converged = _aberth([complex(a, b) for a, b in poly.coeffs],
-                           1 + 0j, math.pi, cmath.exp)
+    """(roots, f): the roots of a squarefree P with nonzero constant term,
+    certified by pairwise disjoint inclusion disks, and the fixed-point
+    scale 2**f they were polished at.
+
+    The double Aberth roots are polished at f = _FIX_BITS.  Only where
+    Aberth does not converge or their disks overlap are they refined
+    (``_refined_roots``).
+    """
+    z, converged = _aberth([complex(a, b) for a, b in poly.coeffs])
     if converged:
-        z = [_polish_exact(poly, zi) for zi in z]
-        if not _overlapping_disks(poly, z):
-            return z
-    return _roots_extended(poly)
+        roots = [_polish_exact(poly, zi) for zi in z]
+        if not _overlapping_disks(poly, roots):
+            return roots, _FIX_BITS
+    return _refined_roots(poly, z)
 
 
-def _roots_extended(poly: TracePolynomial):
-    """mpmath Aberth from max(30, n/2 + 25) digits, doubled until the
-    polished roots are certified; past _MAX_DPS digits a RootFindingError
-    names the roots whose disks still overlap."""
-    dps = max(30, poly.degree // 2 + 25)
+def _refined_roots(poly: TracePolynomial, z):
+    """(roots, f) for a squarefree P with nonzero constant term from its
+    double approximations z, as ``_certified_roots`` returns them.
+
+    Gauss-Seidel Aberth sweeps (``_aberth_fixed``) refine all of z at scale
+    2**_REFINE_BITS; a non-finite approximation restarts from its point of
+    ``_circle_start``.  Each root is then polished by Newton's method
+    _REFINE_EXTRA_BITS wider, at scale 2**f, and rounded as
+    ``_polish_exact`` rounds.  While the disks of the rounded roots overlap
+    the sweep width doubles, from the sweeps' last values; past
+    _MAX_REFINE_BITS a RootFindingError names the roots whose disks still
+    overlap.
+    """
+    start = _circle_start([complex(a, b) for a, b in poly.coeffs])
+    bits = _REFINE_BITS
+    w = []
+    for zi, s0 in zip(z, start):
+        zi = zi if cmath.isfinite(zi) else s0
+        w.append((_to_fixed(zi.real, bits), _to_fixed(zi.imag, bits)))
     while True:
-        with mpmath.workdps(dps):
-            coeffs = [mpmath.mpc(a, b) for a, b in poly.coeffs]
-            z, converged = _aberth(coeffs, mpmath.mpc(1, 0), mpmath.pi,
-                                   mpmath.exp, eps=mpmath.mpf(10) ** (6 - dps))
-        z = [_polish_exact(poly, complex(zi)) for zi in z]
-        overlaps = _overlapping_disks(poly, z) if converged else []
-        if converged and not overlaps:
-            return z
-        if 2 * dps > _MAX_DPS:
+        w = _aberth_fixed(_fixed_coeffs(poly, bits), w, bits)
+        f = bits + _REFINE_EXTRA_BITS
+        coeffs = _fixed_coeffs(poly, f)
+        roots = [_round_fixed(*_newton_fixed(coeffs, a << _REFINE_EXTRA_BITS,
+                                             b << _REFINE_EXTRA_BITS, f), f)
+                 for a, b in w]
+        overlaps = _overlapping_disks(poly, roots)
+        if not overlaps:
+            return roots, f
+        if 2 * bits > _MAX_REFINE_BITS:
+            raise RootFindingError(
+                "inclusion disks overlap at %d bits: %s" % (f, ", ".join(
+                    "%s and %s" % (format(roots[i], ".6g"), format(roots[j], ".6g"))
+                    for i, j in overlaps)),
+                partial_roots=roots)
+        w = [(a << bits, b << bits) for a, b in w]
+        bits *= 2
+
+
+def _aberth_fixed(coeffs, w, f):
+    """Gauss-Seidel Aberth sweeps on the roots w_i = (a_i + ib_i) / 2**f of
+    P, for ``_fixed_coeffs(P, f)``: w_i -= P(w_i) / (P'(w_i) - P(w_i) s_i)
+    with s_i the sum of 1 / (w_i - w_j) over the w_j other than w_i itself
+    (and any equal to it).
+
+    The sweeps stop after the first one in which every step is at most
+    2**(-3f/8) |w_i|, half the bits ``_round_fixed`` keeps, or after
+    _ABERTH_ROUNDS of them; past that bound the Newton polish finishes.
+    """
+    w = list(w)
+    tol = f - f // 4
+    for _ in range(_ABERTH_ROUNDS):
+        converged = True
+        for i, (a, b) in enumerate(w):
+            p_re, p_im, d_re, d_im = _fixed_horner(coeffs, a, b, f)
+            s_re = s_im = 0
+            for c, d in w:
+                e_re, e_im = a - c, b - d
+                norm = e_re * e_re + e_im * e_im
+                if norm:  # 1 / e at scale 2**f
+                    s_re += (e_re << 2 * f) // norm
+                    s_im -= (e_im << 2 * f) // norm
+            den_re = d_re - ((p_re * s_re - p_im * s_im) >> f)
+            den_im = d_im - ((p_re * s_im + p_im * s_re) >> f)
+            if den_re == 0 and den_im == 0:
+                continue
+            step_re, step_im = _fixed_quotient(p_re, p_im, den_re, den_im, f)
+            a -= step_re
+            b -= step_im
+            w[i] = (a, b)
+            if (step_re * step_re + step_im * step_im) << tol > a * a + b * b:
+                converged = False
+        if converged:
             break
-        dps *= 2
-    if not converged:
-        message = "Aberth did not converge at %d digits" % dps
-    else:
-        message = "inclusion disks overlap at %d digits: %s" % (dps, ", ".join(
-            "%s and %s" % (format(z[i], ".6g"), format(z[j], ".6g"))
-            for i, j in overlaps))
-    raise RootFindingError(message, partial_roots=z)
+    return w
 
 
 def _overlapping_disks(poly: TracePolynomial, z):
@@ -669,10 +768,6 @@ class MarkoffEvaluation:
         lo, hi = Slope(m, 1), Slope(m + 1, 1)
         # the third vertex of <m, m+1> away from s is inf, with phi(inf) = 0
         return _descend(s, lo, hi, self.phi(lo), self.phi(hi), 0j, self._cache)
-
-    def constraint_residual(self) -> float:
-        """|phi(r)| for the defining constraint phi(r) = 0."""
-        return abs(self.phi(self.r))
 
     def __repr__(self):
         return "MarkoffEvaluation(r=%s, root=%r)" % (self.r, self.root)

@@ -90,10 +90,6 @@ class DirectedFareyEdge:
     s3: Slope
     head_index: int  # 0-based index into the chain
 
-    def cutoff_interval(self) -> Interval:
-        """The closed arc of R bounded by s1, s2 away from the chain."""
-        return Interval(self.s1, self.s2)
-
     def __str__(self):
         return "e(<%s,%s>; head %s)" % (self.s1, self.s2, self.s0)
 
@@ -109,10 +105,6 @@ class EdgeSystem:
     e2: tuple
     e_minus: DirectedFareyEdge
     e_plus: DirectedFareyEdge
-
-    @property
-    def all_edges(self):
-        return self.e1 + self.e2 + (self.e_minus, self.e_plus)
 
 
 def boundary_edge_sets(r: Slope) -> EdgeSystem:

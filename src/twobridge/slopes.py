@@ -172,10 +172,6 @@ class ContinuedFraction:
         return iter(self.coefficients)
 
     @property
-    def is_canonical(self):
-        return self.coefficients[-1] >= 2
-
-    @property
     def total(self):
         """c = sum of the coefficients = number of chain triangles."""
         return sum(self.coefficients)

@@ -43,6 +43,16 @@ class TestIdentity:
         t2 = json.loads(out2)["tail_bound_1"]
         assert t2 <= t1
 
+    def test_failed_acceptance_named(self, capsys):
+        """At eps 0.5 the series of 2/5 stop early: the report is written,
+        and stderr names the rule it fails and by how much."""
+        code, out, err = run(capsys, "identity", "2/5", "--eps", "0.5")
+        assert code == 1
+        residual = json.loads(out)["identity_residual"]
+        assert residual > 1e-6
+        assert err == ("error: 2/5 fails the acceptance rules: "
+                       "identity residual %.3g > 1e-6\n" % residual)
+
     @pytest.mark.parametrize("command", ["identity", "batch"])
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_non_finite_eps_rejected(self, capsys, command, eps):

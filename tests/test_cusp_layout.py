@@ -11,6 +11,7 @@ from twobridge.cusp_layout import (
     layout_cusp,
     render_svg,
 )
+from twobridge.errors import DomainError
 from twobridge.markoff import MarkoffEvaluation
 from twobridge.mcshane import DirectedFareyEdge, boundary_edge_sets, finite_edge_sums, psi
 from twobridge.slopes import (
@@ -199,3 +200,9 @@ class TestSvg:
     def test_default_viewport(self, layouts):
         svg = render_svg(layouts[(2, 5)], {})
         assert 'width="800" height="600"' in svg
+
+    @pytest.mark.parametrize("periods", [0, -1, 0.5])
+    def test_periods_below_one_rejected(self, layouts, periods):
+        """Fewer than one period would draw empty zigzag polylines."""
+        with pytest.raises(DomainError, match="periods"):
+            render_svg(layouts[(2, 5)], {"periods": periods})

@@ -159,29 +159,40 @@ class TestPolynomialRoots:
                 assert abs(a - b) < 1e-6 * (1 + abs(b))
 
     def test_extended_precision(self):
-        """The escalation routine, called directly, certifies the same
-        correctly rounded roots as double precision does."""
+        """The fixed-point refinement, called directly, certifies the same
+        correctly rounded roots as double precision does, from the double
+        approximations and from a start that is off by far more."""
         poly = trace_polynomial(S25)
         poly = poly.shift_down(poly.content_power_of_x())
-        roots = markoff._roots_extended(poly)
-        assert len(roots) == poly.degree
-        assert not markoff._overlapping_disks(poly, roots)
-        assert sorted(roots, key=repr) == sorted(markoff._certified_roots(poly), key=repr)
+        double, f = markoff._certified_roots(poly)
+        assert f == markoff._FIX_BITS
+        for start in (double, [z * (1 + 1e-3j) for z in double]):
+            roots, f = markoff._refined_roots(poly, start)
+            assert f == markoff._REFINE_BITS + markoff._REFINE_EXTRA_BITS
+            assert not markoff._overlapping_disks(poly, roots)
+            assert sorted(roots, key=repr) == sorted(double, key=repr)
         assert min(abs(z - cmath.exp(-1j * cmath.pi / 6)) for z in roots) < 1e-14
 
-    @pytest.mark.parametrize("r", [(5, 27), (9, 17), (39, 41), (2, 47)])
-    def test_roots_correctly_rounded(self, r):
+    @pytest.mark.parametrize("r", [(5, 27), (9, 17), (39, 41), (2, 47),
+                                   (3, 43), (3, 46), (7, 47)])
+    def test_roots_correctly_rounded(self, r, monkeypatch):
         """Each root is the double nearest the exact root: Newton at 80
         digits from the returned value, rounded once, gives it back, and no
         two returned roots refine onto the same root.  Real roots come out
         with imaginary part exactly 0.  On 2/47 the cluster near
         +-1.98218 +- 0.00076i is ill-conditioned in x: its roots certify in
         y = x^2, and each x = sqrt(y) is polished from the y polished
-        against Q."""
+        against Q.  The double roots of 3/43, 3/46 and 7/47 do not certify,
+        so these take the fixed-point refinement, and the others do not."""
+        refined = []
+        refine = markoff._refined_roots
+        monkeypatch.setattr(markoff, "_refined_roots",
+                            lambda poly, z: refined.append(poly) or refine(poly, z))
         poly = trace_polynomial(Slope(*r))
         k = poly.content_power_of_x()
         coeffs = [mpmath.mpc(a, b) for a, b in reversed(poly.shift_down(k).coeffs)]
         roots = polynomial_roots(poly)
+        assert len(refined) == (r in [(3, 43), (3, 46), (7, 47)])
         assert roots[:k] == [0j] * k
         limits = []
         with mpmath.workdps(80):
@@ -199,17 +210,18 @@ class TestPolynomialRoots:
 
     def test_double_roots_certified_up_to_p30(self, monkeypatch):
         """Every squarefree part of a trace polynomial with p <= 30 is
-        certified in double precision: escalation never fires.  Nor does it
-        on 43/45, 39/46, 2/47 and 45/47, whose roots escalated to mpmath
-        while they were found in x rather than in y = x^2."""
+        certified in double precision: the fixed-point refinement never
+        runs.  Nor does it on 43/45, 39/46, 2/47 and 45/47, whose roots
+        needed more than double precision while they were found in x rather
+        than in y = x^2."""
         escalated = []
-        extended = markoff._roots_extended
+        refine = markoff._refined_roots
 
-        def counting(poly):
+        def counting(poly, z):
             escalated.append(poly.degree)
-            return extended(poly)
+            return refine(poly, z)
 
-        monkeypatch.setattr(markoff, "_roots_extended", counting)
+        monkeypatch.setattr(markoff, "_refined_roots", counting)
         slopes = [Slope(q, p) for p in range(3, 31) for q in range(1, p)
                   if math.gcd(q, p) == 1 and is_hyperbolic(Slope(q, p))]
         assert len(slopes) == 220
@@ -224,22 +236,54 @@ class TestPolynomialRoots:
         their disks meet, whether the two are equal or merely close."""
         poly = trace_polynomial(Slope(3, 7))
         poly = poly.shift_down(poly.content_power_of_x())
-        roots = markoff._certified_roots(poly)
+        roots, _ = markoff._certified_roots(poly)
         assert markoff._overlapping_disks(poly, roots) == []
         for copy in (roots[0], roots[0] + 1e-9):
             assert (0, 1) in markoff._overlapping_disks(poly, [roots[0], copy] + roots[2:])
 
+    def test_inseparable_roots_fail_past_the_width_cap(self):
+        """1 and 1 + 2**-60 round to the same double, so their disks meet
+        at every width: the refinement doubles up to its cap and then
+        names them."""
+        e = 2 ** 60
+        poly = TracePolynomial([(e + 1, 0), (-(2 * e + 1), 0), (e, 0)])
+        with pytest.raises(RootFindingError,
+                           match=re.escape("overlap at 832 bits: 1+0j and 1+0j")) as info:
+            polynomial_roots(poly)
+        assert info.value.partial_roots == [1 + 0j, 1 + 0j]
+
     def test_non_finite_root_fails_residual_check(self, monkeypatch):
+        certified = markoff._certified_roots
+
+        def one_nan(poly):
+            z, f = certified(poly)
+            return [complex("nan+nanj")] + z[1:], f
+
+        monkeypatch.setattr(markoff, "_certified_roots", one_nan)
+        with pytest.raises(RootFindingError, match="residual check failed for 2 ") as info:
+            polynomial_roots(trace_polynomial(Slope(3, 7)))
+        # a NaN y = x^2 gives the NaN pair x, -x
+        assert sum(cmath.isnan(z) for z in info.value.partial_roots) == 2
+
+    def test_non_finite_approximation_refined_away(self, monkeypatch):
+        """A NaN among the double approximations fails certification; the
+        refinement restarts it from the circle and finds the root it
+        stood for."""
+        poly = trace_polynomial(Slope(3, 7))
+        want = polynomial_roots(poly)
         aberth = markoff._aberth
 
-        def one_nan(*args, **kwargs):
-            z, converged = aberth(*args, **kwargs)
+        def one_nan(coeffs):
+            z, converged = aberth(coeffs)
             return [complex("nan+nanj")] + z[1:], converged
 
         monkeypatch.setattr(markoff, "_aberth", one_nan)
-        with pytest.raises(RootFindingError) as info:
-            polynomial_roots(trace_polynomial(Slope(3, 7)))
-        assert sum(cmath.isnan(z) for z in info.value.partial_roots) == 1
+        refine = markoff._refined_roots
+        refined = []
+        monkeypatch.setattr(markoff, "_refined_roots",
+                            lambda poly, z: refined.append(z) or refine(poly, z))
+        assert polynomial_roots(poly) == want
+        assert len(refined) == 1 and cmath.isnan(refined[0][0])
 
     def test_exact_gcd_only_for_repeated_roots(self, monkeypatch):
         """The modular test proves every other trace polynomial with p <= 30
@@ -254,7 +298,8 @@ class TestPolynomialRoots:
             return exact_gcd(a, b)
 
         monkeypatch.setattr(markoff, "_gcd", counted)
-        monkeypatch.setattr(markoff, "_certified_roots", lambda poly: [1j] * poly.degree)
+        monkeypatch.setattr(markoff, "_certified_roots",
+                            lambda poly: ([1j] * poly.degree, markoff._FIX_BITS))
         for p in range(3, 31):
             for q in range(1, p):
                 r = Slope(q, p)
@@ -351,7 +396,7 @@ class TestGeometricSelection:
     @pytest.mark.parametrize("r", [(3, 7), (5, 17), (3, 8), (5, 12)])
     def test_constraint_residual(self, r, evaluation_for):
         ev = evaluation_for(Slope(*r))
-        assert ev.constraint_residual() < 1e-9
+        assert abs(ev.phi(ev.r)) < 1e-9
 
 
 class TestEvaluatePhi:

@@ -70,7 +70,7 @@ class TestEdgeSets:
             edges = boundary_edge_sets(r)
             c = len(edges.chain)
             assert len(edges.e1) + len(edges.e2) == c - 2
-            assert len(edges.all_edges) == c
+            assert len(edges.e1 + edges.e2 + (edges.e_minus, edges.e_plus)) == c
 
     def test_2_5_by_hand(self):
         edges = boundary_edge_sets(S25)
@@ -94,16 +94,15 @@ class TestEdgeSets:
 
     def test_cutoffs_tile_intervals(self):
         """In the order the edge system lists them, the cut-off intervals
-        of E1 tile I1 and those of E2 tile I2, for every hyperbolic slope
-        with p <= 40."""
+        [s1, s2] of E1 tile I1 and those of E2 tile I2, for every
+        hyperbolic slope with p <= 40."""
         for r in HYPERBOLIC_40:
             edges = boundary_edge_sets(r)
             for group, interval in ((edges.e1, edges.i1), (edges.e2, edges.i2)):
-                cuts = [e.cutoff_interval() for e in group]
-                assert cuts[0].left == interval.left, r
-                assert cuts[-1].right == interval.right, r
-                for a, b in zip(cuts, cuts[1:]):
-                    assert a.right == b.left, r
+                assert group[0].s1 == interval.left, r
+                assert group[-1].s2 == interval.right, r
+                for a, b in zip(group, group[1:]):
+                    assert a.s2 == b.s1, r
 
     def test_edges_cross_from_head_to_tail(self):
         """Every edge <s1, s2> is ascending and lies on its head triangle,
@@ -115,7 +114,7 @@ class TestEdgeSets:
             edges = boundary_edge_sets(r)
             triangles = edges.chain.triangles
             chain_sets = {frozenset(t.vertices) for t in triangles}
-            for e in edges.all_edges:
+            for e in edges.e1 + edges.e2 + (edges.e_minus, edges.e_plus):
                 assert e.s1 < e.s2, (r, e)
                 assert {e.s1, e.s2, e.s0} == set(triangles[e.head_index].vertices)
                 assert opposite_vertex(e.s1, e.s2, e.s0) == e.s3, (r, e)
@@ -492,8 +491,8 @@ class TestCuspShape:
 
     def test_defect_slope_45_47_passes(self, report_for):
         """45/47 passes every acceptance rule, and its lambda is the mirror
-        of 2/47's.  Double precision finds neither polynomial's roots well
-        enough to certify them; mpmath does."""
+        of 2/47's.  Both polynomials' roots certify in double precision
+        once they are found in y = x^2."""
         rep = report_for(Slope(45, 47))
         assert rep.identity_residual <= 1e-6
         assert rep.finite_identity_residual <= 1e-9

@@ -1,12 +1,15 @@
 """The names perfbench's tracer wraps: a refactor that renames one of them
 breaks ``perfbench/run.py --trace 1`` and nothing else.  And every name a
 module exports: a deleted function left in ``__all__`` breaks only
-``from ... import *``."""
+``from ... import *``.  And the package's start-up: importing the CLI
+loads no mpmath, which only the tests use, as a reference."""
 
 import importlib
 import importlib.util
 import inspect
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import twobridge
@@ -45,3 +48,14 @@ def test_exported_names_exist():
         module = importlib.import_module("twobridge." + info.name)
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), "%s.%s" % (info.name, name)
+
+
+def test_cli_import_leaves_out_mpmath():
+    """``import twobridge.cli`` in a fresh interpreter loads every layer
+    and no mpmath."""
+    src = Path(twobridge.__file__).resolve().parents[1]
+    code = ("import sys; import twobridge.cli; "
+            "print('mpmath' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
