@@ -24,10 +24,17 @@ Gap endpoints are images of slopes under integer matrices of determinant
 +-1, so they are in lowest terms once their sign is fixed.  A gap is one
 integer row of ``GapSystem.rows``, from enumeration to output; the system
 is built, sorted and checked by integer cross-multiplication, and
-``to_json_text`` writes its JSON straight from the rows.  The printed
-covered length is N / D for the exact, unreduced sum N/D of the gap
-lengths; CPython's int / int division is correctly rounded, as is
-``float`` of a ``Fraction``, so it equals float(covered_length()).
+``to_json_text`` writes its JSON straight from the rows.
+
+The printed covered length is the exact total length L of the n gaps
+inside (0, 1), correctly rounded to a double, found in fixed point: with
+k = 64 + bit_length(n), T is the sum of floor(len_i * 2^k), so that
+T <= L * 2^k <= T + n, an error of at most n / 2^k < 2^-64.  CPython's
+int / int division is correctly rounded and rounding is monotone, so when
+T / 2^k and (T + n) / 2^k round to the same double, L rounds to it too,
+and that double is printed.  Otherwise, as when L lies within 2^-64 of a
+rounding boundary, the exact, unreduced sum N/D is built and N / D
+printed.  Either way the printed value is float(covered_length()).
 """
 
 from __future__ import annotations
@@ -92,6 +99,18 @@ class GapSystem:
     depth: int
     rows: tuple
 
+    def _lengths(self):
+        """(num, den) of each gap's nonzero length inside (0, 1), unreduced."""
+        lengths = []
+        for xn, xd, yn, yd, *_ in self.rows:
+            if xn < 0:
+                xn, xd = 0, 1
+            if yn > yd:
+                yn, yd = 1, 1
+            if yn * xd > xn * yd:
+                lengths.append((yn * xd - xn * yd, yd * xd))
+        return lengths
+
     def _covered(self):
         """(N, D), N/D the total gap length inside (0, 1), unreduced.
 
@@ -99,14 +118,7 @@ class GapSystem:
         product multiplies numbers of similar size; nothing is reduced by a
         gcd.
         """
-        terms = []
-        for xn, xd, yn, yd, *_ in self.rows:
-            if xn < 0:
-                xn, xd = 0, 1
-            if yn > yd:
-                yn, yd = 1, 1
-            if yn * xd > xn * yd:
-                terms.append((yn * xd - xn * yd, yd * xd))
+        terms = self._lengths()
         while len(terms) > 1:
             paired = [(a * d + c * b, b * d)
                       for (a, b), (c, d) in zip(terms[::2], terms[1::2])]
@@ -119,19 +131,32 @@ class GapSystem:
         """Total gap length inside (0, 1)."""
         return Fraction(*self._covered())
 
+    def _covered_float(self) -> float:
+        """float(covered_length()), from a fixed-point sum of the lengths
+        when it decides the rounding, else from the exact sum (module
+        docstring)."""
+        lengths = self._lengths()
+        n = len(lengths)
+        scale = 1 << (64 + n.bit_length())  # 2^k
+        low = sum(num * scale // den for num, den in lengths)
+        value = low / scale
+        if value == (low + n) / scale:
+            return value
+        num, den = self._covered()
+        return num / den
+
     def to_json_text(self) -> str:
         """The system's JSON document: ``r``, ``depth``, the covered length
         as a float and each gap's interval, source, word and word length,
         laid out as ``json.dumps(..., indent=2)`` would.  It is written
         straight from the rows: with ``indent`` set, ``json`` runs its
         pure-Python encoder, which took half of a cold depth-6 ``endinv``."""
-        num, den = self._covered()
         body = ",\n".join([
             _GAP_JSON % (xn, xd, yn, yd, source, _json_string(text), length)
             for xn, xd, yn, yd, source, length, text in self.rows])
         return ('{\n  "r": %s,\n  "depth": %d,\n'
                 '  "covered_length_in_unit_interval": %r,\n  "gaps": %s\n}'
-                % (_json_string(str(self.r)), self.depth, num / den,
+                % (_json_string(str(self.r)), self.depth, self._covered_float(),
                    "[\n%s\n  ]" % body if body else "[]"))
 
 

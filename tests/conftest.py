@@ -3,8 +3,7 @@ import sys
 
 import pytest
 
-import twobridge.cli  # noqa: F401  (loads every module that might hold farey_chain)
-from twobridge import slopes
+from twobridge import cli, slopes  # cli loads every module that might hold farey_chain
 from twobridge.markoff import geometric_evaluation
 from twobridge.mcshane import cusp_shape
 from twobridge.slopes import Slope
@@ -30,6 +29,14 @@ def evaluation_for():
 def report_for():
     """Cached identity reports keyed by slope."""
     return lambda r: _report(r.num, r.den)
+
+
+@pytest.fixture(autouse=True)
+def fresh_cli_caches():
+    """Every test starts with empty CLI caches, so a test that replaces a
+    layer is never served what an earlier test computed."""
+    cli._evaluation.cache_clear()
+    cli._identity.cache_clear()
 
 
 @pytest.fixture

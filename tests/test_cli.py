@@ -121,7 +121,8 @@ class TestEndinv:
         assert doc["extra_orbits"] == ["4/7"]
 
     def test_covered_length_prints_for_long_gap_sums(self, capsys):
-        # the exact covered length of 3/10 has a denominator of thousands of digits
+        # the exact covered length of 3/10 has a denominator of thousands of
+        # digits; a fixed-point sum of the 1 458 gap lengths rounds it
         code, out, _ = run(capsys, "endinv", "3/10")
         assert code == 0
         doc = json.loads(out)
@@ -189,6 +190,59 @@ class TestBatch:
         from twobridge import cli
         row = next(cli._batch_rows(5, 1e-8))
         assert row["r"] == "2/5" and count_farey_chains == [Slope(2, 5)]
+
+
+class TestCaches:
+    @pytest.mark.parametrize("argv", [("identity", "5/17"),
+                                      ("identity", "5/17", "--format", "csv"),
+                                      ("cusp", "5/17"),
+                                      ("cusp", "5/17", "--format", "svg"),
+                                      ("endinv", "3/8")])
+    def test_repeat_is_byte_identical(self, capsys, argv):
+        """A repeated request, served from the caches where it can be,
+        writes what the first one wrote."""
+        first = run(capsys, *argv)
+        assert first[0] == 0
+        assert run(capsys, *argv) == first
+
+    def test_one_root_selection_per_slope(self, capsys, monkeypatch):
+        """identity and cusp of one slope, and a repeat of identity, select
+        the geometric root once."""
+        from twobridge import markoff
+        calls = []
+        original = markoff.select_geometric_root
+
+        def counted(roots, r):
+            calls.append(r)
+            return original(roots, r)
+
+        monkeypatch.setattr(markoff, "select_geometric_root", counted)
+        for command in ("identity", "cusp", "identity"):
+            assert run(capsys, command, "5/17")[0] == 0
+        assert calls == [Slope(5, 17)]
+
+    def test_cache_keys_and_counts(self, capsys):
+        """The report is keyed by (r, eps), the evaluation by r alone, and
+        both caches are bounded."""
+        from twobridge import cli
+        for eps in ("1e-4", "1e-8", "1e-4"):
+            assert run(capsys, "identity", "2/5", "--eps", eps)[0] == 0
+        assert run(capsys, "cusp", "2/5")[0] == 0
+        identity = cli._identity.cache_info()
+        evaluation = cli._evaluation.cache_info()
+        assert (identity.misses, identity.hits, identity.currsize) == (2, 1, 2)
+        assert (evaluation.misses, evaluation.hits, evaluation.currsize) == (1, 2, 1)
+        assert identity.maxsize == evaluation.maxsize == cli._CACHE_SIZE
+
+    def test_errors_are_not_cached(self, capsys):
+        """A non-hyperbolic slope exits 2 on every call, and leaves no
+        entry behind."""
+        from twobridge import cli
+        for _ in range(3):
+            code, out, err = run(capsys, "identity", "1/3")
+            assert (code, out) == (2, "") and "+-1 mod p" in err
+        assert cli._identity.cache_info().currsize == 0
+        assert cli._evaluation.cache_info().currsize == 0
 
 
 class TestParsing:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from twobridge.endinvariants import (
+    GapSystem,
     bowditch_L,
     gap_intervals,
     interval_meets_limit_set,
@@ -45,6 +46,21 @@ def _generators(r):
 def _letters(text):
     """The letter names of a printed word, in the order they act."""
     return [] if text == "<empty word>" else text.split(" . ")
+
+
+@pytest.fixture
+def exact_sums(monkeypatch):
+    """The gap systems whose exact covered length is built while the test
+    runs."""
+    calls = []
+    exact = GapSystem._covered
+
+    def counted(system):
+        calls.append(system)
+        return exact(system)
+
+    monkeypatch.setattr(GapSystem, "_covered", counted)
+    return calls
 
 
 class TestMembership:
@@ -156,6 +172,39 @@ class TestGapSystem:
                     printed = json.loads(system.to_json_text())[
                         "covered_length_in_unit_interval"]
                     assert printed == float(system.covered_length()), (r, depth)
+
+    def test_printed_covered_length_is_exact_sum_rounded(self):
+        """The covered length ``to_json_text`` prints, ``_covered_float``,
+        is N / D for the exact sum N/D of ``_covered``, for every
+        hyperbolic slope with p <= 30 at depths 0 and 6."""
+        for p in range(5, 31):
+            for q in range(2, p - 1):
+                r = Slope(q, p)
+                if math.gcd(q, p) != 1 or not is_hyperbolic(r):
+                    continue
+                for depth in (0, 6):
+                    system = gap_intervals(r, depth)
+                    num, den = system._covered()
+                    assert system._covered_float() == num / den, (r, depth)
+
+    def test_fixed_point_sum_decides(self, exact_sums):
+        """On 3/10 at depth 6, whose exact sum has a denominator of
+        thousands of digits, the fixed-point sum decides the rounding."""
+        gap_intervals(Slope(3, 10), 6).to_json_text()
+        assert exact_sums == []
+
+    def test_rounding_boundary_falls_back_to_exact_sum(self, exact_sums):
+        """Two gaps of total 1/2 + 2^-54, halfway between 1/2 and the next
+        double: the fixed-point bracket straddles the boundary, so the
+        exact sum is built, and it rounds half to even, down to 1/2."""
+        system = GapSystem(r=S25, depth=1, rows=(
+            (0, 1, 1, 4, 1, 0, "<empty word>"),
+            (1, 2, 3 * 2 ** 52 + 1, 2 ** 54, 2, 0, "<empty word>")))
+        printed = json.loads(system.to_json_text())["covered_length_in_unit_interval"]
+        assert exact_sums == [system]
+        total = Fraction(1, 2) + Fraction(1, 2 ** 54)
+        assert system.covered_length() == total
+        assert printed == float(total) == 0.5
 
     def test_depth_cap(self):
         with pytest.raises(DomainError):

@@ -526,3 +526,37 @@ class TestTranslationLength:
             lhs = h(2 * cmath.cosh(l / 2))
             rhs = 1.0 / (1.0 + cmath.exp(l))
             assert abs(lhs - rhs) <= 1e-12
+
+
+def _hyperbolic(pmax):
+    return [Slope(q, p) for p in range(5, pmax + 1) for q in range(2, p - 1)
+            if math.gcd(q, p) == 1 and is_hyperbolic(Slope(q, p))]
+
+
+class TestMirror:
+    """K(1 - r) is the mirror image of K(r): its trace polynomial is
+    P_r(i x) up to sign, and its holonomy is the complex conjugate, so its
+    geometric root is the conjugate root turned by -i."""
+
+    def test_polynomial_of_mirror_is_rotated(self):
+        """P_{(p-q)/p}(x) = +-P_{q/p}(i x), coefficient for coefficient in
+        exact Gaussian integers, for every hyperbolic slope with p <= 40."""
+        for r in _hyperbolic(40):
+            coeffs = trace_polynomial(r).coeffs
+            rotated = []
+            for k, (a, b) in enumerate(coeffs):
+                for _ in range(k % 4):
+                    a, b = -b, a  # times i
+                rotated.append((a, b))
+            negated = [(-a, -b) for a, b in rotated]
+            mirror = list(trace_polynomial(Slope(r.den - r.num, r.den)).coeffs)
+            assert mirror in (rotated, negated), r
+
+    def test_root_of_mirror_is_rotated_conjugate(self, evaluation_for):
+        """The geometric root of (p-q)/p is -i conj(x*) = -Im x* - i Re x*
+        for the root x* of q/p, bit for bit, for every hyperbolic slope with
+        p <= 30."""
+        for r in _hyperbolic(30):
+            z = evaluation_for(r).root
+            w = evaluation_for(Slope(r.den - r.num, r.den)).root
+            assert (w.real.hex(), w.imag.hex()) == ((-z.imag).hex(), (-z.real).hex()), r

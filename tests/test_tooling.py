@@ -2,7 +2,8 @@
 breaks ``perfbench/run.py --trace 1`` and nothing else.  And every name a
 module exports: a deleted function left in ``__all__`` breaks only
 ``from ... import *``.  And the package's start-up: importing the CLI
-loads no mpmath, which only the tests use, as a reference."""
+loads no mpmath, which only the tests use, as a reference.  And its
+memory: no cache grows without bound."""
 
 import importlib
 import importlib.util
@@ -59,3 +60,22 @@ def test_cli_import_leaves_out_mpmath():
     out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_argument_caches_are_bounded():
+    """Every functools cache in twobridge, at module level or on a class,
+    over a function that takes arguments has a finite maxsize: an unbounded
+    one grows with the distinct requests a process serves."""
+    caches = {}
+    for info in pkgutil.iter_modules(twobridge.__path__):
+        module = importlib.import_module("twobridge." + info.name)
+        for value in vars(module).values():
+            members = vars(value).values() if inspect.isclass(value) else ()
+            for fn in (value, *members):
+                if hasattr(fn, "cache_parameters"):
+                    caches["%s.%s" % (fn.__module__, fn.__qualname__)] = fn
+    assert {"twobridge.cli.build_parser", "twobridge.cli._evaluation",
+            "twobridge.cli._identity"} <= set(caches)
+    for name, fn in caches.items():
+        if inspect.signature(fn).parameters:
+            assert fn.cache_parameters()["maxsize"] is not None, name
