@@ -7,7 +7,6 @@ from .slopes import (  # noqa: F401
     Slope,
     INFINITY,
     continued_fraction,
-    evaluate_cf,
     farey_chain,
     fundamental_intervals,
     is_hyperbolic,

@@ -114,9 +114,8 @@ def cmd_cusp(args) -> int:
     r = Slope.parse(args.r)
     layout = cusp_layout.layout_cusp(r, _evaluation(r))
     fold = cusp_layout.check_simply_folded(layout, r)
-    svg_options = {"periods": args.periods}
     if args.format == "svg":
-        _write(cusp_layout.render_svg(layout, svg_options), args.out)
+        _write(cusp_layout.render_svg(layout, periods=args.periods), args.out)
         return 0
     # JSON goes to stdout; --out receives the SVG
     doc = layout.to_json()
@@ -124,7 +123,7 @@ def cmd_cusp(args) -> int:
     doc["fold_slopes"] = [str(layout.fold_minus.fold_slope),
                           str(layout.fold_plus.fold_slope)]
     if args.out:
-        _write(cusp_layout.render_svg(layout, svg_options), args.out)
+        _write(cusp_layout.render_svg(layout, periods=args.periods), args.out)
         doc["svg_written_to"] = args.out
     _write(json.dumps(doc, indent=2), None)
     return 0

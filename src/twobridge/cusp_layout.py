@@ -291,19 +291,13 @@ def _fmt(x: float) -> str:
     return "%.6f" % (x + 0.0,)  # normalise -0.0
 
 
-def render_svg(layout: CuspLayout, options: dict | None = None) -> str:
-    """Deterministic SVG: one polyline per zigzag line over
-    ``options["periods"]`` fundamental periods (2 by default, at least 1,
-    else DomainError), the longitude path highlighted, fold spikes marked."""
-    opts = {"width": 800, "height": 600, "periods": 2, "margin": 40.0}
-    if options:
-        opts.update(options)
-    periods = int(opts["periods"])
+def render_svg(layout: CuspLayout, periods: int = 2) -> str:
+    """Deterministic SVG: one polyline per zigzag line over ``periods``
+    fundamental periods (at least 1, else DomainError), the longitude path
+    highlighted, fold spikes marked."""
     if periods < 1:
-        raise DomainError("periods must be at least 1, got %r" % (opts["periods"],))
-    width = int(opts["width"])
-    height = int(opts["height"])
-    margin = float(opts["margin"])
+        raise DomainError("periods must be at least 1, got %r" % (periods,))
+    width, height, margin = 800, 600, 40.0
 
     pts = []
     polylines = []

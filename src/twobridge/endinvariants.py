@@ -51,12 +51,10 @@ from .slopes import (
     _mat_mul,
     fundamental_intervals,
     is_hyperbolic,
-    is_nullhomotopic,
     reflection_in_edge,
 )
 
 __all__ = [
-    "is_end_invariant",
     "GapSystem",
     "gap_intervals",
     "EndInvariantReport",
@@ -77,11 +75,6 @@ _GAP_JSON = """    {
       "word": %s,
       "word_length": %d
     }"""
-
-
-def is_end_invariant(s: Slope, r: Slope) -> bool:
-    """True iff s lies in the limit set, i.e. reduces to inf or r."""
-    return is_nullhomotopic(s, r)
 
 
 @dataclass(frozen=True)
@@ -306,10 +299,10 @@ def bowditch_L(r: Slope, depth: int = 6) -> EndInvariantReport:
     )
 
 
-def render_gaps_svg(system: GapSystem, width: int = 900, height: int = 160) -> str:
+def render_gaps_svg(system: GapSystem) -> str:
     """Number-line picture of the gap system on [0, 1]: gaps as boxes, the
     residual set (approximating the limit set) as the uncovered line."""
-    margin = 30.0
+    width, height, margin = 900, 160, 30.0
     span = width - 2 * margin
     axis_y = height * 0.62
     box_h = height * 0.3

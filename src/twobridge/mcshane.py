@@ -125,17 +125,13 @@ def boundary_edge_sets(r: Slope) -> EdgeSystem:
 
     This is the one place that builds r's Farey chain; the edge system
     keeps it, and ``MarkoffEvaluation.edges`` carries the edge system.  The
-    interval endpoints r1, r2 of the continued fraction are checked to be
-    the vertices of the chain's final triangle other than r.
+    final triangle is (r1, r, r2), r1 and r2 the Farey parents of r that
+    bound I1 and I2, so e+ is <r1, r2>.
     """
     i1, i2 = fundamental_intervals(r)  # NonHyperbolicError for a non-hyperbolic r
     chain = farey_chain(r)
     triangles = chain.triangles
     r1, _, r2 = triangles[-1].vertices
-    if (r1, r2) != (i1.right, i2.left):
-        raise InternalError(
-            "interval endpoints %s, %s disagree with final chain triangle %s"
-            % (i1.right, i2.left, triangles[-1]))
 
     e1, e2 = [], []
     for i in range(1, len(triangles) - 1):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalError, SlopeError
-from .slopes import ContinuedFraction, Slope, continued_fraction, num_components
+from .slopes import Slope, continued_fraction, num_components
 
 __all__ = [
     "CHIRALITY",
@@ -72,7 +72,7 @@ class Crossing:
 @dataclass
 class PlatDiagram:
     r: Slope
-    cf: ContinuedFraction
+    cf: tuple                # continued-fraction coefficients a1..an
     orientation: str
     crossings: list
     components: int
@@ -273,14 +273,10 @@ class LongitudeClass:
     remark_conclusion_holds: bool | None
 
 
-def longitude_class(r: Slope, orientation: str = "default") -> LongitudeClass:
+def longitude_class(diagram: PlatDiagram) -> LongitudeClass:
     """Coefficients of the cusp longitude against the preferred longitude
     and meridian; for links the half-integer expression is checked to be
     integral."""
-    return _longitude_class(build_plat(r, orientation))
-
-
-def _longitude_class(diagram: PlatDiagram) -> LongitudeClass:
     lk_ell = linking_number_formula(diagram.r, diagram.orientation,
                                     diagram=diagram)
     cf = diagram.cf
@@ -307,7 +303,7 @@ def _longitude_class(diagram: PlatDiagram) -> LongitudeClass:
 
 def longitude_json(r: Slope, orientation: str = "default"):
     diagram = build_plat(r, orientation)
-    cls = _longitude_class(diagram)
+    cls = longitude_class(diagram)
     return {
         "r": str(r),
         "n": diagram.n,

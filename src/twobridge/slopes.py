@@ -4,6 +4,12 @@ reflection groups attached to a 2-bridge slope.
 Slopes are elements of Q u {inf} in lowest terms, written q/p with p the
 denominator (so the slope of K(q/p) has denominator p).  Everything in this
 module is exact integer arithmetic; no floats.
+
+The fundamental intervals of a hyperbolic r = q/p are I1(r) = [0, r1] and
+I2(r) = [r2, 1], where r1 < r < r2 are the Farey parents of r: its two
+Farey neighbours with denominators below p, whose mediant is r, and the
+vertices other than r of the last triangle of r's Farey chain.
+``fundamental_intervals`` finds them from q*b - a*p = 1, without the chain.
 """
 
 from __future__ import annotations
@@ -17,14 +23,12 @@ from .errors import InternalError, NonHyperbolicError, SlopeError
 __all__ = [
     "Slope",
     "INFINITY",
-    "ContinuedFraction",
     "FareyTriangle",
     "FareyChain",
     "Interval",
     "EdgeReflection",
     "ReflectionWord",
     "continued_fraction",
-    "evaluate_cf",
     "is_hyperbolic",
     "num_components",
     "fundamental_intervals",
@@ -146,43 +150,11 @@ def num_components(r: Slope) -> int:
     return 1 if r.den % 2 == 1 else 2
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
-    """[a1, ..., an] standing for 1/(a1 + 1/(a2 + ...)).
-
-    Canonical expansions have all ai >= 1 and an >= 2.  Truncations used for
-    the interval endpoints may end in 1 or 0 and are evaluated by the same
-    continuant recurrence.
-    """
-
-    coefficients: tuple
-
-    def __post_init__(self):
-        coeffs = tuple(int(a) for a in self.coefficients)
-        if not coeffs:
-            raise SlopeError("empty continued fraction")
-        if any(a < 1 for a in coeffs[:-1]) or coeffs[-1] < 0:
-            raise SlopeError("bad continued fraction %r" % (coeffs,))
-        object.__setattr__(self, "coefficients", coeffs)
-
-    def __len__(self):
-        return len(self.coefficients)
-
-    def __iter__(self):
-        return iter(self.coefficients)
-
-    @property
-    def total(self):
-        """c = sum of the coefficients = number of chain triangles."""
-        return sum(self.coefficients)
-
-    def __str__(self):
-        return "[" + ",".join(str(a) for a in self.coefficients) + "]"
-
-
-def continued_fraction(r: Slope) -> ContinuedFraction:
-    """Canonical expansion of r in (0,1); the Euclidean algorithm never
-    produces a trailing 1 here, but we normalise defensively."""
+def continued_fraction(r: Slope) -> tuple:
+    """The coefficients (a1, ..., an) of r = 1/(a1 + 1/(a2 + ...)) in (0, 1),
+    by the Euclidean algorithm on p/q.  All are at least 1, and the last is
+    at least 2: the last division is exact, by a divisor smaller than its
+    dividend."""
     _require_unit_interval(r)
     num, den = r.den, r.num  # expand p/q = a1 + 1/(a2 + ...)
     coeffs = []
@@ -190,24 +162,7 @@ def continued_fraction(r: Slope) -> ContinuedFraction:
         a, num = divmod(num, den)
         coeffs.append(a)
         num, den = den, num
-    if len(coeffs) > 1 and coeffs[-1] == 1:
-        coeffs.pop()
-        coeffs[-1] += 1
-    return ContinuedFraction(tuple(coeffs))
-
-
-def evaluate_cf(cf) -> Slope:
-    """Value of [a1, ..., an] via continuants; tolerates trailing 0/1."""
-    coeffs = cf.coefficients if isinstance(cf, ContinuedFraction) else tuple(cf)
-    if not coeffs:
-        raise SlopeError("empty continued fraction")
-    # p_k = a_k p_{k-1} + p_{k-2} with the [0; a1, a2, ...] seed.
-    p_prev, p_cur = 1, 0
-    q_prev, q_cur = 0, 1
-    for a in coeffs:
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-    return Slope(p_cur, q_cur)
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -230,32 +185,12 @@ class FareyTriangle:
         return "<%s>" % ", ".join(str(v) for v in self.vertices)
 
 
-def opposite_vertex(u: Slope, v: Slope, w: Slope) -> Slope:
-    """Given the Farey edge <u,v> and one adjacent third vertex w, return the
-    third vertex of the other triangle on <u,v>.
-
-    The two triangles on <u,v> have third vertices whose lift vectors are
-    (u +- v); one of them is w up to sign.
-    """
-    cands = (
-        Slope(u.num + v.num, u.den + v.den),
-        Slope(u.num - v.num, u.den - v.den),
-    )
-    if w == cands[0]:
-        return cands[1]
-    if w == cands[1]:
-        return cands[0]
-    raise SlopeError("%s is not adjacent to edge <%s,%s>" % (w, u, v))
-
-
 @dataclass(frozen=True)
 class FareyChain:
     """The chain of Farey triangles crossed by the geodesic from inf to r."""
 
     r: Slope
-    cf: ContinuedFraction
     triangles: tuple
-    hyperbolic: bool
 
     def __len__(self):
         return len(self.triangles)
@@ -270,11 +205,10 @@ def farey_chain(r: Slope) -> FareyChain:
     the chain's combinatorics, and ``mcshane.boundary_edge_sets`` reads the
     edge system off it.
 
-    Works for any r in (0,1); non-hyperbolic slopes are accepted for
-    combinatorial experiments and flagged.
+    Works for any r in (0, 1), hyperbolic or not; the chain has
+    sum(continued_fraction(r)) triangles.
     """
     _require_unit_interval(r)
-    cf = continued_fraction(r)
     triangles = [FareyTriangle((ZERO, ONE, INFINITY))]
     lo, hi = ZERO, ONE
     while True:
@@ -286,14 +220,7 @@ def farey_chain(r: Slope) -> FareyChain:
             hi = med
         else:
             lo = med
-    if len(triangles) != cf.total:
-        raise InternalError(
-            "chain length %d != continued-fraction total %d for %s"
-            % (len(triangles), cf.total, r)
-        )
-
-    return FareyChain(r=r, cf=cf, triangles=tuple(triangles),
-                      hyperbolic=is_hyperbolic(r))
+    return FareyChain(r=r, triangles=tuple(triangles))
 
 
 @dataclass(frozen=True)
@@ -318,33 +245,21 @@ class Interval:
         return "[%s, %s]" % (self.left, self.right)
 
 
-def _interval_endpoints_cf(cf):
-    """The truncations r1, r2 of §-two parity split, as coefficient tuples,
-    for a hyperbolic r, whose expansion has at least two coefficients."""
-    a = cf.coefficients
-    head = a[:-1]
-    head_minus = a[:-1] + (a[-1] - 1,)
-    if len(a) % 2 == 1:
-        return head, head_minus
-    return head_minus, head
-
-
 def fundamental_intervals(r: Slope):
-    """I1(r) = [0, r1] and I2(r) = [r2, 1].
+    """I1(r) = [0, r1] and I2(r) = [r2, 1], r1 < r < r2 the Farey parents
+    of r = q/p; no chain is built.
 
-    r1 and r2 are the parity-split truncations of the continued fraction;
-    no chain is built.  They are the two vertices of the final triangle of
-    r's Farey chain other than r, which ``mcshane.boundary_edge_sets``,
-    the one function holding both, checks.
+    The lower parent a/b is the Farey neighbour of r below it with
+    0 < b < p: q*b - a*p = 1, so b = q^-1 mod p and a = (q*b - 1)/p.  The
+    upper parent (q - a)/(p - b) is the other neighbour, and the mediant of
+    the two is r.
     """
     if not is_hyperbolic(r):
         raise NonHyperbolicError(r)
-    t1, t2 = _interval_endpoints_cf(continued_fraction(r))
-    r1 = evaluate_cf(t1)
-    r2 = evaluate_cf(t2)
-    if not (r1 < r < r2):
-        raise InternalError("expected r1 < r < r2 for %s" % (r,))
-    return Interval(ZERO, r1), Interval(r2, ONE)
+    q, p = r.num, r.den
+    b = pow(q, -1, p)
+    a = (q * b - 1) // p
+    return Interval(ZERO, Slope(a, b)), Interval(Slope(q - a, p - b), ONE)
 
 
 # ---------------------------------------------------------------------------

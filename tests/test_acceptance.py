@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from slope_oracles import opposite_vertex
 from twobridge import plat
 from twobridge.cusp_layout import check_simply_folded, layout_cusp
 from twobridge.endinvariants import bowditch_L, gap_intervals
@@ -22,7 +23,6 @@ from twobridge.slopes import (
     Slope,
     fundamental_intervals,
     is_hyperbolic,
-    opposite_vertex,
     reduce_slope,
     reflection_in_edge,
 )

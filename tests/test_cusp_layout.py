@@ -5,6 +5,7 @@ import xml.dom.minidom
 
 import pytest
 
+from slope_oracles import evaluate_cf, opposite_vertex
 from twobridge.cusp_layout import (
     LayoutNotGeometricError,
     check_simply_folded,
@@ -14,13 +15,7 @@ from twobridge.cusp_layout import (
 from twobridge.errors import DomainError
 from twobridge.markoff import MarkoffEvaluation
 from twobridge.mcshane import DirectedFareyEdge, boundary_edge_sets, finite_edge_sums, psi
-from twobridge.slopes import (
-    Slope,
-    continued_fraction,
-    evaluate_cf,
-    is_hyperbolic,
-    opposite_vertex,
-)
+from twobridge.slopes import Slope, continued_fraction, is_hyperbolic
 
 S25 = Slope(2, 5)
 HALF = Slope(1, 2)
@@ -130,8 +125,7 @@ class TestFolds:
             r = Slope(*rs)
             assert layout.fold_minus.fold_slope == Slope(1, 2)
             cf = continued_fraction(r)
-            expected = evaluate_cf(tuple(cf.coefficients[:-1])
-                                   + (cf.coefficients[-1] - 2,))
+            expected = evaluate_cf(cf[:-1] + (cf[-1] - 2,))
             assert layout.fold_plus.fold_slope == expected
 
     def test_fold_residuals(self, layouts):
@@ -198,11 +192,11 @@ class TestSvg:
         assert svg.count("<polyline") == 6
 
     def test_default_viewport(self, layouts):
-        svg = render_svg(layouts[(2, 5)], {})
+        svg = render_svg(layouts[(2, 5)])
         assert 'width="800" height="600"' in svg
 
     @pytest.mark.parametrize("periods", [0, -1, 0.5])
     def test_periods_below_one_rejected(self, layouts, periods):
         """Fewer than one period would draw empty zigzag polylines."""
         with pytest.raises(DomainError, match="periods"):
-            render_svg(layouts[(2, 5)], {"periods": periods})
+            render_svg(layouts[(2, 5)], periods=periods)

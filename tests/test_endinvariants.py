@@ -12,7 +12,6 @@ from twobridge.endinvariants import (
     bowditch_L,
     gap_intervals,
     interval_meets_limit_set,
-    is_end_invariant,
 )
 from twobridge.errors import DomainError, NonHyperbolicError
 from twobridge.slopes import (
@@ -20,6 +19,7 @@ from twobridge.slopes import (
     Slope,
     fundamental_intervals,
     is_hyperbolic,
+    is_nullhomotopic,
     reflection_in_edge,
 )
 
@@ -66,13 +66,13 @@ def exact_sums(monkeypatch):
 class TestMembership:
     def test_parabolic_fixed_points(self):
         for r in (S25, Slope(3, 7), Slope(5, 12)):
-            assert is_end_invariant(INFINITY, r)
-            assert is_end_invariant(r, r)
+            assert is_nullhomotopic(INFINITY, r)
+            assert is_nullhomotopic(r, r)
 
     def test_interval_points_are_not_members(self):
         for r in (S25, Slope(3, 7)):
-            assert not is_end_invariant(Slope(0, 1), r)
-            assert not is_end_invariant(Slope(1, 1), r)
+            assert not is_nullhomotopic(Slope(0, 1), r)
+            assert not is_nullhomotopic(Slope(1, 1), r)
 
     def test_orbit_points_are_members(self):
         random.seed(13)
@@ -82,7 +82,7 @@ class TestMembership:
                 s = r if random.random() < 0.5 else INFINITY
                 for _ in range(6):
                     s = random.choice(gens)(s)
-                assert is_end_invariant(s, r)
+                assert is_nullhomotopic(s, r)
 
 
 class TestGapSystem:
@@ -137,7 +137,7 @@ class TestGapSystem:
     def test_gap_members_are_not_end_invariants(self):
         for left, right, *_ in _gaps(gap_intervals(S25, 5))[:60]:
             mid = (left.as_fraction() + right.as_fraction()) / 2
-            assert not is_end_invariant(Slope(mid.numerator, mid.denominator), S25)
+            assert not is_nullhomotopic(Slope(mid.numerator, mid.denominator), S25)
 
     def test_words_map_sources_onto_gaps(self):
         """The printed word, applied letter by letter, maps the source
@@ -252,7 +252,7 @@ class TestBowditchL:
             rep = bowditch_L(r, depth=0)
             ev = evaluation_for(r)
             for s in rep.extra_orbits:
-                assert not is_end_invariant(s, r)
+                assert not is_nullhomotopic(s, r)
                 v = ev.phi(s)
                 assert min(abs(v - 2), abs(v + 2)) < 1e-9
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import sympy
 
+from slope_oracles import opposite_vertex
 from twobridge import markoff
 from twobridge.errors import (
     EllipticTraceError,
@@ -432,7 +433,7 @@ class TestEvaluatePhi:
             # parents u, v of s in the Stern-Brocot tree: s = mediant(u, v)
             u, v = _stern_brocot_parents(s)
             sibling = ev25.phi(u) * ev25.phi(v) - ev25.phi(s)  # opposite vertex
-            assert abs(sibling - ev25.phi(_opposite(u, v, s))) < 1e-9 * max(1.0, abs(sibling))
+            assert abs(sibling - ev25.phi(opposite_vertex(u, v, s))) < 1e-9 * max(1.0, abs(sibling))
             if abs(ev25.phi(u)) < 1e-3:
                 continue  # null-homotopic slope: the division path degenerates
             deeper = ev25.phi(u.mediant(s))
@@ -451,7 +452,7 @@ class TestEvaluatePhi:
                 continue
             s = Slope(num, den)
             u, v = _stern_brocot_parents(s)
-            lhs = ev.phi(_opposite(u, v, s)) + ev.phi(s)
+            lhs = ev.phi(opposite_vertex(u, v, s)) + ev.phi(s)
             rhs = ev.phi(u) * ev.phi(v)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
             count += 1
@@ -477,11 +478,6 @@ def _stern_brocot_parents(s):
             hi = med
         else:
             lo = med
-
-
-def _opposite(u, v, w):
-    from twobridge.slopes import opposite_vertex
-    return opposite_vertex(u, v, w)
 
 
 class TestTranslationLength:

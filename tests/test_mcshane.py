@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from slope_oracles import opposite_vertex
 from twobridge import kernels, mcshane
 from twobridge.errors import DomainError, InternalError, NotGeometricEvaluationError
 from twobridge.markoff import (
@@ -24,7 +25,7 @@ from twobridge.mcshane import (
     interval_series,
     psi,
 )
-from twobridge.slopes import INFINITY, Slope, farey_chain, is_hyperbolic, opposite_vertex
+from twobridge.slopes import INFINITY, Slope, farey_chain, is_hyperbolic
 
 S25 = Slope(2, 5)
 HYPERBOLIC_40 = [Slope(q, p) for p in range(3, 41) for q in range(1, p)
@@ -79,18 +80,6 @@ class TestEdgeSets:
         assert (str(e.s1), str(e.s2), str(e.s0)) == ("0/1", "1/3", "1/2")
         assert str(edges.e_minus.s3) == "inf"
         assert edges.e_plus.s3 == S25
-
-    def test_checks_intervals_against_the_final_triangle(self, monkeypatch):
-        """boundary_edge_sets holds both the continued-fraction endpoints
-        r1, r2 and the chain, and raises if they disagree."""
-        r = Slope(5, 17)
-        edges = boundary_edge_sets(r)
-        assert set(edges.chain.triangles[-1].vertices) == {edges.i1.right, r,
-                                                           edges.i2.left}
-        wrong = mcshane.fundamental_intervals(Slope(4, 13))
-        monkeypatch.setattr(mcshane, "fundamental_intervals", lambda s: wrong)
-        with pytest.raises(InternalError, match="final chain triangle"):
-            boundary_edge_sets(r)
 
     def test_cutoffs_tile_intervals(self):
         """In the order the edge system lists them, the cut-off intervals

@@ -87,7 +87,7 @@ class TestLinkingNumbers:
 
 class TestLongitudeClass:
     def test_knot(self):
-        cls = longitude_class(S25)
+        cls = longitude_class(build_plat(S25))
         assert cls.components == 1
         assert cls.a == 1 and cls.b == cls.lk_ell_link == -2
 
@@ -96,7 +96,7 @@ class TestLongitudeClass:
             if num_components(r) != 2:
                 continue
             for orientation in ("default", "reversed"):
-                cls = longitude_class(r, orientation)
+                cls = longitude_class(build_plat(r, orientation))
                 assert 2 * cls.b == cls.lk_ell_link - 2 * cls.pairwise
 
     def test_remark_hypothesis_never_yields_a_knot(self):
@@ -104,7 +104,7 @@ class TestLongitudeClass:
         so the simple knot formula of the remark never applies."""
         checked = 0
         for r in hyperbolic_slopes(60):
-            cls = longitude_class(r)
+            cls = longitude_class(build_plat(r))
             if cls.remark_hypothesis:
                 checked += 1
                 assert num_components(r) == 2

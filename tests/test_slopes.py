@@ -6,12 +6,12 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from slope_oracles import evaluate_cf, parity_split_parents
 from twobridge.errors import NonHyperbolicError, SlopeError
 from twobridge.slopes import (
     INFINITY,
     Slope,
     continued_fraction,
-    evaluate_cf,
     farey_chain,
     fundamental_intervals,
     is_hyperbolic,
@@ -58,7 +58,7 @@ class TestContinuedFraction:
         (Slope(3, 8), (2, 1, 2)),
     ])
     def test_examples(self, r, coeffs):
-        assert continued_fraction(r).coefficients == coeffs
+        assert continued_fraction(r) == coeffs
 
     @pytest.mark.parametrize("coeffs,val", [
         ((2, 2), (2, 5)),
@@ -75,7 +75,7 @@ class TestContinuedFraction:
                 if math.gcd(q, p) == 1:
                     r = Slope(q, p)
                     cf = continued_fraction(r)
-                    assert cf.coefficients[-1] >= 2
+                    assert cf[-1] >= 2
                     assert evaluate_cf(cf) == r
 
     @given(proper_fractions())
@@ -122,10 +122,18 @@ class TestFareyChain:
         assert S25 not in chain.triangles[-1].vertices
         assert Slope(5, 17) in chain.triangles[-1].vertices
 
-    def test_chain_1_2_flagged(self):
+    def test_chain_of_non_hyperbolic_1_2(self):
         chain = farey_chain(Slope(1, 2))
         assert len(chain) == 2
-        assert not chain.hyperbolic
+
+    def test_length_is_the_coefficient_sum(self):
+        """The chain has sum(continued_fraction(r)) triangles, for every
+        r in (0, 1) with p <= 60."""
+        for p in range(2, 61):
+            for q in range(1, p):
+                if math.gcd(q, p) == 1:
+                    r = Slope(q, p)
+                    assert len(farey_chain(r)) == sum(continued_fraction(r)), r
 
     def test_consecutive_triangles_share_an_edge(self):
         for r in (S25, Slope(5, 17), Slope(7, 17), Slope(5, 12)):
@@ -188,8 +196,8 @@ class TestFundamentalIntervals:
             fundamental_intervals(Slope(1, 3))
 
     def test_endpoints_are_the_final_triangle(self):
-        """r1 and r2, read off the continued fraction alone, are the two
-        vertices other than r of the last triangle of r's Farey chain."""
+        """r1 and r2, found without building a chain, are the two vertices
+        other than r of the last triangle of r's Farey chain."""
         checked = 0
         for p in range(5, 61):
             for q in range(2, p):
@@ -201,6 +209,33 @@ class TestFundamentalIntervals:
                 assert set(last.vertices) == {i1.right, r, i2.left}, r
                 checked += 1
         assert checked == 984
+
+    def test_against_parity_split_truncations(self):
+        """r1 and r2 are the parity-split truncations of r's continued
+        fraction, for every hyperbolic slope with p < 300."""
+        checked = 0
+        for p in range(5, 300):
+            for q in range(2, p - 1):
+                r = Slope(q, p)
+                if math.gcd(q, p) != 1 or not is_hyperbolic(r):
+                    continue
+                i1, i2 = fundamental_intervals(r)
+                assert (i1.right, i2.left) == parity_split_parents(r), r
+                checked += 1
+        assert checked == 26722
+
+    @given(st.integers(5, 10**6), st.integers(2, 10**6))
+    def test_parents_property(self, p, q):
+        """For hyperbolic q/p with p up to 10^6, r1 < r < r2, r is the
+        mediant of r1 and r2, and both are Farey neighbours of r."""
+        q = q % p
+        assume(math.gcd(q, p) == 1 and q not in (1, p - 1))
+        r = Slope(q, p)
+        i1, i2 = fundamental_intervals(r)
+        r1, r2 = i1.right, i2.left
+        assert r1 < r < r2
+        assert r1.mediant(r2) == r
+        assert r1.is_farey_neighbor(r) and r2.is_farey_neighbor(r)
 
 
 def _group_generators(r):

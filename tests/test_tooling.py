@@ -1,10 +1,12 @@
 """The names perfbench's tracer wraps: a refactor that renames one of them
 breaks ``perfbench/run.py --trace 1`` and nothing else.  And every name a
 module exports: a deleted function left in ``__all__`` breaks only
-``from ... import *``.  And the package's start-up: importing the CLI
-loads no mpmath, which only the tests use, as a reference.  And its
-memory: no cache grows without bound."""
+``from ... import *``, and an export that only the tests use is dead code.
+And the package's start-up: importing the CLI loads no mpmath, which only
+the tests use, as a reference.  And its memory: no cache grows without
+bound."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -17,6 +19,13 @@ import twobridge
 from twobridge import kernels
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# Exports that no code in the package uses, each kept as a library entry
+# point for the reason given.
+ENTRY_POINTS = {
+    "is_nullhomotopic",          # the limit-set test of one slope
+    "interval_meets_limit_set",  # the limit-set test of an open interval
+}
 
 
 def _tracing():
@@ -49,6 +58,43 @@ def test_exported_names_exist():
         module = importlib.import_module("twobridge." + info.name)
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), "%s.%s" % (info.name, name)
+
+
+def _defined_names(stmt):
+    """The names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)}
+
+
+def test_exported_names_are_used():
+    """Code in twobridge reads every name in each module's ``__all__``
+    outside that name's own definition, unless it is listed in
+    ENTRY_POINTS.  The sources are parsed, so a docstring, a comment or an
+    import does not count as a use."""
+    used = set()
+    for path in Path(twobridge.__file__).resolve().parent.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            own = _defined_names(stmt)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name not in own:
+                    used.add(name)
+    unused = []
+    for info in pkgutil.iter_modules(twobridge.__path__):
+        module = importlib.import_module("twobridge." + info.name)
+        unused += ["%s.%s" % (info.name, name)
+                   for name in getattr(module, "__all__", ())
+                   if name not in used and name not in ENTRY_POINTS]
+    assert not unused, unused
 
 
 def test_cli_import_leaves_out_mpmath():
