@@ -44,10 +44,6 @@ class LayoutNotGeometricError(TwoBridgeError, RuntimeError):
     """Fold or strip test failed: the layout does not come from the
     holonomy."""
 
-    def __init__(self, message, report=None):
-        self.report = report
-        super().__init__(message)
-
 
 @dataclass(frozen=True)
 class ZigzagLine:
@@ -78,10 +74,8 @@ class FoldReport:
     triangle_index: int
     fold_slope: Slope
     spike: complex
-    foot: complex
     residual: float
     level: float            # Im of the horizontal line
-    rotation_centers: tuple  # midpoints of the two L-edges in one period
 
 
 @dataclass(frozen=True)
@@ -146,7 +140,7 @@ def layout_cusp(r: Slope, ev: MarkoffEvaluation) -> CuspLayout:
     longitude path across the E1 vertices, on the evaluation's edge
     system."""
     edges = ev.edges
-    triangles = edges.chain.triangles
+    triangles = edges.triangles
     c = len(triangles)
     if c < 4:
         raise InternalError("chain too short to lay out a cusp")
@@ -155,13 +149,13 @@ def layout_cusp(r: Slope, ev: MarkoffEvaluation) -> CuspLayout:
 
     # sigma_2 = <0, 1/2, 1> starts, anchored at 0, on the first vertex of
     # sigma_3: 0, or 1/2 when the descent turns right at 1/2
-    lo, half, hi = triangles[1].vertices
+    lo, half, hi = triangles[1]
     slopes = (half, hi, lo) if r > half else (lo, half, hi)
     lines = [_line_from_anchor(ev, 2, slopes, 0j)]
 
     for i in range(2, c - 1):
         prev_line = lines[-1]
-        slopes = triangles[i].vertices
+        slopes = triangles[i]
         k = prev_line.index_of(slopes[0])
         line = _line_from_anchor(ev, i + 1, slopes, prev_line.point(k))
         mismatch = abs(line.points[2] - prev_line.point(k + 1))
@@ -224,64 +218,48 @@ def _fold_report(line, fold_slope):
     foot_b = line.point(j + 1)
     residual = abs(foot_a - foot_b)
     level = 0.5 * (foot_a.imag + foot_b.imag)
-    next_foot = line.point(j + 2)
-    centers = (0.5 * (foot_b + next_foot), 0.5 * (next_foot + foot_b + 1))
     return FoldReport(
         triangle_index=line.triangle_index,
         fold_slope=fold_slope,
         spike=spike,
-        foot=foot_b,
         residual=residual,
         level=level,
-        rotation_centers=centers,
     )
 
 
-def check_simply_folded(layout: CuspLayout, r: Slope,
-                        tol: float = FOLD_TOL) -> dict:
+def check_simply_folded(layout: CuspLayout) -> None:
     """Verify both boundary lines are simply folded and every vertex of the
-    layout lies weakly between the two horizontal lines."""
-    scale = max(1.0, max(abs(p) for line in layout.lines for p in line.points))
-    report = {
-        "r": str(r),
-        "fold_minus": layout.fold_minus,
-        "fold_plus": layout.fold_plus,
-        "l_minus": layout.l_minus,
-        "l_plus": layout.l_plus,
-        "ok": True,
-    }
+    layout lies weakly between the two horizontal lines, to FOLD_TOL
+    relative to the layout's size; LayoutNotGeometricError otherwise."""
+    tol = FOLD_TOL * max(1.0, max(abs(p) for line in layout.lines
+                                  for p in line.points))
     for fold in (layout.fold_minus, layout.fold_plus):
-        if fold.residual > tol * scale:
-            report["ok"] = False
+        if fold.residual > tol:
             raise LayoutNotGeometricError(
                 "layout not geometric: fold at slope %s fails by %.3e"
-                % (fold.fold_slope, fold.residual),
-                report=report,
-            )
-        if abs(fold.spike.imag - fold.level) <= tol * scale:
-            report["ok"] = False
+                % (fold.fold_slope, fold.residual))
+        if abs(fold.spike.imag - fold.level) <= tol:
             raise LayoutNotGeometricError(
                 "layout not geometric: spike of %s lies on the fold line"
-                % (fold.fold_slope,),
-                report=report,
-            )
-    lo = min(layout.l_minus, layout.l_plus) - tol * scale
-    hi = max(layout.l_minus, layout.l_plus) + tol * scale
+                % (fold.fold_slope,))
+    lo = min(layout.l_minus, layout.l_plus) - tol
+    hi = max(layout.l_minus, layout.l_plus) + tol
     for line in layout.lines:
         for p in line.points:
             if not (lo <= p.imag <= hi):
-                report["ok"] = False
                 raise LayoutNotGeometricError(
                     "layout not geometric: vertex %r of sigma_%d leaves the "
-                    "strip" % (p, line.triangle_index),
-                    report=report,
-                )
-    return report
+                    "strip" % (p, line.triangle_index))
 
 
 # ---------------------------------------------------------------------------
 # SVG rendering
 
+
+SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 800, 600, 40
+# the plot's width in pixels: every zigzag line's x-span is at least
+# ``periods`` units, so beyond this many periods each is under a pixel wide
+MAX_PERIODS = SVG_WIDTH - 2 * SVG_MARGIN
 
 _LINE_COLORS = ("#355f8d", "#3e8e6e", "#8d5a35", "#6e3e8e", "#8d3550",
                 "#50708d", "#6e8e3e")
@@ -293,11 +271,13 @@ def _fmt(x: float) -> str:
 
 def render_svg(layout: CuspLayout, periods: int = 2) -> str:
     """Deterministic SVG: one polyline per zigzag line over ``periods``
-    fundamental periods (at least 1, else DomainError), the longitude path
-    highlighted, fold spikes marked."""
+    fundamental periods (1 to MAX_PERIODS, else DomainError), the
+    longitude path highlighted, fold spikes marked."""
     if periods < 1:
         raise DomainError("periods must be at least 1, got %r" % (periods,))
-    width, height, margin = 800, 600, 40.0
+    if periods > MAX_PERIODS:
+        raise DomainError("periods must be at most %d, got %r"
+                          % (MAX_PERIODS, periods))
 
     pts = []
     polylines = []
@@ -313,21 +293,22 @@ def render_svg(layout: CuspLayout, periods: int = 2) -> str:
     max_y = max(p.imag for p in pts)
     span_x = max(max_x - min_x, 1e-9)
     span_y = max(max_y - min_y, 1e-9)
-    sx = (width - 2 * margin) / span_x
-    sy = (height - 2 * margin) / span_y
+    sx = (SVG_WIDTH - 2 * SVG_MARGIN) / span_x
+    sy = (SVG_HEIGHT - 2 * SVG_MARGIN) / span_y
     s = min(sx, sy)
 
     def xy(p):
-        return (margin + (p.real - min_x) * s,
-                height - margin - (p.imag - min_y) * s)
+        return (SVG_MARGIN + (p.real - min_x) * s,
+                SVG_HEIGHT - SVG_MARGIN - (p.imag - min_y) * s)
 
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        'width="%d" height="%d" viewBox="0 0 %d %d">' % (width, height, width, height)
+        'width="%d" height="%d" viewBox="0 0 %d %d">'
+        % (SVG_WIDTH, SVG_HEIGHT, SVG_WIDTH, SVG_HEIGHT)
     )
-    out.append('<rect width="%d" height="%d" fill="#ffffff"/>' % (width, height))
+    out.append('<rect width="%d" height="%d" fill="#ffffff"/>' % (SVG_WIDTH, SVG_HEIGHT))
 
     for level, name in ((layout.l_minus, "L-"), (layout.l_plus, "L+")):
         x0, y = xy(complex(min_x, level))

@@ -47,8 +47,6 @@ from .errors import DomainError, InternalError, NonHyperbolicError
 from .slopes import (
     INFINITY,
     Slope,
-    _IDENTITY,
-    _mat_mul,
     fundamental_intervals,
     is_hyperbolic,
     reflection_in_edge,
@@ -163,6 +161,15 @@ def _exact_key(max_den):
 
 def _interval_text(num, den, num2, den2, *_):
     return "[%d/%d, %d/%d]" % (num, den, num2, den2)
+
+
+_IDENTITY = (1, 0, 0, 1)
+
+
+def _mat_mul(m, n):
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def _reduced_words(r: Slope, r1: Slope, r2: Slope, depth: int):

@@ -14,8 +14,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
+from . import kernels
 from .errors import (
     AmbiguousGeometricRootError,
     DomainError,
@@ -34,7 +34,6 @@ __all__ = [
     "MarkoffEvaluation",
     "select_geometric_root",
     "geometric_evaluation",
-    "ComplexLength",
     "translation_length",
 ]
 
@@ -735,25 +734,20 @@ class MarkoffEvaluation:
 
     phi(s) is computed by the canonical mediant walk from <0,1,inf> and every
     intermediate slope is cached.  ``edges`` is r's boundary edge system
-    (``mcshane.EdgeSystem``), which holds r's Farey chain:
-    ``select_geometric_root`` gives every candidate the one it builds, and
-    an evaluation made on its own builds it the first time it is read.
+    (``mcshane.boundary_edge_sets(r)``), which holds r's Farey chain:
+    ``select_geometric_root`` gives every candidate the one it builds.
     ``finite_sums`` keeps the pair of finite edge sums
     (``mcshane.finite_edge_sums``) once computed, so one request computes
     each once.
     """
 
-    def __init__(self, r: Slope, root: complex):
+    def __init__(self, r: Slope, root: complex, edges):
         self.r = r
         self.root = complex(root)
+        self.edges = edges
         self._cache = {INFINITY: 0j, Slope(0, 1): self.root, Slope(1, 1): 1j * self.root}
         self.selection = None
         self.finite_sums = None
-
-    @cached_property
-    def edges(self):
-        from . import mcshane  # imported here: mcshane imports this module's types
-        return mcshane.boundary_edge_sets(self.r)
 
     def phi(self, s: Slope) -> complex:
         cached = self._cache.get(s)
@@ -773,20 +767,17 @@ class MarkoffEvaluation:
         return "MarkoffEvaluation(r=%s, root=%r)" % (self.r, self.root)
 
 
-@dataclass(frozen=True)
-class ComplexLength:
-    """Complex translation length, Re >= 0 and Im normalised to (-pi, pi]."""
+def translation_length(phi_s: complex) -> complex:
+    """l with 2 cosh(l/2) = +-phi_s (the sign is immaterial mod 2 pi i),
+    Re l >= 0 and Im l in (-pi, pi].
 
-    value: complex
-    parabolic: bool = False
-
-
-def translation_length(phi_s: complex) -> ComplexLength:
-    """l with 2 cosh(l/2) = +-phi_s (the sign is immaterial mod 2 pi i)."""
+    0 on a trace that ``kernels`` classes as parabolic; a trace that it
+    classes as elliptic raises EllipticTraceError.
+    """
     phi_s = complex(phi_s)
-    if abs(phi_s - 2) <= 1e-12 or abs(phi_s + 2) <= 1e-12:
-        return ComplexLength(0j, parabolic=True)
-    if abs(phi_s.imag) <= 1e-13 * (1 + abs(phi_s.real)) and abs(phi_s.real) < 2:
+    if kernels._near_parabolic(phi_s):
+        return 0j
+    if kernels._is_elliptic(phi_s):
         raise EllipticTraceError("trace %r lies in (-2, 2)" % (phi_s,))
     l = 2 * cmath.acosh(phi_s / 2)
     if l.real < 0:
@@ -796,7 +787,7 @@ def translation_length(phi_s: complex) -> ComplexLength:
         im -= 2 * math.pi
     while im <= -math.pi:
         im += 2 * math.pi
-    return ComplexLength(complex(l.real, im))
+    return complex(l.real, im)
 
 
 # ---------------------------------------------------------------------------
@@ -876,7 +867,7 @@ def select_geometric_root(roots, r: Slope) -> MarkoffEvaluation:
        the slopes with p <= 40).
 
     r's boundary edge system, and with it r's Farey chain, is built here
-    once and given to every candidate as ``edges``.  The evaluation
+    once and given to every candidate's constructor.  The evaluation
     returned is the one the checks ran on, so it keeps that edge system and
     the finite edge sums of step 3.
 
@@ -894,8 +885,7 @@ def select_geometric_root(roots, r: Slope) -> MarkoffEvaluation:
     edges = mcshane.boundary_edge_sets(r)
     survivors = []
     for rep in classes:
-        ev = MarkoffEvaluation(r, rep)
-        ev.edges = edges
+        ev = MarkoffEvaluation(r, rep, edges)
         reason, lam, census = _rejection(r, ev)
         report.candidates.append(RootCandidateReport(
             rep, reason is None, reason or "passed", lambda_orbifold=lam,

@@ -24,18 +24,7 @@ from .errors import (
     NotGeometricEvaluationError,
 )
 from .markoff import MarkoffEvaluation, geometric_evaluation
-from .slopes import (
-    INFINITY,
-    ONE,
-    ZERO,
-    FareyChain,
-    Interval,
-    Slope,
-    farey_chain,
-    fundamental_intervals,
-    is_hyperbolic,
-    num_components,
-)
+from .slopes import ONE, ZERO, Slope, farey_chain, is_hyperbolic, num_components
 
 __all__ = [
     "h",
@@ -59,19 +48,18 @@ _CENSUS_CAP = 64
 def h(x):
     """h(x) = (1 - sqrt(1 - 4/x^2))/2, branch Re sqrt >= 0.
 
-    Defined on the complement of the open real interval (-2, 2); at the
-    closed endpoints +-2 the formula degenerates to the parabolic limit 1/2.
+    Undefined on the real interval (-2, 2).  The traces are classed as
+    ``kernels`` classes them: a parabolic one, within PARABOLIC_TOL of +-2,
+    takes the limit 1/2, and an elliptic one raises DomainError.
     Satisfies h(2 cosh(l/2)) = 1/(1 + e^l) for Re l >= 0.  Evaluated as
     2/(x^2 (1 + sqrt(1 - 4/x^2))) (``kernels.h_func``), which keeps full
     relative accuracy for large |x|, where the first form cancels.
     """
     x = complex(x)
-    if x.imag == 0.0:
-        a = abs(x.real)
-        if a < 2.0:
-            raise DomainError("h is undefined on the real interval (-2, 2)")
-        if a == 2.0:
-            return 0.5 + 0j
+    if kernels._near_parabolic(x):
+        return 0.5 + 0j
+    if kernels._is_elliptic(x):
+        raise DomainError("h is undefined on the real interval (-2, 2)")
     return kernels.h_func(x)
 
 
@@ -81,13 +69,13 @@ class DirectedFareyEdge:
 
     The Farey edge <s1, s2> is dual to e, the head triangle is <s0, s1, s2>
     (a chain triangle) and the tail triangle is <s1, s2, s3>, which lies off
-    the chain for the boundary edges enumerated here.
+    the chain for the boundary edges enumerated here.  s3 is not stored:
+    nothing here reads it.
     """
 
     s1: Slope
     s2: Slope
     s0: Slope
-    s3: Slope
     head_index: int  # 0-based index into the chain
 
     def __str__(self):
@@ -96,11 +84,10 @@ class DirectedFareyEdge:
 
 @dataclass(frozen=True)
 class EdgeSystem:
-    """E(r) = E1 u E2 u {e-, e+}, all edges pointing into the dual path."""
+    """E(r) = E1 u E2 u {e-, e+}, all edges pointing into the dual path,
+    with the vertex triples of r's Farey chain they were read off."""
 
-    chain: FareyChain
-    i1: Interval
-    i2: Interval
+    triangles: tuple
     e1: tuple
     e2: tuple
     e_minus: DirectedFareyEdge
@@ -114,39 +101,40 @@ def boundary_edge_sets(r: Slope) -> EdgeSystem:
     Each inner chain triangle (lo, med, hi) of the mediant descent turns at
     its mediant, and the turn fixes its boundary edge:
 
-    - r < med: the side edge <med, hi> is in E2, with s0 = lo and s3 the
-      mediant of med and hi; the next triangle drops hi.
-    - r > med: the side edge <lo, med> is in E1, with s0 = hi and s3 the
-      mediant of lo and med; the next triangle drops lo.
+    - r < med: the side edge <med, hi> is in E2, with s0 = lo (and s3 the
+      mediant of med and hi); the next triangle drops hi.
+    - r > med: the side edge <lo, med> is in E1, with s0 = hi (and s3 the
+      mediant of lo and med); the next triangle drops lo.
 
     So E1 comes out ascending and E2 descending; E2 is reversed, and both
     are listed left to right.  e- is <0, 1; 1/2, inf>, and e+ is the last
     crossed edge, with s0 the vertex sigma_{c-1} drops and s3 = r.
 
-    This is the one place that builds r's Farey chain; the edge system
-    keeps it, and ``MarkoffEvaluation.edges`` carries the edge system.  The
-    final triangle is (r1, r, r2), r1 and r2 the Farey parents of r that
-    bound I1 and I2, so e+ is <r1, r2>.
+    This is the one place that builds r's Farey chain, and a
+    non-hyperbolic r raises NonHyperbolicError.  The final triangle is
+    (r1, r, r2), r1 and r2 the Farey parents of r that bound I1 and I2, so
+    e+ is <r1, r2>.  ``select_geometric_root`` gives the edge system to
+    every ``MarkoffEvaluation`` it builds.
     """
-    i1, i2 = fundamental_intervals(r)  # NonHyperbolicError for a non-hyperbolic r
-    chain = farey_chain(r)
-    triangles = chain.triangles
-    r1, _, r2 = triangles[-1].vertices
+    if not is_hyperbolic(r):
+        raise NonHyperbolicError(r)
+    triangles = farey_chain(r)
+    r1, _, r2 = triangles[-1]
 
     e1, e2 = [], []
     for i in range(1, len(triangles) - 1):
-        lo, med, hi = triangles[i].vertices
+        lo, med, hi = triangles[i]
         if r < med:
-            e2.append(DirectedFareyEdge(med, hi, lo, med.mediant(hi), i))
+            e2.append(DirectedFareyEdge(med, hi, lo, i))
             dropped = hi
         else:
-            e1.append(DirectedFareyEdge(lo, med, hi, lo.mediant(med), i))
+            e1.append(DirectedFareyEdge(lo, med, hi, i))
             dropped = lo
     e2.reverse()
 
-    e_minus = DirectedFareyEdge(ZERO, ONE, Slope(1, 2), INFINITY, 1)
-    e_plus = DirectedFareyEdge(r1, r2, dropped, r, len(triangles) - 2)
-    return EdgeSystem(chain=chain, i1=i1, i2=i2, e1=tuple(e1), e2=tuple(e2),
+    e_minus = DirectedFareyEdge(ZERO, ONE, Slope(1, 2), 1)
+    e_plus = DirectedFareyEdge(r1, r2, dropped, len(triangles) - 2)
+    return EdgeSystem(triangles=triangles, e1=tuple(e1), e2=tuple(e2),
                       e_minus=e_minus, e_plus=e_plus)
 
 
@@ -266,9 +254,7 @@ def interval_series(r: Slope, ev: MarkoffEvaluation, j: int,
     boundary_records = []
     for edge in group:
         for s in (edge.s1, edge.s2):
-            val = _boundary_trace(ev, s, boundary_records)
-            # h(+-2) = 1/2 at a snapped parabolic
-            total += 0.5 if kernels._near_parabolic(val) else kernels.h_func(val)
+            total += h(_boundary_trace(ev, s, boundary_records))
         out = _explore_edge(ev, edge, eps_edge, kernel=kernel)
         total += out.total
         tail += out.tail

@@ -76,7 +76,6 @@ class PlatDiagram:
     orientation: str
     crossings: list
     components: int
-    component_of_top: dict   # top position -> component id (0 or 1)
     delta: tuple             # per block, 0 parallel / 1 antiparallel
 
     @property
@@ -192,7 +191,6 @@ def build_plat(r: Slope, orientation: str = "default") -> PlatDiagram:
         orientation=orientation,
         crossings=crossings,
         components=comp,
-        component_of_top=comp_of_top,
         delta=tuple(delta),
     )
 
@@ -270,7 +268,6 @@ class LongitudeClass:
     a: int
     b: int
     remark_hypothesis: bool   # every a_i even and n odd
-    remark_conclusion_holds: bool | None
 
 
 def longitude_class(diagram: PlatDiagram) -> LongitudeClass:
@@ -285,7 +282,6 @@ def longitude_class(diagram: PlatDiagram) -> LongitudeClass:
         return LongitudeClass(
             components=1, lk_ell_link=lk_ell, pairwise=None, a=1, b=lk_ell,
             remark_hypothesis=hyp,
-            remark_conclusion_holds=True if hyp else None,
         )
     lk12 = pairwise_linking(diagram)
     half = lk_ell - 2 * lk12
@@ -297,7 +293,6 @@ def longitude_class(diagram: PlatDiagram) -> LongitudeClass:
     return LongitudeClass(
         components=2, lk_ell_link=lk_ell, pairwise=lk12, a=1, b=half // 2,
         remark_hypothesis=hyp,
-        remark_conclusion_holds=False if hyp else None,
     )
 
 

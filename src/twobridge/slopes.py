@@ -23,11 +23,8 @@ from .errors import InternalError, NonHyperbolicError, SlopeError
 __all__ = [
     "Slope",
     "INFINITY",
-    "FareyTriangle",
-    "FareyChain",
     "Interval",
     "EdgeReflection",
-    "ReflectionWord",
     "continued_fraction",
     "is_hyperbolic",
     "num_components",
@@ -165,62 +162,32 @@ def continued_fraction(r: Slope) -> tuple:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class FareyTriangle:
-    """An ideal triangle of the Farey tessellation, vertices in the coherent
-    order (ascending rationals, inf last), matching <0,1,inf>."""
+def farey_chain(r: Slope) -> tuple:
+    """Sigma(r) by mediant descent from <0,1,inf>, as a tuple of vertex
+    triples.
 
-    vertices: tuple
-
-    def __post_init__(self):
-        v = tuple(self.vertices)
-        if len(v) != 3:
-            raise SlopeError("a triangle has three vertices")
-        for a, b in ((v[0], v[1]), (v[1], v[2]), (v[0], v[2])):
-            if not a.is_farey_neighbor(b):
-                raise SlopeError("%s, %s is not a Farey edge" % (a, b))
-        object.__setattr__(self, "vertices", v)
-
-    def __str__(self):
-        return "<%s>" % ", ".join(str(v) for v in self.vertices)
-
-
-@dataclass(frozen=True)
-class FareyChain:
-    """The chain of Farey triangles crossed by the geodesic from inf to r."""
-
-    r: Slope
-    triangles: tuple
-
-    def __len__(self):
-        return len(self.triangles)
-
-
-def farey_chain(r: Slope) -> FareyChain:
-    """Build Sigma(r) by mediant descent from <0,1,inf>.
-
-    Every triangle after the first is (lo, med, hi), med the mediant of lo
-    and hi, already ascending.  The descent goes on with <lo, med> when
-    r < med and with <med, hi> otherwise; this one turn per triangle fixes
-    the chain's combinatorics, and ``mcshane.boundary_edge_sets`` reads the
-    edge system off it.
+    The first triple is (0, 1, inf); every later one is (lo, med, hi), med
+    the mediant of lo and hi, so it is ascending.  The descent goes on
+    with <lo, med> when r < med and with <med, hi> otherwise; this one turn
+    per triangle fixes the chain's combinatorics, and
+    ``mcshane.boundary_edge_sets`` reads the edge system off it.  Every
+    pair of a triple is a Farey edge: det(lo, lo + hi) = det(lo, hi).
 
     Works for any r in (0, 1), hyperbolic or not; the chain has
     sum(continued_fraction(r)) triangles.
     """
     _require_unit_interval(r)
-    triangles = [FareyTriangle((ZERO, ONE, INFINITY))]
+    triangles = [(ZERO, ONE, INFINITY)]
     lo, hi = ZERO, ONE
     while True:
         med = lo.mediant(hi)
-        triangles.append(FareyTriangle((lo, med, hi)))
+        triangles.append((lo, med, hi))
         if med == r:
-            break
+            return tuple(triangles)
         if r < med:
             hi = med
         else:
             lo = med
-    return FareyChain(r=r, triangles=tuple(triangles))
 
 
 @dataclass(frozen=True)
@@ -266,12 +233,6 @@ def fundamental_intervals(r: Slope):
 # Reflection group machinery
 
 
-def _mat_mul(m, n):
-    a, b, c, d = m
-    e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
 def _mat_apply(m, s: Slope) -> Slope:
     a, b, c, d = m
     return Slope(a * s.num + b * s.den, c * s.num + d * s.den)
@@ -295,48 +256,14 @@ class EdgeReflection:
 
 
 def reflection_in_edge(u: Slope, v: Slope) -> EdgeReflection:
+    """The reflection in the Farey edge <u, v>; its matrix has determinant
+    -(qa - pb)^2 = -1, (q, p) and (b, a) the lifts of u and v."""
     if not u.is_farey_neighbor(v):
         raise SlopeError("<%s,%s> is not a Farey edge" % (u, v))
     q, p = u.num, u.den
     b, a = v.num, v.den
     m = (q * a + p * b, -2 * q * b, 2 * p * a, -(q * a + p * b))
-    if m[0] * m[3] - m[1] * m[2] != -1:
-        raise InternalError("reflection matrix in <%s,%s> has wrong det" % (u, v))
     return EdgeReflection(edge=(u, v), matrix=m)
-
-
-_IDENTITY = (1, 0, 0, 1)
-
-
-@dataclass(frozen=True)
-class ReflectionWord:
-    """A word in Farey-edge reflections; letters act first-to-last.
-
-    ``matrix`` is the product letters[-1] @ ... @ letters[0], so that
-    ``apply`` agrees with acting by ``matrix``.
-    """
-
-    letters: tuple
-
-    @property
-    def matrix(self):
-        m = _IDENTITY
-        for letter in self.letters:
-            m = _mat_mul(letter.matrix, m)
-        return m
-
-    def apply(self, s: Slope) -> Slope:
-        for letter in self.letters:
-            s = letter(s)
-        return s
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __str__(self):
-        if not self.letters:
-            return "<empty word>"
-        return " . ".join(str(letter) for letter in self.letters)
 
 
 def _infinity_reflection(k: int) -> EdgeReflection:
@@ -350,7 +277,9 @@ def reduce_slope(s: Slope, r: Slope):
     Alternates (a) normalising into [0,1] with reflections fixing inf and
     (b) reflecting in the gap edge <r, r1> or <r, r2> that brackets s.  The
     numerator+denominator of the normalised slope strictly decreases at each
-    step (b), which is asserted.  Returns (s0, word) with word(s) == s0.
+    step (b), which is asserted, and this bounds the loop.  Returns
+    (s0, letters): the ``EdgeReflection``s in the order they act, which
+    take s to s0.
     """
     i1, i2 = fundamental_intervals(r)
     r1, r2 = i1.right, i2.left
@@ -360,9 +289,9 @@ def reduce_slope(s: Slope, r: Slope):
     letters = []
     cur = s
     prev_metric = None
-    for _ in range(10_000):
+    while True:
         if cur.is_infinite:
-            return cur, ReflectionWord(tuple(letters))
+            return cur, tuple(letters)
         if cur < ZERO or cur > ONE:
             q, p = cur.num, cur.den
             k = q // (2 * p)
@@ -375,7 +304,7 @@ def reduce_slope(s: Slope, r: Slope):
                 letters.append(letter)
                 cur = letter(cur)
         if cur == r or i1.contains(cur) or i2.contains(cur):
-            return cur, ReflectionWord(tuple(letters))
+            return cur, tuple(letters)
         metric = abs(cur.num) + cur.den
         if prev_metric is not None and metric >= prev_metric:
             raise InternalError(
@@ -385,7 +314,6 @@ def reduce_slope(s: Slope, r: Slope):
         letter = g_left if cur < r else g_right
         letters.append(letter)
         cur = letter(cur)
-    raise InternalError("slope reduction did not terminate for %s (r=%s)" % (s, r))
 
 
 def is_nullhomotopic(s: Slope, r: Slope) -> bool:

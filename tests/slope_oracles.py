@@ -1,6 +1,8 @@
 """Reference constructions on slopes that the package does not use, kept
 as independent oracles for the tests."""
 
+import functools
+
 from twobridge.errors import SlopeError
 from twobridge.slopes import Slope, continued_fraction
 
@@ -21,6 +23,11 @@ def opposite_vertex(u: Slope, v: Slope, w: Slope) -> Slope:
     if w == cands[1]:
         return cands[0]
     raise SlopeError("%s is not adjacent to edge <%s,%s>" % (w, u, v))
+
+
+def apply_word(letters, s: Slope) -> Slope:
+    """s under the reflections ``letters``, applied first to last."""
+    return functools.reduce(lambda t, letter: letter(t), letters, s)
 
 
 def evaluate_cf(coeffs) -> Slope:

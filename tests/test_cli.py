@@ -98,6 +98,17 @@ class TestCusp:
         _, stdout_svg, _ = run(capsys, "cusp", "2/5", "--format", "svg")
         assert svg == stdout_svg
 
+    def test_periods_above_plot_width_rejected(self, capsys):
+        """720 periods, one per pixel of plot width, draw; 721 exit 1 with
+        one error line and no SVG."""
+        code, out, _ = run(capsys, "cusp", "2/5", "--format", "svg",
+                           "--periods", "720")
+        assert code == 0 and out.startswith("<?xml")
+        code, out, err = run(capsys, "cusp", "2/5", "--format", "svg",
+                             "--periods", "721")
+        assert code == 1 and out == ""
+        assert err == "error: periods must be at most 720, got 721\n"
+
 
 class TestLongitude:
     def test_oracle_equality(self, capsys):

@@ -5,7 +5,7 @@ import xml.dom.minidom
 
 import pytest
 
-from slope_oracles import evaluate_cf, opposite_vertex
+from slope_oracles import evaluate_cf
 from twobridge.cusp_layout import (
     LayoutNotGeometricError,
     check_simply_folded,
@@ -42,7 +42,6 @@ class TestLayout:
                     s0 = line.slope_at(j + 2)
                     edge = DirectedFareyEdge(
                         s1=s1, s2=s2, s0=s0,
-                        s3=opposite_vertex(s1, s2, s0),
                         head_index=line.triangle_index - 1,
                     )
                     diff = line.point(j + 1) - line.point(j)
@@ -96,12 +95,12 @@ class TestLayout:
         hyperbolic slope with p <= 30."""
         for r in HYPERBOLIC_30:
             ev = evaluation_for(r)
-            triangles = ev.edges.chain.triangles
+            triangles = ev.edges.triangles
             lines = layout_cusp(r, ev).lines
             assert [line.triangle_index for line in lines] == \
                 list(range(2, len(triangles)))
             for line in lines:
-                expected = triangles[line.triangle_index - 1].vertices
+                expected = triangles[line.triangle_index - 1]
                 if line.triangle_index == 2 and r > HALF:
                     expected = (HALF, Slope(1, 1), Slope(0, 1))
                 assert line.slopes == expected, (r, line.triangle_index)
@@ -114,10 +113,10 @@ class TestFolds:
         hyperbolic slope with p <= 30."""
         for r in HYPERBOLIC_30:
             ev = evaluation_for(r)
-            triangles = ev.edges.chain.triangles
+            triangles = ev.edges.triangles
             layout = layout_cusp(r, ev)
             assert layout.fold_minus.fold_slope == HALF
-            dropped = set(triangles[-2].vertices) - set(triangles[-1].vertices)
+            dropped = set(triangles[-2]) - set(triangles[-1])
             assert {layout.fold_plus.fold_slope} == dropped == {ev.edges.e_plus.s0}
 
     def test_fold_slopes(self, layouts):
@@ -129,9 +128,8 @@ class TestFolds:
             assert layout.fold_plus.fold_slope == expected
 
     def test_fold_residuals(self, layouts):
-        for rs, layout in layouts.items():
-            report = check_simply_folded(layout, Slope(*rs))
-            assert report["ok"]
+        for layout in layouts.values():
+            check_simply_folded(layout)  # raises if a fold fails
             assert layout.fold_minus.residual <= 1e-9
             assert layout.fold_plus.residual <= 1e-9
 
@@ -143,20 +141,11 @@ class TestFolds:
                 for p in line.points:
                     assert lo <= p.imag <= hi
 
-    def test_rotation_centers_at_midpoints(self, layouts):
-        for layout in layouts.values():
-            for fold in (layout.fold_minus, layout.fold_plus):
-                c1, c2 = fold.rotation_centers
-                # centers sit on the horizontal line, half a period apart
-                assert abs(c1.imag - fold.level) <= 1e-9
-                assert abs(c2.imag - fold.level) <= 1e-9
-                assert abs((c2 - c1).real - 0.5) <= 1e-9
-
     def test_non_geometric_root_fails_fold(self):
-        bad = MarkoffEvaluation(S25, 1.1 + 0.6j)
+        bad = MarkoffEvaluation(S25, 1.1 + 0.6j, boundary_edge_sets(S25))
         layout = layout_cusp(S25, bad)
         with pytest.raises(LayoutNotGeometricError):
-            check_simply_folded(layout, S25)
+            check_simply_folded(layout)
         assert max(layout.fold_minus.residual,
                    layout.fold_plus.residual) >= 1e-3
 
@@ -176,7 +165,7 @@ class TestFolds:
         monkeypatch.setattr(mcshane, "boundary_edge_sets", no_rebuild)
         monkeypatch.setattr(cusp_layout, "boundary_edge_sets", no_rebuild,
                             raising=False)
-        check_simply_folded(layout_cusp(r, ev), r)
+        check_simply_folded(layout_cusp(r, ev))
 
 
 class TestSvg:
@@ -200,3 +189,11 @@ class TestSvg:
         """Fewer than one period would draw empty zigzag polylines."""
         with pytest.raises(DomainError, match="periods"):
             render_svg(layouts[(2, 5)], periods=periods)
+
+    def test_periods_up_to_the_plot_width(self, layouts):
+        """At most 720 periods, one per pixel of the 800 - 2 * 40 pixel
+        plot width; beyond that each period is under a pixel wide."""
+        svg = render_svg(layouts[(2, 5)], periods=720)
+        assert svg.count("<circle") == 2 * 721 + 2
+        with pytest.raises(DomainError, match="at most 720"):
+            render_svg(layouts[(2, 5)], periods=721)

@@ -35,7 +35,8 @@ def test_explore_walks_parabolic_fans():
     exactly, and the one call sums the whole cut-off interval of 2/5's E1
     edge to its tail bound, with nothing left for the caller."""
     r = Slope(2, 5)
-    ev = MarkoffEvaluation(r, complex(0.8660254037844387, -0.5))
+    ev = MarkoffEvaluation(r, complex(0.8660254037844387, -0.5),
+                           boundary_edge_sets(r))
     (edge,) = ev.edges.e1
     out = _raw_explore(ev, edge)
     assert (1, 5, -2 + 0j) in out.census
@@ -49,7 +50,8 @@ def test_parabolic_fan_steps_count_against_the_node_budget():
     """Every fan step is a node: with a budget of five, the cell (0/1, 1/5)
     of 2/5, opposite 1/4, stops in the fan around 1/5 after its own node
     and four steps."""
-    ev = MarkoffEvaluation(Slope(2, 5), complex(0.8660254037844387, -0.5))
+    ev = MarkoffEvaluation(Slope(2, 5), complex(0.8660254037844387, -0.5),
+                           boundary_edge_sets(Slope(2, 5)))
     phi = [ev.phi(Slope(*s)) for s in ((0, 1), (1, 5), (1, 4))]
     assert kernels._near_parabolic(phi[1])
     out = kernels.CellOutcome()
@@ -61,7 +63,8 @@ def test_parabolic_fan_steps_count_against_the_node_budget():
 def test_elliptic_abort():
     """An elliptic endpoint of the root cell is recorded before any node is
     walked: with a real trace the fan around it would never grow."""
-    ev = MarkoffEvaluation(Slope(2, 5), 1.5 + 0j)  # real trace: elliptic loops
+    # real trace: elliptic loops
+    ev = MarkoffEvaluation(Slope(2, 5), 1.5 + 0j, boundary_edge_sets(Slope(2, 5)))
     out = _raw_explore(ev, ev.edges.e1[0])
     assert out.elliptic is not None
     assert out.nodes <= 1
@@ -164,8 +167,7 @@ def test_scan_pruning_is_sound():
     for r in rng.sample(slopes, 12):
         edges = boundary_edge_sets(r)
         for root in {z for z in polynomial_roots(trace_polynomial(r)) if z}:
-            ev = MarkoffEvaluation(r, root)
-            ev.edges = edges
+            ev = MarkoffEvaluation(r, root, edges)
             found = _scan_pruned_cells(ev, edges, 6)
             cells += rng.sample(found, min(2, len(found)))
     assert len(cells) >= 200

@@ -11,8 +11,9 @@ import pytest
 import sympy
 
 from slope_oracles import opposite_vertex
-from twobridge import markoff
+from twobridge import kernels, markoff
 from twobridge.errors import (
+    DomainError,
     EllipticTraceError,
     InternalError,
     NoGeometricRootError,
@@ -27,6 +28,7 @@ from twobridge.markoff import (
     trace_polynomial,
     translation_length,
 )
+from twobridge.mcshane import boundary_edge_sets, h
 from twobridge.slopes import INFINITY, Slope, farey_chain, is_hyperbolic
 
 S25 = Slope(2, 5)
@@ -39,12 +41,10 @@ def _sympy_trace_polynomial(r):
     values = {INFINITY: sympy.Integer(0), Slope(0, 1): x,
               Slope(1, 1): sympy.I * x}
     current = dict(values)
-    for i in range(1, len(chain.triangles)):
-        tri = chain.triangles[i]
-        prev = chain.triangles[i - 1]
-        (fresh,) = [v for v in tri.vertices if v not in prev.vertices]
-        dropped = next(v for v in prev.vertices if v not in tri.vertices)
-        kept = [v for v in tri.vertices if v != fresh]
+    for prev, tri in zip(chain, chain[1:]):
+        (fresh,) = [v for v in tri if v not in prev]
+        dropped = next(v for v in prev if v not in tri)
+        kept = [v for v in tri if v != fresh]
         current = {
             kept[0]: current[kept[0]],
             kept[1]: current[kept[1]],
@@ -105,7 +105,7 @@ class TestTracePolynomial:
             r = Slope(qs[0], p)
             poly = trace_polynomial(r)
             x = complex(random.uniform(0.5, 2), random.uniform(-1, 1))
-            ev = MarkoffEvaluation(r, x)
+            ev = MarkoffEvaluation(r, x, boundary_edge_sets(r))
             num = ev.phi(r)
             sym = poly(x)
             assert abs(num - sym) <= 1e-10 * max(1.0, abs(sym))
@@ -443,7 +443,7 @@ class TestEvaluatePhi:
 
     def test_edge_relation_randomised(self):
         random.seed(17)
-        ev = MarkoffEvaluation(S25, 1.1 - 0.7j)
+        ev = MarkoffEvaluation(S25, 1.1 - 0.7j, boundary_edge_sets(S25))
         count = 0
         while count < 200:
             den = random.randint(2, 60)
@@ -460,8 +460,8 @@ class TestEvaluatePhi:
     def test_markoff_equation_on_chain(self, evaluation_for):
         for r in (S25, Slope(5, 17), Slope(5, 12)):
             ev = evaluation_for(r)
-            for tri in ev.edges.chain.triangles:
-                x, y, z = (ev.phi(v) for v in tri.vertices)
+            for tri in ev.edges.triangles:
+                x, y, z = (ev.phi(v) for v in tri)
                 scale = max(1.0, abs(x), abs(y), abs(z)) ** 3
                 assert abs(x * x + y * y + z * z - x * y * z) <= 1e-10 * scale
 
@@ -482,16 +482,16 @@ def _stern_brocot_parents(s):
 
 class TestTranslationLength:
     def test_parabolic(self):
-        l = translation_length(2.0)
-        assert l.parabolic and l.value == 0
+        assert translation_length(2.0) == 0
+        assert translation_length(-2.0 + 5e-12j) == 0
 
     def test_inverse_of_cosh(self):
         l = translation_length(2 * cmath.cosh(0.5 + 0.3j))
-        assert abs(l.value - (1.0 + 0.6j)) < 1e-12
+        assert abs(l - (1.0 + 0.6j)) < 1e-12
 
     def test_real_trace(self):
         l = translation_length(3.0)
-        assert abs(l.value - 1.9248473002384139) < 1e-12
+        assert abs(l - 1.9248473002384139) < 1e-12
 
     def test_elliptic_rejected(self):
         with pytest.raises(EllipticTraceError):
@@ -500,7 +500,7 @@ class TestTranslationLength:
     def test_sign_insensitive(self):
         a = translation_length(2 * cmath.cosh(0.7 + 0.2j))
         b = translation_length(-2 * cmath.cosh(0.7 + 0.2j))
-        assert abs(a.value - b.value) < 1e-12
+        assert abs(a - b) < 1e-12
 
     def test_normalisation_ranges(self):
         random.seed(2)
@@ -508,20 +508,46 @@ class TestTranslationLength:
             phi = complex(random.uniform(-6, 6), random.uniform(-6, 6))
             if abs(phi.imag) < 1e-6:
                 continue
-            l = translation_length(phi).value
+            l = translation_length(phi)
             assert l.real >= 0
             assert -math.pi < l.imag <= math.pi
 
     def test_h_compatibility(self):
         """h(2 cosh(l/2)) = 1/(1 + e^l), the bridge between traces and the
         series terms."""
-        from twobridge.mcshane import h
         random.seed(4)
         for _ in range(2000):
             l = complex(random.uniform(0.1, 3), random.uniform(-3, 3))
             lhs = h(2 * cmath.cosh(l / 2))
             rhs = 1.0 / (1.0 + cmath.exp(l))
             assert abs(lhs - rhs) <= 1e-12
+
+    @pytest.mark.parametrize("x, elliptic", [
+        (1.999, True), (2 - 2e-6, True), (2 - 5e-7, False), (1.5 + 1e-10j, True)])
+    def test_h_and_length_raise_where_the_kernel_sees_elliptic(self, x, elliptic):
+        """h and translation_length class a trace as the kernel does: they
+        raise exactly where ``kernels._is_elliptic`` holds."""
+        assert kernels._is_elliptic(complex(x)) == elliptic
+        if elliptic:
+            with pytest.raises(DomainError):
+                h(x)
+            with pytest.raises(EllipticTraceError):
+                translation_length(x)
+        else:
+            assert cmath.isfinite(h(x))
+            assert cmath.isfinite(translation_length(x))
+
+    def test_finite_on_every_census_trace(self, report_for):
+        """Every trace of the census of small traces, for every hyperbolic
+        slope with p <= 30, has a finite length and h value: it passed the
+        kernel's elliptic test or was snapped to +-2."""
+        checked = 0
+        for r in _hyperbolic(30):
+            for s, v in report_for(r).slopes_small_trace:
+                assert cmath.isfinite(translation_length(v)), (r, s)
+                assert cmath.isfinite(h(v)), (r, s)
+                checked += 1
+        assert checked > 1000
 
 
 def _hyperbolic(pmax):

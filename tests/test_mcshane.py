@@ -25,7 +25,13 @@ from twobridge.mcshane import (
     interval_series,
     psi,
 )
-from twobridge.slopes import INFINITY, Slope, farey_chain, is_hyperbolic
+from twobridge.slopes import (
+    INFINITY,
+    Slope,
+    farey_chain,
+    fundamental_intervals,
+    is_hyperbolic,
+)
 
 S25 = Slope(2, 5)
 HYPERBOLIC_40 = [Slope(q, p) for p in range(3, 41) for q in range(1, p)
@@ -69,7 +75,7 @@ class TestEdgeSets:
     def test_counts(self):
         for r in (S25, Slope(5, 17), Slope(3, 8), Slope(7, 17)):
             edges = boundary_edge_sets(r)
-            c = len(edges.chain)
+            c = len(edges.triangles)
             assert len(edges.e1) + len(edges.e2) == c - 2
             assert len(edges.e1 + edges.e2 + (edges.e_minus, edges.e_plus)) == c
 
@@ -78,8 +84,9 @@ class TestEdgeSets:
         assert len(edges.e1) == 1 and len(edges.e2) == 1
         e = edges.e1[0]
         assert (str(e.s1), str(e.s2), str(e.s0)) == ("0/1", "1/3", "1/2")
-        assert str(edges.e_minus.s3) == "inf"
-        assert edges.e_plus.s3 == S25
+        e_minus, e_plus = edges.e_minus, edges.e_plus
+        assert opposite_vertex(e_minus.s1, e_minus.s2, e_minus.s0) == INFINITY
+        assert opposite_vertex(e_plus.s1, e_plus.s2, e_plus.s0) == S25
 
     def test_cutoffs_tile_intervals(self):
         """In the order the edge system lists them, the cut-off intervals
@@ -87,7 +94,8 @@ class TestEdgeSets:
         hyperbolic slope with p <= 40."""
         for r in HYPERBOLIC_40:
             edges = boundary_edge_sets(r)
-            for group, interval in ((edges.e1, edges.i1), (edges.e2, edges.i2)):
+            i1, i2 = fundamental_intervals(r)
+            for group, interval in ((edges.e1, i1), (edges.e2, i2)):
                 assert group[0].s1 == interval.left, r
                 assert group[-1].s2 == interval.right, r
                 for a, b in zip(group, group[1:]):
@@ -99,23 +107,25 @@ class TestEdgeSets:
         tails of E1 and E2 lie off the chain, every inner triangle heads
         one of them, and e-, e+ come from sigma_1 (s3 = inf) and sigma_c
         (s3 = r).  For every hyperbolic slope with p <= 40."""
+        def s3(e):
+            return opposite_vertex(e.s1, e.s2, e.s0)
+
         for r in HYPERBOLIC_40:
             edges = boundary_edge_sets(r)
-            triangles = edges.chain.triangles
-            chain_sets = {frozenset(t.vertices) for t in triangles}
+            triangles = edges.triangles
+            chain_sets = {frozenset(t) for t in triangles}
             for e in edges.e1 + edges.e2 + (edges.e_minus, edges.e_plus):
                 assert e.s1 < e.s2, (r, e)
-                assert {e.s1, e.s2, e.s0} == set(triangles[e.head_index].vertices)
-                assert opposite_vertex(e.s1, e.s2, e.s0) == e.s3, (r, e)
+                assert {e.s1, e.s2, e.s0} == set(triangles[e.head_index])
             for e in edges.e1 + edges.e2:
-                assert frozenset((e.s1, e.s2, e.s3)) not in chain_sets, (r, e)
+                assert frozenset((e.s1, e.s2, s3(e))) not in chain_sets, (r, e)
             assert sorted(e.head_index for e in edges.e1 + edges.e2) == \
                 list(range(1, len(triangles) - 1))
             e_minus, e_plus = edges.e_minus, edges.e_plus
-            assert (e_minus.head_index, e_minus.s3) == (1, INFINITY)
-            assert {e_minus.s1, e_minus.s2, e_minus.s3} == set(triangles[0].vertices)
-            assert (e_plus.head_index, e_plus.s3) == (len(triangles) - 2, r)
-            assert {e_plus.s1, e_plus.s2, e_plus.s3} == set(triangles[-1].vertices)
+            assert (e_minus.head_index, s3(e_minus)) == (1, INFINITY)
+            assert {e_minus.s1, e_minus.s2, s3(e_minus)} == set(triangles[0])
+            assert (e_plus.head_index, s3(e_plus)) == (len(triangles) - 2, r)
+            assert {e_plus.s1, e_plus.s2, s3(e_plus)} == set(triangles[-1])
 
 
 class TestPsi:
@@ -132,16 +142,16 @@ class TestPsi:
         random.seed(41)
         for _ in range(300):
             x = complex(random.uniform(0.5, 3), random.uniform(0.2, 3))
-            ev = MarkoffEvaluation(S25, x)
+            ev = MarkoffEvaluation(S25, x, boundary_edge_sets(S25))
             den = random.randint(2, 40)
             num = random.randint(1, den - 1)
             if math.gcd(num, den) != 1:
                 continue
             chain = farey_chain(Slope(num, den)) if is_hyperbolic(Slope(num, den)) else None
-            tri = chain.triangles[random.randrange(len(chain))] if chain else None
+            tri = chain[random.randrange(len(chain))] if chain else None
             if tri is None:
                 continue
-            vals = [ev.phi(v) for v in tri.vertices]
+            vals = [ev.phi(v) for v in tri]
             if min(abs(v) for v in vals) < 1e-6:
                 continue
             x0, y0, z0 = vals
@@ -163,7 +173,7 @@ class TestFiniteSums:
         for root in polynomial_roots(poly):
             if abs(root) < 1e-9:
                 continue
-            ev = MarkoffEvaluation(S25, root)
+            ev = MarkoffEvaluation(S25, root, boundary_edge_sets(S25))
             s1, s2 = finite_edge_sums(S25, ev, check=False)
             assert abs(s1 + s2 + 1) < 1e-9
 
@@ -290,8 +300,8 @@ class TestIntervalSeries:
 
     def _failing_scan(self, monkeypatch, r, root, **kwargs):
         """(message, nodes explored) of a census scan that fails."""
-        error, nodes = self._counted_scan(monkeypatch, MarkoffEvaluation(r, root),
-                                          **kwargs)
+        ev = MarkoffEvaluation(r, root, boundary_edge_sets(r))
+        error, nodes = self._counted_scan(monkeypatch, ev, **kwargs)
         assert isinstance(error, NotGeometricEvaluationError)
         return str(error), nodes
 
@@ -371,7 +381,7 @@ class TestIntervalSeries:
 
     def test_not_geometric_root_raises(self):
         # a real trace makes beta_0 itself elliptic on the nose
-        ev = MarkoffEvaluation(S25, 1.5 + 0j)
+        ev = MarkoffEvaluation(S25, 1.5 + 0j, boundary_edge_sets(S25))
         with pytest.raises(NotGeometricEvaluationError):
             interval_series(S25, ev, 1)
 

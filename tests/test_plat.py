@@ -33,7 +33,7 @@ class TestBuildPlat:
     def test_figure_eight_visits_all_strands(self):
         d = build_plat(S25)
         assert d.components == 1
-        assert set(d.component_of_top.values()) == {0}
+        assert {c for cr in d.crossings for _, c in cr.passes} == {0}
 
     def test_hopf(self):
         d = build_plat(Slope(1, 2))
@@ -108,7 +108,6 @@ class TestLongitudeClass:
             if cls.remark_hypothesis:
                 checked += 1
                 assert num_components(r) == 2
-                assert cls.remark_conclusion_holds is False
         assert checked >= 2  # e.g. 5/12 = [2,2,2] and friends
 
     def test_json_schema(self):

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from slope_oracles import evaluate_cf, parity_split_parents
+from slope_oracles import apply_word, evaluate_cf, parity_split_parents
 from twobridge.errors import NonHyperbolicError, SlopeError
 from twobridge.slopes import (
     INFINITY,
@@ -108,7 +108,7 @@ class TestHyperbolicityAndComponents:
 class TestFareyChain:
     def test_chain_2_5(self):
         chain = farey_chain(S25)
-        got = [tuple(str(v) for v in t.vertices) for t in chain.triangles]
+        got = [tuple(str(v) for v in t) for t in chain]
         assert got == [
             ("0/1", "1/1", "inf"),
             ("0/1", "1/2", "1/1"),
@@ -119,8 +119,8 @@ class TestFareyChain:
     def test_chain_5_17_has_seven_triangles(self):
         chain = farey_chain(Slope(5, 17))
         assert len(chain) == 7  # c = 3 + 2 + 2
-        assert S25 not in chain.triangles[-1].vertices
-        assert Slope(5, 17) in chain.triangles[-1].vertices
+        assert S25 not in chain[-1]
+        assert Slope(5, 17) in chain[-1]
 
     def test_chain_of_non_hyperbolic_1_2(self):
         chain = farey_chain(Slope(1, 2))
@@ -138,14 +138,31 @@ class TestFareyChain:
     def test_consecutive_triangles_share_an_edge(self):
         for r in (S25, Slope(5, 17), Slope(7, 17), Slope(5, 12)):
             chain = farey_chain(r)
-            for t1, t2 in zip(chain.triangles, chain.triangles[1:]):
-                assert len(set(t1.vertices) & set(t2.vertices)) == 2
+            for t1, t2 in zip(chain, chain[1:]):
+                assert len(set(t1) & set(t2)) == 2
+
+    def test_triangles_are_ascending_farey_triangles(self):
+        """Every triple is ascending, inf last in the first, and its three
+        pairs are Farey edges, for every r in (0, 1) with p <= 60; and the
+        reflection in each of those edges has determinant -1."""
+        for p in range(2, 61):
+            for q in range(1, p):
+                if math.gcd(q, p) != 1:
+                    continue
+                chain = farey_chain(Slope(q, p))
+                assert chain[0] == (Slope(0, 1), Slope(1, 1), INFINITY)
+                for lo, med, hi in chain:
+                    assert lo < med and (hi.is_infinite or med < hi)
+                    for u, v in ((lo, med), (med, hi), (lo, hi)):
+                        assert u.is_farey_neighbor(v), (q, p, u, v)
+                        a, b, c, d = reflection_in_edge(u, v).matrix
+                        assert a * d - b * c == -1, (q, p, u, v)
 
     def test_inner_vertices_lie_in_unit_interval(self):
         for r in (S25, Slope(5, 17), Slope(7, 17)):
             chain = farey_chain(r)
-            for t in chain.triangles[1:-1]:
-                for v in t.vertices:
+            for t in chain[1:-1]:
+                for v in t:
                     assert not v.is_infinite
                     assert Slope(0, 1) <= v <= Slope(1, 1)
 
@@ -205,8 +222,8 @@ class TestFundamentalIntervals:
                 if math.gcd(q, p) != 1 or not is_hyperbolic(r):
                     continue
                 i1, i2 = fundamental_intervals(r)
-                last = farey_chain(r).triangles[-1]
-                assert set(last.vertices) == {i1.right, r, i2.left}, r
+                last = farey_chain(r)[-1]
+                assert set(last) == {i1.right, r, i2.left}, r
                 checked += 1
         assert checked == 984
 
@@ -252,7 +269,7 @@ def generator_word_length(word):
     """Length of a reduction word in the four standard generators: a
     reflection over <inf, k> with k outside {0, 1} costs 2|k| + 1 letters."""
     total = 0
-    for letter in word.letters:
+    for letter in word:
         u, v = letter.edge
         if u.is_infinite or v.is_infinite:
             k = (v if u.is_infinite else u).num
@@ -289,8 +306,8 @@ class TestReduceSlope:
         s0, word = reduce_slope(Slope(-1, 3), S25)
         assert s0 == Slope(1, 3)
         assert len(word) == 1
-        assert word.matrix in ((1, 0, 0, -1), (-1, 0, 0, 1))
-        assert word.apply(Slope(-1, 3)) == s0
+        assert word[0].matrix in ((1, 0, 0, -1), (-1, 0, 0, 1))
+        assert apply_word(word, Slope(-1, 3)) == s0
 
     def test_word_maps_input_to_output(self):
         random.seed(5)
@@ -301,7 +318,7 @@ class TestReduceSlope:
                 continue
             s = Slope(num, den)
             s0, word = reduce_slope(s, S25)
-            assert word.apply(s) == s0
+            assert apply_word(word, s) == s0
 
     def test_idempotent(self):
         random.seed(11)

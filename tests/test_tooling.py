@@ -1,10 +1,10 @@
 """The names perfbench's tracer wraps: a refactor that renames one of them
 breaks ``perfbench/run.py --trace 1`` and nothing else.  And every name a
 module exports: a deleted function left in ``__all__`` breaks only
-``from ... import *``, and an export that only the tests use is dead code.
-And the package's start-up: importing the CLI loads no mpmath, which only
-the tests use, as a reference.  And its memory: no cache grows without
-bound."""
+``from ... import *``, and an export that only the tests use is dead code;
+so is a class member that only the tests read.  And the package's
+start-up: importing the CLI loads no mpmath, which only the tests use, as
+a reference.  And its memory: no cache grows without bound."""
 
 import ast
 import importlib
@@ -13,6 +13,7 @@ import inspect
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import twobridge
@@ -95,6 +96,72 @@ def test_exported_names_are_used():
                    for name in getattr(module, "__all__", ())
                    if name not in used and name not in ENTRY_POINTS]
     assert not unused, unused
+
+
+# Class members that no code in the package reads, each kept for the
+# reason given.
+UNREAD_MEMBERS = {
+    # the exact reference that the tests check the printed float against
+    "GapSystem.covered_length",
+    # the root-selection report, which no output prints yet
+    "MarkoffEvaluation.selection",
+    "SelectionReport.selected",
+    "RootCandidateReport.passed",
+}
+
+
+def _class_members(cls_node):
+    """(name, definition node) of each public method, property, class-level
+    annotated field and ``self.`` attribute assigned in a method."""
+    for stmt in cls_node.body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield stmt.name, stmt
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"):
+                    yield node.attr, node
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            yield stmt.target.id, stmt
+
+
+def _attribute_reads(tree):
+    """The names read as ``.name`` in ``tree``, with multiplicity."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load))
+
+
+def test_class_members_are_used():
+    """Code in twobridge reads every public member of each of its classes
+    as ``.name`` outside that member's own definition, unless it is listed
+    in UNREAD_MEMBERS.  Attributes of exception classes, which exist for
+    handlers, and methods that override a base-class method are not
+    checked.  The match is by name alone, so a member that shares its name
+    with an attribute read elsewhere (say a field ``r``, when some other
+    object's ``.r`` is read) passes unread."""
+    package = Path(twobridge.__file__).resolve().parent
+    reads = sum((_attribute_reads(ast.parse(path.read_text()))
+                 for path in package.glob("*.py")), Counter())
+    unread = []
+    for info in pkgutil.iter_modules(twobridge.__path__):
+        module = importlib.import_module("twobridge." + info.name)
+        tree = ast.parse(Path(module.__file__).read_text())
+        for cls_node in (stmt for stmt in tree.body
+                         if isinstance(stmt, ast.ClassDef)):
+            cls = getattr(module, cls_node.name)
+            if issubclass(cls, BaseException):
+                continue
+            for name, node in _class_members(cls_node):
+                if name.startswith("_") or any(
+                        hasattr(base, name) for base in cls.__mro__[1:]):
+                    continue
+                own = _attribute_reads(node)[name]
+                key = "%s.%s" % (cls_node.name, name)
+                if reads[name] - own <= 0 and key not in UNREAD_MEMBERS:
+                    unread.append(key)
+    assert not unread, sorted(set(unread))
 
 
 def test_cli_import_leaves_out_mpmath():
