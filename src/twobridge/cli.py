@@ -6,18 +6,23 @@ Exit codes: 0 success, 1 usage/other error, 2 non-hyperbolic slope,
 3 ambiguous geometric-root selection.
 
 The geometric root is fixed by the slope, so the requests of one process
-share work through two bounded LRU caches: ``_evaluation`` keeps r's
+share work through three bounded LRU caches: ``_evaluation`` keeps r's
 geometric evaluation (root, Markoff map and edge system), keyed by r, for
 ``identity`` and ``cusp``; ``_identity`` keeps r's identity report, keyed
-by (r, eps), and builds it on the cached evaluation.  Each holds at most
-``_CACHE_SIZE`` entries: an evaluation with its report, after ``identity``
-and ``cusp`` of its slope, holds at most 12 KB for p <= 24 and 20 KB for
-41 <= p <= 64 (tracemalloc), so both caches together stay under 1.5 MB.
-A request that raises caches nothing: its error is raised again, with its
-exit code, on every call.  End-invariant reports are not cached: 16 of
-them at depth 6 hold 6.7 MB, and their texts 5.5 MB more.  ``batch`` and
-library callers (``mcshane.cusp_shape``, ``markoff.geometric_evaluation``)
-bypass the caches and always compute.
+by (r, eps), and builds it on the cached evaluation; ``_endinv_text``
+keeps r's ``endinv`` JSON text, keyed by (r, depth), zlib-compressed.
+Each holds at most ``_CACHE_SIZE`` entries: an evaluation with its report,
+after ``identity`` and ``cusp`` of its slope, holds at most 12 KB for
+p <= 24 and 20 KB for 41 <= p <= 64 (tracemalloc), so these two stay
+under 1.5 MB together.  An ``endinv`` text is cached only in JSON and only
+up to ``endinvariants.DEFAULT_GAP_DEPTH`` (6), where its 330-380 KB for
+p <= 64 compress to 30-47 KB, so 64 entries stay under 3 MB; compressing
+adds 2 ms to a 6-10 ms miss, and a hit costs 1 ms of decompression.
+Deeper texts (100-150 KB compressed at depth 7) and SVG pictures are
+computed on every request.  A request that raises caches nothing: its
+error is raised again, with its exit code, on every call.  ``batch`` and
+library callers (``mcshane.cusp_shape``, ``markoff.geometric_evaluation``,
+``endinvariants.bowditch_L``) bypass the caches and always compute.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import functools
 import json
 import math
 import sys
+import zlib
 
 from . import cusp_layout, endinvariants, mcshane, plat
 from .errors import (
@@ -53,6 +59,13 @@ def _evaluation(r: Slope):
 def _identity(r: Slope, eps: float):
     """r's identity report at ``eps``, on the cached evaluation."""
     return mcshane.cusp_shape(r, eps=eps, ev=_evaluation(r))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _endinv_text(r: Slope, depth: int) -> bytes:
+    """r's end-invariant JSON text at ``depth``, zlib-compressed (level 1)."""
+    text = endinvariants.bowditch_L(r, depth=depth).to_json_text()
+    return zlib.compress(text.encode(), 1)
 
 
 def _write(text: str, path: str | None):
@@ -131,11 +144,14 @@ def cmd_longitude(args) -> int:
 
 def cmd_endinv(args) -> int:
     r = Slope.parse(args.r)
-    report = endinvariants.bowditch_L(r, depth=args.depth)
     if args.format == "svg":
+        report = endinvariants.bowditch_L(r, depth=args.depth)
         _write(endinvariants.render_gaps_svg(report.gap_system), args.out)
-        return 0
-    _write(report.to_json_text(), args.out)
+    elif args.depth <= endinvariants.DEFAULT_GAP_DEPTH:
+        _write(zlib.decompress(_endinv_text(r, args.depth)).decode(), args.out)
+    else:
+        _write(endinvariants.bowditch_L(r, depth=args.depth).to_json_text(),
+               args.out)
     return 0
 
 
@@ -189,11 +205,13 @@ def cmd_batch(args) -> int:
     return 0
 
 
-def positive_int(text):
-    """An int of at least 1, else a usage error."""
+def period_count(text):
+    """A number of periods ``cusp_layout.render_svg`` draws, 1 to
+    ``MAX_PERIODS``, else a usage error, whatever the output format."""
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    if not 1 <= value <= cusp_layout.MAX_PERIODS:
+        raise argparse.ArgumentTypeError("must lie in [1, %d], got %d"
+                                         % (cusp_layout.MAX_PERIODS, value))
     return value
 
 
@@ -232,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cusp", help="cusp triangulation zigzag layout and SVG")
     common(p, ("json", "svg"))
-    p.add_argument("--periods", type=positive_int, default=2)
+    p.add_argument("--periods", type=period_count, default=2)
     p.set_defaults(func=cmd_cusp)
 
     p = sub.add_parser("longitude", help="longitude homology class and linking numbers")
@@ -243,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("endinv", help="end-invariant classification and gap system")
     common(p, ("json", "svg"))
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=int,
+                   default=endinvariants.DEFAULT_GAP_DEPTH)
     p.set_defaults(func=cmd_endinv)
 
     p = sub.add_parser("batch", help="one row per hyperbolic slope up to --pmax")

@@ -71,7 +71,6 @@ class ZigzagLine:
 
 @dataclass(frozen=True)
 class FoldReport:
-    triangle_index: int
     fold_slope: Slope
     spike: complex
     residual: float
@@ -219,7 +218,6 @@ def _fold_report(line, fold_slope):
     residual = abs(foot_a - foot_b)
     level = 0.5 * (foot_a.imag + foot_b.imag)
     return FoldReport(
-        triangle_index=line.triangle_index,
         fold_slope=fold_slope,
         spike=spike,
         residual=residual,

@@ -61,6 +61,10 @@ __all__ = [
 ]
 
 MAX_GAP_DEPTH = 12
+# the depth of ``bowditch_L`` and of ``twobridge endinv`` unless one is given
+# and the deepest ``endinv`` text ``cli`` caches; the cache's memory bound
+# (64 entries under 3 MB) was measured at 6 and grows about 3x a level
+DEFAULT_GAP_DEPTH = 6
 
 # one gap of GapSystem.to_json_text(), laid out as json.dumps(..., indent=2)
 # lays out a dict
@@ -284,7 +288,7 @@ def _classify(q, p):
     return "generic", ()
 
 
-def bowditch_L(r: Slope, depth: int = 6) -> EndInvariantReport:
+def bowditch_L(r: Slope, depth: int = DEFAULT_GAP_DEPTH) -> EndInvariantReport:
     """Classify Bowditch's set of end invariants for the holonomy.
 
     Generic slopes give exactly the limit set; the three exceptional

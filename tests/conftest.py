@@ -37,6 +37,7 @@ def fresh_cli_caches():
     layer is never served what an earlier test computed."""
     cli._evaluation.cache_clear()
     cli._identity.cache_clear()
+    cli._endinv_text.cache_clear()
 
 
 @pytest.fixture

@@ -98,16 +98,22 @@ class TestCusp:
         _, stdout_svg, _ = run(capsys, "cusp", "2/5", "--format", "svg")
         assert svg == stdout_svg
 
-    def test_periods_above_plot_width_rejected(self, capsys):
-        """720 periods, one per pixel of plot width, draw; 721 exit 1 with
-        one error line and no SVG."""
+    def test_periods_above_plot_width_rejected(self, capsys, tmp_path):
+        """720 periods, one per pixel of plot width, draw; 721 is a usage
+        error (exit 1, no output) in every form of the request, JSON alone
+        included, although that draws nothing."""
         code, out, _ = run(capsys, "cusp", "2/5", "--format", "svg",
                            "--periods", "720")
         assert code == 0 and out.startswith("<?xml")
-        code, out, err = run(capsys, "cusp", "2/5", "--format", "svg",
-                             "--periods", "721")
-        assert code == 1 and out == ""
-        assert err == "error: periods must be at most 720, got 721\n"
+        path = tmp_path / "cusp.svg"
+        for extra in ((), ("--out", str(path)), ("--format", "svg")):
+            with pytest.raises(SystemExit) as exc:
+                main(["cusp", "2/5", "--periods", "721", *extra])
+            captured = capsys.readouterr()
+            assert exc.value.code == 1 and captured.out == ""
+            assert captured.err.endswith(
+                "error: argument --periods: must lie in [1, 720], got 721\n")
+        assert not path.exists()
 
 
 class TestLongitude:
@@ -208,7 +214,8 @@ class TestCaches:
                                       ("identity", "5/17", "--format", "csv"),
                                       ("cusp", "5/17"),
                                       ("cusp", "5/17", "--format", "svg"),
-                                      ("endinv", "3/8")])
+                                      ("endinv", "3/8"),
+                                      ("endinv", "3/8", "--format", "svg")])
     def test_repeat_is_byte_identical(self, capsys, argv):
         """A repeated request, served from the caches where it can be,
         writes what the first one wrote."""
@@ -249,11 +256,32 @@ class TestCaches:
         """A non-hyperbolic slope exits 2 on every call, and leaves no
         entry behind."""
         from twobridge import cli
-        for _ in range(3):
-            code, out, err = run(capsys, "identity", "1/3")
+        for command in ("identity", "endinv") * 3:
+            code, out, err = run(capsys, command, "1/3")
             assert (code, out) == (2, "") and "+-1 mod p" in err
         assert cli._identity.cache_info().currsize == 0
         assert cli._evaluation.cache_info().currsize == 0
+        assert cli._endinv_text.cache_info().currsize == 0
+
+    def test_endinv_text_keys_and_counts(self, capsys):
+        """End-invariant texts are keyed by (r, depth), and cached only up
+        to the default depth; a depth outside [0, 12] exits 1 and caches
+        nothing.  The cache's memory bound was measured at depth 6, so a
+        new default depth means measuring it again."""
+        from twobridge import cli
+        assert cli.endinvariants.DEFAULT_GAP_DEPTH == 6
+        for argv in (("3/8",), ("3/8",), ("3/8", "--depth", "3")):
+            assert run(capsys, "endinv", *argv)[0] == 0
+        info = cli._endinv_text.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+        assert info.maxsize == cli._CACHE_SIZE
+        assert run(capsys, "endinv", "3/8", "--depth", "7")[0] == 0
+        assert cli._endinv_text.cache_info().currsize == 2
+        cli._endinv_text.cache_clear()
+        for depth in ("13", "-1"):
+            code, out, err = run(capsys, "endinv", "3/8", "--depth", depth)
+            assert (code, out) == (1, "") and "depth must lie in" in err
+        assert cli._endinv_text.cache_info().currsize == 0
 
 
 class TestParsing:
