@@ -113,6 +113,9 @@ def _acceptance_failures(report) -> list:
                         % report.finite_identity_residual)
     if report.partial:
         failures.append("partial: a series stopped at the node budget")
+    if not report.form_disagreement <= 1e-6:
+        failures.append("form disagreement %.3g > 1e-6"
+                        % report.form_disagreement)
     return failures
 
 

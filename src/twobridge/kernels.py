@@ -86,8 +86,11 @@ returns at once.  ``mcshane._explore_edge`` sets the cap on the outcome it
 creates; ``mcshane.census_scan`` passes what its census may still take and
 raises on the same comparison after every edge.
 
-Every binary cell and every fan step counts one node, and ``node_budget``
-is the one limit on the walk: passing it marks ``out.depth_capped``.
+Every binary cell and every fan step counts one node, and NODE_BUDGET is
+the one limit on a walk: passing it marks ``out.depth_capped``.  A series
+spends it on each of its edges, and ``mcshane.census_scan`` once over all
+of its edges.  ``explore`` reads it at call time, unless a caller passes
+what is left of it as ``node_budget``.
 """
 
 from __future__ import annotations
@@ -107,6 +110,7 @@ PARABOLIC_TOL = 1e-11
 CENSUS_TOL = 1e-9
 ELLIPTIC_IM_TOL = 1e-9
 ELLIPTIC_RE_MARGIN = 1e-6
+NODE_BUDGET = 5_000_000
 
 _FAN_MIN_STEPS = 64
 # the asymptotic series of the fan tail keep B_2 .. B_10; at Re z >= 32
@@ -189,7 +193,7 @@ def _is_elliptic(x: complex) -> bool:
 
 
 def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
-            depth, eps_share, node_budget=5_000_000):
+            depth, eps_share, node_budget=None):
     """Sum the open cell (u, v) into ``out``.
 
     ``phi_opp`` is the trace at the vertex opposite the edge <u, v> on the
@@ -197,7 +201,10 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
     Deterministic order: fans walk outward, binary cells left before right.
     Every trace below the cell is tested when it is made; the endpoints are
     tested here, and an elliptic one is recorded before any node is walked.
+    ``node_budget`` defaults to NODE_BUDGET.
     """
+    if node_budget is None:
+        node_budget = NODE_BUDGET
     for num, den, phi in ((u_num, u_den, phi_u), (v_num, v_den, phi_v)):
         if _is_elliptic(phi):
             out.elliptic = (num, den, phi)

@@ -185,14 +185,15 @@ class SeriesResult:
 
 
 def _explore_edge(ev: MarkoffEvaluation, edge: DirectedFareyEdge, eps_edge,
-                  kernel=None, node_budget=5_000_000, census_cap=float("inf")):
+                  kernel=None, node_budget=None, census_cap=float("inf")):
     """Interior sum 2*sum h(phi(s)) over the open cut-off interval of one
     boundary edge, in one kernel call.
 
     With ``eps_edge`` infinite this is the census scan's exploration: it
     sums nothing, and the fans stop where their traces grow.  The walk
-    stops early on an elliptic trace (raised here), on ``node_budget`` or
-    once the census passes ``census_cap``.
+    stops early on an elliptic trace (raised here), on ``node_budget``
+    (``kernels.NODE_BUDGET`` unless given) or once the census passes
+    ``census_cap``.
     """
     if kernel is None:
         kernel = kernels.active_kernel
@@ -276,7 +277,7 @@ def interval_series(r: Slope, ev: MarkoffEvaluation, j: int,
     )
 
 
-def census_scan(ev: MarkoffEvaluation, node_budget: int = 150_000):
+def census_scan(ev: MarkoffEvaluation):
     """Slopes with |phi| <= 2 discovered exploring both intervals; used by
     the geometric-root filters.
 
@@ -290,14 +291,16 @@ def census_scan(ev: MarkoffEvaluation, node_budget: int = 150_000):
     A geometric map has no real trace in (-2, 2) on I1 u I2 and only
     finitely many |phi| <= 2 there; the scan raises
     NotGeometricEvaluationError as soon as it sees otherwise: an elliptic
-    trace, a census of more than ``_CENSUS_CAP`` slopes, or ``node_budget``
-    Stern-Brocot nodes spent over all edges.  The last two reasons name the
-    census size or the budget and the nodes spent.
+    trace or a census of more than ``_CENSUS_CAP`` slopes.  It also raises
+    once it has spent ``kernels.NODE_BUDGET`` Stern-Brocot nodes over all
+    edges, the budget one series spends on each edge.  The last two
+    reasons name the census size or the budget and the nodes spent.
 
     The census cap is a scan-only contract.  Each edge's exploration gets
     the room left under the cap on ``CellOutcome.census_cap``; it returns
     once its census passes it, and the comparison after the edge raises.
     """
+    node_budget = kernels.NODE_BUDGET
     found = set()
     spent = 0
     for edge in ev.edges.e1 + ev.edges.e2:

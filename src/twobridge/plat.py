@@ -35,9 +35,10 @@ __all__ = [
 
 CHIRALITY = -1
 
-_TOP_CAPS = ((0, 1), (2, 3))
-_BOTTOM_CAPS_ODD = ((0, 1), (2, 3))
-_BOTTOM_CAPS_EVEN = ((0, 3), (1, 2))
+# the slot each bridge joins to each slot: the top bridge, and the bottom
+# one for odd n, join (1,2)(3,4); the bottom one for even n joins (1,4)(2,3)
+_MATE = (1, 0, 3, 2)
+_MATE_EVEN_BOTTOM = (3, 2, 1, 0)
 
 
 @dataclass
@@ -46,7 +47,6 @@ class Crossing:
     ``block`` the 1-based continued-fraction block it belongs to."""
 
     block: int
-    level: int
     positions: tuple
     # filled in by orientation tracing: (direction, component) per pass,
     # direction +1 downward, -1 upward
@@ -83,26 +83,13 @@ class PlatDiagram:
         return len(self.cf)
 
 
-def _permute_down(crossings, pos):
-    """Bottom position reached by the strand entering at top position."""
-    for cr in crossings:
-        i, j = cr.positions
-        if pos == i:
-            pos = j
-        elif pos == j:
-            pos = i
-    return pos
-
-
-def _caps(n):
-    return _TOP_CAPS, (_BOTTOM_CAPS_ODD if n % 2 == 1 else _BOTTOM_CAPS_EVEN)
-
-
 def build_plat(r: Slope, orientation: str = "default") -> PlatDiagram:
     """Build and orient the plat diagram.
 
     The first component runs left to right across its top bridge; for links
-    the second does too unless ``orientation="reversed"``.
+    the second does too unless ``orientation="reversed"``.  Each component
+    is walked once, from top slot 0 and then from slot 2 if the first walk
+    did not reach it, and the walks are checked against ``num_components``.
     """
     if orientation not in ("default", "reversed"):
         raise DomainError("orientation must be 'default' or 'reversed'")
@@ -110,73 +97,42 @@ def build_plat(r: Slope, orientation: str = "default") -> PlatDiagram:
         raise SlopeError("plat diagrams need r in (0, 1)")
     cf = continued_fraction(r)
     n = len(cf)
+    crossings = [Crossing(block=k, positions=(1, 2) if k % 2 else (0, 1),
+                          passes=[])
+                 for k, a in enumerate(cf, start=1) for _ in range(a)]
+    bottom_mate = _MATE if n % 2 else _MATE_EVEN_BOTTOM
+    expected = num_components(r)
 
-    crossings = []
-    level = 0
-    for k, a in enumerate(cf, start=1):
-        positions = (1, 2) if k % 2 == 1 else (0, 1)
-        for _ in range(a):
-            crossings.append(Crossing(block=k, level=level,
-                                      positions=positions, passes=[]))
-            level += 1
-
-    top_caps, bottom_caps = _caps(n)
-    top_mate = {}
-    for a, b in top_caps:
-        top_mate[a], top_mate[b] = b, a
-    bottom_mate = {}
-    for a, b in bottom_caps:
-        bottom_mate[a], bottom_mate[b] = b, a
-    down_perm = {p: _permute_down(crossings, p) for p in range(4)}
-    up_perm = {v: k for k, v in down_perm.items()}
-
-    # trace the closed components through caps and strands
-    comp_of_top = {}
+    reached = set()
     comp = 0
-    for start in range(4):
-        if start in comp_of_top:
+    for start in (0, 2):
+        if start in reached:
             continue
-        pos = start
-        while pos not in comp_of_top:
-            comp_of_top[pos] = comp
-            mate = top_mate[pos]
-            comp_of_top[mate] = comp
-            pos = up_perm[bottom_mate[down_perm[mate]]]
-        comp += 1
-    if comp != num_components(r):
-        raise InternalError(
-            "plat of %s has %d components, expected %d"
-            % (r, comp, num_components(r))
-        )
-
-    # orientation: walk each component once, recording directed passes
-    first_top = {}
-    for pos in range(4):
-        first_top.setdefault(comp_of_top[pos], pos)
-    for cid, start in sorted(first_top.items()):
         # "reversed" flips the last component: the second one of a link, or
         # the global orientation of a knot (which cannot change anything)
-        reverse = orientation == "reversed" and cid == comp - 1
+        reverse = orientation == "reversed" and comp == expected - 1
         # cross the top bridge left to right (or right to left), then descend
-        a = start
-        b = top_mate[a]
-        if reverse:
-            a, b = b, a
+        a, b = (_MATE[start], start) if reverse else (start, _MATE[start])
+        reached.update((a, b))
         pos = b
         for _ in range(4):
-            pos_bottom = _walk(crossings, pos, +1, cid)
-            pos_up = bottom_mate[pos_bottom]
-            pos_top = _walk(crossings, pos_up, -1, cid)
+            pos_bottom = _walk(crossings, pos, +1, comp)
+            pos_top = _walk(crossings, bottom_mate[pos_bottom], -1, comp)
             if pos_top == a:
                 break
-            pos = top_mate[pos_top]
+            pos = _MATE[pos_top]
+            reached.update((pos_top, pos))
         else:
-            raise InternalError("component %d of %s did not close" % (cid, r))
+            raise InternalError("component %d of %s did not close" % (comp, r))
+        comp += 1
+    if comp != expected:
+        raise InternalError("plat of %s has %d components, expected %d"
+                            % (r, comp, expected))
 
-    for cr in crossings:
+    for i, cr in enumerate(crossings):
         if len(cr.passes) != 2:
             raise InternalError("crossing %d traced %d times"
-                                % (cr.level, len(cr.passes)))
+                                % (i, len(cr.passes)))
 
     delta = []
     for k in range(1, n + 1):

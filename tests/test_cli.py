@@ -6,7 +6,9 @@ import time
 
 import pytest
 
+from twobridge import markoff
 from twobridge.cli import main
+from twobridge.errors import AmbiguousGeometricRootError
 from twobridge.slopes import Slope
 
 
@@ -29,6 +31,30 @@ class TestIdentity:
         assert code == 2
         assert "+-1 mod p" in err
 
+    def test_ambiguous_root_exit_3(self, capsys, monkeypatch):
+        """With the Im lambda(O) > 0 check dropped, both classes of 3/7's
+        conjugate pair survive: the selection names both roots and
+        ``identity`` exits 3."""
+        original = markoff._rejection
+
+        def keep_conjugates(r, ev):
+            reason, lam, census = original(r, ev)
+            if reason == "Im lambda(O) <= 0" and lam.imag < 0:
+                return None, lam, census
+            return reason, lam, census
+
+        monkeypatch.setattr(markoff, "_rejection", keep_conjugates)
+        r = Slope(3, 7)
+        with pytest.raises(AmbiguousGeometricRootError) as info:
+            markoff.geometric_evaluation(r)
+        survivors = [c.root for c in info.value.report.candidates if c.passed]
+        assert len(survivors) == 2
+        assert all(repr(z) in str(info.value) for z in survivors)
+
+        code, out, err = run(capsys, "identity", "3/7")
+        assert (code, out) == (3, "")
+        assert err == "error: %s\n" % info.value
+
     def test_csv_census(self, capsys):
         code, out, _ = run(capsys, "identity", "2/5", "--format", "csv")
         assert code == 0
@@ -48,10 +74,23 @@ class TestIdentity:
         and stderr names the rule it fails and by how much."""
         code, out, err = run(capsys, "identity", "2/5", "--eps", "0.5")
         assert code == 1
-        residual = json.loads(out)["identity_residual"]
-        assert residual > 1e-6
+        doc = json.loads(out)
+        residual, disagreement = doc["identity_residual"], doc["form_disagreement"]
+        assert residual > 1e-6 and disagreement > 1e-6
         assert err == ("error: 2/5 fails the acceptance rules: "
-                       "identity residual %.3g > 1e-6\n" % residual)
+                       "identity residual %.3g > 1e-6; "
+                       "form disagreement %.3g > 1e-6\n" % (residual, disagreement))
+
+    def test_form_disagreement_rule(self, capsys):
+        """lambda_I1 - lambda_I2 = (4/c)(S1 + S2 + 1): at eps 3e-5 the two
+        forms of 2/5 disagree by more than 1e-6 while the identity residual
+        is still within its rule, and the report fails on that rule alone."""
+        code, out, err = run(capsys, "identity", "2/5", "--eps", "3e-5")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["identity_residual"] <= 1e-6 < doc["form_disagreement"]
+        assert err == ("error: 2/5 fails the acceptance rules: "
+                       "form disagreement %.3g > 1e-6\n" % doc["form_disagreement"])
 
     @pytest.mark.parametrize("command", ["identity", "batch"])
     @pytest.mark.parametrize("eps", ["nan", "inf"])
@@ -243,7 +282,7 @@ class TestCaches:
         """The report is keyed by (r, eps), the evaluation by r alone, and
         both caches are bounded."""
         from twobridge import cli
-        for eps in ("1e-4", "1e-8", "1e-4"):
+        for eps in ("1e-5", "1e-8", "1e-5"):
             assert run(capsys, "identity", "2/5", "--eps", eps)[0] == 0
         assert run(capsys, "cusp", "2/5")[0] == 0
         identity = cli._identity.cache_info()
@@ -322,3 +361,15 @@ class TestParsing:
         run(capsys, "identity", "1/3")
         info = cli.build_parser.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.slow
+def test_near_parabolic_root_at_large_p(capsys):
+    """2/241's geometric root lies near the parabolic value 2, and its
+    census scan spends over 600 000 nodes before it passes: ``cusp`` lays
+    out its cusp, and ``identity`` fails on a series stopped at the node
+    budget.  Most of the time goes to the root finding, done once."""
+    code, out, _ = run(capsys, "cusp", "2/241")
+    assert code == 0 and json.loads(out)["folds_ok"]
+    code, _, err = run(capsys, "identity", "2/241")
+    assert code == 1 and "partial" in err

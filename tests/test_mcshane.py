@@ -9,6 +9,7 @@ import pytest
 
 from slope_oracles import opposite_vertex
 from twobridge import kernels, mcshane
+from twobridge.endinvariants import bowditch_L
 from twobridge.errors import DomainError, InternalError, NotGeometricEvaluationError
 from twobridge.markoff import (
     MarkoffEvaluation,
@@ -279,9 +280,10 @@ class TestIntervalSeries:
         assert not any(stacks)
 
     @staticmethod
-    def _counted_scan(monkeypatch, ev, **kwargs):
+    def _counted_scan(monkeypatch, ev, budget=None):
         """(census, or the NotGeometricEvaluationError raised, and the nodes
-        explored) of one census scan."""
+        explored) of one census scan, with ``kernels.NODE_BUDGET`` lowered
+        to ``budget`` if given."""
         nodes = []
         explore = kernels.explore
 
@@ -292,16 +294,18 @@ class TestIntervalSeries:
 
         with monkeypatch.context() as patch:
             patch.setattr(kernels, "explore", counting)
+            if budget is not None:
+                patch.setattr(kernels, "NODE_BUDGET", budget)
             try:
-                result = census_scan(ev, **kwargs)
+                result = census_scan(ev)
             except NotGeometricEvaluationError as exc:
                 result = exc
         return result, sum(nodes)
 
-    def _failing_scan(self, monkeypatch, r, root, **kwargs):
+    def _failing_scan(self, monkeypatch, r, root, budget=None):
         """(message, nodes explored) of a census scan that fails."""
         ev = MarkoffEvaluation(r, root, boundary_edge_sets(r))
-        error, nodes = self._counted_scan(monkeypatch, ev, **kwargs)
+        error, nodes = self._counted_scan(monkeypatch, ev, budget)
         assert isinstance(error, NotGeometricEvaluationError)
         return str(error), nodes
 
@@ -313,7 +317,7 @@ class TestIntervalSeries:
 
     def test_scan_stops_once_census_overflows(self, evaluation_for, monkeypatch):
         """4/9's non-geometric class is rejected within a few thousand nodes,
-        not after exhausting the 150 000-node budget."""
+        not after exhausting the node budget."""
         r = Slope(4, 9)
         [root] = self._scanned_rejects(evaluation_for(r))
         message, nodes = self._failing_scan(monkeypatch, r, root)
@@ -331,8 +335,7 @@ class TestIntervalSeries:
         r = Slope(4, 9)
         [root] = self._scanned_rejects(evaluation_for(r))
         _, total = self._failing_scan(monkeypatch, r, root)
-        message, nodes = self._failing_scan(monkeypatch, r, root,
-                                            node_budget=budget)
+        message, nodes = self._failing_scan(monkeypatch, r, root, budget)
         if budget < total:
             assert nodes <= budget + 1
             m = re.search(r"did not stabilise: (\d+) nodes spent of a budget "
@@ -351,8 +354,7 @@ class TestIntervalSeries:
         budgets = range(1, total, max(1, total // 20))
         assert len(budgets) >= 10
         for budget in budgets:
-            message, nodes = self._failing_scan(monkeypatch, r, root,
-                                                node_budget=budget)
+            message, nodes = self._failing_scan(monkeypatch, r, root, budget)
             assert nodes <= budget + 1
             m = re.search(r"did not stabilise: (\d+) nodes spent of a budget "
                           r"of (\d+)", message)
@@ -365,10 +367,28 @@ class TestIntervalSeries:
         census, total = self._counted_scan(monkeypatch, ev25)
         assert census == census_scan(ev25) and total > 100
         for budget in range(1, total + 1, 7):
+            monkeypatch.setattr(kernels, "NODE_BUDGET", budget)
             with pytest.raises(NotGeometricEvaluationError) as info:
-                census_scan(ev25, node_budget=budget)
+                census_scan(ev25)
             m = re.search(r"(\d+) nodes spent of a budget of", str(info.value))
             assert budget <= int(m.group(1)) <= budget + 1
+
+    @pytest.mark.parametrize("text, root, census", [
+        ("2/241", complex(1.9993203604961594, -5.64057847790266e-06),
+         {"0/1", "1/1", "1/120", "1/121", "1/241"}),
+        ("2/255", complex(1.9993929319702117, -4.761632022400214e-06),
+         {"0/1", "1/1", "1/127", "1/128", "1/255"}),
+    ], ids=["2/241", "2/255"])
+    def test_scan_passes_near_parabolic_geometric_roots(self, text, root, census):
+        """The geometric roots of 2/241 and 2/255 (as ``polynomial_roots``
+        gives them) lie near the parabolic value 2.  Their scans spend over
+        600 000 nodes, nearly all on one fan around a trace near 2, and
+        find a census of five, which holds the accidental parabolic
+        ``bowditch_L`` lists."""
+        r = Slope.parse(text)
+        found = census_scan(MarkoffEvaluation(r, root, boundary_edge_sets(r)))
+        assert {str(s) for s in found} == census
+        assert set(bowditch_L(r, 0).extra_orbits) <= found
 
     def test_parabolic_census_figure_eight(self, ev25):
         res1 = interval_series(S25, ev25, 1)
