@@ -2,8 +2,8 @@
 
 Subcommands: identity, cusp, longitude, endinv, batch.  Slopes are written
 "q/p"; outputs are JSON by default, CSV for tables, SVG for cusp pictures.
-Exit codes: 0 success, 1 usage/other error, 2 non-hyperbolic slope,
-3 ambiguous geometric-root selection.
+Exit codes: 0 success, 1 usage/other error (an unwritable ``--out`` path
+included), 2 non-hyperbolic slope, 3 ambiguous geometric-root selection.
 
 The geometric root is fixed by the slope, so the requests of one process
 share work through three bounded LRU caches: ``_evaluation`` keeps r's
@@ -142,7 +142,11 @@ def cmd_longitude(args) -> int:
     r = Slope.parse(args.r)
     doc = plat.longitude_json(r, orientation=args.orientation)
     _write(json.dumps(doc, indent=2), args.out)
-    return 0 if doc["lk_formula"] == doc["lk_diagram"] else 1
+    if doc["lk_formula"] != doc["lk_diagram"]:
+        print("error: %s: lk_formula %s != lk_diagram %s"
+              % (r, doc["lk_formula"], doc["lk_diagram"]), file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_endinv(args) -> int:
@@ -288,7 +292,7 @@ def main(argv=None) -> int:
     except AmbiguousGeometricRootError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except (SlopeError, TwoBridgeError) as exc:
+    except (SlopeError, TwoBridgeError, OSError) as exc:  # OSError: --out
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

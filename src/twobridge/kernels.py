@@ -79,18 +79,16 @@ mode has no depth limit, so the shares alone decide where a series stops.
 The census scan runs the series' own driver (``mcshane._explore_edge``)
 with eps_share = inf and reads only ``census``, ``elliptic`` and
 ``nodes``, so with an infinite share no h is evaluated, and a fan stops
-as soon as its traces grow.  One limit serves only
-the scan, which ignores ``out.tail``: once ``len(out.census)`` passes
-``out.census_cap`` (infinite unless a caller sets it) the exploration
-returns at once.  ``mcshane._explore_edge`` sets the cap on the outcome it
-creates; ``mcshane.census_scan`` passes what its census may still take and
-raises on the same comparison after every edge.
+as soon as its traces grow.  It walks all of its edges on one outcome,
+which carries the one limit that serves only the scan: once
+``len(out.census)`` passes ``out.census_cap`` (infinite unless a caller
+sets it) the walk returns at once.
 
-Every binary cell and every fan step counts one node, and NODE_BUDGET is
-the one limit on a walk: passing it marks ``out.depth_capped``.  A series
-spends it on each of its edges, and ``mcshane.census_scan`` once over all
-of its edges.  ``explore`` reads it at call time, unless a caller passes
-what is left of it as ``node_budget``.
+Every binary cell and every fan step counts one node on ``out.nodes``,
+and NODE_BUDGET, read at call time, is the one limit on it: passing it
+marks ``out.depth_capped``.  A series gives each of its edges a fresh
+outcome and so spends the budget on each; the census scan's one outcome
+spends it once over all of its edges.
 """
 
 from __future__ import annotations
@@ -124,7 +122,8 @@ _DIGAMMA_COEFS = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132)
 
 
 class CellOutcome:
-    """Mutable accumulator shared by one driver-level exploration."""
+    """Mutable accumulator of one walk: a series' edge or a whole census
+    scan."""
 
     __slots__ = (
         "sum_re", "sum_im", "comp_re", "comp_im", "tail", "census",
@@ -158,12 +157,6 @@ class CellOutcome:
     def total(self):
         return complex(self.sum_re, self.sum_im)
 
-    def stopped(self, node_budget):
-        """An elliptic trace found, ``node_budget`` passed or the census
-        over its cap: every walk on this outcome returns."""
-        return (self.elliptic is not None or self.nodes > node_budget
-                or len(self.census) > self.census_cap)
-
 
 def h_func(x: complex) -> complex:
     """h(x) = (1 - s)/2 = 2/(x^2 (1 + s)), s = sqrt(1 - 4/x^2), Re s >= 0.
@@ -193,7 +186,7 @@ def _is_elliptic(x: complex) -> bool:
 
 
 def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
-            depth, eps_share, node_budget=None):
+            depth, eps_share):
     """Sum the open cell (u, v) into ``out``.
 
     ``phi_opp`` is the trace at the vertex opposite the edge <u, v> on the
@@ -201,10 +194,9 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
     Deterministic order: fans walk outward, binary cells left before right.
     Every trace below the cell is tested when it is made; the endpoints are
     tested here, and an elliptic one is recorded before any node is walked.
-    ``node_budget`` defaults to NODE_BUDGET.
+    The walk returns once ``out.nodes`` passes NODE_BUDGET or the census
+    passes ``out.census_cap``.
     """
-    if node_budget is None:
-        node_budget = NODE_BUDGET
     for num, den, phi in ((u_num, u_den, phi_u), (v_num, v_den, phi_v)):
         if _is_elliptic(phi):
             out.elliptic = (num, den, phi)
@@ -219,7 +211,7 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
         out.nodes += 1
         if depth > out.max_depth_seen:
             out.max_depth_seen = depth
-        if out.nodes > node_budget:
+        if out.nodes > NODE_BUDGET:
             out.depth_capped = True
             out.tail += 1.0
             return
@@ -228,12 +220,12 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
         av = abs(phi_v)
         if au < modulus or av < modulus:  # +-2 is below both moduli
             if _near_parabolic(phi_u) or (au < av and not _near_parabolic(phi_v)):
-                _fan(out, stack, u_num, u_den, phi_u, v_num, v_den, phi_v,
-                     phi_opp, depth, eps_share, node_budget)
+                stop = _fan(out, stack, u_num, u_den, phi_u, v_num, v_den,
+                            phi_v, phi_opp, depth, eps_share)
             else:
-                _fan(out, stack, v_num, v_den, phi_v, u_num, u_den, phi_u,
-                     phi_opp, depth, eps_share, node_budget)
-            if out.stopped(node_budget):
+                stop = _fan(out, stack, v_num, v_den, phi_v, u_num, u_den,
+                            phi_u, phi_opp, depth, eps_share)
+            if stop:
                 return
             continue
 
@@ -269,7 +261,7 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
 
 
 def _fan(out, stack, p_num, p_den, t, c_num, c_den, gamma0, gamma_prev,
-         depth, eps_share, node_budget):
+         depth, eps_share):
     """Walk the fan of the cell (p, c) around its pivot p, of trace t.
 
     The fan vertices w_n step by the pivot vector and their traces obey
@@ -288,8 +280,9 @@ def _fan(out, stack, p_num, p_den, t, c_num, c_den, gamma0, gamma_prev,
       within the share, ``_fan_tail_value`` adds the rest.
 
     The census scan (infinite share) sums nothing and stops each fan as
-    soon as its traces grow.  Like ``explore`` the walk stops on an
-    elliptic trace, the node budget and the census cap.
+    soon as its traces grow.  Returns True when the whole walk must end,
+    as ``explore``'s does: on an elliptic trace, past NODE_BUDGET or with
+    the census over ``out.census_cap``.
     """
     summing = eps_share != math.inf
     parabolic = _near_parabolic(t)
@@ -317,10 +310,10 @@ def _fan(out, stack, p_num, p_den, t, c_num, c_den, gamma0, gamma_prev,
     while True:
         n += 1
         out.nodes += 1
-        if out.nodes > node_budget:
+        if out.nodes > NODE_BUDGET:
             out.depth_capped = True
             out.tail += 1.0
-            return
+            return True
         gamma1 = t * gamma0 - gamma_prev
         w_num = c_num + p_num
         w_den = c_den + p_den
@@ -331,7 +324,7 @@ def _fan(out, stack, p_num, p_den, t, c_num, c_den, gamma0, gamma_prev,
         if ag <= 2.0 + CENSUS_TOL:
             if _is_elliptic(gamma1):
                 out.elliptic = (w_num, w_den, gamma1)
-                return
+                return True
             if _near_parabolic(gamma1):
                 # the rest of the comb is the cell (c, p), whose mediant w
                 # is parabolic: descend it once, its children each taking a
@@ -344,10 +337,10 @@ def _fan(out, stack, p_num, p_den, t, c_num, c_den, gamma0, gamma_prev,
                               cell_depth, quarter))
                 stack.append((c_num, c_den, gamma0, w_num, w_den, gamma1, t,
                               cell_depth, quarter))
-                return
+                return len(out.census) > out.census_cap
             out.census.append((w_num, w_den, gamma1))
             if len(out.census) > out.census_cap:
-                return
+                return True
         if summing:
             hm = h_func(gamma1)
             out.add(2.0 * hm.real, 2.0 * hm.imag)
@@ -356,14 +349,14 @@ def _fan(out, stack, p_num, p_den, t, c_num, c_den, gamma0, gamma_prev,
         if parabolic:
             if ag >= 32.0 and b_abs * n >= 4.0 * a_abs + 8.0:
                 if not summing:
-                    return
+                    return False
                 if n >= _FAN_MIN_STEPS:
                     bound = _fan_tail_bound(a_abs, b_abs, n)
                     if bound <= 0.5 * eps_share:
                         rest = _fan_tail_value(a_lin, b_lin, n)
                         out.add(rest.real, rest.imag)
                         out.tail += bound
-                        return
+                        return False
         else:
             if n == 1 and usable:
                 p_coef = (gamma1 - gamma0 / mu) / (mu - 1.0 / mu)
@@ -377,7 +370,7 @@ def _fan(out, stack, p_num, p_den, t, c_num, c_den, gamma0, gamma_prev,
                 est = 8.0 * grow / ((mu2 - 1.0) * ag * ag)
                 if est <= 0.5 * eps_share or ag >= COMB_STOP_ABS:
                     out.tail += est
-                    return
+                    return False
         gamma_prev, gamma0 = gamma0, gamma1
         c_num, c_den = w_num, w_den
 

@@ -23,6 +23,7 @@ from .errors import (
     InternalError,
     NoGeometricRootError,
     NonHyperbolicError,
+    NotGeometricEvaluationError,
     RootFindingError,
 )
 from .slopes import INFINITY, Slope, is_hyperbolic
@@ -800,14 +801,12 @@ class RootCandidateReport:
     passed: bool
     reason: str
     lambda_orbifold: complex | None = None
-    census: tuple = ()
 
 
 @dataclass
 class SelectionReport:
     r: Slope
     candidates: list = field(default_factory=list)
-    selected: complex | None = None
 
 
 def _representative_key(z: complex):
@@ -816,30 +815,29 @@ def _representative_key(z: complex):
     return (z.real, z.imag)
 
 
-def _rejection(r: Slope, ev: MarkoffEvaluation):
-    """(reason or None, lambda(O) or None, census) for one root class.
+def _rejection(ev: MarkoffEvaluation):
+    """(reason or None, lambda(O) or None) for one root class.
 
     The O(chain) checks run first; only a class that passes them is scanned.
     """
     from . import mcshane  # imported here: mcshane imports this module's types
-    from .errors import NotGeometricEvaluationError
 
     if ev.root == 0:
-        return "x = 0 gives the trivial triple", None, ()
+        return "x = 0 gives the trivial triple", None
     try:
-        s1, s2 = mcshane.finite_edge_sums(r, ev, check=False)
+        s1, s2 = mcshane.finite_edge_sums(ev.r, ev, check=False)
     except DomainError as exc:
-        return "zero trace: %s" % exc, None, ()
+        return "zero trace: %s" % exc, None
     lam = 2 * s1
-    if abs(s1 + s2 + 1) > 1e-8:
-        return "edge-sum identity fails by %.3g" % abs(s1 + s2 + 1), lam, ()
+    if abs(s1 + s2 + 1) > mcshane.EDGE_SUM_TOL:
+        return "edge-sum identity fails by %.3g" % abs(s1 + s2 + 1), lam
     if lam.imag <= 1e-12:
-        return "Im lambda(O) <= 0", lam, ()
+        return "Im lambda(O) <= 0", lam
     try:
-        census = mcshane.census_scan(ev)
+        mcshane.census_scan(ev)
     except NotGeometricEvaluationError as exc:
-        return str(exc), lam, ()
-    return None, lam, tuple(sorted(census, key=str))
+        return str(exc), lam
+    return None, lam
 
 
 def select_geometric_root(roots, r: Slope) -> MarkoffEvaluation:
@@ -854,7 +852,8 @@ def select_geometric_root(roots, r: Slope) -> MarkoffEvaluation:
 
     1. x = 0 (the trivial triple);
     2. a zero trace on the chain, where the edge sums are undefined;
-    3. the finite edge-sum identity S1 + S2 = -1, to 1e-8;
+    3. the finite edge-sum identity S1 + S2 = -1, to
+       ``mcshane.EDGE_SUM_TOL`` (1e-8);
     4. Im lambda(O) > 0, which picks one of each conjugate pair;
     5. the census scan of I1 u I2 (see ``mcshane.census_scan``): no real
        trace in (-2, 2) and at most 64 slopes with |phi| <= 2.  The scan
@@ -867,7 +866,8 @@ def select_geometric_root(roots, r: Slope) -> MarkoffEvaluation:
        most 5 841 nodes, and the 1 134 that pass take at most 1 404.
 
     Exactly one class must pass all five, and it is selected.  If none
-    passes, NoGeometricRootError is raised; if more than one does,
+    passes, NoGeometricRootError is raised, whose message gives each
+    class's root and reason on a line of its own; if more than one does,
     AmbiguousGeometricRootError, which names their roots.
 
     r's boundary edge system, and with it r's Farey chain, is built here
@@ -890,10 +890,9 @@ def select_geometric_root(roots, r: Slope) -> MarkoffEvaluation:
     survivors = []
     for rep in classes:
         ev = MarkoffEvaluation(r, rep, edges)
-        reason, lam, census = _rejection(r, ev)
+        reason, lam = _rejection(ev)
         report.candidates.append(RootCandidateReport(
-            rep, reason is None, reason or "passed", lambda_orbifold=lam,
-            census=census))
+            rep, reason is None, reason or "passed", lambda_orbifold=lam))
         if reason is None:
             survivors.append(ev)
 
@@ -905,14 +904,13 @@ def select_geometric_root(roots, r: Slope) -> MarkoffEvaluation:
         )
     if not survivors:
         raise NoGeometricRootError(
-            "no geometric root found for %s: %s" % (
-                r, "; ".join("%s: %s" % (format(c.root, ".6g"), c.reason)
-                      for c in report.candidates)),
+            "no geometric root found for %s:\n%s" % (
+                r, "\n".join("%s: %s" % (format(c.root, ".6g"), c.reason)
+                             for c in report.candidates)),
             report=report,
         )
 
     [ev] = survivors
-    report.selected = ev.root
     ev.selection = report
     return ev
 

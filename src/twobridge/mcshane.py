@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 DEFAULT_EPS = 1e-8
+# the finite identity S1 + S2 = -1 is checked to this
+EDGE_SUM_TOL = 1e-8
 # census_scan rejects a map with more slopes of |phi| <= 2 than this
 _CENSUS_CAP = 64
 
@@ -152,7 +154,7 @@ def finite_edge_sums(r: Slope, ev: MarkoffEvaluation, check: bool = True):
     The edges are those of the evaluation's edge system ``ev.edges``.  The
     pair is kept on ``ev.finite_sums``, so the geometric-root filter and
     ``cusp_shape`` sum it once.  With ``check`` the -1 identity and the
-    full-sum identity sum_{E(r)} psi = 1 are asserted to 1e-8.
+    full-sum identity sum_{E(r)} psi = 1 are asserted to EDGE_SUM_TOL.
     """
     edges = ev.edges
     if ev.finite_sums is None:
@@ -160,12 +162,12 @@ def finite_edge_sums(r: Slope, ev: MarkoffEvaluation, check: bool = True):
                           sum((psi(e, ev) for e in edges.e2), 0j))
     s1, s2 = ev.finite_sums
     if check:
-        if abs(s1 + s2 + 1) > 1e-8:
+        if abs(s1 + s2 + 1) > EDGE_SUM_TOL:
             raise InternalError(
                 "edge-sum identity violated: %r (r=%s)" % (s1 + s2, r)
             )
         full = s1 + s2 + psi(edges.e_minus, ev) + psi(edges.e_plus, ev)
-        if abs(full - 1) > 1e-8:
+        if abs(full - 1) > EDGE_SUM_TOL:
             raise InternalError("total edge sum %r != 1 (r=%s)" % (full, r))
     return s1, s2
 
@@ -185,27 +187,25 @@ class SeriesResult:
 
 
 def _explore_edge(ev: MarkoffEvaluation, edge: DirectedFareyEdge, eps_edge,
-                  kernel=None, node_budget=None, census_cap=float("inf")):
-    """Interior sum 2*sum h(phi(s)) over the open cut-off interval of one
-    boundary edge, in one kernel call.
+                  out, kernel=None):
+    """Add to ``out`` the interior sum 2*sum h(phi(s)) over the open
+    cut-off interval of one boundary edge, in one kernel call.
 
     With ``eps_edge`` infinite this is the census scan's exploration: it
     sums nothing, and the fans stop where their traces grow.  The walk
-    stops early on an elliptic trace (raised here), on ``node_budget``
-    (``kernels.NODE_BUDGET`` unless given) or once the census passes
-    ``census_cap``.
+    stops early on an elliptic trace (raised here), once ``out.nodes``
+    passes ``kernels.NODE_BUDGET`` or once ``out.census`` passes
+    ``out.census_cap``; both counts include what earlier walks on ``out``
+    left there.
     """
     if kernel is None:
         kernel = kernels.active_kernel
-    out = kernels.CellOutcome()
-    out.census_cap = census_cap
     u, v = edge.s1, edge.s2
     kernel.explore(out, u.num, u.den, ev.phi(u), v.num, v.den, ev.phi(v),
-                   ev.phi(edge.s0), 0, eps_edge, node_budget)
+                   ev.phi(edge.s0), 0, eps_edge)
     if out.elliptic is not None:
         num, den, val = out.elliptic
         raise NotGeometricEvaluationError(Slope(num, den), val)
-    return out
 
 
 def _boundary_trace(ev, slope, records):
@@ -256,7 +256,8 @@ def interval_series(r: Slope, ev: MarkoffEvaluation, j: int,
     for edge in group:
         for s in (edge.s1, edge.s2):
             total += h(_boundary_trace(ev, s, boundary_records))
-        out = _explore_edge(ev, edge, eps_edge, kernel=kernel)
+        out = kernels.CellOutcome()
+        _explore_edge(ev, edge, eps_edge, out, kernel=kernel)
         total += out.total
         tail += out.tail
         depth_used = max(depth_used, out.max_depth_seen)
@@ -296,38 +297,33 @@ def census_scan(ev: MarkoffEvaluation):
     edges, the budget one series spends on each edge.  The last two
     reasons name the census size or the budget and the nodes spent.
 
-    The census cap is a scan-only contract.  Each edge's exploration gets
-    the room left under the cap on ``CellOutcome.census_cap``; it returns
-    once its census passes it, and the comparison after the edge raises.
+    All edges are walked on one ``CellOutcome``: ``out.nodes`` counts the
+    whole scan, and ``out.census`` its interior slopes, none repeated, as
+    the cut-off intervals are disjoint and open.  The endpoints with small
+    traces are kept apart, and ``out.census_cap`` leaves room for them.
     """
-    node_budget = kernels.NODE_BUDGET
-    found = set()
-    spent = 0
+    boundary = set()
+    out = kernels.CellOutcome()
     for edge in ev.edges.e1 + ev.edges.e2:
         records = []
         for s in (edge.s1, edge.s2):
             _boundary_trace(ev, s, records)
-        found.update(s for s, _ in records)
-        out = _explore_edge(ev, edge, float("inf"),
-                            node_budget=node_budget - spent,
-                            census_cap=_CENSUS_CAP - len(found))
-        spent += out.nodes
+        boundary.update(s for s, _ in records)
+        out.census_cap = _CENSUS_CAP - len(boundary)
+        _explore_edge(ev, edge, math.inf, out)
         if len(out.census) > out.census_cap:
-            raise _census_overflow(edge, len(found) + len(out.census), spent)
-        if spent >= node_budget:
+            raise NotGeometricEvaluationError(
+                edge.s1, 0j,
+                note="census of small traces keeps growing: %d slopes with "
+                     "|phi| <= 2 after %d nodes (at %s)"
+                     % (len(boundary) + len(out.census), out.nodes, edge))
+        if out.nodes >= kernels.NODE_BUDGET:
             raise NotGeometricEvaluationError(
                 edge.s1, 0j,
                 note="exploration of %s did not stabilise: %d nodes spent of "
-                     "a budget of %d" % (edge, spent, node_budget))
-        found.update(Slope(num, den) for num, den, _ in out.census)
-    return frozenset(found)
-
-
-def _census_overflow(edge, size, spent):
-    return NotGeometricEvaluationError(
-        edge.s1, 0j,
-        note="census of small traces keeps growing: %d slopes with |phi| <= 2 "
-             "after %d nodes (at %s)" % (size, spent, edge))
+                     "a budget of %d" % (edge, out.nodes, kernels.NODE_BUDGET))
+    return frozenset(boundary.union(
+        Slope(num, den) for num, den, _ in out.census))
 
 
 # ---------------------------------------------------------------------------

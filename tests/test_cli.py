@@ -6,9 +6,9 @@ import time
 
 import pytest
 
-from twobridge import markoff
+from twobridge import markoff, plat
 from twobridge.cli import main
-from twobridge.errors import AmbiguousGeometricRootError
+from twobridge.errors import AmbiguousGeometricRootError, NoGeometricRootError
 from twobridge.slopes import Slope
 
 
@@ -37,11 +37,11 @@ class TestIdentity:
         ``identity`` exits 3."""
         original = markoff._rejection
 
-        def keep_conjugates(r, ev):
-            reason, lam, census = original(r, ev)
+        def keep_conjugates(ev):
+            reason, lam = original(ev)
             if reason == "Im lambda(O) <= 0" and lam.imag < 0:
-                return None, lam, census
-            return reason, lam, census
+                return None, lam
+            return reason, lam
 
         monkeypatch.setattr(markoff, "_rejection", keep_conjugates)
         r = Slope(3, 7)
@@ -53,6 +53,32 @@ class TestIdentity:
 
         code, out, err = run(capsys, "identity", "3/7")
         assert (code, out) == (3, "")
+        assert err == "error: %s\n" % info.value
+
+    def test_no_root_lists_one_candidate_per_line(self, capsys, monkeypatch):
+        """With every class of 3/7 rejected, the message gives each
+        candidate's root and whole reason on a line of its own, also the
+        reason given to the geometric class, which holds "; " as a census
+        reason does (an edge prints as "e(<a,b>; head c)"), and
+        ``identity`` exits 1 with that message."""
+        original = markoff._rejection
+
+        def reject_all(ev):
+            reason, lam = original(ev)
+            return reason or "rejected at %s" % ev.edges.e_plus, lam
+
+        monkeypatch.setattr(markoff, "_rejection", reject_all)
+        with pytest.raises(NoGeometricRootError) as info:
+            markoff.geometric_evaluation(Slope(3, 7))
+        candidates = info.value.report.candidates
+        head, *lines = str(info.value).split("\n")
+        assert head == "no geometric root found for 3/7:"
+        assert lines == ["%s: %s" % (format(c.root, ".6g"), c.reason)
+                         for c in candidates]
+        assert len(lines) == 4 and lines[-1].endswith("e(<2/5,1/2>; head 1/3)")
+
+        code, out, err = run(capsys, "identity", "3/7")
+        assert (code, out) == (1, "")
         assert err == "error: %s\n" % info.value
 
     def test_csv_census(self, capsys):
@@ -167,6 +193,26 @@ class TestLongitude:
         assert code == 0
         assert json.loads(out)["orientation"] == "reversed"
 
+    def test_linking_number_mismatch_named(self, capsys, monkeypatch):
+        """A diagram count that disagrees with the formula is written out,
+        named on stderr with both figures, and exits 1."""
+        monkeypatch.setattr(plat, "linking_number_diagram",
+                            lambda r, orientation, diagram: 7)
+        code, out, err = run(capsys, "longitude", "2/5")
+        assert code == 1 and json.loads(out)["lk_diagram"] == 7
+        assert err == "error: 2/5: lk_formula -2 != lk_diagram 7\n"
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("argv", [["identity", "2/5"], ["cusp", "2/5"]])
+    def test_unwritable_out_named(self, capsys, tmp_path, argv):
+        """An --out path in a missing directory is a named error, exit 1."""
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err and not path.exists()
+
 
 class TestEndinv:
     def test_exceptional(self, capsys):
@@ -265,7 +311,7 @@ class TestCaches:
     def test_one_root_selection_per_slope(self, capsys, monkeypatch):
         """identity and cusp of one slope, and a repeat of identity, select
         the geometric root once."""
-        from twobridge import markoff
+        from twobridge import markoff, plat
         calls = []
         original = markoff.select_geometric_root
 

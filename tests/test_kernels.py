@@ -46,7 +46,7 @@ def test_explore_walks_parabolic_fans():
     assert not out.depth_capped
 
 
-def test_parabolic_fan_steps_count_against_the_node_budget():
+def test_parabolic_fan_steps_count_against_the_node_budget(monkeypatch):
     """Every fan step is a node: with a budget of five, the cell (0/1, 1/5)
     of 2/5, opposite 1/4, stops in the fan around 1/5 after its own node
     and four steps."""
@@ -54,8 +54,9 @@ def test_parabolic_fan_steps_count_against_the_node_budget():
                            boundary_edge_sets(Slope(2, 5)))
     phi = [ev.phi(Slope(*s)) for s in ((0, 1), (1, 5), (1, 4))]
     assert kernels._near_parabolic(phi[1])
+    monkeypatch.setattr(kernels, "NODE_BUDGET", 5)
     out = kernels.CellOutcome()
-    kernels.explore(out, 0, 1, phi[0], 1, 5, phi[1], phi[2], 0, 1e-8, 5)
+    kernels.explore(out, 0, 1, phi[0], 1, 5, phi[1], phi[2], 0, 1e-8)
     assert out.depth_capped and out.nodes == 6
     assert out.max_depth_seen == 4  # the fan's fourth vertex, 4/21
 

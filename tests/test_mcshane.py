@@ -316,15 +316,24 @@ class TestIntervalSeries:
                 and c.lambda_orbifold is not None and c.lambda_orbifold.imag > 1e-12]
 
     def test_scan_stops_once_census_overflows(self, evaluation_for, monkeypatch):
-        """4/9's non-geometric class is rejected within a few thousand nodes,
-        not after exhausting the node budget."""
-        r = Slope(4, 9)
-        [root] = self._scanned_rejects(evaluation_for(r))
-        message, nodes = self._failing_scan(monkeypatch, r, root)
-        assert nodes < 20_000
-        m = re.match(r"census of small traces keeps growing: (\d+) slopes with "
-                     r"\|phi\| <= 2 after (\d+) nodes", message)
-        assert m and int(m.group(1)) > 64 and int(m.group(2)) == nodes
+        """Every class that a census scan rejects on the hyperbolic slopes
+        with p <= 16 is rejected as soon as its census, counted over all
+        edges and endpoints, passes the cap: the reason names
+        _CENSUS_CAP + 1 slopes and the nodes the scan spent.  4/9's
+        non-geometric class takes a few thousand nodes, not the budget."""
+        scanned = 0
+        for r in (s for s in HYPERBOLIC_40 if s.den <= 16):
+            for root in self._scanned_rejects(evaluation_for(r)):
+                message, nodes = self._failing_scan(monkeypatch, r, root)
+                m = re.match(r"census of small traces keeps growing: (\d+) "
+                             r"slopes with \|phi\| <= 2 after (\d+) nodes",
+                             message)
+                assert m, (r, message)
+                assert (int(m.group(1)), int(m.group(2))) == (
+                    mcshane._CENSUS_CAP + 1, nodes), (r, message)
+                assert r != Slope(4, 9) or nodes < 20_000
+                scanned += 1
+        assert scanned > 10
 
     @pytest.mark.parametrize("budget", [10, 100, 1000])
     def test_scan_stops_at_node_budget(self, budget, evaluation_for, monkeypatch):

@@ -105,7 +105,6 @@ UNREAD_MEMBERS = {
     "GapSystem.covered_length",
     # the root-selection report, which no output prints yet
     "MarkoffEvaluation.selection",
-    "SelectionReport.selected",
     "RootCandidateReport.passed",
 }
 
