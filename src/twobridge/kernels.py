@@ -16,26 +16,23 @@ attracting-subtree argument (Proc. LMS 77 (1998); Tan-Wong-Zhang,
 Adv. Math. 217 (2008)).  One walker handles every cell:
 
 * both edge traces >= T in modulus: a binary cell.  In sum mode
-  T = PRUNE_MODULUS = 8, and a cell meeting C(8) is pruned once the tail
-  estimate 10/|phi_m|^2 fits inside its share of eps: the traces grow
-  fourfold per level while the cells double, so 2|h| summed over m and its
-  subtree stays below 2.4/|phi_m|^2.  The census scan (eps_share = inf)
-  uses T = SCAN_MODULUS = 2 + delta, delta = 1e-6, and prunes every cell
-  meeting C(T): no trace below it has |phi| <= 2, so none is elliptic or
-  joins the census (|phi| <= 2 + CENSUS_TOL).  The bound holds for the
-  computed traces too: a computed mediant lies within 6u|phi_u phi_v| of
-  phi_u phi_v - phi_opp, u = 2^-53, so the same induction runs on it for
-  any delta above about 20u and keeps every |phi| >= 2 + 2 delta - 24u;
-  delta = 1e-6 puts that bound 2e-6 above 2, 2 000 times CENSUS_TOL.
+  T = PRUNE_MODULUS = 8, and a cell meeting C(8) stops by rule 1 (below).
+  The census scan (eps_share = inf) uses T = SCAN_MODULUS = 2 + delta,
+  delta = 1e-6, and prunes every cell meeting C(T): no trace below it has
+  |phi| <= 2, so none is elliptic or joins the census
+  (|phi| <= 2 + CENSUS_TOL).  The bound holds for the computed traces too:
+  a computed mediant lies within 6u|phi_u phi_v| of phi_u phi_v - phi_opp,
+  u = 2^-53, so the same induction runs on it for any delta above about
+  20u and keeps every |phi| >= 2 + 2 delta - 24u; delta = 1e-6 puts that
+  bound 2e-6 above 2, 2 000 times CENSUS_TOL.
 * one edge trace t below T: a fan around that endpoint (the pivot), walked
   linearly with the two-term recurrence gamma_{n+1} = t gamma_n - gamma_{n-1};
   each step pushes its off-comb cell back onto the stack.  A pivot within
   PARABOLIC_TOL of +-2 is snapped to it and preferred as the pivot.  The
-  fan has two stop rules, one for each kind of pivot:
-  - loxodromic: the measured growth ratio mu bounds the rest of the comb
-    and of its off-comb cells inside the eps share (``_fan``);
-  - parabolic: the traces grow linearly, and after at least
-    _FAN_MIN_STEPS steps the rest is added in closed form (below).
+  fan has two stop rules, one for each kind of pivot, and both add the
+  rest of the fan in closed form: rule 2 (below) for a loxodromic pivot;
+  for a parabolic one the traces grow linearly, and the rest is added
+  after at least _FAN_MIN_STEPS steps (below).
 
 A mediant or a comb trace within PARABOLIC_TOL of +-2 is snapped to it,
 joins the census and adds 2h(+-2) = 1.  A parabolic mediant's two child
@@ -43,6 +40,53 @@ cells have it as an endpoint, so each is walked as a fan around it.  A
 parabolic trace met mid-fan ends the fan: the rest of its comb is the cell
 (moving endpoint, pivot) whose mediant is that trace, and its two children
 go on the stack, each with a quarter of the fan's share.
+
+Rule 1, a binary cell meeting C(8) in sum mode.  Its children's mediants
+phi_u m - phi_v and m phi_v - phi_u have modulus at least
+|phi_u||m|(1 - 2/|phi_u|^2) >= (31/32)|phi_u||m| and (31/32)|phi_v||m|,
+as |phi_v| <= 2|m|/|phi_u|, and the children meet C(8) in turn.  So each
+level below m multiplies the mediants by at least 7.75 while the cells
+double, and with |2h(x)| <= 2.004/|x|^2 for |x| >= 32, 2|h| summed over
+m and its subtree is at most 2.004/(1 - 2/7.75^2) = 2.073 over |m|^2, and
+over the two subtrees below m at most
+2.073 (32/31)^2 (|phi_u|^-2 + |phi_v|^-2)/|m|^2.  The cell is pruned
+whole, charging CELL_TAIL/|m|^2 (CELL_TAIL = 2.1), when that fits its
+share; otherwise 2h(m) is added, and the part below m is pruned, charging
+BELOW_TAIL (|phi_u|^-2 + |phi_v|^-2)/|m|^2 (BELOW_TAIL = 2.25), when that
+fits; otherwise the cell splits.
+
+Rule 2, a loxodromic fan.  With mu + 1/mu = t and |mu| > 1 the comb is
+gamma_n = P mu^n + Q mu^-n, and the first mediant of the n-th off-comb
+cell is m_n = gamma_n gamma_{n-1} - t = P^2 mu^(2n-1) + (PQ - 1) t
++ Q^2 mu^(1-2n).  After step N, P and Q are solved again from gamma_N and
+gamma_{N-1}, so that gamma_{N+i} = P mu^i (1 + rho u^i) with u = mu^-2,
+rho = Q/P; once beta = |rho| <= 1/4 and G = (1 - beta)|P| >= 32, every
+|gamma_{N+i}| >= G |mu|^i, and the rest of the fan is added as geometric
+series in u, X_k = sum_{i >= 1} u^(ki) = u^k/(1 - u^k):
+
+    sum_{i>=1} 2 gamma_{N+i}^-2
+        ~ 2 P^-2 sum_{k=1..4} k (-rho)^(k-1) X_k,
+    sum_{i>=1} 2 gamma_{N+i}^-4 + 2 (gamma_{N+i} gamma_{N+i-1})^-2
+        ~ 2 P^-4 (1 + mu^2) X_2.
+
+With s = |mu|^2 and L = |P|, what this leaves out is at most (``_lox_tail``)
+
+* the comb's h-expansion remainder, |2h(g) - 2g^-2 - 2g^-4| <= 4.2|g|^-6:
+  4.2/((s^3 - 1) G^6);
+* 2m_n^-2 against 2(gamma_n gamma_{n-1})^-2: as |t| < 8, |m_n| lies within
+  a factor 1 +- 1/128 of |gamma_n gamma_{n-1}|, and the two differ by at most
+  4.1|t| |gamma_n gamma_{n-1}|^-3, 4.2|t||mu|^3/((s^3 - 1) G^6) in all;
+* the subtrees below the m_n, by rule 1 (each off-comb cell meets C(8)),
+  and the m^-4 part of 2h(m_n): 2.4 s (1 + s)/((s^3 - 1) G^6);
+* the terms of (1 + rho u^i)^-2 past the fourth, by
+  sum_{k>=K} (k+1) z^k <= (K+1) z^K/(1 - z)^2: 17.8 beta^4/((s^5 - 1) L^2);
+* those of (1 + rho u^i)^-4 and (1 + rho u^i)^-2 (1 + rho u^(i-1))^-2 past
+  the first, by (1 - z)^-4 - 1 <= 8.65 z for z <= 1/4:
+  17.3 (1 + s^2) beta/((s^3 - 1) L^4).
+
+The fan stops once their sum fits in half its share, and charges it.  The
+bounds hold for the recurrence continued from the computed gamma_N and
+gamma_{N-1}; P and 1 - u^k lose about 2^-53/|mu - 1/mu| relative accuracy.
 
 A fan around a parabolic u with phi(u) = 2 sigma has traces
 gamma_n = sigma^n (a + b n) along its comb, and the first mediant of its
@@ -63,26 +107,28 @@ asymptotic series in complex floats, which need Re z >= 32; the fan's stop
 rule (N >= 64, |b| N >= 4|a| + 8) keeps Re z above 0.57 N, and a smaller
 argument raises InternalError.  What is left, the comb's h-expansion
 remainder, the subtrees below the first mediants and the O(m_n^-4) part
-of 2h(m_n), is bounded by (6/5 + 8)/(|b| F^5), F = |b| N - |a|
+of 2h(m_n), is bounded by (6/5 + 1)/(|b| F^5), F = |b| N - |a|
 (``_fan_tail_bound``).
 
 The eps contract: a cell's share of eps bounds everything it adds to
-``out.tail``.  A binary cell either takes its tail estimate (when it fits
-the share) or passes half the share to each child.  A fan gives its n-th
-off-comb cell 0.3 * share / n^2 (at most pi^2/20 < 1/2 of the share in all)
-and stops its own walk, or splits at a parabolic trace, within the other
-half.  The parabolic stop rule's closed-form remainder covers both the
-comb and the off-comb cells beyond its last step (the first mediants
-summed exactly, their subtrees by the TAIL_COEFFICIENT estimate).  Sum
-mode has no depth limit, so the shares alone decide where a series stops.
+``out.tail``, and every stop rule above has a proof, so the tail a series
+reports bounds what it leaves out.  A binary cell either takes one of rule
+1's charges (when it fits the share) or passes half the share to each
+child.  A fan gives its n-th off-comb cell 0.3 * share / n^2 (at most
+pi^2/20 < 1/2 of the share in all) and stops its own walk, or splits at a
+parabolic trace, within the other half.  Both closed-form remainders cover
+the comb and the off-comb cells beyond the last step (the first mediants
+summed, their subtrees by rule 1).  Sum mode has no depth limit, so the
+shares alone decide where a series stops.
 
 The census scan runs the series' own driver (``mcshane._explore_edge``)
 with eps_share = inf and reads only ``census``, ``elliptic`` and
 ``nodes``, so with an infinite share no h is evaluated, and a fan stops
-as soon as its traces grow.  It walks all of its edges on one outcome,
-which carries the one limit that serves only the scan: once
-``len(out.census)`` passes ``out.census_cap`` (infinite unless a caller
-sets it) the walk returns at once.
+as soon as its traces grow (a loxodromic one at rule 2's tracked
+beta <= 1/4 and |gamma| >= 32, before any bound).  It walks all of its
+edges on one outcome, which carries the one limit that serves only the
+scan: once ``len(out.census)`` passes ``out.census_cap`` (infinite unless
+a caller sets it) the walk returns at once.
 
 Every binary cell and every fan step counts one node on ``out.nodes``,
 and NODE_BUDGET, read at call time, is the one limit on it: passing it
@@ -102,8 +148,8 @@ from .slopes import Slope
 
 PRUNE_MODULUS = 8.0
 SCAN_MODULUS = 2.0 + 1e-6  # 2 + delta (module docstring)
-TAIL_COEFFICIENT = 10.0
-COMB_STOP_ABS = 1e30
+CELL_TAIL = 2.1     # rule 1: a C(8) cell, its mediant and subtree
+BELOW_TAIL = 2.25   # rule 1: the subtree below its mediant
 PARABOLIC_TOL = 1e-11
 CENSUS_TOL = 1e-9
 ELLIPTIC_IM_TOL = 1e-9
@@ -244,8 +290,9 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
             if len(out.census) > out.census_cap:
                 return
 
-        if abs(phi_opp) <= 0.5 * au * av:  # C(modulus); the scan's share is inf
-            est = TAIL_COEFFICIENT / (am * am)
+        attracting = abs(phi_opp) <= 0.5 * au * av  # C(modulus)
+        if attracting:  # rule 1; the scan's share is inf
+            est = CELL_TAIL / (am * am)
             if est <= eps_share:
                 out.tail += est
                 continue
@@ -253,6 +300,11 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
         if summing:
             hm = h_func(phi_m)
             out.add(2.0 * hm.real, 2.0 * hm.imag)
+            if attracting:
+                est = BELOW_TAIL * (1.0 / (au * au) + 1.0 / (av * av)) / (am * am)
+                if est <= eps_share:
+                    out.tail += est
+                    continue
         half = 0.5 * eps_share
         stack.append((m_num, m_den, phi_m, v_num, v_den, phi_v, phi_u,
                       depth + 1, half))
@@ -271,9 +323,10 @@ def _fan(out, stack, p_num, p_den, t, c_num, c_den, gamma0, gamma_prev,
     stack, with 0.3 * share / n^2.  The walk stops within the other half of
     the share (module docstring):
 
-    * loxodromic t: gamma_n = P mu^n + Q mu^-n, mu + 1/mu = t, |mu| > 1,
-      and once |Q/P| mu^-2n <= 1/4 and |gamma_n| >= 32 the rest is at most
-      8 grow / ((|mu|^2 - 1) |gamma_n|^2);
+    * loxodromic t: gamma_n = P mu^n + Q mu^-n, mu + 1/mu = t, |mu| > 1;
+      beta = |Q/P| mu^-2n is tracked from step 1, and once beta <= 1/4
+      and |gamma_n| >= 32, ``_lox_tail`` adds the rest (rule 2) as soon as
+      its remainder bound fits;
     * parabolic t = 2 sigma: gamma_n = sigma^n (a + b n), a = gamma_0,
       b = sigma gamma_1 - gamma_0, and once |gamma_n| >= 32,
       |b| n >= 4|a| + 8 and n >= _FAN_MIN_STEPS with ``_fan_tail_bound``
@@ -366,13 +419,44 @@ def _fan(out, stack, p_num, p_den, t, c_num, c_den, gamma0, gamma_prev,
             elif beta > 0.0:
                 beta /= mu2
             if 0.0 <= beta <= 0.25 and ag >= 32.0:
-                grow = (1.0 + beta) * (1.0 + beta) / ((1.0 - beta) * (1.0 - beta))
-                est = 8.0 * grow / ((mu2 - 1.0) * ag * ag)
-                if est <= 0.5 * eps_share or ag >= COMB_STOP_ABS:
-                    out.tail += est
+                if not summing:
+                    return False
+                rest = _lox_tail(t, mu, gamma1, gamma0, 0.5 * eps_share)
+                if rest is not None:
+                    out.add(rest[0].real, rest[0].imag)
+                    out.tail += rest[1]
                     return False
         gamma_prev, gamma0 = gamma0, gamma1
         c_num, c_den = w_num, w_den
+
+
+def _lox_tail(t, mu, gamma_n, gamma_prev, share):
+    """(value, bound) of a loxodromic fan beyond the step of trace gamma_n,
+    or None while the bound exceeds ``share`` (module docstring, rule 2).
+
+    With P = (gamma_n mu - gamma_prev)/(mu - 1/mu) and rho = (gamma_n - P)/P
+    the comb ahead is gamma_{n+i} = P mu^i (1 + rho u^i), u = mu^-2, and
+    beta = |rho| must be at most 1/4 and G = (1 - beta)|P| at least 32.
+    """
+    p_n = (gamma_n * mu - gamma_prev) / (mu - 1.0 / mu)
+    rho = (gamma_n - p_n) / p_n
+    beta = abs(rho)
+    l2 = 1.0 / (abs(p_n) ** 2)
+    g2 = l2 / ((1.0 - beta) ** 2)
+    if beta > 0.25 or g2 > 1.0 / 1024.0:
+        return None
+    mu_abs = abs(mu)
+    s = mu_abs * mu_abs
+    bound = (((4.2 * (1.0 + abs(t) * mu_abs * s) + 2.4 * s * (1.0 + s)) * g2 ** 3
+              + 17.3 * (1.0 + s * s) * beta * l2 * l2) / (s ** 3 - 1.0)
+             + 17.8 * beta ** 4 * l2 / (s ** 5 - 1.0))
+    if bound > share:
+        return None
+    u = 1.0 / (mu * mu)
+    x = [u ** k / (1.0 - u ** k) for k in (1, 2, 3, 4)]  # sum_i u^(k i)
+    comb = x[0] - rho * (2.0 * x[1] - rho * (3.0 * x[2] - 4.0 * rho * x[3]))
+    w = 1.0 / (p_n * p_n)
+    return 2.0 * w * (comb + (1.0 + mu * mu) * x[1] * w), bound
 
 
 def _hurwitz_zeta2(z):
@@ -451,19 +535,19 @@ def _fan_tail_bound(a_abs, b_abs, n_stop):
 
     * the comb's h-expansion remainder, 2h(g) - 2g^-2 - 2g^-4 <= 4.2|g|^-6,
       at most 0.84/(|b| F^5), taken as 6/5;
-    * the two child cells of each first mediant m_n: their mediant traces
-      g_n m_n - g_{n-1} and m_n g_{n-1} - g_n exceed 0.94|x_n|^3, so the
-      kernel's own estimate TAIL_COEFFICIENT/|t|^2 gives them at most
-      22.5|x_n|^-6, 4.5/(|b| F^5) in all;
+    * the two child cells of each first mediant m_n: they meet C(8), and
+      their mediant traces g_n m_n - g_{n-1} and m_n g_{n-1} - g_n exceed
+      0.94|x_n|^3, so rule 1's CELL_TAIL/|t|^2 gives them at most
+      4.76|x_n|^-6, 0.96/(|b| F^5) in all;
     * the O(|m_n|^-4) part of 2h(m_n), below 2.4|x_n|^-8, 0.01/(|b| F^5)
       in all.
 
-    The last two, 4.51/(|b| F^5), are taken as 8.
+    The last two, 0.97/(|b| F^5), are taken as 1.
     """
     floor = b_abs * n_stop - a_abs
     if floor < 8:
         return 1.0
-    return (6.0 / 5.0 + 8.0) / (b_abs * floor ** 5)
+    return (6.0 / 5.0 + 1.0) / (b_abs * floor ** 5)
 
 
 # perfbench reads these names; its tracer replaces ``active_kernel.explore``,

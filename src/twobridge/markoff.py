@@ -144,11 +144,6 @@ class TracePolynomial:
         return " + ".join(terms) if terms else "0"
 
 
-def residual_bound(poly: TracePolynomial, root) -> float:
-    """Acceptance bound 1e-10 * max|coeff| * (1 + |root|)^deg."""
-    return 1e-10 * poly.max_coeff_abs() * (1.0 + abs(root)) ** max(poly.degree, 0)
-
-
 def trace_polynomial(r: Slope) -> TracePolynomial:
     """phi(r) as a polynomial in x = phi(0), from the symbolic edge relation
     pushed down the mediant descent to r (``_descend``, the walk of
@@ -364,7 +359,8 @@ def polynomial_roots(poly: TracePolynomial):
         raise DomainError("root finding needs degree >= 1")
     k = poly.content_power_of_x()
     roots = [0j] * k + _nonzero_roots(poly.shift_down(k))
-    bad = [z for z in roots if not _residual_ok(poly, z)]
+    scale = 1e-10 * poly.max_coeff_abs()
+    bad = [z for z in roots if not _residual_ok(poly, z, scale)]
     if bad:
         raise RootFindingError(
             "residual check failed for %d of %d roots" % (len(bad), len(roots)),
@@ -373,10 +369,12 @@ def polynomial_roots(poly: TracePolynomial):
     return roots
 
 
-def _residual_ok(poly: TracePolynomial, z) -> bool:
-    """z is finite and |P(z)| is within ``residual_bound``."""
+def _residual_ok(poly: TracePolynomial, z, scale) -> bool:
+    """z is finite and |P(z)| <= scale * (1 + |z|)^deg, where ``scale`` is
+    1e-10 * max|coeff|, computed once per polynomial."""
     z = complex(z)
-    return cmath.isfinite(z) and abs(poly(z)) <= residual_bound(poly, z)
+    return (cmath.isfinite(z)
+            and abs(poly(z)) <= scale * (1.0 + abs(z)) ** poly.degree)
 
 
 def _nonzero_roots(poly: TracePolynomial):

@@ -389,7 +389,7 @@ class IdentityReport:
             "depth_used": self.depth_used,
             "eps": self.eps,
             "partial": self.partial,
-            "tail_bound_note": "heuristic trace-growth estimate",
+            "tail_bound_note": "proven remainder bound unless partial",
             "slopes_small_trace": [[str(s), v.real, v.imag]
                                    for s, v in self.slopes_small_trace],
             "accidental_parabolics": [[str(s), v.real, v.imag]

@@ -108,10 +108,10 @@ class TestIdentity:
                        "form disagreement %.3g > 1e-6\n" % (residual, disagreement))
 
     def test_form_disagreement_rule(self, capsys):
-        """lambda_I1 - lambda_I2 = (4/c)(S1 + S2 + 1): at eps 3e-5 the two
+        """lambda_I1 - lambda_I2 = (4/c)(S1 + S2 + 1): at eps 2e-4 the two
         forms of 2/5 disagree by more than 1e-6 while the identity residual
         is still within its rule, and the report fails on that rule alone."""
-        code, out, err = run(capsys, "identity", "2/5", "--eps", "3e-5")
+        code, out, err = run(capsys, "identity", "2/5", "--eps", "2e-4")
         assert code == 1
         doc = json.loads(out)
         assert doc["identity_residual"] <= 1e-6 < doc["form_disagreement"]
@@ -413,9 +413,13 @@ class TestParsing:
 def test_near_parabolic_root_at_large_p(capsys):
     """2/241's geometric root lies near the parabolic value 2, and its
     census scan spends over 600 000 nodes before it passes: ``cusp`` lays
-    out its cusp, and ``identity`` fails on a series stopped at the node
-    budget.  Most of the time goes to the root finding, done once."""
+    out its cusp, and ``identity`` passes every acceptance rule, the
+    slowly growing fan around 0/1 closed by rule 2 of ``kernels``
+    within the node budget.  Most of the time goes to the root finding,
+    done once."""
     code, out, _ = run(capsys, "cusp", "2/241")
     assert code == 0 and json.loads(out)["folds_ok"]
-    code, _, err = run(capsys, "identity", "2/241")
-    assert code == 1 and "partial" in err
+    code, out, err = run(capsys, "identity", "2/241")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert not doc["partial"] and doc["identity_residual"] <= 1e-6

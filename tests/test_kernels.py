@@ -1,5 +1,6 @@
 """Kernel lookup and raw kernel behaviour."""
 
+import cmath
 import math
 import random
 
@@ -111,23 +112,22 @@ def test_scan_mode_evaluates_no_h(monkeypatch, evaluation_for):
     assert mcshane.census_scan(ev) == census
 
 
-def _scan_prunes(phi_u, phi_v, phi_opp):
-    """C(SCAN_MODULUS) on a cell (``kernels`` docstring)."""
+def _prunes(phi_u, phi_v, phi_opp, modulus=kernels.SCAN_MODULUS):
+    """C(modulus) on a cell (``kernels`` docstring)."""
     au, av = abs(phi_u), abs(phi_v)
-    return (au >= kernels.SCAN_MODULUS and av >= kernels.SCAN_MODULUS
-            and abs(phi_opp) <= 0.5 * au * av)
+    return au >= modulus and av >= modulus and abs(phi_opp) <= 0.5 * au * av
 
 
-def _scan_pruned_cells(ev, edges, levels):
-    """Cells of the scanned intervals, down to ``levels`` binary levels, on
-    which the criterion C(SCAN_MODULUS) first holds: (u, phi_u, v, phi_v,
-    phi_opp), u and v as (num, den)."""
+def _pruned_cells(ev, edges, levels, modulus=kernels.SCAN_MODULUS):
+    """Cells of the intervals, down to ``levels`` binary levels, on which
+    the criterion C(modulus) first holds: (u, phi_u, v, phi_v, phi_opp),
+    u and v as (num, den)."""
     found = []
     stack = [((e.s1.num, e.s1.den), ev.phi(e.s1), (e.s2.num, e.s2.den),
               ev.phi(e.s2), ev.phi(e.s0), 0) for e in edges.e1 + edges.e2]
     while stack:
         u, phi_u, v, phi_v, phi_opp, level = stack.pop()
-        if _scan_prunes(phi_u, phi_v, phi_opp):
+        if _prunes(phi_u, phi_v, phi_opp, modulus):
             found.append((u, phi_u, v, phi_v, phi_opp))
         elif level < levels:
             m, phi_m = (u[0] + v[0], u[1] + v[1]), phi_u * phi_v - phi_opp
@@ -145,7 +145,7 @@ def _walk_pruned_subtree(phi_u, phi_v, phi_opp, levels):
     checked = 0
     while stack:
         phi_u, phi_v, phi_opp, level = stack.pop()
-        assert _scan_prunes(phi_u, phi_v, phi_opp)
+        assert _prunes(phi_u, phi_v, phi_opp)
         phi_m = phi_u * phi_v - phi_opp
         assert abs(phi_m) > 2.0 + kernels.CENSUS_TOL
         checked += 1
@@ -169,7 +169,7 @@ def test_scan_pruning_is_sound():
         edges = boundary_edge_sets(r)
         for root in {z for z in polynomial_roots(trace_polynomial(r)) if z}:
             ev = MarkoffEvaluation(r, root, edges)
-            found = _scan_pruned_cells(ev, edges, 6)
+            found = _pruned_cells(ev, edges, 6)
             cells += rng.sample(found, min(2, len(found)))
     assert len(cells) >= 200
     checked = 0
@@ -180,3 +180,100 @@ def test_scan_pruning_is_sound():
         assert out.nodes == 1 and not out.census
         checked += _walk_pruned_subtree(phi_u, phi_v, phi_opp, 10)
     assert checked > 100 * len(cells)
+
+
+def _walk(cell, share):
+    u, phi_u, v, phi_v, phi_opp = cell
+    out = kernels.CellOutcome()
+    kernels.explore(out, u[0], u[1], phi_u, v[0], v[1], phi_v, phi_opp, 0,
+                    share)
+    return out
+
+
+def test_sum_mode_stops_are_sound(monkeypatch, evaluation_for):
+    """Every sum-mode stop leaves out at most the tail it charges.  On
+    sampled census slopes, binary cells meeting C(8) are stopped by each
+    of rule 1's charges in turn (the whole cell, then the part below its
+    mediant), and every loxodromic fan that stopped by rule 2 in the two
+    series is walked on from its last step; each is re-walked at 1e-6 of
+    its own share."""
+    stops = []
+    lox_tail = kernels._lox_tail
+
+    def recording(*args):
+        rest = lox_tail(*args)
+        if rest is not None:
+            stops.append((args, rest))
+        return rest
+
+    monkeypatch.setattr(kernels, "_lox_tail", recording)
+    rng = random.Random(25)
+    slopes = [Slope(q, p) for p in range(5, 25) for q in range(1, p)
+              if math.gcd(q, p) == 1 and is_hyperbolic(Slope(q, p))]
+    cells = []
+    for r in rng.sample(slopes, 6):
+        ev = evaluation_for(r)
+        for j in (1, 2):
+            mcshane.interval_series(r, ev, j, eps=1e-8)
+        found = _pruned_cells(ev, ev.edges, 6, kernels.PRUNE_MODULUS)
+        cells += rng.sample(found, min(10, len(found)))
+    assert len(cells) >= 50 and len(stops) >= 50
+
+    for cell in cells:
+        phi_u, phi_v, phi_opp = cell[1], cell[3], cell[4]
+        am2 = abs(phi_u * phi_v - phi_opp) ** 2
+        whole = kernels.CELL_TAIL / am2
+        below = kernels.BELOW_TAIL * (abs(phi_u) ** -2 + abs(phi_v) ** -2) / am2
+        for charge in (whole, below):
+            share = charge * (1.0 + 1e-9)  # the kernel rounds it differently
+            out, ref = _walk(cell, share), _walk(cell, 1e-6 * share)
+            assert out.nodes == 1 and out.tail <= share
+            assert abs(out.total - ref.total) <= out.tail + ref.tail
+
+    for (t, mu, gamma_n, gamma_prev, half_share), (value, bound) in rng.sample(
+            stops, 50):
+        ref = _walk(((0, 1), t, (1, 1), gamma_n, gamma_prev), 1e-6 * half_share)
+        assert ref.nodes > 1 and not ref.census
+        assert abs(value - ref.total) <= bound + ref.tail
+
+
+def _absolute_sums(phi_u, phi_v, phi_opp, levels):
+    """(sum of |2h| over the mediant m of the cell and its subtree, the same
+    below m), the subtree cut ``levels`` levels below m."""
+    stack = [(phi_u, phi_v, phi_opp, 0)]
+    total = top = 0.0
+    while stack:
+        phi_u, phi_v, phi_opp, level = stack.pop()
+        phi_m = phi_u * phi_v - phi_opp
+        term = abs(2.0 * kernels.h_func(phi_m))
+        total += term
+        if level == 0:
+            top = term
+        if level < levels:
+            stack.append((phi_u, phi_m, phi_v, level + 1))
+            stack.append((phi_m, phi_v, phi_u, level + 1))
+    return total, total - top
+
+
+def test_rule_one_holds_on_extreme_cells():
+    """Rule 1's two charges bound the absolute sums of 2h over a cell and
+    below its mediant on C(8) cells with |phi_opp| = |phi_u||phi_v|/2,
+    aligned so that |m| = |phi_u||phi_v|/2 is as small as C(8) allows: the
+    real cell (8, 8; 32), whose every mediant is the smallest its parents
+    allow, and random ones with |phi| in [8, 24], each to depth 8."""
+    rng = random.Random(8)
+    cells = [(8.0 + 0j, 8.0 + 0j)]
+    for _ in range(150):
+        cells.append(tuple(rng.uniform(8.0, 24.0)
+                           * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+                           for _ in range(2)))
+    for phi_u, phi_v in cells:
+        phi_opp = 0.5 * phi_u * phi_v
+        am2 = abs(phi_u * phi_v - phi_opp) ** 2
+        whole, below = _absolute_sums(phi_u, phi_v, phi_opp, 8)
+        assert whole <= kernels.CELL_TAIL / am2
+        assert below <= kernels.BELOW_TAIL * (abs(phi_u) ** -2
+                                              + abs(phi_v) ** -2) / am2
+    whole, below = _absolute_sums(8.0, 8.0, 32.0, 8)
+    assert whole * 32.0 ** 2 > 2.06
+    assert below * 32.0 ** 2 / (2.0 / 8.0 ** 2) > 2.15

@@ -204,7 +204,7 @@ class TestIntervalSeries:
     @pytest.mark.parametrize("text", ["5/17", "11/23"])
     def test_tail_within_each_eps(self, text, evaluation_for):
         """The tail bound follows eps down and the value stays within it,
-        also on 11/23, whose combs walk a thousand steps at eps = 1e-8."""
+        also on 11/23, whose longest comb walks 320 steps at eps = 1e-8."""
         r = Slope.parse(text)
         ev = evaluation_for(r)
         fin = finite_edge_sums(r, ev)
@@ -228,10 +228,23 @@ class TestIntervalSeries:
         assert res.tail_bound <= 1e-12 and not res.partial
         assert abs(res.value - finite_edge_sums(r, ev)[j - 1]) <= res.tail_bound
 
+    def test_sum_nodes_stay_pruned(self, evaluation_for):
+        """Rules 1 and 2 of ``kernels`` bound the work of the series: the
+        two series of the 50 hyperbolic slopes with p <= 16, at the eps
+        1e-8 of ``cusp_shape``, walk at most 68 530 nodes (198 630 with the
+        estimates they replaced)."""
+        nodes = 0
+        for r in HYPERBOLIC_40:
+            if r.den <= 16:
+                ev = evaluation_for(r)
+                nodes += sum(interval_series(r, ev, j, eps=0.5e-8).nodes
+                             for j in (1, 2))
+        assert nodes <= 68_530
+
     @pytest.mark.parametrize("text", ["2/47", "39/41"])
     def test_near_parabolic_series_meet_eps(self, text, report_for):
-        """Combs around loops with trace near +-2 walk thousands of steps;
-        summed to eps they close the identity to 1e-9."""
+        """Combs around loops with trace near +-2 walk about a thousand
+        steps; summed to eps they close the identity to 1e-9."""
         rep = report_for(Slope.parse(text))
         assert rep.identity_residual <= 1e-9
         assert rep.tail_bound_1 + rep.tail_bound_2 <= rep.eps
@@ -416,7 +429,7 @@ class TestIntervalSeries:
 
 
 class TestFanTail:
-    """The closed-form remainder of a parabolic fan."""
+    """The closed-form remainders of parabolic and loxodromic fans."""
 
     @staticmethod
     def _grid():
@@ -467,6 +480,41 @@ class TestFanTail:
         ref = mp.nsum(term, [n_stop + 1, mp.inf], method="euler-maclaurin")
         value = kernels._fan_tail_value(a, b, n_stop)
         assert float(abs(mp.mpc(value) - ref)) <= 1e-15 * float(abs(ref))
+
+    @pytest.mark.parametrize("p_coef, q_coef, mu, n_stop", [
+        (1.3 - 0.4j, 0.7 + 2.1j, 1.02 * cmath.exp(0.3j), 200),
+        (0.9 + 0.2j, -1.5 + 0.5j, 1.004 + 0.003j, 900),
+        (2.0 + 1.0j, 0.5 - 0.5j, -1.1 + 0.35j, 40),
+        (0.6 - 0.3j, 1.1 + 0.2j, 2.3 - 1.4j, 5),
+        (1.0, 40.0 - 30.0j, 1.3 + 0.2j, 30),
+    ])
+    def test_loxodromic_closed_form_matches_nsum(self, p_coef, q_coef, mu,
+                                                 n_stop):
+        """Rule 2: the comb 2h(gamma_n) and the first mediants 2h(m_n)
+        beyond n_stop, gamma_n = P mu^n + Q mu^-n and
+        m_n = gamma_n gamma_{n-1} - t, summed at 30 digits, lie within the
+        bound ``_lox_tail`` reports for its closed form, which also covers
+        the subtrees below the m_n.  |mu| runs from 1.005 to 2.7, with t
+        complex."""
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        P, Q, M = (mp.mpc(z.real, z.imag) for z in (p_coef, q_coef, mu))
+        T = M + 1 / M
+
+        def gamma(n):
+            return P * M ** n + Q * M ** -n
+
+        def two_h(x):
+            return 1 - mp.sqrt(1 - 4 / x ** 2)
+
+        def term(n):
+            return two_h(gamma(n)) + two_h(gamma(n) * gamma(n - 1) - T)
+
+        ref = mp.nsum(term, [n_stop + 1, mp.inf])
+        value, bound = kernels._lox_tail(complex(T), mu, complex(gamma(n_stop)),
+                                         complex(gamma(n_stop - 1)), math.inf)
+        assert float(abs(mp.mpc(value) - ref)) <= bound <= 1e-4 * abs(value)
 
     def test_low_argument_raises(self):
         with pytest.raises(InternalError):
