@@ -363,7 +363,12 @@ def interval_meets_limit_set(r: Slope, u: Slope, v: Slope, depth: int = 8) -> st
     """Three-valued test whether the open interval (u, v) meets the limit
     set: "no" when one gap covers it, "yes" when an image of inf or r under
     a word of the enumeration lies inside, otherwise "unknown" at this
-    depth."""
+    depth.
+
+    No subcommand and no pipeline stage calls it; it is a library entry
+    point.  The geometric-root filter reads the small traces the census
+    scan meets against ``slopes.off_chain_census`` instead.
+    """
     if v < u:
         u, v = v, u
     for xn, xd, yn, yd, *_ in gap_intervals(r, depth).rows:

@@ -127,8 +127,10 @@ with eps_share = inf and reads only ``census``, ``elliptic`` and
 as soon as its traces grow (a loxodromic one at rule 2's tracked
 beta <= 1/4 and |gamma| >= 32, before any bound).  It walks all of its
 edges on one outcome, which carries the one limit that serves only the
-scan: once ``len(out.census)`` passes ``out.census_cap`` (infinite unless
-a caller sets it) the walk returns at once.
+scan: ``out.census_allowed``, the slopes of A(r)
+(``slopes.off_chain_census``).  The walk returns at once on a small trace
+at a slope outside it; in sum mode it is None and every small trace joins
+the census.
 
 Every binary cell and every fan step counts one node on ``out.nodes``,
 and NODE_BUDGET, read at call time, is the one limit on it: passing it
@@ -173,7 +175,8 @@ class CellOutcome:
 
     __slots__ = (
         "sum_re", "sum_im", "comp_re", "comp_im", "tail", "census",
-        "elliptic", "depth_capped", "nodes", "max_depth_seen", "census_cap",
+        "elliptic", "depth_capped", "nodes", "max_depth_seen",
+        "census_allowed",
     )
 
     def __init__(self):
@@ -187,7 +190,9 @@ class CellOutcome:
         self.depth_capped = False
         self.nodes = 0
         self.max_depth_seen = 0
-        self.census_cap = float("inf")  # stop once len(census) exceeds it
+        # the census scan's (num, den) of A(r): the walk stops at a small
+        # trace outside it; None in sum mode
+        self.census_allowed = None
 
     def add(self, re, im):
         y = re - self.comp_re
@@ -198,6 +203,13 @@ class CellOutcome:
         t = self.sum_im + y
         self.comp_im = (t - self.sum_im) - y
         self.sum_im = t
+
+    def add_small_trace(self, num, den, trace):
+        """Add a slope with |trace| <= 2 + CENSUS_TOL to the census; True
+        when it lies outside ``census_allowed``, and the walk must end."""
+        self.census.append((num, den, trace))
+        allowed = self.census_allowed
+        return allowed is not None and (num, den) not in allowed
 
     @property
     def total(self):
@@ -240,8 +252,8 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
     Deterministic order: fans walk outward, binary cells left before right.
     Every trace below the cell is tested when it is made; the endpoints are
     tested here, and an elliptic one is recorded before any node is walked.
-    The walk returns once ``out.nodes`` passes NODE_BUDGET or the census
-    passes ``out.census_cap``.
+    The walk returns once ``out.nodes`` passes NODE_BUDGET or on a small
+    trace outside ``out.census_allowed``.
     """
     for num, den, phi in ((u_num, u_den, phi_u), (v_num, v_den, phi_v)):
         if _is_elliptic(phi):
@@ -286,8 +298,7 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
                 return
             if _near_parabolic(phi_m):
                 phi_m = _snap_parabolic(phi_m)  # 2h(+-2) = 1 below
-            out.census.append((m_num, m_den, phi_m))
-            if len(out.census) > out.census_cap:
+            if out.add_small_trace(m_num, m_den, phi_m):
                 return
 
         attracting = abs(phi_opp) <= 0.5 * au * av  # C(modulus)
@@ -334,8 +345,8 @@ def _fan(out, stack, p_num, p_den, t, c_num, c_den, gamma0, gamma_prev,
 
     The census scan (infinite share) sums nothing and stops each fan as
     soon as its traces grow.  Returns True when the whole walk must end,
-    as ``explore``'s does: on an elliptic trace, past NODE_BUDGET or with
-    the census over ``out.census_cap``.
+    as ``explore``'s does: on an elliptic trace, past NODE_BUDGET or on a
+    small trace outside ``out.census_allowed``.
     """
     summing = eps_share != math.inf
     parabolic = _near_parabolic(t)
@@ -383,16 +394,15 @@ def _fan(out, stack, p_num, p_den, t, c_num, c_den, gamma0, gamma_prev,
                 # is parabolic: descend it once, its children each taking a
                 # quarter of the share (the half the off-comb cells leave)
                 gamma1 = _snap_parabolic(gamma1)
-                out.census.append((w_num, w_den, gamma1))
+                stop = out.add_small_trace(w_num, w_den, gamma1)
                 out.add(1.0, 0.0)  # 2 h(+-2) = 1
                 quarter = 0.25 * eps_share
                 stack.append((p_num, p_den, t, w_num, w_den, gamma1, gamma0,
                               cell_depth, quarter))
                 stack.append((c_num, c_den, gamma0, w_num, w_den, gamma1, t,
                               cell_depth, quarter))
-                return len(out.census) > out.census_cap
-            out.census.append((w_num, w_den, gamma1))
-            if len(out.census) > out.census_cap:
+                return stop
+            if out.add_small_trace(w_num, w_den, gamma1):
                 return True
         if summing:
             hm = h_func(gamma1)
@@ -526,7 +536,7 @@ def _fan_tail_value(a, b, n_stop):
 
 
 def _fan_tail_bound(a_abs, b_abs, n_stop):
-    """Bound C/(|b| F^5), F = |b| n_stop - |a|, C = 6/5 + 8, for what the
+    """Bound C/(|b| F^5), F = |b| n_stop - |a|, C = 6/5 + 1, for what the
     closed form leaves out beyond n_stop.
 
     The stop rule (n_stop >= 64, |b| n_stop >= 4|a| + 8) gives

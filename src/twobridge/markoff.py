@@ -205,7 +205,8 @@ def _check_sign_symmetry(poly: TracePolynomial, r) -> TracePolynomial:
 # its derivative (``_squarefree_mod_p``); otherwise it is P / gcd(P, P'),
 # computed exactly over Q(i).  An even P(x) = Q(x^2), as every trace
 # polynomial is once its factor x^k is taken out, goes through all of this
-# as Q, in y = x^2 (``_nonzero_roots``).
+# as Q, in y = x^2, and each x is the fixed-point square root of its y
+# (``_nonzero_roots``, ``_fixed_sqrt``).
 #
 # The polished roots z_1..z_n of the squarefree part are then certified by
 # their inclusion disks, centred at z_i with radius
@@ -350,8 +351,11 @@ def polynomial_roots(poly: TracePolynomial):
     ``trace_polynomial``), is solved in y = x^2 at half the degree: the
     squarefree test, the exact gcd, Aberth, the certification and any
     refinement all run on Q, and each root y is polished against Q.  Then
-    x = sqrt(y) is polished once against P / x^k, at the width the y were
-    polished at.  The roots come in pairs x, -x, with x the sign class
+    x = sqrt(y) is taken in fixed point from y's unrounded polished value,
+    at the width the y were polished at, when y's Newton polish settled on
+    its step test; otherwise (a cluster that Newton did not resolve in
+    _POLISH_ROUNDS steps) x is polished from sqrt(y) against P / x^k.  The
+    roots come in pairs x, -x, with x the sign class
     representative (Re x > 0, ties broken by Im x > 0) and -x its exact
     negation, which is correctly rounded too.
     """
@@ -391,13 +395,16 @@ def _nonzero_roots(poly: TracePolynomial):
         gcd = _gcd(exact, _exact_coeffs(base.derivative()))
         square_free = _integral(_divmod_monic(exact, gcd)[0])
         repeated = _nonzero_roots(_integral(gcd))
-    simple, f = _certified_roots(square_free)
+    simple, f, fixed = _certified_roots(square_free)
     roots = simple + [min(simple, key=lambda z: abs(z - w)) for w in repeated]
     if not even:
         return roots
     pairs = {}
-    for y in simple:
-        x = _polish_exact(poly, cmath.sqrt(y), f)
+    for y, w in zip(simple, fixed):
+        if w is None:
+            x = _polish_exact(_fixed_coeffs(poly, f), cmath.sqrt(y), f)[0]
+        else:
+            x = _round_fixed(*_fixed_sqrt(*w, f), f)
         x = max(x, -x, key=_representative_key)
         # + 0j turns the -0.0 parts of a negation into +0.0
         pairs[y] = (x + 0j, -x + 0j)
@@ -525,11 +532,13 @@ def _fixed_quotient(u_re, u_im, v_re, v_im, f):
 
 
 def _newton_fixed(coeffs, a, b, f):
-    """Newton's method on w = (a + ib) / 2**f for ``_fixed_coeffs(P, f)``.
+    """Newton's method on w = (a + ib) / 2**f for ``_fixed_coeffs(P, f)``;
+    returns (a, b, settled).
 
     The iteration stops at P'(w) = 0, after _POLISH_ROUNDS steps, or once a
     step is at most 2**(-f/2) |w|, past which Newton's quadratic
-    convergence leaves nothing above the scale.
+    convergence leaves nothing above the scale.  ``settled`` says it
+    stopped on that step test.
     """
     for _ in range(_POLISH_ROUNDS):
         p_re, p_im, d_re, d_im = _fixed_horner(coeffs, a, b, f)
@@ -539,8 +548,24 @@ def _newton_fixed(coeffs, a, b, f):
         a -= step_re
         b -= step_im
         if (step_re * step_re + step_im * step_im) << f <= a * a + b * b:
-            break
-    return a, b
+            return a, b, True
+    return a, b, False
+
+
+def _fixed_sqrt(a, b, f):
+    """The principal square root of w = (a + ib) / 2**f, at scale 2**f and
+    to within a unit: the integer square root of the Gaussian integer
+    (a + ib) 2**f.  The component of the larger half-sum is taken from
+    the modulus m, sqrt((m +- a)/2), and the other as b over twice it, so
+    nothing cancels and a vanishing component comes out 0."""
+    a <<= f
+    b <<= f
+    m = math.isqrt(a * a + b * b)
+    if a >= 0:
+        re = math.isqrt((m + a) >> 1)
+        return re, (b // (2 * re) if re else 0)
+    im = math.isqrt((m - a) >> 1)
+    return abs(b) // (2 * im), (im if b >= 0 else -im)
 
 
 def _round_fixed(a, b, f) -> complex:
@@ -552,25 +577,28 @@ def _round_fixed(a, b, f) -> complex:
     return complex(((a + half) >> drop) / kept, ((b + half) >> drop) / kept)
 
 
-def _polish_exact(poly: TracePolynomial, z: complex, f: int = _FIX_BITS) -> complex:
-    """Newton refinement of z in fixed point at scale 2**f against the
-    exact Z[i] coefficients, rounded by ``_round_fixed``.
+def _polish_exact(coeffs, z: complex, f: int):
+    """(root, fixed): Newton refinement of z in fixed point at scale 2**f
+    against the exact Z[i] coefficients ``_fixed_coeffs(P, f)``, rounded
+    by ``_round_fixed``, and its unrounded (a, b) when the iteration
+    settled (``_newton_fixed``), else None.
 
     The double-precision Aberth roots carry enough error at higher degrees
     to blur the +-2 parabolic traces of the exceptional slopes.  A
     non-finite z is returned unchanged, for the residual check to reject.
     """
     if not cmath.isfinite(z):
-        return z
-    a, b = _newton_fixed(_fixed_coeffs(poly, f), _to_fixed(z.real, f),
-                         _to_fixed(z.imag, f), f)
-    return _round_fixed(a, b, f)
+        return z, None
+    a, b, settled = _newton_fixed(coeffs, _to_fixed(z.real, f),
+                                  _to_fixed(z.imag, f), f)
+    return _round_fixed(a, b, f), ((a, b) if settled else None)
 
 
 def _certified_roots(poly: TracePolynomial):
-    """(roots, f): the roots of a squarefree P with nonzero constant term,
-    certified by pairwise disjoint inclusion disks, and the fixed-point
-    scale 2**f they were polished at.
+    """(roots, f, fixed): the roots of a squarefree P with nonzero constant
+    term, certified by pairwise disjoint inclusion disks, the fixed-point
+    scale 2**f they were polished at, and for each root its unrounded
+    fixed-point (a, b) if its Newton polish settled, else None.
 
     The double Aberth roots are polished at f = _FIX_BITS.  Only where
     Aberth does not converge or their disks overlap are they refined
@@ -578,15 +606,17 @@ def _certified_roots(poly: TracePolynomial):
     """
     z, converged = _aberth([complex(a, b) for a, b in poly.coeffs])
     if converged:
-        roots = [_polish_exact(poly, zi) for zi in z]
+        coeffs = _fixed_coeffs(poly, _FIX_BITS)
+        polished = [_polish_exact(coeffs, zi, _FIX_BITS) for zi in z]
+        roots = [root for root, _ in polished]
         if not _overlapping_disks(poly, roots):
-            return roots, _FIX_BITS
+            return roots, _FIX_BITS, [fixed for _, fixed in polished]
     return _refined_roots(poly, z)
 
 
 def _refined_roots(poly: TracePolynomial, z):
-    """(roots, f) for a squarefree P with nonzero constant term from its
-    double approximations z, as ``_certified_roots`` returns them.
+    """(roots, f, fixed) for a squarefree P with nonzero constant term from
+    its double approximations z, as ``_certified_roots`` returns them.
 
     Gauss-Seidel Aberth sweeps (``_aberth_fixed``) refine all of z at scale
     2**_REFINE_BITS; a non-finite approximation restarts from its point of
@@ -607,12 +637,13 @@ def _refined_roots(poly: TracePolynomial, z):
         w = _aberth_fixed(_fixed_coeffs(poly, bits), w, bits)
         f = bits + _REFINE_EXTRA_BITS
         coeffs = _fixed_coeffs(poly, f)
-        roots = [_round_fixed(*_newton_fixed(coeffs, a << _REFINE_EXTRA_BITS,
-                                             b << _REFINE_EXTRA_BITS, f), f)
-                 for a, b in w]
+        polished = [_newton_fixed(coeffs, a << _REFINE_EXTRA_BITS,
+                                  b << _REFINE_EXTRA_BITS, f) for a, b in w]
+        roots = [_round_fixed(a, b, f) for a, b, _ in polished]
         overlaps = _overlapping_disks(poly, roots)
         if not overlaps:
-            return roots, f
+            return roots, f, [(a, b) if settled else None
+                              for a, b, settled in polished]
         if 2 * bits > _MAX_REFINE_BITS:
             raise RootFindingError(
                 "inclusion disks overlap at %d bits: %s" % (f, ", ".join(
@@ -854,14 +885,17 @@ def select_geometric_root(roots, r: Slope) -> MarkoffEvaluation:
        ``mcshane.EDGE_SUM_TOL`` (1e-8);
     4. Im lambda(O) > 0, which picks one of each conjugate pair;
     5. the census scan of I1 u I2 (see ``mcshane.census_scan``): no real
-       trace in (-2, 2) and at most 64 slopes with |phi| <= 2.  The scan
-       explores I1 u I2 as the series does, parabolic fans included, and
-       has no depth limit: it prunes each cell whose traces provably stay
-       above 2 (``kernels``), which ends it on a geometric class, and it
-       stops as soon as its census passes 64.  Its one node budget is
+       trace in (-2, 2), and no slope with |phi| <= 2 inside the cut-off
+       intervals other than those of A(r), the census predicted from r
+       alone (``slopes.off_chain_census``).  The scan explores I1 u I2 as
+       the series does, parabolic fans included, and has no depth limit:
+       it prunes each cell whose traces provably stay above 2
+       (``kernels``), which ends it on a geometric class, and it stops at
+       the first small trace outside A(r).  Its one node budget is
        ``kernels.NODE_BUDGET``, spent over all of its edges.  On the
-       slopes with p <= 64, 9 250 classes end at the census cap after at
-       most 5 841 nodes, and the 1 134 that pass take at most 1 404.
+       slopes with p <= 64, 9 250 classes end at such a trace after at
+       most 512 nodes, none at an elliptic trace or the budget, and the
+       1 134 that pass take at most 1 404.
 
     Exactly one class must pass all five, and it is selected.  If none
     passes, NoGeometricRootError is raised, whose message gives each

@@ -24,7 +24,15 @@ from .errors import (
     NotGeometricEvaluationError,
 )
 from .markoff import MarkoffEvaluation, geometric_evaluation
-from .slopes import ONE, ZERO, Slope, farey_chain, is_hyperbolic, num_components
+from .slopes import (
+    ONE,
+    ZERO,
+    Slope,
+    farey_chain,
+    is_hyperbolic,
+    num_components,
+    off_chain_census,
+)
 
 __all__ = [
     "h",
@@ -43,8 +51,6 @@ __all__ = [
 DEFAULT_EPS = 1e-8
 # the finite identity S1 + S2 = -1 is checked to this
 EDGE_SUM_TOL = 1e-8
-# census_scan rejects a map with more slopes of |phi| <= 2 than this
-_CENSUS_CAP = 64
 
 
 def h(x):
@@ -155,11 +161,35 @@ def finite_edge_sums(r: Slope, ev: MarkoffEvaluation, check: bool = True):
     pair is kept on ``ev.finite_sums``, so the geometric-root filter and
     ``cusp_shape`` sum it once.  With ``check`` the -1 identity and the
     full-sum identity sum_{E(r)} psi = 1 are asserted to EDGE_SUM_TOL.
+
+    The sums take one pass down ``ev.edges.triangles`` in complex floats,
+    with the edge relation of ``MarkoffEvaluation.phi``'s mediant walk and
+    each triangle's turn as ``boundary_edge_sets`` reads it, so each psi
+    is the one ``psi`` gives, bitwise.  E1 is summed in chain order and E2
+    in reverse, left to right as the edge system lists them.  A vanishing
+    denominator raises the DomainError of ``psi`` at the first edge in
+    that order.
     """
     edges = ev.edges
     if ev.finite_sums is None:
-        ev.finite_sums = (sum((psi(e, ev) for e in edges.e1), 0j),
-                          sum((psi(e, ev) for e in edges.e2), 0j))
+        x = ev.root
+        phi_lo, phi_hi, phi_opp = x, 1j * x, 0j
+        terms1, terms2 = [], []
+        for _, med, _ in edges.triangles[1:-1]:
+            phi_med = phi_lo * phi_hi - phi_opp
+            if r < med:  # E2 edge <med, hi>, s0 = lo
+                denom = phi_med * phi_hi
+                terms2.append(phi_lo / denom if abs(denom) >= 1e-300 else None)
+                phi_hi, phi_opp = phi_med, phi_hi
+            else:  # E1 edge <lo, med>, s0 = hi
+                denom = phi_lo * phi_med
+                terms1.append(phi_hi / denom if abs(denom) >= 1e-300 else None)
+                phi_lo, phi_opp = phi_med, phi_lo
+        terms2.reverse()
+        if None in terms1 or None in terms2:  # psi raises on the first
+            for e in edges.e1 + edges.e2:
+                psi(e, ev)
+        ev.finite_sums = sum(terms1, 0j), sum(terms2, 0j)
     s1, s2 = ev.finite_sums
     if check:
         if abs(s1 + s2 + 1) > EDGE_SUM_TOL:
@@ -194,9 +224,9 @@ def _explore_edge(ev: MarkoffEvaluation, edge: DirectedFareyEdge, eps_edge,
     With ``eps_edge`` infinite this is the census scan's exploration: it
     sums nothing, and the fans stop where their traces grow.  The walk
     stops early on an elliptic trace (raised here), once ``out.nodes``
-    passes ``kernels.NODE_BUDGET`` or once ``out.census`` passes
-    ``out.census_cap``; both counts include what earlier walks on ``out``
-    left there.
+    passes ``kernels.NODE_BUDGET``, a count that includes what earlier
+    walks on ``out`` left there, or on a small trace at a slope outside
+    ``out.census_allowed``.
     """
     if kernel is None:
         kernel = kernels.active_kernel
@@ -224,6 +254,11 @@ def _boundary_trace(ev, slope, records):
     return val
 
 
+def _check_eps(eps):
+    if not 0 < eps < math.inf:
+        raise DomainError("eps must be positive and finite, got %r" % (eps,))
+
+
 def interval_series(r: Slope, ev: MarkoffEvaluation, j: int,
                     eps: float = DEFAULT_EPS, kernel=None,
                     max_depth=None) -> SeriesResult:
@@ -241,8 +276,7 @@ def interval_series(r: Slope, ev: MarkoffEvaluation, j: int,
     """
     if j not in (1, 2):
         raise DomainError("j must be 1 or 2")
-    if not 0 < eps < math.inf:
-        raise DomainError("eps must be positive and finite, got %r" % (eps,))
+    _check_eps(eps)
     group = ev.edges.e1 if j == 1 else ev.edges.e2
     eps_edge = eps / max(len(group), 1)
 
@@ -290,33 +324,42 @@ def census_scan(ev: MarkoffEvaluation):
     criterion C(2 + delta) of the ``kernels`` docstring.
 
     A geometric map has no real trace in (-2, 2) on I1 u I2 and only
-    finitely many |phi| <= 2 there; the scan raises
+    finitely many |phi| <= 2 there: the chain vertices among the edge
+    endpoints, and inside the cut-off intervals exactly the slopes of
+    A(r) (``slopes.off_chain_census``).  The scan raises
     NotGeometricEvaluationError as soon as it sees otherwise: an elliptic
-    trace or a census of more than ``_CENSUS_CAP`` slopes.  It also raises
-    once it has spent ``kernels.NODE_BUDGET`` Stern-Brocot nodes over all
-    edges, the budget one series spends on each edge.  The last two
-    reasons name the census size or the budget and the nodes spent.
+    trace, or a trace with |phi| <= 2 + CENSUS_TOL inside a cut-off
+    interval at a slope outside A(r), whose reason names the slope, its
+    trace, A(r) and the nodes spent.  It also raises once it has spent
+    ``kernels.NODE_BUDGET`` Stern-Brocot nodes over all edges, the budget
+    one series spends on each edge, and names the budget and the nodes
+    spent.
 
     All edges are walked on one ``CellOutcome``: ``out.nodes`` counts the
     whole scan, and ``out.census`` its interior slopes, none repeated, as
-    the cut-off intervals are disjoint and open.  The endpoints with small
-    traces are kept apart, and ``out.census_cap`` leaves room for them.
+    the cut-off intervals are disjoint and open.  ``out.census_allowed``
+    holds A(r), and the walk ends at the first small trace outside it.
+    The endpoints with small traces are kept apart.
     """
+    predicted = off_chain_census(ev.r)
     boundary = set()
     out = kernels.CellOutcome()
+    out.census_allowed = {(s.num, s.den) for s in predicted}
     for edge in ev.edges.e1 + ev.edges.e2:
         records = []
         for s in (edge.s1, edge.s2):
             _boundary_trace(ev, s, records)
         boundary.update(s for s, _ in records)
-        out.census_cap = _CENSUS_CAP - len(boundary)
         _explore_edge(ev, edge, math.inf, out)
-        if len(out.census) > out.census_cap:
+        if out.census and out.census[-1][:2] not in out.census_allowed:
+            num, den, val = out.census[-1]
             raise NotGeometricEvaluationError(
-                edge.s1, 0j,
-                note="census of small traces keeps growing: %d slopes with "
-                     "|phi| <= 2 after %d nodes (at %s)"
-                     % (len(boundary) + len(out.census), out.nodes, edge))
+                Slope(num, den), val,
+                note="small trace %s at %s/%s, off the Farey chain and "
+                     "outside A(r) = {%s}, after %d nodes (at %s)"
+                     % (format(val, ".6g"), num, den,
+                        ", ".join(map(str, sorted(predicted))), out.nodes,
+                        edge))
         if out.nodes >= kernels.NODE_BUDGET:
             raise NotGeometricEvaluationError(
                 edge.s1, 0j,
@@ -409,6 +452,7 @@ def cusp_shape(r: Slope, eps: float = DEFAULT_EPS,
     """
     if not is_hyperbolic(r):
         raise NonHyperbolicError(r)
+    _check_eps(eps)
     if ev is None:
         ev = geometric_evaluation(r)
     fin1, fin2 = finite_edge_sums(r, ev, check=True)

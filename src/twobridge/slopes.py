@@ -30,6 +30,7 @@ __all__ = [
     "num_components",
     "fundamental_intervals",
     "farey_chain",
+    "off_chain_census",
     "reflection_in_edge",
     "reduce_slope",
     "is_nullhomotopic",
@@ -190,6 +191,49 @@ def farey_chain(r: Slope) -> tuple:
             lo = med
 
 
+# the loxodromic small traces off the chain of the two arithmetic 2-bridge
+# links: |phi| = sqrt(3) on the figure-eight knot, phi = -2i on the
+# Whitehead link
+_ARITHMETIC_CENSUS = {
+    (2, 5): ((1, 4), (2, 3)),
+    (3, 5): ((1, 3), (3, 4)),
+    (3, 8): ((1, 4),),
+    (5, 8): ((3, 4),),
+}
+
+
+def off_chain_census(r: Slope) -> frozenset:
+    """A(r): the slopes off r's Farey chain whose loops may have a trace
+    with |phi| <= 2 under the geometric Markoff map of a hyperbolic r.
+
+    Lee and Sakuma's work on homotopically equivalent simple loops on
+    2-bridge spheres places the accidental parabolics off the chain: for
+    p = 2n + 1 there is one on r = [n, 2] and on r = [2, n], and on their
+    mirrors 1 - r (for p = 5 the two forms coincide):
+
+    - q = 2 (r = [n, 2]): 1/p;       q = p - 2: (p - 1)/p;
+    - q = n (r = [2, n]): (n + 1)/p; q = n + 1: n/p.
+
+    The figure-eight knot (2/5, 3/5) and the Whitehead link (3/8, 5/8)
+    add loxodromic small traces (``_ARITHMETIC_CENSUS``).  Every other r
+    has an empty A(r).  On all 1 134 hyperbolic slopes with p <= 64 the
+    interior census of the geometric map (its small traces inside the
+    cut-off intervals of the boundary edges) equals A(r) exactly, and
+    ``mcshane.census_scan`` rejects a root class at its first small trace
+    there outside A(r).
+    """
+    if not is_hyperbolic(r):
+        raise NonHyperbolicError(r)
+    q, p = r.num, r.den
+    found = list(_ARITHMETIC_CENSUS.get((q, p), ()))
+    if p % 2:
+        n = p // 2
+        found += [(num, p) for num, hit in ((1, q == 2), (p - 1, q == p - 2),
+                                             (n + 1, q == n), (n, q == n + 1))
+                  if hit]
+    return frozenset(Slope(num, den) for num, den in found)
+
+
 @dataclass(frozen=True)
 class Interval:
     """A closed interval [left, right] with rational endpoints."""
@@ -318,6 +362,12 @@ def reduce_slope(s: Slope, r: Slope):
 
 def is_nullhomotopic(s: Slope, r: Slope) -> bool:
     """True iff the simple loop of slope s dies in the link complement,
-    i.e. s reduces to inf or to r."""
+    i.e. s reduces to inf or to r.
+
+    No subcommand and no pipeline stage calls it; it is a library entry
+    point.  The geometric-root filter cannot use it: ``reduce_slope``
+    leaves every slope of I1(r) u I2(r) where it is, so it finds none of
+    the accidental parabolics there, which ``off_chain_census`` lists.
+    """
     s0, _ = reduce_slope(s, r)
     return s0 == r or s0.is_infinite

@@ -130,6 +130,15 @@ class TestIdentity:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "eps" in err
 
+    @pytest.mark.parametrize("command", ["identity", "batch"])
+    def test_negative_eps_named_as_given(self, capsys, command):
+        """``cusp_shape`` checks eps before it gives each series half of it,
+        so the message names the eps of the request, not -0.5."""
+        argv = ["identity", "2/5"] if command == "identity" else ["batch", "--pmax", "5"]
+        code, out, err = run(capsys, *argv, "--eps", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: eps must be positive and finite, got -1.0\n"
+
 
 class TestCusp:
     def test_svg_and_json(self, capsys, tmp_path):

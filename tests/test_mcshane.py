@@ -32,6 +32,7 @@ from twobridge.slopes import (
     farey_chain,
     fundamental_intervals,
     is_hyperbolic,
+    off_chain_census,
 )
 
 S25 = Slope(2, 5)
@@ -241,6 +242,29 @@ class TestIntervalSeries:
                              for j in (1, 2))
         assert nodes <= 68_530
 
+    def test_scan_nodes_stay_pruned(self, monkeypatch):
+        """Rejecting a class at its first small trace outside A(r) bounds
+        the census scans of root selection: over the 50 hyperbolic slopes
+        with p <= 16 they walk at most 8 336 nodes in all (39 800 when a
+        class was rejected only once its census passed 64 slopes)."""
+        nodes = 0
+        explore = kernels.explore
+
+        def counting(out, *args):
+            nonlocal nodes
+            before = out.nodes
+            try:
+                explore(out, *args)
+            finally:
+                if args[8] == math.inf:
+                    nodes += out.nodes - before
+
+        monkeypatch.setattr(kernels, "explore", counting)
+        for r in HYPERBOLIC_40:
+            if r.den <= 16:
+                geometric_evaluation(r)
+        assert nodes <= 8_336
+
     @pytest.mark.parametrize("text", ["2/47", "39/41"])
     def test_near_parabolic_series_meet_eps(self, text, report_for):
         """Combs around loops with trace near +-2 walk about a thousand
@@ -328,33 +352,52 @@ class TestIntervalSeries:
         return [c.root for c in ev.selection.candidates if not c.passed
                 and c.lambda_orbifold is not None and c.lambda_orbifold.imag > 1e-12]
 
-    def test_scan_stops_once_census_overflows(self, evaluation_for, monkeypatch):
+    def test_scan_stops_at_first_trace_off_prediction(self, evaluation_for,
+                                                       monkeypatch):
         """Every class that a census scan rejects on the hyperbolic slopes
-        with p <= 16 is rejected as soon as its census, counted over all
-        edges and endpoints, passes the cap: the reason names
-        _CENSUS_CAP + 1 slopes and the nodes the scan spent.  4/9's
-        non-geometric class takes a few thousand nodes, not the budget."""
+        with p <= 16 is rejected at its first small trace off the chain
+        and outside A(r): the error carries that slope, which lies off r's
+        Farey chain and outside ``off_chain_census(r)``, and its trace,
+        with |phi| <= 2 + CENSUS_TOL, and the reason names both and the
+        nodes the scan spent.  Each takes under 100 nodes; 4/9's
+        non-geometric class, which a census cap of 64 slopes stopped after
+        784, takes 2."""
         scanned = 0
         for r in (s for s in HYPERBOLIC_40 if s.den <= 16):
+            edges = evaluation_for(r).edges
+            chain = {s for triangle in edges.triangles for s in triangle}
+            allowed = off_chain_census(r)
             for root in self._scanned_rejects(evaluation_for(r)):
-                message, nodes = self._failing_scan(monkeypatch, r, root)
-                m = re.match(r"census of small traces keeps growing: (\d+) "
-                             r"slopes with \|phi\| <= 2 after (\d+) nodes",
-                             message)
-                assert m, (r, message)
-                assert (int(m.group(1)), int(m.group(2))) == (
-                    mcshane._CENSUS_CAP + 1, nodes), (r, message)
-                assert r != Slope(4, 9) or nodes < 20_000
+                ev = MarkoffEvaluation(r, root, edges)
+                error, nodes = self._counted_scan(monkeypatch, ev)
+                assert isinstance(error, NotGeometricEvaluationError), r
+                s, trace = error.slope, error.value
+                assert s not in chain and s not in allowed, (r, s)
+                assert abs(trace) <= 2 + kernels.CENSUS_TOL, (r, s)
+                assert abs(trace - ev.phi(s)) < 1e-9, (r, s)
+                m = re.match(r"small trace (\S+) at (\S+), off the Farey chain "
+                             r"and outside A\(r\) = \{(.*)\}, after (\d+) "
+                             r"nodes", str(error))
+                assert m, (r, str(error))
+                assert complex(m.group(1)) == complex(format(trace, ".6g"))
+                assert m.group(2) == str(s) and int(m.group(4)) == nodes < 100
+                assert m.group(3) == ", ".join(map(str, sorted(allowed)))
+                assert r != Slope(4, 9) or nodes == 2
                 scanned += 1
-        assert scanned > 10
+        assert scanned == 50
+
+    # 3/16's one scan-rejected class walks 67 nodes before its first trace
+    # off the prediction, the most of any slope with p <= 16 that has one
+    LONG_REJECT = Slope(3, 16)
 
     @pytest.mark.parametrize("budget", [10, 100, 1000])
     def test_scan_stops_at_node_budget(self, budget, evaluation_for, monkeypatch):
         """The budget also bounds the comb walks: a scan explores at most one
-        node past it.  A budget above the nodes the unbudgeted scan of 4/9's
-        non-geometric class spends is not reached: the census overflow stops
-        that scan first, after the same nodes as without a budget."""
-        r = Slope(4, 9)
+        node past it.  A budget above the nodes the unbudgeted scan of
+        3/16's non-geometric class spends is not reached: its first small
+        trace outside A(r) stops that scan first, after the same nodes as
+        without a budget."""
+        r = self.LONG_REJECT
         [root] = self._scanned_rejects(evaluation_for(r))
         _, total = self._failing_scan(monkeypatch, r, root)
         message, nodes = self._failing_scan(monkeypatch, r, root, budget)
@@ -365,12 +408,13 @@ class TestIntervalSeries:
             assert m and (int(m.group(1)), int(m.group(2))) == (nodes, budget)
         else:
             assert nodes == total
-            assert message.startswith("census of small traces keeps growing")
+            assert message.startswith("small trace")
 
     def test_scan_stops_at_sampled_node_budgets(self, evaluation_for, monkeypatch):
         """The budgets sample the range below the nodes the unbudgeted scan
-        of 4/9's non-geometric class spends before its census overflows."""
-        r = Slope(4, 9)
+        of 3/16's non-geometric class spends before its first small trace
+        outside A(r)."""
+        r = self.LONG_REJECT
         [root] = self._scanned_rejects(evaluation_for(r))
         _, total = self._failing_scan(monkeypatch, r, root)
         budgets = range(1, total, max(1, total // 20))
@@ -426,6 +470,38 @@ class TestIntervalSeries:
         ev = MarkoffEvaluation(S25, 1.5 + 0j, boundary_edge_sets(S25))
         with pytest.raises(NotGeometricEvaluationError):
             interval_series(S25, ev, 1)
+
+
+def _series_census_off_chain(r, ev, rep):
+    """The slopes off r's Farey chain among the small traces the two series
+    of the identity report met."""
+    chain = {s for triangle in ev.edges.triangles for s in triangle}
+    return {s for s, _ in rep.slopes_small_trace} - chain
+
+
+class TestPredictedCensus:
+    """The series, which walk I1 u I2 with no census limit, find off r's
+    Farey chain exactly the slopes of ``off_chain_census(r)``, the set the
+    census scan rejects a root class outside of."""
+
+    def test_census_is_predicted_up_to_p40(self, evaluation_for, report_for):
+        for r in HYPERBOLIC_40:
+            found = _series_census_off_chain(r, evaluation_for(r), report_for(r))
+            assert found == off_chain_census(r), r
+
+    @pytest.mark.slow
+    def test_census_is_predicted_up_to_p64(self):
+        checked = 0
+        for p in range(41, 65):
+            for q in range(1, p):
+                r = Slope(q, p)
+                if math.gcd(q, p) != 1 or not is_hyperbolic(r):
+                    continue
+                ev = geometric_evaluation(r)
+                found = _series_census_off_chain(r, ev, cusp_shape(r, ev=ev))
+                assert found == off_chain_census(r), r
+                checked += 1
+        assert checked == 1134 - len(HYPERBOLIC_40)
 
 
 class TestFanTail:

@@ -17,6 +17,7 @@ from twobridge.slopes import (
     is_hyperbolic,
     is_nullhomotopic,
     num_components,
+    off_chain_census,
     reduce_slope,
     reflection_in_edge,
 )
@@ -165,6 +166,47 @@ class TestFareyChain:
                 for v in t:
                     assert not v.is_infinite
                     assert Slope(0, 1) <= v <= Slope(1, 1)
+
+
+class TestOffChainCensus:
+    @pytest.mark.parametrize("r, census", [
+        ("2/5", {"1/5", "3/5", "1/4", "2/3"}),
+        ("3/5", {"4/5", "2/5", "1/3", "3/4"}),
+        ("3/8", {"1/4"}),
+        ("5/8", {"3/4"}),
+        ("2/7", {"1/7"}),
+        ("3/7", {"4/7"}),
+        ("4/7", {"3/7"}),
+        ("5/7", {"6/7"}),
+        ("4/9", {"5/9"}),
+        ("2/241", {"1/241"}),
+        ("120/241", {"121/241"}),
+        ("5/17", set()),
+        ("3/10", set()),
+    ])
+    def test_values(self, r, census):
+        assert {str(s) for s in off_chain_census(Slope.parse(r))} == census
+
+    def test_mirror_and_place(self):
+        """A(1 - r) = 1 - A(r), and A(r) lies in I1(r) u I2(r) off r's
+        Farey chain, for every hyperbolic slope with p <= 64."""
+        for p in range(3, 65):
+            for q in range(1, p):
+                r = Slope(q, p)
+                if math.gcd(q, p) != 1 or not is_hyperbolic(r):
+                    continue
+                census = off_chain_census(r)
+                mirror = off_chain_census(Slope(p - q, p))
+                assert mirror == {Slope(s.den - s.num, s.den) for s in census}, r
+                i1, i2 = fundamental_intervals(r)
+                chain = {s for triangle in farey_chain(r) for s in triangle}
+                for s in census:
+                    assert i1.contains(s) or i2.contains(s), (r, s)
+                    assert s not in chain, (r, s)
+
+    def test_non_hyperbolic_raises(self):
+        with pytest.raises(NonHyperbolicError):
+            off_chain_census(Slope(1, 3))
 
 
 def _neighbor_oracle(r):
