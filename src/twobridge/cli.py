@@ -5,6 +5,13 @@ Subcommands: identity, cusp, longitude, endinv, batch.  Slopes are written
 Exit codes: 0 success, 1 usage/other error (an unwritable ``--out`` path
 included), 2 non-hyperbolic slope, 3 ambiguous geometric-root selection.
 
+``--eps`` bounds the two series' tails together, and a series spends
+its share: the identity residual |S1 + S2 + 1| can come close to eps and
+the form disagreement, (4/c)|S1 + S2 + 1| for a link of c components,
+close to 4 eps/c.  So ``identity`` meets its acceptance rules (1e-6 on
+each) by the tail bound alone only for eps <= 2.5e-7 c; at a larger eps it
+may exit 1 and name the rule it fails, as ``identity 2/5 --eps 1e-5`` does.
+
 The geometric root is fixed by the slope, so the requests of one process
 share work through three bounded LRU caches: ``_evaluation`` keeps r's
 geometric evaluation (root, Markoff map and edge system), keyed by r, for
@@ -45,6 +52,9 @@ from .markoff import geometric_evaluation, translation_length
 from .slopes import Slope, is_hyperbolic
 
 CSV_SCHEMA_VERSION = 1
+_EPS_HELP = ("bound on the two series' tails together (default 1e-8); a "
+             "series spends its share, so the acceptance rules follow from "
+             "it only for eps <= 2.5e-7 c, c the number of components")
 # entries in each cross-request cache; the module docstring gives its memory
 _CACHE_SIZE = 64
 
@@ -252,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identity", help="McShane-type identity and cusp moduli")
     common(p, ("json", "csv"))
-    p.add_argument("--eps", type=float, default=mcshane.DEFAULT_EPS)
+    p.add_argument("--eps", type=float, default=mcshane.DEFAULT_EPS,
+                   help=_EPS_HELP)
     p.set_defaults(func=cmd_identity)
 
     p = sub.add_parser("cusp", help="cusp triangulation zigzag layout and SVG")
@@ -274,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="one row per hyperbolic slope up to --pmax")
     p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--eps", type=float, default=mcshane.DEFAULT_EPS)
+    p.add_argument("--eps", type=float, default=mcshane.DEFAULT_EPS,
+                   help=_EPS_HELP)
     p.add_argument("--out", "-o", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_batch)

@@ -39,7 +39,8 @@ joins the census and adds 2h(+-2) = 1.  A parabolic mediant's two child
 cells have it as an endpoint, so each is walked as a fan around it.  A
 parabolic trace met mid-fan ends the fan: the rest of its comb is the cell
 (moving endpoint, pivot) whose mediant is that trace, and its two children
-go on the stack, each with a quarter of the fan's share.
+go on the stack, each with half of what the fan's off-comb cells leave of
+its share.
 
 Rule 1, a binary cell meeting C(8) in sum mode.  Its children's mediants
 phi_u m - phi_v and m phi_v - phi_u have modulus at least
@@ -84,7 +85,8 @@ With s = |mu|^2 and L = |P|, what this leaves out is at most (``_lox_tail``)
   the first, by (1 - z)^-4 - 1 <= 8.65 z for z <= 1/4:
   17.3 (1 + s^2) beta/((s^3 - 1) L^4).
 
-The fan stops once their sum fits in half its share, and charges it.  The
+The fan stops once their sum fits in what its off-comb cells leave of its
+share, and charges it.  The
 bounds hold for the recurrence continued from the computed gamma_N and
 gamma_{N-1}; P and 1 - u^k lose about 2^-53/|mu - 1/mu| relative accuracy.
 
@@ -110,16 +112,25 @@ remainder, the subtrees below the first mediants and the O(m_n^-4) part
 of 2h(m_n), is bounded by (6/5 + 1)/(|b| F^5), F = |b| N - |a|
 (``_fan_tail_bound``).
 
-The eps contract: a cell's share of eps bounds everything it adds to
-``out.tail``, and every stop rule above has a proof, so the tail a series
-reports bounds what it leaves out.  A binary cell either takes one of rule
-1's charges (when it fits the share) or passes half the share to each
-child.  A fan gives its n-th off-comb cell 0.3 * share / n^2 (at most
-pi^2/20 < 1/2 of the share in all) and stops its own walk, or splits at a
-parabolic trace, within the other half.  Both closed-form remainders cover
-the comb and the off-comb cells beyond the last step (the first mediants
-summed, their subtrees by rule 1).  Sum mode has no depth limit, so the
-shares alone decide where a series stops.
+The eps contract: the shares of one walk add up to its eps_share, they
+bound everything the walk adds to ``out.tail``, and every stop rule above
+has a proof, so the tail a series reports bounds what it leaves out.  A
+binary cell either takes one of rule 1's charges (when it fits the share)
+or passes half the share to each child.  A fan gives its n-th off-comb
+cell 0.3 * share / n^2 (at most pi^2/20 < 1/2 of the share in all) and
+stops its own walk, or splits at a parabolic trace, within what is left:
+share - pushed at step n, pushed the off-comb cells' shares so far.  Both
+closed-form remainders cover the comb and the off-comb cells beyond the
+last step (the first mediants summed, their subtrees by rule 1).  What a
+cell does not spend is carried: a cell pruned by rule 1 hands share -
+charge to the next cell popped off the stack, and a fan hands on share -
+pushed - charge, so a walk may spend all of its share.  Every float
+operation of this bookkeeping (the carry, the tail's sum, a fan's pushed
+fraction) errs by at most 2^-53 of the walk's share, a node makes fewer
+than eight of them, and a walk spends at most NODE_BUDGET nodes; so the
+walk holds back 8 NODE_BUDGET 2^-53 (4.4e-9) of its share, and its tail
+never exceeds eps_share, rounding included.  Sum mode has no depth limit,
+so the shares alone decide where a series stops.
 
 The census scan runs the series' own driver (``mcshane._explore_edge``)
 with eps_share = inf and reads only ``census``, ``elliptic`` and
@@ -253,7 +264,9 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
     Every trace below the cell is tested when it is made; the endpoints are
     tested here, and an elliptic one is recorded before any node is walked.
     The walk returns once ``out.nodes`` passes NODE_BUDGET or on a small
-    trace outside ``out.census_allowed``.
+    trace outside ``out.census_allowed``.  In sum mode the tail it adds is
+    at most ``eps_share``: what a cell leaves unspent is carried to the
+    next cell popped (module docstring, the eps contract).
     """
     for num, den, phi in ((u_num, u_den, phi_u), (v_num, v_den, phi_v)):
         if _is_elliptic(phi):
@@ -261,11 +274,16 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
             return
     summing = eps_share != math.inf
     modulus = PRUNE_MODULUS if summing else SCAN_MODULUS
+    if summing:  # room for the rounding of the share bookkeeping
+        eps_share *= 1.0 - 8 * NODE_BUDGET * 2.0 ** -53
     stack = [(u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp, depth,
               eps_share)]
+    carry = 0.0  # what the cells popped so far left unspent
     while stack:
         (u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
          depth, eps_share) = stack.pop()
+        eps_share += carry
+        carry = 0.0
         out.nodes += 1
         if depth > out.max_depth_seen:
             out.max_depth_seen = depth
@@ -278,12 +296,12 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
         av = abs(phi_v)
         if au < modulus or av < modulus:  # +-2 is below both moduli
             if _near_parabolic(phi_u) or (au < av and not _near_parabolic(phi_v)):
-                stop = _fan(out, stack, u_num, u_den, phi_u, v_num, v_den,
-                            phi_v, phi_opp, depth, eps_share)
+                carry = _fan(out, stack, u_num, u_den, phi_u, v_num, v_den,
+                             phi_v, phi_opp, depth, eps_share)
             else:
-                stop = _fan(out, stack, v_num, v_den, phi_v, u_num, u_den,
-                            phi_u, phi_opp, depth, eps_share)
-            if stop:
+                carry = _fan(out, stack, v_num, v_den, phi_v, u_num, u_den,
+                             phi_u, phi_opp, depth, eps_share)
+            if carry is None:
                 return
             continue
 
@@ -306,6 +324,7 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
             est = CELL_TAIL / (am * am)
             if est <= eps_share:
                 out.tail += est
+                carry = eps_share - est
                 continue
 
         if summing:
@@ -315,6 +334,7 @@ def explore(out, u_num, u_den, phi_u, v_num, v_den, phi_v, phi_opp,
                 est = BELOW_TAIL * (1.0 / (au * au) + 1.0 / (av * av)) / (am * am)
                 if est <= eps_share:
                     out.tail += est
+                    carry = eps_share - est
                     continue
         half = 0.5 * eps_share
         stack.append((m_num, m_den, phi_m, v_num, v_den, phi_v, phi_u,
@@ -331,8 +351,9 @@ def _fan(out, stack, p_num, p_den, t, c_num, c_den, gamma0, gamma_prev,
     gamma_{n+1} = t gamma_n - gamma_{n-1}, with gamma_0 the moving
     endpoint's trace and gamma_{-1} = phi_opp.  Each step counts one node,
     adds 2h(gamma_n) and pushes the off-comb cell (w_n, w_{n-1}) onto the
-    stack, with 0.3 * share / n^2.  The walk stops within the other half of
-    the share (module docstring):
+    stack, with 0.3 * share / n^2.  The walk stops within the rest of the
+    share, share - pushed, pushed the off-comb cells' shares so far (module
+    docstring):
 
     * loxodromic t: gamma_n = P mu^n + Q mu^-n, mu + 1/mu = t, |mu| > 1;
       beta = |Q/P| mu^-2n is tracked from step 1, and once beta <= 1/4
@@ -344,7 +365,10 @@ def _fan(out, stack, p_num, p_den, t, c_num, c_den, gamma0, gamma_prev,
       within the share, ``_fan_tail_value`` adds the rest.
 
     The census scan (infinite share) sums nothing and stops each fan as
-    soon as its traces grow.  Returns True when the whole walk must end,
+    soon as its traces grow.  Returns the share the fan leaves unspent,
+    share - pushed - charge, which ``explore`` carries to the next cell
+    (0 in the scan and after a split at a parabolic trace, which hands all
+    of the rest to its two cells), or None when the whole walk must end,
     as ``explore``'s does: on an elliptic trace, past NODE_BUDGET or on a
     small trace outside ``out.census_allowed``.
     """
@@ -371,13 +395,14 @@ def _fan(out, stack, p_num, p_den, t, c_num, c_den, gamma0, gamma_prev,
         beta = -1.0  # |Q| / (|P| mu2^n), updated incrementally
 
     n = 0
+    pushed = 0.0  # the fraction of the share given to off-comb cells
     while True:
         n += 1
         out.nodes += 1
         if out.nodes > NODE_BUDGET:
             out.depth_capped = True
             out.tail += 1.0
-            return True
+            return None
         gamma1 = t * gamma0 - gamma_prev
         w_num = c_num + p_num
         w_den = c_den + p_den
@@ -388,38 +413,41 @@ def _fan(out, stack, p_num, p_den, t, c_num, c_den, gamma0, gamma_prev,
         if ag <= 2.0 + CENSUS_TOL:
             if _is_elliptic(gamma1):
                 out.elliptic = (w_num, w_den, gamma1)
-                return True
+                return None
             if _near_parabolic(gamma1):
                 # the rest of the comb is the cell (c, p), whose mediant w
-                # is parabolic: descend it once, its children each taking a
-                # quarter of the share (the half the off-comb cells leave)
+                # is parabolic: descend it once, its children each taking
+                # half of the share the off-comb cells leave
                 gamma1 = _snap_parabolic(gamma1)
                 stop = out.add_small_trace(w_num, w_den, gamma1)
                 out.add(1.0, 0.0)  # 2 h(+-2) = 1
-                quarter = 0.25 * eps_share
+                half = 0.5 * eps_share * (1.0 - pushed)
                 stack.append((p_num, p_den, t, w_num, w_den, gamma1, gamma0,
-                              cell_depth, quarter))
+                              cell_depth, half))
                 stack.append((c_num, c_den, gamma0, w_num, w_den, gamma1, t,
-                              cell_depth, quarter))
-                return stop
+                              cell_depth, half))
+                return None if stop else 0.0
             if out.add_small_trace(w_num, w_den, gamma1):
-                return True
+                return None
         if summing:
             hm = h_func(gamma1)
             out.add(2.0 * hm.real, 2.0 * hm.imag)
+        weight = 0.3 / (n * n)
+        pushed += weight
         stack.append((w_num, w_den, gamma1, c_num, c_den, gamma0, t,
-                      cell_depth + 1, 0.3 * eps_share / (n * n)))
+                      cell_depth + 1, weight * eps_share))
         if parabolic:
             if ag >= 32.0 and b_abs * n >= 4.0 * a_abs + 8.0:
                 if not summing:
-                    return False
+                    return 0.0
                 if n >= _FAN_MIN_STEPS:
+                    left = eps_share * (1.0 - pushed)
                     bound = _fan_tail_bound(a_abs, b_abs, n)
-                    if bound <= 0.5 * eps_share:
+                    if bound <= left:
                         rest = _fan_tail_value(a_lin, b_lin, n)
                         out.add(rest.real, rest.imag)
                         out.tail += bound
-                        return False
+                        return left - bound
         else:
             if n == 1 and usable:
                 p_coef = (gamma1 - gamma0 / mu) / (mu - 1.0 / mu)
@@ -430,12 +458,13 @@ def _fan(out, stack, p_num, p_den, t, c_num, c_den, gamma0, gamma_prev,
                 beta /= mu2
             if 0.0 <= beta <= 0.25 and ag >= 32.0:
                 if not summing:
-                    return False
-                rest = _lox_tail(t, mu, gamma1, gamma0, 0.5 * eps_share)
+                    return 0.0
+                left = eps_share * (1.0 - pushed)
+                rest = _lox_tail(t, mu, gamma1, gamma0, left)
                 if rest is not None:
                     out.add(rest[0].real, rest[0].imag)
                     out.tail += rest[1]
-                    return False
+                    return left - rest[1]
         gamma_prev, gamma0 = gamma0, gamma1
         c_num, c_den = w_num, w_den
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import kernels
 from .errors import (
@@ -203,7 +202,8 @@ def _check_sign_symmetry(poly: TracePolynomial, r) -> TracePolynomial:
 # polishes each one against the exact Z[i] coefficients (``_polish_exact``).
 # The squarefree part is P itself when P's image over GF(_P) is coprime to
 # its derivative (``_squarefree_mod_p``); otherwise it is P / gcd(P, P'),
-# computed exactly over Q(i).  An even P(x) = Q(x^2), as every trace
+# computed exactly in Z[i][x] by a primitive pseudo-remainder sequence
+# (``_squarefree_split``).  An even P(x) = Q(x^2), as every trace
 # polynomial is once its factor x^k is taken out, goes through all of this
 # as Q, in y = x^2, and each x is the fixed-point square root of its y
 # (``_nonzero_roots``, ``_fixed_sqrt``).
@@ -332,7 +332,7 @@ def polynomial_roots(poly: TracePolynomial):
     equal floats, so each root class appears once among the distinct values.
     A test over GF(2**64 - 59) proves most trace polynomials squarefree
     (see ``_squarefree_mod_p``), and P is then its own squarefree part; the
-    others run the exact Euclid over the Gaussian rationals.
+    others are split exactly in Z[i][x] (``_squarefree_split``).
 
     Each double Aberth root is polished by Newton's method in 160-bit fixed
     point against the exact coefficients before it is rounded to a complex,
@@ -354,17 +354,30 @@ def polynomial_roots(poly: TracePolynomial):
     x = sqrt(y) is taken in fixed point from y's unrounded polished value,
     at the width the y were polished at, when y's Newton polish settled on
     its step test; otherwise (a cluster that Newton did not resolve in
-    _POLISH_ROUNDS steps) x is polished from sqrt(y) against P / x^k.  The
-    roots come in pairs x, -x, with x the sign class
-    representative (Re x > 0, ties broken by Im x > 0) and -x its exact
-    negation, which is correctly rounded too.
+    _POLISH_ROUNDS steps) x is polished from sqrt(y) against P / x^k, and
+    a RootFindingError names x if that polish does not settle either (on
+    the slopes with p <= 64 every one does).  The roots come in pairs
+    x, -x, with x the sign class representative (Re x > 0, ties broken by
+    Im x > 0) and -x its exact negation, which is correctly rounded too;
+    so the residual check, exact under x -> -x for an even or odd P, runs
+    once per pair.
     """
     if poly.degree < 1:
         raise DomainError("root finding needs degree >= 1")
     k = poly.content_power_of_x()
-    roots = [0j] * k + _nonzero_roots(poly.shift_down(k))
+    base = poly.shift_down(k)
+    roots = [0j] * k + _nonzero_roots(base)
     scale = 1e-10 * poly.max_coeff_abs()
-    bad = [z for z in roots if not _residual_ok(poly, z, scale)]
+    # for an even or odd P, Horner's rule gives P(-z) = +-P(z) exactly, as
+    # every product it forms changes sign exactly: one check per sign class
+    signed = all(c == (0, 0) for c in base.coeffs[1::2])
+    verdicts, bad = {}, []
+    for z in roots:
+        key = max(z, -z, key=_representative_key) if signed else z
+        if key not in verdicts:
+            verdicts[key] = _residual_ok(poly, z, scale)
+        if not verdicts[key]:
+            bad.append(z)
     if bad:
         raise RootFindingError(
             "residual check failed for %d of %d roots" % (len(bad), len(roots)),
@@ -391,10 +404,8 @@ def _nonzero_roots(poly: TracePolynomial):
     if _squarefree_mod_p(base):
         square_free, repeated = base, []
     else:
-        exact = _exact_coeffs(base)
-        gcd = _gcd(exact, _exact_coeffs(base.derivative()))
-        square_free = _integral(_divmod_monic(exact, gcd)[0])
-        repeated = _nonzero_roots(_integral(gcd))
+        square_free, gcd = _squarefree_split(base)
+        repeated = _nonzero_roots(gcd)
     simple, f, fixed = _certified_roots(square_free)
     roots = simple + [min(simple, key=lambda z: abs(z - w)) for w in repeated]
     if not even:
@@ -402,7 +413,13 @@ def _nonzero_roots(poly: TracePolynomial):
     pairs = {}
     for y, w in zip(simple, fixed):
         if w is None:
-            x = _polish_exact(_fixed_coeffs(poly, f), cmath.sqrt(y), f)[0]
+            x, settled = _polish_exact(_fixed_coeffs(poly, f), cmath.sqrt(y), f)
+            if settled is None and cmath.isfinite(x):  # NaN: residual check
+                raise RootFindingError(
+                    "Newton's polish of x = sqrt(%s) against P did not settle "
+                    "in %d steps at %d bits" % (format(y, ".17g"),
+                                                _POLISH_ROUNDS, f),
+                    partial_roots=simple)
         else:
             x = _round_fixed(*_fixed_sqrt(*w, f), f)
         x = max(x, -x, key=_representative_key)
@@ -448,55 +465,95 @@ def _rem_mod_p(a, b):
     return a
 
 
-# Exact arithmetic in Q(i)[x]: coefficients are (re, im) pairs of Fractions,
-# in ascending order with a nonzero leading pair.
-
-
-def _exact_coeffs(poly: TracePolynomial):
-    return [(Fraction(a), Fraction(b)) for a, b in poly.coeffs]
+# Exact arithmetic in Z[i][x]: coefficients are (re, im) pairs of ints, in
+# ascending order with a nonzero leading pair.
 
 
 def _gauss_mul(u, v):
     return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
 
 
-def _monic(a):
-    re, im = a[-1]
-    norm = re * re + im * im
-    inverse = (re / norm, -im / norm)
-    return [_gauss_mul(c, inverse) for c in a]
+def _gauss_gcd(u, v):
+    """A gcd of the Gaussian integers u and v, by Euclid with the nearest
+    Gaussian integer as quotient (remainder norm at most half the
+    divisor's)."""
+    while v != (0, 0):
+        norm = v[0] * v[0] + v[1] * v[1]
+        re, im = u[0] * v[0] + u[1] * v[1], u[1] * v[0] - u[0] * v[1]
+        q = ((2 * re + norm) // (2 * norm), (2 * im + norm) // (2 * norm))
+        qv = _gauss_mul(q, v)
+        u, v = v, (u[0] - qv[0], u[1] - qv[1])
+    return u
 
 
-def _divmod_monic(a, b):
-    """Quotient and remainder of a by the monic b."""
+def _gauss_div(u, v):
+    """u / v for a Gaussian integer v that divides u."""
+    norm = v[0] * v[0] + v[1] * v[1]
+    return ((u[0] * v[0] + u[1] * v[1]) // norm,
+            (u[1] * v[0] - u[0] * v[1]) // norm)
+
+
+def _primitive(a):
+    """a divided by the gcd of its coefficients."""
+    content = (0, 0)
+    for c in a:
+        content = _gauss_gcd(c, content)
+        if content[0] * content[0] + content[1] * content[1] == 1:
+            return a
+    return [_gauss_div(c, content) for c in a]
+
+
+def _pseudo_remainder(a, b):
+    """The remainder of lc(b)^(deg a - deg b + 1) a by b, in Z[i][x]."""
     a = list(a)
-    quotient = [(0, 0)] * max(len(a) - len(b) + 1, 0)
-    for k in range(len(a) - len(b), -1, -1):
-        lead = a[k + len(b) - 1]
-        quotient[k] = lead
-        for i, c in enumerate(b):
-            t = _gauss_mul(lead, c)
-            a[k + i] = (a[k + i][0] - t[0], a[k + i][1] - t[1])
-    remainder = a[:len(b) - 1]
-    while remainder and remainder[-1] == (0, 0):
-        remainder.pop()
-    return quotient, remainder
+    lead = b[-1]
+    n = len(b) - 1
+    while len(a) > n:
+        top = a.pop()
+        shift = len(a) - n
+        a = [_gauss_mul(lead, c) for c in a]
+        for i, c in enumerate(b[:-1]):
+            t = _gauss_mul(top, c)
+            a[shift + i] = (a[shift + i][0] - t[0], a[shift + i][1] - t[1])
+        while a and a[-1] == (0, 0):
+            a.pop()
+    return a
 
 
-def _gcd(a, b):
-    """The monic gcd."""
+def _primitive_gcd(a, b):
+    """The primitive gcd of a and b, up to a unit, by the primitive
+    pseudo-remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
     while b:
-        b = _monic(b)
-        a, b = b, _divmod_monic(a, b)[1]
-    return _monic(a)
+        a, b = b, _pseudo_remainder(a, b)
+        if b:
+            b = _primitive(b)
+    return a
 
 
-def _integral(a) -> TracePolynomial:
-    """The Z[i] polynomial lcm(denominators) * a."""
-    scale = 1
-    for re, im in a:
-        scale = math.lcm(scale, re.denominator, im.denominator)
-    return TracePolynomial([(re * scale, im * scale) for re, im in a])
+def _exact_quotient(a, b):
+    """a / b for a b that divides a in Z[i][x]."""
+    a = list(a)
+    lead = b[-1]
+    quotient = [(0, 0)] * (len(a) - len(b) + 1)
+    for k in range(len(quotient) - 1, -1, -1):
+        q = quotient[k] = _gauss_div(a[k + len(b) - 1], lead)
+        for i, c in enumerate(b):
+            t = _gauss_mul(q, c)
+            a[k + i] = (a[k + i][0] - t[0], a[k + i][1] - t[1])
+    return quotient
+
+
+def _squarefree_split(poly: TracePolynomial):
+    """(square_free, repeated) of a P that may have a repeated factor:
+    square_free = lc(g) P / g and repeated = g, g the primitive gcd of P
+    and P' (``_primitive_gcd``).  lc(g) P / g is P divided by the monic
+    gcd over Q(i), which lies in Z[i][x] by Gauss's lemma and does not
+    depend on the unit g is taken up to."""
+    g = _primitive_gcd(poly.coeffs, poly.derivative().coeffs)
+    lead = g[-1]
+    square_free = [_gauss_mul(lead, c) for c in _exact_quotient(poly.coeffs, g)]
+    return TracePolynomial(square_free), TracePolynomial(g)
 
 
 def _to_fixed(x: float, f: int) -> int:
@@ -763,35 +820,36 @@ class MarkoffEvaluation:
     map it generates: phi(inf) = 0, phi(0) = x*, phi(1) = i x*.
 
     phi(s) is computed by the canonical mediant walk from <0,1,inf> and every
-    intermediate slope is cached.  ``edges`` is r's boundary edge system
-    (``mcshane.boundary_edge_sets(r)``), which holds r's Farey chain:
-    ``select_geometric_root`` gives every candidate the one it builds.
-    ``finite_sums`` keeps the pair of finite edge sums
+    intermediate slope's trace is kept in ``traces``.  ``edges`` is r's
+    boundary edge system (``mcshane.boundary_edge_sets(r)``), which holds
+    r's Farey chain: ``select_geometric_root`` gives every candidate the one
+    it builds.  ``finite_sums`` keeps the pair of finite edge sums
     (``mcshane.finite_edge_sums``) once computed, so one request computes
-    each once.
+    each once; that pass walks r's chain with phi's own recurrence and
+    leaves the chain's traces in ``traces``, bitwise as phi computes them.
     """
 
     def __init__(self, r: Slope, root: complex, edges):
         self.r = r
         self.root = complex(root)
         self.edges = edges
-        self._cache = {INFINITY: 0j, Slope(0, 1): self.root, Slope(1, 1): 1j * self.root}
+        self.traces = {INFINITY: 0j, Slope(0, 1): self.root, Slope(1, 1): 1j * self.root}
         self.selection = None
         self.finite_sums = None
 
     def phi(self, s: Slope) -> complex:
-        cached = self._cache.get(s)
+        cached = self.traces.get(s)
         if cached is not None:
             return cached
         x = self.root
         if s.den == 1:
             val = _INT_PHI_PATTERN[s.num % 4] * x
-            self._cache[s] = val
+            self.traces[s] = val
             return val
         m = s.num // s.den
         lo, hi = Slope(m, 1), Slope(m + 1, 1)
         # the third vertex of <m, m+1> away from s is inf, with phi(inf) = 0
-        return _descend(s, lo, hi, self.phi(lo), self.phi(hi), 0j, self._cache)
+        return _descend(s, lo, hi, self.phi(lo), self.phi(hi), 0j, self.traces)
 
     def __repr__(self):
         return "MarkoffEvaluation(r=%s, root=%r)" % (self.r, self.root)

@@ -93,9 +93,11 @@ class DirectedFareyEdge:
 @dataclass(frozen=True)
 class EdgeSystem:
     """E(r) = E1 u E2 u {e-, e+}, all edges pointing into the dual path,
-    with the vertex triples of r's Farey chain they were read off."""
+    with the vertex triples of r's Farey chain they were read off and, for
+    each inner triple (lo, med, hi), its turn r < med."""
 
     triangles: tuple
+    turns: tuple
     e1: tuple
     e2: tuple
     e_minus: DirectedFareyEdge
@@ -129,10 +131,11 @@ def boundary_edge_sets(r: Slope) -> EdgeSystem:
     triangles = farey_chain(r)
     r1, _, r2 = triangles[-1]
 
-    e1, e2 = [], []
+    e1, e2, turns = [], [], []
     for i in range(1, len(triangles) - 1):
         lo, med, hi = triangles[i]
-        if r < med:
+        turns.append(r < med)
+        if turns[-1]:
             e2.append(DirectedFareyEdge(med, hi, lo, i))
             dropped = hi
         else:
@@ -142,8 +145,8 @@ def boundary_edge_sets(r: Slope) -> EdgeSystem:
 
     e_minus = DirectedFareyEdge(ZERO, ONE, Slope(1, 2), 1)
     e_plus = DirectedFareyEdge(r1, r2, dropped, len(triangles) - 2)
-    return EdgeSystem(triangles=triangles, e1=tuple(e1), e2=tuple(e2),
-                      e_minus=e_minus, e_plus=e_plus)
+    return EdgeSystem(triangles=triangles, turns=tuple(turns), e1=tuple(e1),
+                      e2=tuple(e2), e_minus=e_minus, e_plus=e_plus)
 
 
 def psi(e: DirectedFareyEdge, ev: MarkoffEvaluation) -> complex:
@@ -163,21 +166,23 @@ def finite_edge_sums(r: Slope, ev: MarkoffEvaluation, check: bool = True):
     full-sum identity sum_{E(r)} psi = 1 are asserted to EDGE_SUM_TOL.
 
     The sums take one pass down ``ev.edges.triangles`` in complex floats,
-    with the edge relation of ``MarkoffEvaluation.phi``'s mediant walk and
-    each triangle's turn as ``boundary_edge_sets`` reads it, so each psi
-    is the one ``psi`` gives, bitwise.  E1 is summed in chain order and E2
-    in reverse, left to right as the edge system lists them.  A vanishing
-    denominator raises the DomainError of ``psi`` at the first edge in
-    that order.
+    with the edge relation of ``MarkoffEvaluation.phi``'s mediant walk, in
+    its order, and each triangle's turn from ``ev.edges.turns``, so each
+    psi is the one ``psi`` gives, bitwise.  Each mediant's trace goes into
+    ``ev.traces``, where ``phi`` then finds r's chain.  E1 is summed in
+    chain order and E2 in reverse, left to right as the edge system lists
+    them.  A vanishing denominator raises the DomainError of ``psi`` at the
+    first edge in that order.
     """
     edges = ev.edges
     if ev.finite_sums is None:
         x = ev.root
         phi_lo, phi_hi, phi_opp = x, 1j * x, 0j
+        traces = ev.traces
         terms1, terms2 = [], []
-        for _, med, _ in edges.triangles[1:-1]:
-            phi_med = phi_lo * phi_hi - phi_opp
-            if r < med:  # E2 edge <med, hi>, s0 = lo
+        for (_, med, _), turn in zip(edges.triangles[1:-1], edges.turns):
+            phi_med = traces[med] = phi_lo * phi_hi - phi_opp
+            if turn:  # E2 edge <med, hi>, s0 = lo
                 denom = phi_med * phi_hi
                 terms2.append(phi_lo / denom if abs(denom) >= 1e-300 else None)
                 phi_hi, phi_opp = phi_med, phi_hi
@@ -267,8 +272,10 @@ def interval_series(r: Slope, ev: MarkoffEvaluation, j: int,
 
     The series is summed until its tail bound is within ``eps``, split
     evenly over the edges; ``cusp_shape`` gives each of its two series half
-    of its own eps.  There is no depth limit, so ``partial`` means only
-    that the node budget was hit.
+    of its own eps.  Within an edge's walk a cell hands the share it leaves
+    unspent to the next cell (``kernels``, the eps contract), so the tail
+    comes close to ``eps`` and never passes it.  There is no depth limit,
+    so ``partial`` means only that the node budget was hit.
 
     ``max_depth`` is ignored.  It is kept only because
     ``perfbench/worker.py::kernel_parity`` passes it, and goes with that

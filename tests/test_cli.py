@@ -107,11 +107,26 @@ class TestIdentity:
                        "identity residual %.3g > 1e-6; "
                        "form disagreement %.3g > 1e-6\n" % (residual, disagreement))
 
+    def test_identity_rule_named_past_its_eps(self, capsys):
+        """A series spends its eps: at eps 1e-5, above the 2.5e-7 c up to
+        which the tail bound implies the rules, the identity residual of
+        2/5 exceeds 1e-6 though both tails meet their eps.  The report is
+        written, and stderr names the identity rule."""
+        code, out, err = run(capsys, "identity", "2/5", "--eps", "1e-5")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["tail_bound_1"] + doc["tail_bound_2"] <= 1e-5
+        assert doc["identity_residual"] > 1e-6
+        assert err.startswith("error: 2/5 fails the acceptance rules: "
+                              "identity residual %.3g > 1e-6"
+                              % doc["identity_residual"])
+
     def test_form_disagreement_rule(self, capsys):
-        """lambda_I1 - lambda_I2 = (4/c)(S1 + S2 + 1): at eps 2e-4 the two
-        forms of 2/5 disagree by more than 1e-6 while the identity residual
-        is still within its rule, and the report fails on that rule alone."""
-        code, out, err = run(capsys, "identity", "2/5", "--eps", "2e-4")
+        """lambda_I1 - lambda_I2 = (4/c)(S1 + S2 + 1): at eps 1e-6 the tail
+        bound keeps the identity residual of 2/5 within its rule, while the
+        two forms disagree by more than 1e-6, and the report fails on that
+        rule alone."""
+        code, out, err = run(capsys, "identity", "2/5", "--eps", "1e-6")
         assert code == 1
         doc = json.loads(out)
         assert doc["identity_residual"] <= 1e-6 < doc["form_disagreement"]
@@ -337,7 +352,7 @@ class TestCaches:
         """The report is keyed by (r, eps), the evaluation by r alone, and
         both caches are bounded."""
         from twobridge import cli
-        for eps in ("1e-5", "1e-8", "1e-5"):
+        for eps in ("1e-7", "1e-8", "1e-7"):
             assert run(capsys, "identity", "2/5", "--eps", eps)[0] == 0
         assert run(capsys, "cusp", "2/5")[0] == 0
         identity = cli._identity.cache_info()

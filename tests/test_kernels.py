@@ -225,7 +225,9 @@ def test_sum_mode_stops_are_sound(monkeypatch, evaluation_for):
         whole = kernels.CELL_TAIL / am2
         below = kernels.BELOW_TAIL * (abs(phi_u) ** -2 + abs(phi_v) ** -2) / am2
         for charge in (whole, below):
-            share = charge * (1.0 + 1e-9)  # the kernel rounds it differently
+            # the kernel rounds the charge differently, and holds back
+            # 8 NODE_BUDGET 2^-53 (4.4e-9) of a walk's share for rounding
+            share = charge * (1.0 + 1e-8)
             out, ref = _walk(cell, share), _walk(cell, 1e-6 * share)
             assert out.nodes == 1 and out.tail <= share
             assert abs(out.total - ref.total) <= out.tail + ref.tail
@@ -277,3 +279,32 @@ def test_rule_one_holds_on_extreme_cells():
     whole, below = _absolute_sums(8.0, 8.0, 32.0, 8)
     assert whole * 32.0 ** 2 > 2.06
     assert below * 32.0 ** 2 / (2.0 / 8.0 ** 2) > 2.15
+
+
+def test_walk_never_charges_past_its_share(evaluation_for):
+    """A cell hands the share it leaves unspent to the next cell popped,
+    and a fan gives back what its off-comb cells and its stop rule leave,
+    so a walk may spend nearly all of its share, but never more, rounding
+    included.  Cells of every kind (binary cells, fans around parabolic
+    and loxodromic pivots) down to three levels below the edges of eight
+    census slopes are walked at shares with random mantissas from 1e-12 to
+    1e-3, and every tail is at most its share."""
+    rng = random.Random(28)
+    slopes = [Slope(q, p) for p in range(5, 25) for q in range(1, p)
+              if math.gcd(q, p) == 1 and is_hyperbolic(Slope(q, p))]
+    cells = []
+    for r in rng.sample(slopes, 8):
+        ev = evaluation_for(r)
+        stack = [((e.s1.num, e.s1.den), ev.phi(e.s1), (e.s2.num, e.s2.den),
+                  ev.phi(e.s2), ev.phi(e.s0), 0) for e in ev.edges.e1 + ev.edges.e2]
+        while stack:
+            u, phi_u, v, phi_v, phi_opp, level = stack.pop()
+            cells.append((u, phi_u, v, phi_v, phi_opp))
+            if level < 3:
+                m, phi_m = (u[0] + v[0], u[1] + v[1]), phi_u * phi_v - phi_opp
+                stack.append((u, phi_u, m, phi_m, phi_v, level + 1))
+                stack.append((m, phi_m, v, phi_v, phi_u, level + 1))
+    for cell in rng.sample(cells, 300):
+        share = 10.0 ** rng.uniform(-12, -3)
+        out = _walk(cell, share)
+        assert out.tail <= share and not out.depth_capped, (cell, share)

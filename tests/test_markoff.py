@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -288,20 +289,23 @@ class TestPolynomialRoots:
 
     def test_exact_gcd_only_for_repeated_roots(self, monkeypatch):
         """The modular test proves every other trace polynomial with p <= 30
-        squarefree, so only 7/24 and 17/24 run the exact Euclid.  The numeric
-        root finder is stubbed out: only the split into squarefree part and
-        repeated roots is under test."""
-        exact_gcd = markoff._gcd
+        squarefree, so only 7/24 and 17/24 run the exact split over Z[i].
+        The numeric root finder is stubbed out: only the split into
+        squarefree part and repeated roots is under test."""
+        exact_split = markoff._squarefree_split
         calls = []
 
-        def counted(a, b):
+        def counted(poly):
             calls.append(r)
-            return exact_gcd(a, b)
+            return exact_split(poly)
 
-        monkeypatch.setattr(markoff, "_gcd", counted)
+        monkeypatch.setattr(markoff, "_squarefree_split", counted)
+        # the root i, as a settled fixed-point value, so x = sqrt(y) is
+        # taken without a polish against P
+        unit = 1 << markoff._FIX_BITS
         monkeypatch.setattr(markoff, "_certified_roots",
                             lambda poly: ([1j] * poly.degree, markoff._FIX_BITS,
-                                          [None] * poly.degree))
+                                          [(0, unit)] * poly.degree))
         for p in range(3, 31):
             for q in range(1, p):
                 r = Slope(q, p)
@@ -336,6 +340,89 @@ class TestPolynomialRoots:
         [z] = [z for z in roots["42/47"] if z == root]
         assert math.copysign(1.0, z.real) == 1.0 and -root in roots["42/47"]
 
+    @pytest.mark.parametrize("factors", [
+        # (2+i)(y - i)^2 (y + 1): a content that is not a unit
+        [[(2, 1)], [(0, -1), (1, 0)], [(0, -1), (1, 0)], [(1, 0), (1, 0)]],
+        # 6(1+i)(y - 2)^3 (y + i)^2 (y^2 + 1)
+        [[(6, 6)]] + [[(-2, 0), (1, 0)]] * 3 + [[(0, 1), (1, 0)]] * 2
+        + [[(1, 0), (0, 0), (1, 0)]],
+        # (3y^2 + (1+2i))^2 (5y - 1): a repeated factor with no root in Q(i)
+        [[(1, 2), (0, 0), (3, 0)]] * 2 + [[(-1, 0), (5, 0)]],
+        # squarefree, content 4: the gcd is a unit
+        [[(4, 0)], [(0, -1), (1, 0)], [(1, 0), (1, 0)]],
+    ])
+    def test_squarefree_split_matches_q_i(self, factors):
+        """The exact split in Z[i] gives the squarefree part P / gcd(P, P')
+        over Q(i), coefficient for coefficient, and a gcd whose monic
+        associate is the monic gcd over Q(i) (``_q_i_split``)."""
+        poly = TracePolynomial([(1, 0)])
+        for f in factors:
+            poly = poly * TracePolynomial(f)
+        square_free, gcd = markoff._squarefree_split(poly)
+        want_free, want_gcd = _q_i_split(poly)
+        assert square_free.coeffs == want_free
+        lead = complex(*gcd.coeffs[-1])
+        assert [_gauss_frac_div(c, gcd.coeffs[-1]) for c in gcd.coeffs] == want_gcd
+        assert lead != 0
+
+    def test_squarefree_split_of_repeated_trace_polynomials(self):
+        """On 7/24 and 17/24, whose trace polynomials in y = x^2 have a
+        repeated factor, the split agrees with the Q(i) Euclid, and their
+        roots keep their multiplicities."""
+        for r in (Slope(7, 24), Slope(17, 24)):
+            poly = trace_polynomial(r)
+            poly = poly.shift_down(poly.content_power_of_x())
+            base = TracePolynomial(poly.coeffs[::2])
+            square_free, gcd = markoff._squarefree_split(base)
+            assert (square_free.coeffs, gcd.degree) == (_q_i_split(base)[0], 2)
+            roots = [z for z in polynomial_roots(trace_polynomial(r)) if z]
+            assert len(roots) == poly.degree
+            assert len(set(roots)) == len(roots) - 4  # two repeated y, +-x each
+
+    def test_fallback_polish_settles_or_raises(self, monkeypatch):
+        """Where y's Newton polish did not settle, x is polished against P,
+        and that polish must settle: on 42/47 all five such polishes do.
+        With one Newton step allowed, neither polish of 2/5 settles, and
+        the first x raises a RootFindingError that names it."""
+        polish = markoff._polish_exact
+        x_settled = []
+
+        def recording(coeffs, z, f):
+            result = polish(coeffs, z, f)
+            if len(coeffs) == 47:  # P / x^k of 42/47, degree 46, in x
+                x_settled.append(result[1] is not None)
+            return result
+
+        monkeypatch.setattr(markoff, "_polish_exact", recording)
+        polynomial_roots(trace_polynomial(Slope(42, 47)))
+        assert x_settled == [True] * 5
+        monkeypatch.setattr(markoff, "_POLISH_ROUNDS", 1)
+        with pytest.raises(RootFindingError,
+                           match=r"polish of x = sqrt\(.*\) against P did not "
+                                 r"settle in 1 steps"):
+            polynomial_roots(trace_polynomial(Slope(2, 5)))
+
+    def test_residual_checked_once_per_sign_class(self, monkeypatch):
+        """Horner's rule gives |P(-x)| = |P(x)| exactly for an even or odd
+        P, bitwise on every root of the trace polynomials with p <= 24, so
+        the residual check runs once per pair x, -x (and once on x = 0)."""
+        for p in range(5, 25):
+            for q in range(1, p):
+                r = Slope(q, p)
+                if math.gcd(q, p) == 1 and is_hyperbolic(r):
+                    poly = trace_polynomial(r)
+                    assert all(abs(poly(-z)) == abs(poly(z))
+                               for z in polynomial_roots(poly)), r
+        checked = []
+        residual_ok = markoff._residual_ok
+        monkeypatch.setattr(markoff, "_residual_ok", lambda poly, z, scale: (
+            checked.append(z) or residual_ok(poly, z, scale)))
+        roots = polynomial_roots(trace_polynomial(Slope(5, 17)))
+        classes = {max(z, -z, key=markoff._representative_key) for z in roots}
+        assert len(checked) == len(classes) < len(roots)
+        assert {max(z, -z, key=markoff._representative_key)
+                for z in checked} == classes
+
     def test_squarefree_mod_p_cannot_decide(self):
         assert markoff._I_MOD_P ** 2 % markoff._P == markoff._P - 1
         # x^4 - x^2 + 1 is squarefree
@@ -349,6 +436,47 @@ class TestPolynomialRoots:
         assert not markoff._squarefree_mod_p(lead_vanishes)
         roots = polynomial_roots(lead_vanishes)
         assert len(set(roots)) == 2
+
+
+def _gauss_frac_div(u, v):
+    """u / v in Q(i) as a pair of Fractions."""
+    norm = v[0] * v[0] + v[1] * v[1]
+    return (Fraction(u[0] * v[0] + u[1] * v[1], norm),
+            Fraction(u[1] * v[0] - u[0] * v[1], norm))
+
+
+def _q_i_split(poly):
+    """Reference for ``markoff._squarefree_split``, by Euclid over Q(i):
+    (the coefficients of lcm(denominators) P / g, g the monic gcd of P and
+    P', and those of g), ascending pairs of Fractions."""
+    def mul(u, v):
+        return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+    def monic(a):
+        return [_gauss_frac_div(c, a[-1]) for c in a]
+
+    def divmod_monic(a, b):
+        a, quotient = list(a), [(0, 0)] * (len(a) - len(b) + 1)
+        for k in range(len(quotient) - 1, -1, -1):
+            lead = quotient[k] = a[k + len(b) - 1]
+            for i, c in enumerate(b):
+                t = mul(lead, c)
+                a[k + i] = (a[k + i][0] - t[0], a[k + i][1] - t[1])
+        remainder = a[:len(b) - 1]
+        while remainder and remainder[-1] == (0, 0):
+            remainder.pop()
+        return quotient, remainder
+
+    a = [(Fraction(re), Fraction(im)) for re, im in poly.coeffs]
+    b = [(Fraction(re), Fraction(im)) for re, im in poly.derivative().coeffs]
+    p = a
+    while b:
+        b = monic(b)
+        a, b = b, divmod_monic(a, b)[1]
+    gcd = monic(a)
+    quotient = divmod_monic(p, gcd)[0]
+    scale = math.lcm(*(x.denominator for c in quotient for x in c))
+    return tuple((int(re * scale), int(im * scale)) for re, im in quotient), gcd
 
 
 class TestGeometricSelection:

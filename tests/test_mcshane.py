@@ -230,17 +230,38 @@ class TestIntervalSeries:
         assert abs(res.value - finite_edge_sums(r, ev)[j - 1]) <= res.tail_bound
 
     def test_sum_nodes_stay_pruned(self, evaluation_for):
-        """Rules 1 and 2 of ``kernels`` bound the work of the series: the
-        two series of the 50 hyperbolic slopes with p <= 16, at the eps
-        1e-8 of ``cusp_shape``, walk at most 68 530 nodes (198 630 with the
-        estimates they replaced)."""
+        """Rules 1 and 2 of ``kernels`` and the carry of unspent share bound
+        the work of the series: the two series of the 50 hyperbolic slopes
+        with p <= 16, at the eps 1e-8 of ``cusp_shape``, walk at most
+        51 638 nodes (68 530 when a cell's unspent share was lost, 198 630
+        with the estimates rules 1 and 2 replaced)."""
         nodes = 0
         for r in HYPERBOLIC_40:
             if r.den <= 16:
                 ev = evaluation_for(r)
                 nodes += sum(interval_series(r, ev, j, eps=0.5e-8).nodes
                              for j in (1, 2))
-        assert nodes <= 68_530
+        assert nodes <= 51_638
+
+    def test_series_spend_at_most_eps(self, evaluation_for):
+        """A series spends its eps, its cells handing on what they leave
+        unspent, and never more: on every hyperbolic slope with p <= 24, at
+        eps 1e-4, 1e-8 and 1e-12, each series' tail is at most eps and its
+        value lies within the tail (and the 1e-8 slack of ``cusp_shape``
+        for the finite sums' rounding) of the finite sum."""
+        checked = 0
+        for r in HYPERBOLIC_40:
+            if r.den > 24:
+                continue
+            ev = evaluation_for(r)
+            fin = finite_edge_sums(r, ev)
+            for eps in (1e-4, 1e-8, 1e-12):
+                for j in (1, 2):
+                    res = interval_series(r, ev, j, eps=eps)
+                    assert res.tail_bound <= eps and not res.partial, (r, j, eps)
+                    assert abs(res.value - fin[j - 1]) <= res.tail_bound + 1e-8
+            checked += 1
+        assert checked == 134
 
     def test_scan_nodes_stay_pruned(self, monkeypatch):
         """Rejecting a class at its first small trace outside A(r) bounds
@@ -266,10 +287,11 @@ class TestIntervalSeries:
         assert nodes <= 8_336
 
     @pytest.mark.parametrize("text", ["2/47", "39/41"])
-    def test_near_parabolic_series_meet_eps(self, text, report_for):
+    def test_near_parabolic_series_meet_eps(self, text, evaluation_for):
         """Combs around loops with trace near +-2 walk about a thousand
-        steps; summed to eps they close the identity to 1e-9."""
-        rep = report_for(Slope.parse(text))
+        steps; summed to eps 5e-10 they close the identity to 1e-9."""
+        r = Slope.parse(text)
+        rep = cusp_shape(r, eps=5e-10, ev=evaluation_for(r))
         assert rep.identity_residual <= 1e-9
         assert rep.tail_bound_1 + rep.tail_bound_2 <= rep.eps
         assert not rep.partial
@@ -303,9 +325,10 @@ class TestIntervalSeries:
 
         def recording(out, stack, *args):
             size = len(stack)
-            fan(out, stack, *args)
+            left = fan(out, stack, *args)
             pushed.extend(stack[size:])
             stacks.append(stack)
+            return left
 
         monkeypatch.setattr(kernels, "_fan", recording)
         census_scan(evaluation_for(S25))
@@ -606,9 +629,10 @@ class TestFanTail:
 
         def counting(out, stack, p_num, p_den, t, *args):
             before = out.nodes
-            fan(out, stack, p_num, p_den, t, *args)
+            left = fan(out, stack, p_num, p_den, t, *args)
             if kernels._near_parabolic(t):
                 steps.append(out.nodes - before)
+            return left
 
         monkeypatch.setattr(kernels, "_fan", counting)
         r = Slope.parse(text)
