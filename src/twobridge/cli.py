@@ -13,23 +13,31 @@ each) by the tail bound alone only for eps <= 2.5e-7 c; at a larger eps it
 may exit 1 and name the rule it fails, as ``identity 2/5 --eps 1e-5`` does.
 
 The geometric root is fixed by the slope, so the requests of one process
-share work through three bounded LRU caches: ``_evaluation`` keeps r's
+share work through two bounded LRU caches.  ``_evaluation`` keeps r's
 geometric evaluation (root, Markoff map and edge system), keyed by r, for
-``identity`` and ``cusp``; ``_identity`` keeps r's identity report, keyed
-by (r, eps), and builds it on the cached evaluation; ``_endinv_text``
-keeps r's ``endinv`` JSON text, keyed by (r, depth), zlib-compressed.
-Each holds at most ``_CACHE_SIZE`` entries: an evaluation with its report,
-after ``identity`` and ``cusp`` of its slope, holds at most 12 KB for
-p <= 24 and 20 KB for 41 <= p <= 64 (tracemalloc), so these two stay
-under 1.5 MB together.  An ``endinv`` text is cached only in JSON and only
-up to ``endinvariants.DEFAULT_GAP_DEPTH`` (6), where its 330-380 KB for
-p <= 64 compress to 30-47 KB, so 64 entries stay under 3 MB; compressing
-adds 2 ms to a 6-10 ms miss, and a hit costs 1 ms of decompression.
-Deeper texts (100-150 KB compressed at depth 7) and SVG pictures are
-computed on every request.  A request that raises caches nothing: its
-error is raised again, with its exit code, on every call.  ``batch`` and
-library callers (``mcshane.cusp_shape``, ``markoff.geometric_evaluation``,
-``endinvariants.bowditch_L``) bypass the caches and always compute.
+the misses of ``identity`` and ``cusp``.  ``_rendered`` keeps what a
+request writes, keyed by its subcommand, slope and the options that change
+the bytes (``--eps``, ``--format``, ``--periods``, ``--orientation``,
+``--depth``; never ``--out``): its texts, zlib-compressed (level 1), and
+the stderr line of a request that exits 1, so a repeated request skips
+layout, SVG and JSON encoding.  One ``cusp`` entry holds both the JSON
+text and the SVG, and ``svg_written_to`` is added to the JSON on writing.
+Only outputs of bounded size are cached: ``cusp`` up to the default
+``--periods`` (2; an SVG at ``cusp_layout.MAX_PERIODS`` compresses to
+33-98 KB) and ``endinv`` up to ``endinvariants.DEFAULT_GAP_DEPTH`` (6;
+100-150 KB compressed at depth 7); other requests render every time.
+Each cache holds at most ``_CACHE_SIZE`` entries.  Measured by tracemalloc
+on every hyperbolic slope with p <= 24 and with 41 <= p <= 64, an
+evaluation holds at most 8 KB and 19 KB, an ``endinv`` JSON entry at most
+42 KB and 48 KB, and any other entry at most 6 KB (an ``endinv`` SVG, a
+``cusp`` entry), so the two caches stay under 4.3 MB together.
+Compressing adds 2 ms to a 6-10 ms ``endinv`` miss, and its hit costs
+1 ms of decompression.  A request that raises caches nothing: its error
+is raised again, with its exit code, on every call; an unwritable
+``--out`` fails on every call, as writing follows the lookup.  ``batch``
+and library callers (``mcshane.cusp_shape``,
+``markoff.geometric_evaluation``, ``endinvariants.bowditch_L``) bypass the
+caches and always compute.
 """
 
 from __future__ import annotations
@@ -57,6 +65,8 @@ _EPS_HELP = ("bound on the two series' tails together (default 1e-8); a "
              "it only for eps <= 2.5e-7 c, c the number of components")
 # entries in each cross-request cache; the module docstring gives its memory
 _CACHE_SIZE = 64
+# cusp outputs are cached up to these SVG periods; the module docstring says why
+_DEFAULT_PERIODS = 2
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -66,16 +76,20 @@ def _evaluation(r: Slope):
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _identity(r: Slope, eps: float):
-    """r's identity report at ``eps``, on the cached evaluation."""
-    return mcshane.cusp_shape(r, eps=eps, ev=_evaluation(r))
+def _rendered(render, r: Slope, *options) -> tuple:
+    """``render(r, *options)`` once per process: its texts, zlib-compressed
+    (level 1), and its failure line."""
+    texts, failure = render(r, *options)
+    return tuple(zlib.compress(t.encode(), 1) for t in texts), failure
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _endinv_text(r: Slope, depth: int) -> bytes:
-    """r's end-invariant JSON text at ``depth``, zlib-compressed (level 1)."""
-    text = endinvariants.bowditch_L(r, depth=depth).to_json_text()
-    return zlib.compress(text.encode(), 1)
+def _output(render, r: Slope, *options, cache: bool = True) -> tuple:
+    """The texts and failure line of ``render(r, *options)``, served from
+    ``_rendered`` when ``cache`` is set."""
+    if not cache:
+        return render(r, *options)
+    texts, failure = _rendered(render, r, *options)
+    return [zlib.decompress(t).decode() for t in texts], failure
 
 
 def _write(text: str, path: str | None):
@@ -88,6 +102,14 @@ def _write(text: str, path: str | None):
             sys.stdout.write("\n")
 
 
+def _exit_status(failure: str | None) -> int:
+    """1 after printing ``failure`` to stderr, 0 when there is none."""
+    if failure is None:
+        return 0
+    print(failure, file=sys.stderr)
+    return 1
+
+
 def _census_csv(report) -> str:
     rows = ["schema,slope,phi_re,phi_im,l_re,l_im,h_re,h_im"]
     for s, v in report.slopes_small_trace:
@@ -98,19 +120,24 @@ def _census_csv(report) -> str:
     return "\n".join(rows) + "\n"
 
 
-def cmd_identity(args) -> int:
-    r = Slope.parse(args.r)
-    report = _identity(r, args.eps)
-    if args.format == "csv":
-        _write(_census_csv(report), args.out)
+def _render_identity(r: Slope, fmt: str, eps: float):
+    report = mcshane.cusp_shape(r, eps=eps, ev=_evaluation(r))
+    if fmt == "csv":
+        text = _census_csv(report)
     else:
-        _write(json.dumps(report.to_json(), indent=2), args.out)
+        text = json.dumps(report.to_json(), indent=2)
     failures = _acceptance_failures(report)
     if failures:
-        print("error: %s fails the acceptance rules: %s"
-              % (r, "; ".join(failures)), file=sys.stderr)
-        return 1
-    return 0
+        return (text,), ("error: %s fails the acceptance rules: %s"
+                         % (r, "; ".join(failures)))
+    return (text,), None
+
+
+def cmd_identity(args) -> int:
+    (text,), failure = _output(_render_identity, Slope.parse(args.r),
+                               args.format, args.eps)
+    _write(text, args.out)
+    return _exit_status(failure)
 
 
 def _acceptance_failures(report) -> list:
@@ -129,46 +156,60 @@ def _acceptance_failures(report) -> list:
     return failures
 
 
-def cmd_cusp(args) -> int:
-    r = Slope.parse(args.r)
+def _render_cusp(r: Slope, periods: int):
+    """The cusp's JSON text, without ``svg_written_to``, and its SVG."""
     layout = cusp_layout.layout_cusp(r, _evaluation(r))
     cusp_layout.check_simply_folded(layout)
-    if args.format == "svg":
-        _write(cusp_layout.render_svg(layout, periods=args.periods), args.out)
-        return 0
-    # JSON goes to stdout; --out receives the SVG
     doc = layout.to_json()
     doc["folds_ok"] = True  # check_simply_folded raises otherwise
     doc["fold_slopes"] = [str(layout.fold_minus.fold_slope),
                           str(layout.fold_plus.fold_slope)]
-    if args.out:
-        _write(cusp_layout.render_svg(layout, periods=args.periods), args.out)
-        doc["svg_written_to"] = args.out
-    _write(json.dumps(doc, indent=2), None)
+    return (json.dumps(doc, indent=2),
+            cusp_layout.render_svg(layout, periods=periods)), None
+
+
+def cmd_cusp(args) -> int:
+    (doc, svg), _ = _output(_render_cusp, Slope.parse(args.r), args.periods,
+                            cache=args.periods <= _DEFAULT_PERIODS)
+    if args.format == "svg":
+        _write(svg, args.out)
+        return 0
+    if args.out:  # JSON goes to stdout; --out receives the SVG
+        _write(svg, args.out)
+        # the text json.dumps(..., indent=2) gives with this last field added
+        doc = '%s,\n  "svg_written_to": %s\n}' % (doc[:-2], json.dumps(args.out))
+    _write(doc, None)
     return 0
+
+
+def _render_longitude(r: Slope, orientation: str):
+    doc = plat.longitude_json(r, orientation=orientation)
+    text = json.dumps(doc, indent=2)
+    if doc["lk_formula"] != doc["lk_diagram"]:
+        return (text,), ("error: %s: lk_formula %s != lk_diagram %s"
+                         % (r, doc["lk_formula"], doc["lk_diagram"]))
+    return (text,), None
 
 
 def cmd_longitude(args) -> int:
-    r = Slope.parse(args.r)
-    doc = plat.longitude_json(r, orientation=args.orientation)
-    _write(json.dumps(doc, indent=2), args.out)
-    if doc["lk_formula"] != doc["lk_diagram"]:
-        print("error: %s: lk_formula %s != lk_diagram %s"
-              % (r, doc["lk_formula"], doc["lk_diagram"]), file=sys.stderr)
-        return 1
-    return 0
+    (text,), failure = _output(_render_longitude, Slope.parse(args.r),
+                               args.orientation)
+    _write(text, args.out)
+    return _exit_status(failure)
+
+
+def _render_endinv(r: Slope, fmt: str, depth: int):
+    report = endinvariants.bowditch_L(r, depth=depth)
+    if fmt == "svg":
+        return (endinvariants.render_gaps_svg(report.gap_system),), None
+    return (report.to_json_text(),), None
 
 
 def cmd_endinv(args) -> int:
-    r = Slope.parse(args.r)
-    if args.format == "svg":
-        report = endinvariants.bowditch_L(r, depth=args.depth)
-        _write(endinvariants.render_gaps_svg(report.gap_system), args.out)
-    elif args.depth <= endinvariants.DEFAULT_GAP_DEPTH:
-        _write(zlib.decompress(_endinv_text(r, args.depth)).decode(), args.out)
-    else:
-        _write(endinvariants.bowditch_L(r, depth=args.depth).to_json_text(),
-               args.out)
+    (text,), _ = _output(_render_endinv, Slope.parse(args.r), args.format,
+                         args.depth,
+                         cache=args.depth <= endinvariants.DEFAULT_GAP_DEPTH)
+    _write(text, args.out)
     return 0
 
 
@@ -268,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cusp", help="cusp triangulation zigzag layout and SVG")
     common(p, ("json", "svg"))
-    p.add_argument("--periods", type=period_count, default=2)
+    p.add_argument("--periods", type=period_count, default=_DEFAULT_PERIODS)
     p.set_defaults(func=cmd_cusp)
 
     p = sub.add_parser("longitude", help="longitude homology class and linking numbers")

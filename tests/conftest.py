@@ -36,8 +36,7 @@ def fresh_cli_caches():
     """Every test starts with empty CLI caches, so a test that replaces a
     layer is never served what an earlier test computed."""
     cli._evaluation.cache_clear()
-    cli._identity.cache_clear()
-    cli._endinv_text.cache_clear()
+    cli._rendered.cache_clear()
 
 
 @pytest.fixture

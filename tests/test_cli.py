@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _run_with_out(capsys, argv):
+    """``run`` and the bytes written to ``--out`` (None when nothing was),
+    with the file removed again."""
+    result = run(capsys, *argv)
+    path = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    if path is None or not path.exists():
+        return (*result, None)
+    written = path.read_bytes()
+    path.unlink()
+    return (*result, written)
 
 
 class TestIdentity:
@@ -319,18 +333,36 @@ class TestBatch:
 
 
 class TestCaches:
-    @pytest.mark.parametrize("argv", [("identity", "5/17"),
-                                      ("identity", "5/17", "--format", "csv"),
-                                      ("cusp", "5/17"),
-                                      ("cusp", "5/17", "--format", "svg"),
-                                      ("endinv", "3/8"),
-                                      ("endinv", "3/8", "--format", "svg")])
-    def test_repeat_is_byte_identical(self, capsys, argv):
+    @pytest.mark.parametrize("argv", [
+        ("identity", "5/17"),
+        ("identity", "5/17", "--format", "csv"),
+        ("cusp", "5/17"),
+        ("cusp", "5/17", "--format", "svg"),
+        ("endinv", "3/8"),
+        ("endinv", "3/8", "--format", "svg"),
+        ("identity", "5/17", "--eps", "1e-7", "--out", "OUT/a.json"),
+        ("identity", "5/17", "--eps", "1e-7", "--format", "csv", "--out", "OUT/a.csv"),
+        ("cusp", "5/17", "--out", "OUT/a.svg"),
+        ("cusp", "5/17", "--format", "svg", "--out", "OUT/a.svg"),
+        ("cusp", "5/17", "--periods", "3", "--out", "OUT/a.svg"),
+        ("longitude", "5/17"),
+        ("longitude", "5/17", "--orientation", "reversed", "--out", "OUT/a.json"),
+        ("endinv", "3/8", "--depth", "3", "--out", "OUT/a.json"),
+        ("endinv", "3/8", "--format", "svg", "--out", "OUT/a.svg"),
+        ("identity", "2/5", "--eps", "1e-5"),
+        ("cusp", "5/17", "--out", "OUT/missing/a.svg"),
+    ])
+    def test_repeat_is_byte_identical(self, capsys, tmp_path, argv):
         """A repeated request, served from the caches where it can be,
-        writes what the first one wrote."""
-        first = run(capsys, *argv)
-        assert first[0] == 0
-        assert run(capsys, *argv) == first
+        writes what the first one wrote: stdout, the ``--out`` bytes, the
+        exit code and stderr.  A request that fails, such as ``identity 2/5
+        --eps 1e-5`` (an acceptance rule) or an unwritable ``--out``, exits
+        1 with its message on every call."""
+        argv = [a.replace("OUT", str(tmp_path)) for a in argv]
+        first = _run_with_out(capsys, argv)
+        assert _run_with_out(capsys, argv) == first
+        code, _, err, _ = first
+        assert code == (1 if err else 0)
 
     def test_one_root_selection_per_slope(self, capsys, monkeypatch):
         """identity and cusp of one slope, and a repeat of identity, select
@@ -349,48 +381,93 @@ class TestCaches:
         assert calls == [Slope(5, 17)]
 
     def test_cache_keys_and_counts(self, capsys):
-        """The report is keyed by (r, eps), the evaluation by r alone, and
-        both caches are bounded."""
+        """An output is keyed by subcommand, slope and the options that
+        change its bytes (cusp's two formats come from one entry), the
+        evaluation by r alone, and both caches are bounded.  A cusp SVG of
+        more than the default periods is not cached."""
         from twobridge import cli
-        for eps in ("1e-7", "1e-8", "1e-7"):
-            assert run(capsys, "identity", "2/5", "--eps", eps)[0] == 0
-        assert run(capsys, "cusp", "2/5")[0] == 0
-        identity = cli._identity.cache_info()
+        for argv in (("identity", "2/5", "--eps", "1e-7"),
+                     ("identity", "2/5"),
+                     ("identity", "2/5", "--eps", "1e-7"),
+                     ("identity", "2/5", "--format", "csv"),
+                     ("cusp", "2/5"),
+                     ("cusp", "2/5", "--format", "svg"),
+                     ("cusp", "2/5", "--periods", "1"),
+                     ("cusp", "2/5", "--periods", "3"),
+                     ("longitude", "2/5"),
+                     ("longitude", "2/5", "--orientation", "reversed"),
+                     ("longitude", "2/5")):
+            assert run(capsys, *argv)[0] == 0
+        rendered = cli._rendered.cache_info()
         evaluation = cli._evaluation.cache_info()
-        assert (identity.misses, identity.hits, identity.currsize) == (2, 1, 2)
-        assert (evaluation.misses, evaluation.hits, evaluation.currsize) == (1, 2, 1)
-        assert identity.maxsize == evaluation.maxsize == cli._CACHE_SIZE
+        assert (rendered.misses, rendered.hits, rendered.currsize) == (7, 3, 7)
+        assert (evaluation.misses, evaluation.hits, evaluation.currsize) == (1, 5, 1)
+        assert rendered.maxsize == evaluation.maxsize == cli._CACHE_SIZE
+
+    def test_out_path_is_not_a_key(self, capsys, tmp_path):
+        """cusp's JSON names the ``--out`` path its SVG went to, yet two
+        paths for one slope share one entry: the path is added on writing,
+        as the text ``json.dumps(..., indent=2)`` gives."""
+        from twobridge import cli
+        docs = []
+        for name in ("a.svg", "b.svg"):
+            path = tmp_path / name
+            code, out, _ = run(capsys, "cusp", "5/17", "--out", str(path))
+            assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
+            docs.append((json.loads(out), path.read_text()))
+        (doc_a, svg_a), (doc_b, svg_b) = docs
+        assert doc_a.pop("svg_written_to") == str(tmp_path / "a.svg")
+        assert doc_b.pop("svg_written_to") == str(tmp_path / "b.svg")
+        assert (doc_a, svg_a) == (doc_b, svg_b)
+        info = cli._rendered.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_entries_never_pass_maxsize(self, capsys):
+        """More distinct requests than the cache holds keep it at its
+        maxsize, and the least recently used entry is the one dropped."""
+        from twobridge import cli
+        slopes = [str(Slope(q, p)) for p in range(5, 30) for q in range(2, p - 1)
+                  if math.gcd(q, p) == 1][:cli._CACHE_SIZE + 6]
+        for s in slopes:
+            assert run(capsys, "longitude", s)[0] == 0
+            assert cli._rendered.cache_info().currsize <= cli._CACHE_SIZE
+        info = cli._rendered.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (
+            len(slopes), 0, cli._CACHE_SIZE)
+        assert run(capsys, "longitude", slopes[-1])[0] == 0
+        assert run(capsys, "longitude", slopes[0])[0] == 0
+        info = cli._rendered.cache_info()
+        assert (info.misses, info.hits) == (len(slopes) + 1, 1)
 
     def test_errors_are_not_cached(self, capsys):
         """A non-hyperbolic slope exits 2 on every call, and leaves no
         entry behind."""
         from twobridge import cli
-        for command in ("identity", "endinv") * 3:
+        for command in ("identity", "cusp", "endinv") * 2:
             code, out, err = run(capsys, command, "1/3")
             assert (code, out) == (2, "") and "+-1 mod p" in err
-        assert cli._identity.cache_info().currsize == 0
+        assert cli._rendered.cache_info().currsize == 0
         assert cli._evaluation.cache_info().currsize == 0
-        assert cli._endinv_text.cache_info().currsize == 0
 
     def test_endinv_text_keys_and_counts(self, capsys):
-        """End-invariant texts are keyed by (r, depth), and cached only up
-        to the default depth; a depth outside [0, 12] exits 1 and caches
-        nothing.  The cache's memory bound was measured at depth 6, so a
-        new default depth means measuring it again."""
+        """End-invariant outputs are keyed by (r, format, depth), and cached
+        only up to the default depth; a depth outside [0, 12] exits 1 and
+        caches nothing.  The cache's memory bound was measured at depth 6,
+        so a new default depth means measuring it again."""
         from twobridge import cli
         assert cli.endinvariants.DEFAULT_GAP_DEPTH == 6
-        for argv in (("3/8",), ("3/8",), ("3/8", "--depth", "3")):
+        for argv in (("3/8",), ("3/8",), ("3/8", "--depth", "3"),
+                     ("3/8", "--format", "svg")):
             assert run(capsys, "endinv", *argv)[0] == 0
-        info = cli._endinv_text.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
-        assert info.maxsize == cli._CACHE_SIZE
+        info = cli._rendered.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 1, 3)
         assert run(capsys, "endinv", "3/8", "--depth", "7")[0] == 0
-        assert cli._endinv_text.cache_info().currsize == 2
-        cli._endinv_text.cache_clear()
+        assert cli._rendered.cache_info().currsize == 3
+        cli._rendered.cache_clear()
         for depth in ("13", "-1"):
             code, out, err = run(capsys, "endinv", "3/8", "--depth", depth)
             assert (code, out) == (1, "") and "depth must lie in" in err
-        assert cli._endinv_text.cache_info().currsize == 0
+        assert cli._rendered.cache_info().currsize == 0
 
 
 class TestParsing:

@@ -187,7 +187,7 @@ def test_argument_caches_are_bounded():
                 if hasattr(fn, "cache_parameters"):
                     caches["%s.%s" % (fn.__module__, fn.__qualname__)] = fn
     assert {"twobridge.cli.build_parser", "twobridge.cli._evaluation",
-            "twobridge.cli._identity", "twobridge.cli._endinv_text"} <= set(caches)
+            "twobridge.cli._rendered"} <= set(caches)
     for name, fn in caches.items():
         if inspect.signature(fn).parameters:
             assert fn.cache_parameters()["maxsize"] is not None, name
