@@ -10,7 +10,5 @@ from .slopes import (  # noqa: F401
     farey_chain,
     fundamental_intervals,
     is_hyperbolic,
-    is_nullhomotopic,
     num_components,
-    reduce_slope,
 )

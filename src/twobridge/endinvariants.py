@@ -47,6 +47,7 @@ from .errors import DomainError, InternalError, NonHyperbolicError
 from .slopes import (
     INFINITY,
     Slope,
+    accidental_parabolics,
     fundamental_intervals,
     is_hyperbolic,
     reflection_in_edge,
@@ -57,7 +58,6 @@ __all__ = [
     "gap_intervals",
     "EndInvariantReport",
     "bowditch_L",
-    "interval_meets_limit_set",
 ]
 
 MAX_GAP_DEPTH = 12
@@ -248,14 +248,24 @@ def gap_intervals(r: Slope, depth: int) -> GapSystem:
     return GapSystem(r=r, depth=depth, rows=tuple(rows))
 
 
+# the case of r by the forms of r that place its accidental parabolics
+# (``slopes.accidental_parabolics``): both for p = 5, one, or none
+_CASES = {
+    ("[n, 2]", "[2, n]"): "exceptional-1",
+    ("[2, n]",): "exceptional-2",
+    ("[n, 2]",): "exceptional-3",
+    (): "generic",
+}
+
+
 @dataclass(frozen=True)
 class EndInvariantReport:
     """Bowditch's invariant set against the limit set.
 
     ``case`` is "generic" or "exceptional-1/2/3"; ``extra_orbits`` lists the
     accidental-parabolic slopes whose orbits are added to the limit set.
-    Slopes above 1/2 are classified through the mirror r -> 1-r and the
-    extras mapped back, flagged by ``mirrored``.
+    ``mirrored`` flags a slope above 1/2, whose family is that of its
+    mirror 1 - r.
     """
 
     r: Slope
@@ -277,35 +287,20 @@ class EndInvariantReport:
                    self.gap_system.to_json_text().replace("\n", "\n  ")))
 
 
-def _classify(q, p):
-    """Exceptional-family test for q/p with 0 < q/p < 1/2."""
-    if (q, p) == (2, 5):
-        return "exceptional-1", (Slope(1, 5), Slope(3, 5))
-    if p == 2 * q + 1 and q >= 3:
-        return "exceptional-2", (Slope(q + 1, p),)
-    if q == 2 and p % 2 == 1 and (p - 1) // 2 >= 3:
-        return "exceptional-3", (Slope(1, p),)
-    return "generic", ()
-
-
 def bowditch_L(r: Slope, depth: int = DEFAULT_GAP_DEPTH) -> EndInvariantReport:
     """Classify Bowditch's set of end invariants for the holonomy.
 
     Generic slopes give exactly the limit set; the three exceptional
-    families add the orbit of the listed accidental-parabolic slopes.
+    families add the orbit of the accidental parabolics that
+    ``slopes.accidental_parabolics`` lists, and the forms of r that place
+    them name the case (``_CASES``).
     """
-    if not is_hyperbolic(r):
-        raise NonHyperbolicError(r)
-    mirrored = r > Slope(1, 2)
-    rr = Slope(r.den - r.num, r.den) if mirrored else r
-    case, extras = _classify(rr.num, rr.den)
-    if mirrored:
-        extras = tuple(Slope(s.den - s.num, s.den) for s in extras)
+    forms, extras = tuple(zip(*accidental_parabolics(r))) or ((), ())
     return EndInvariantReport(
         r=r,
-        case=case,
+        case=_CASES[forms],
         extra_orbits=extras,
-        mirrored=mirrored,
+        mirrored=r > Slope(1, 2),
         gap_system=gap_intervals(r, depth),
     )
 
@@ -357,30 +352,3 @@ def render_gaps_svg(system: GapSystem) -> str:
                % (margin, height * 0.18, system.depth))
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def interval_meets_limit_set(r: Slope, u: Slope, v: Slope, depth: int = 8) -> str:
-    """Three-valued test whether the open interval (u, v) meets the limit
-    set: "no" when one gap covers it, "yes" when an image of inf or r under
-    a word of the enumeration lies inside, otherwise "unknown" at this
-    depth.
-
-    No subcommand and no pipeline stage calls it; it is a library entry
-    point.  The geometric-root filter reads the small traces the census
-    scan meets against ``slopes.off_chain_census`` instead.
-    """
-    if v < u:
-        u, v = v, u
-    for xn, xd, yn, yd, *_ in gap_intervals(r, depth).rows:
-        if xn * u.den <= u.num * xd and v.num * yd <= yn * v.den:
-            return "no"
-    i1, i2 = fundamental_intervals(r)
-    rn, rd = r.num, r.den
-    for (a, b, c, d), _, _ in _reduced_words(r, i1.right, i2.left, depth):
-        # the images of inf and r, denominators made positive
-        for n, m in ((a, c), (a * rn + b * rd, c * rn + d * rd)):
-            if m < 0:
-                n, m = -n, -m
-            if u.num * m < n * u.den and n * v.den < v.num * m:
-                return "yes"
-    return "unknown"

@@ -11,6 +11,7 @@ coefficients whose nonzero roots are the candidate holonomy traces.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -45,16 +46,19 @@ class TracePolynomial:
     """Polynomial in x with Gaussian-integer coefficients, ascending order.
 
     Coefficients are (re, im) pairs of Python ints, so the symbolic chain
-    recursion is exact at any size.
+    recursion is exact at any size.  ``slope`` is r when the polynomial is
+    phi(r) from ``trace_polynomial``, whose mediant walk then evaluates it
+    in ``polynomial_roots``; it is None for any other polynomial.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "slope")
 
     def __init__(self, coeffs):
         coeffs = [(int(a), int(b)) for a, b in coeffs]
         while len(coeffs) > 1 and coeffs[-1] == (0, 0):
             coeffs.pop()
         self.coeffs = tuple(coeffs)
+        self.slope = None
 
     @classmethod
     def zero(cls):
@@ -149,13 +153,17 @@ def trace_polynomial(r: Slope) -> TracePolynomial:
     ``MarkoffEvaluation.phi``) from (phi(inf), phi(0), phi(1)) = (0, x, ix).
     The descent crosses the triangles of r's Farey chain.
 
-    The result is checked to be even or odd (``_check_sign_symmetry``).
+    The result is checked to be even or odd (``_check_sign_symmetry``),
+    and its ``slope`` is r, so ``polynomial_roots`` evaluates it by the
+    same walk.
     """
     if not is_hyperbolic(r):
         raise NonHyperbolicError(r)
     poly = _descend(r, Slope(0, 1), Slope(1, 1), TracePolynomial.variable((1, 0)),
                     TracePolynomial.variable((0, 1)), TracePolynomial.zero())
-    return _check_sign_symmetry(poly, r)
+    poly = _check_sign_symmetry(poly, r)
+    poly.slope = r
+    return poly
 
 
 def _descend(s: Slope, lo: Slope, hi: Slope, phi_lo, phi_hi, phi_opp, seen=None):
@@ -199,7 +207,7 @@ def _check_sign_symmetry(poly: TracePolynomial, r) -> TracePolynomial:
 #
 # Double-precision Aberth-Ehrlich iteration finds the roots of the
 # squarefree part, and Newton's method in fixed-point Gaussian integers
-# polishes each one against the exact Z[i] coefficients (``_polish_exact``).
+# polishes each one against the exact Z[i] coefficients (``_newton_fixed``).
 # The squarefree part is P itself when P's image over GF(_P) is coprime to
 # its derivative (``_squarefree_mod_p``); otherwise it is P / gcd(P, P'),
 # computed exactly in Z[i][x] by a primitive pseudo-remainder sequence
@@ -208,42 +216,46 @@ def _check_sign_symmetry(poly: TracePolynomial, r) -> TracePolynomial:
 # as Q, in y = x^2, and each x is the fixed-point square root of its y
 # (``_nonzero_roots``, ``_fixed_sqrt``).
 #
+# Aberth evaluates a trace polynomial by r's mediant walk, not by Horner's
+# rule on its expanded coefficients (``_walk``): Q(y) = P(sqrt y) / y^(k/2)
+# and Q'(y) come from the edge relation phi(med) = phi(lo) phi(hi) -
+# phi(opp), carried with its derivative down the descent of ``_descend``.
+# Horner's rounding error grows with sum |c_k| |z|^k, not with |P(z)|
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed. (2002),
+# ch. 5), and at large p that sum dwarfs |P|: on 3/200 (Q of degree 99,
+# coefficients of up to 132 bits) 89 of Horner's 99 double roots were off
+# by more than 1e-6, relatively, and the walk's are off by at most 3.3e-16.
+# Horner's rule is left to polynomials with no walk: the factors of a split
+# Q (7/24 and 17/24 at p <= 64) and those ``trace_polynomial`` did not make.
+#
+# A fixed-point value is w = (A + iB) / 2**f with Python ints A, B.
+# Truncation in the Horner pass of the polish leaves noise in the low bits
+# of a root, about sqrt(2) sum_{k<n} |w|^k / |P'(w)| units, with
+# P'(z_i) = a_n prod_{j != i} (z_i - z_j).  So the width f is read off the
+# double roots (``_polish_width``) so that the f/4 low bits ``_round_fixed``
+# drops hold four times the largest such noise, and a vanishing component,
+# or an exact root such as x = 1, comes out exact.  f is _FIX_BITS (about
+# 48 decimal digits) on every trace polynomial with p <= 24, at most 224
+# for p <= 64, and 296-968 on 89/233, 3/200, 100/301, 2/241 and 2/255.
+#
 # The polished roots z_1..z_n of the squarefree part are then certified by
 # their inclusion disks, centred at z_i with radius
 # r_i = n |P(z_i)| / |a_n prod_{j != i} (z_i - z_j)|.  The union of the
 # disks holds every root, and a connected union of m disks holds exactly m
 # of them (Neumaier, "Enclosing clusters of zeros of polynomials",
 # J. Comput. Appl. Math. 156 (2003)), so pairwise disjoint disks hold one
-# root each (``_overlapping_disks``).  Where the disks overlap, or Aberth
-# does not converge, the double approximations are refined in the same
-# fixed-point arithmetic (``_refined_roots``): Gauss-Seidel Aberth sweeps
-# on all roots, then a wider Newton polish of each, doubling the width
-# until the disks of the rounded roots separate.  This is the precision
-# escalation of MPSolve (Bini-Fiorentino, Numer. Algorithms 23 (2000)),
-# run in Python integers.
-
-# A fixed-point value is w = (A + iB) / 2**f with Python ints A, B.  The
-# polish of a double root runs at f = _FIX_BITS, about 48 decimal digits
-# below the point.  Truncation in the Horner pass leaves noise in the low
-# bits of a root, about sqrt(2) sum_{k<n} |w|^k / |P'(w)| units: at most
-# 2**31 on the trace polynomials with p <= 40, and up to 2**44 on those
-# with 41 <= p <= 64 whose roots need the refinement.  So A and B are
-# rounded to multiples of 2**(f/4), 40 bits at f = 160 and 64 at the
-# refinement's 256, before the final rounding: a vanishing component, or
-# an exact root such as x = 1, then comes out exact.
+# root each (``_overlapping_disks``).  Nothing is retried at a greater
+# width: Aberth that does not converge, double roots that bound no width
+# (coincident or not finite), a polish that does not settle and
+# overlapping disks each raise a RootFindingError that names the roots and
+# the width.
 _FIX_BITS = 160
 _POLISH_ROUNDS = 6
 
-# The refinement's Aberth sweeps start at _REFINE_BITS, and its Newton
-# polish runs _REFINE_EXTRA_BITS wider, so that a component far below the
-# other (down to 1e-35 on the trace polynomials with p <= 64) still keeps
-# more than a double's 53 bits.  The sweep width doubles while it stays
-# within _MAX_REFINE_BITS, about 400 decimal digits.
-_REFINE_BITS = 192
-_REFINE_EXTRA_BITS = 64
-_MAX_REFINE_BITS = 1330
-
-# rounds after which Aberth gives up and the roots are refined
+# Aberth stops moving a root after a round whose correction of it is at
+# most _ABERTH_TOL |z_i|, and gives up after _ABERTH_ROUNDS rounds;
+# certification, not this test, decides whether the roots are right.
+_ABERTH_TOL = 2.0 ** -40
 _ABERTH_ROUNDS = 1000
 # unit roundoff of a double
 _UNIT = 2.0 ** -53
@@ -255,17 +267,55 @@ _P = 2 ** 64 - 59
 _I_MOD_P = pow(2, (_P - 1) // 4, _P)
 
 
-def _horner(coeffs, sizes, x):
-    """(P(x), P'(x), sum |c_k| |x|^k) in double precision for the complex
-    coeffs and their moduli ``sizes``, both in descending order."""
+def _horner(coeffs, x):
+    """(P(x), P'(x)) in double precision for the complex coeffs in
+    descending order."""
     p = dp = 0j
-    ax = abs(x)
-    size = 0.0
-    for c, a in zip(coeffs, sizes):
+    for c in coeffs:
         dp = dp * x + p
         p = p * x + c
-        size = size * ax + a
-    return p, dp, size
+    return p, dp
+
+
+def _modulus_sum(sizes, ax):
+    """sum_k sizes[k] ax^k for ``sizes`` in descending order, by Horner's
+    rule."""
+    total = 0.0
+    for a in sizes:
+        total = total * ax + a
+    return total
+
+
+def _walk(r: Slope, k: int):
+    """The evaluator y -> x^k (Q(y), Q'(y)), x = sqrt(y), of
+    Q(y) = P(x) / x^k, where P = phi(r) is divisible by exactly x^k: r's
+    mediant walk from (phi(inf), phi(0), phi(1)) = (0, x, ix), as
+    ``_descend`` takes it, with phi'(s) = d phi(s) / dx carried alongside
+    by the product rule; Q'(y) = (P'(x) / x^k - k P(x) / x^(k+1)) / 2x.
+    Either square root of y gives the same Newton ratio, and Aberth reads
+    no more than that ratio and whether a value is 0."""
+    turns = []  # True where the walk goes on with <med, hi>
+    lo, hi = Slope(0, 1), Slope(1, 1)
+    med = lo.mediant(hi)
+    while med != r:
+        turns.append(r > med)
+        lo, hi = (med, hi) if r > med else (lo, med)
+        med = lo.mediant(hi)
+
+    def evaluate(y):
+        x = cmath.sqrt(y)
+        lo, hi, opp = x, 1j * x, 0j
+        d_lo, d_hi, d_opp = 1 + 0j, 1j, 0j
+        for up in turns:
+            med, d_med = lo * hi - opp, d_lo * hi + lo * d_hi - d_opp
+            if up:
+                lo, opp, d_lo, d_opp = med, lo, d_med, d_lo
+            else:
+                hi, opp, d_hi, d_opp = med, hi, d_med, d_hi
+        p, dp = lo * hi - opp, d_lo * hi + lo * d_hi - d_opp
+        return p, (dp - k * p / x) / (2 * x)
+
+    return evaluate
 
 
 def _circle_start(coeffs):
@@ -282,45 +332,50 @@ def _circle_start(coeffs):
             for k in range(n)]
 
 
-def _aberth(coeffs):
+def _aberth(coeffs, evaluate):
     """Simultaneous root iteration in double precision from
     ``_circle_start``; ``coeffs`` complex, ascending, constant and leading
-    coefficient nonzero.
+    coefficient nonzero, and ``evaluate(z)`` gives (P(z), P'(z)) up to a
+    common factor.
 
-    The iteration stops after the first round that starts with every
-    |P(z_i)| <= eps * sum |c_k| |z_i|^k, the size of the rounding error of
-    the Horner value itself, and returns (roots, converged).
+    A root stops moving after a round whose correction of it is at most
+    _ABERTH_TOL |z_i|, and the iteration returns its approximations once
+    none moves, or as soon as a correction is not finite, which
+    ``_polish_width`` then reports.  After _ABERTH_ROUNDS rounds it raises
+    a RootFindingError naming the roots still moving.
     """
-    eps = 1e-14
-    n = len(coeffs) - 1
-    monic = [c / coeffs[-1] for c in reversed(coeffs)]
-    sizes = [abs(c) for c in monic]
     z = _circle_start(coeffs)
+    moving = range(len(z))
     for _ in range(_ABERTH_ROUNDS):
-        converged = True
-        for i in range(n):
+        still = []
+        for i in moving:
             zi = z[i]
-            p, dp, size = _horner(monic, sizes, zi)
-            if abs(p) > eps * size:
-                converged = False
+            p, dp = evaluate(zi)
             if p == 0:
                 continue
             if dp == 0:
-                z[i] = zi + eps * (1 + abs(zi))
-                continue
-            ratio = p / dp
-            s = 0j
-            for j in range(n):
-                if j != i:
-                    diff = zi - z[j]
-                    if diff == 0:
-                        diff = eps * (1 + abs(zi))
-                    s = s + 1 / diff
-            denom = 1 - ratio * s
-            z[i] = zi - (ratio if denom == 0 else ratio / denom)
-        if converged:
-            return z, True
-    return z, False
+                step = _UNIT * (1 + abs(zi))
+            else:
+                ratio = p / dp
+                s = 0j
+                for w in z:  # over the others: zi itself gives 0
+                    diff = zi - w
+                    if diff:
+                        s += 1 / diff
+                denom = 1 - ratio * s
+                step = ratio / denom if denom else ratio
+            z[i] = zi - step
+            if not abs(step) <= _ABERTH_TOL * abs(zi):
+                if not cmath.isfinite(step):
+                    return z
+                still.append(i)
+        if not still:
+            return z
+        moving = still
+    raise RootFindingError(
+        "Aberth's iteration did not converge in %d rounds: %d of %d roots "
+        "still move, at %s" % (_ABERTH_ROUNDS, len(moving), len(z), ", ".join(
+            format(z[i], ".6g") for i in moving)), partial_roots=z)
 
 
 def polynomial_roots(poly: TracePolynomial):
@@ -334,39 +389,37 @@ def polynomial_roots(poly: TracePolynomial):
     (see ``_squarefree_mod_p``), and P is then its own squarefree part; the
     others are split exactly in Z[i][x] (``_squarefree_split``).
 
-    Each double Aberth root is polished by Newton's method in 160-bit fixed
-    point against the exact coefficients before it is rounded to a complex,
-    so a root such as x = 1 comes out exact and a real root has imaginary
-    part 0.  The roots of each squarefree part are certified: their
-    inclusion disks are pairwise disjoint, so each holds exactly one root
-    and no root is missed or found twice.  Where the double roots cannot be
-    certified, fixed-point Aberth sweeps refine them from 192 bits, doubling
-    the width as certification needs, and a RootFindingError naming the
-    overlapping roots is raised past _MAX_REFINE_BITS (about 400 digits).
-    As a last safety check every returned root is finite and satisfies
-    |P(root)| <= 1e-10 * max|coeff| * (1+|root|)^deg, otherwise a
-    RootFindingError carrying the partial results is raised.
-
     An even P(x) / x^k = Q(x^2), as every trace polynomial gives (see
     ``trace_polynomial``), is solved in y = x^2 at half the degree: the
-    squarefree test, the exact gcd, Aberth, the certification and any
-    refinement all run on Q, and each root y is polished against Q.  Then
-    x = sqrt(y) is taken in fixed point from y's unrounded polished value,
-    at the width the y were polished at, when y's Newton polish settled on
-    its step test; otherwise (a cluster that Newton did not resolve in
-    _POLISH_ROUNDS steps) x is polished from sqrt(y) against P / x^k, and
-    a RootFindingError names x if that polish does not settle either (on
-    the slopes with p <= 64 every one does).  The roots come in pairs
-    x, -x, with x the sign class representative (Re x > 0, ties broken by
-    Im x > 0) and -x its exact negation, which is correctly rounded too;
-    so the residual check, exact under x -> -x for an even or odd P, runs
-    once per pair.
+    squarefree test, the exact gcd, Aberth, the polish and the
+    certification all run on Q.  Double-precision Aberth evaluates the Q
+    of phi(r) by r's mediant walk (``_walk``), and any other polynomial by
+    Horner's rule.  Each root is then polished by Newton's method in fixed
+    point against the exact coefficients, at a width read off the double
+    roots (``_polish_width``; 160 bits on every slope with p <= 24), and
+    rounded to a complex, so a root such as x = 1 comes out exact and a
+    real root has imaginary part 0.  x = sqrt(y) is taken in fixed point
+    from y's unrounded polished value.  The roots of each squarefree part
+    are certified: their inclusion disks are pairwise disjoint, so each
+    holds exactly one root and no root is missed or found twice.  Nothing
+    is retried at a greater width: where Aberth does not converge, the
+    double roots bound no width (two coincide, or one is not finite), a
+    polish does not settle in _POLISH_ROUNDS Newton steps or two disks
+    overlap, a RootFindingError names the roots and the width.
+
+    The roots come in pairs x, -x, with x the sign class representative
+    (Re x > 0, ties broken by Im x > 0) and -x its exact negation, which is
+    correctly rounded too.  As a last safety check every returned root is
+    finite and satisfies |P(root)| <= 1e-10 * max|coeff| * (1+|root|)^deg,
+    otherwise a RootFindingError carrying the partial results is raised;
+    the check, exact under x -> -x for an even or odd P, runs once per pair.
     """
     if poly.degree < 1:
         raise DomainError("root finding needs degree >= 1")
     k = poly.content_power_of_x()
     base = poly.shift_down(k)
-    roots = [0j] * k + _nonzero_roots(base)
+    evaluate = None if poly.slope is None else _walk(poly.slope, k)
+    roots = [0j] * k + _nonzero_roots(base, evaluate)
     scale = 1e-10 * poly.max_coeff_abs()
     # for an even or odd P, Horner's rule gives P(-z) = +-P(z) exactly, as
     # every product it forms changes sign exactly: one check per sign class
@@ -394,9 +447,11 @@ def _residual_ok(poly: TracePolynomial, z, scale) -> bool:
             and abs(poly(z)) <= scale * (1.0 + abs(z)) ** poly.degree)
 
 
-def _nonzero_roots(poly: TracePolynomial):
+def _nonzero_roots(poly: TracePolynomial, evaluate=None):
     """Roots with multiplicity of a polynomial with nonzero constant term;
-    an even one in y = x^2, its roots in sign pairs (``polynomial_roots``)."""
+    an even one in y = x^2, its roots in sign pairs (``polynomial_roots``).
+    ``evaluate`` is the walk of an even trace polynomial's Q (``_walk``),
+    or None for Horner's rule; the factors of a split have no walk."""
     if poly.degree < 1:
         return []
     even = all(c == (0, 0) for c in poly.coeffs[1::2])
@@ -406,22 +461,14 @@ def _nonzero_roots(poly: TracePolynomial):
     else:
         square_free, gcd = _squarefree_split(base)
         repeated = _nonzero_roots(gcd)
-    simple, f, fixed = _certified_roots(square_free)
+        evaluate = None
+    simple, f, fixed = _certified_roots(square_free, evaluate)
     roots = simple + [min(simple, key=lambda z: abs(z - w)) for w in repeated]
     if not even:
         return roots
     pairs = {}
-    for y, w in zip(simple, fixed):
-        if w is None:
-            x, settled = _polish_exact(_fixed_coeffs(poly, f), cmath.sqrt(y), f)
-            if settled is None and cmath.isfinite(x):  # NaN: residual check
-                raise RootFindingError(
-                    "Newton's polish of x = sqrt(%s) against P did not settle "
-                    "in %d steps at %d bits" % (format(y, ".17g"),
-                                                _POLISH_ROUNDS, f),
-                    partial_roots=simple)
-        else:
-            x = _round_fixed(*_fixed_sqrt(*w, f), f)
+    for y, (a, b) in zip(simple, fixed):
+        x = _round_fixed(*_fixed_sqrt(a, b, f), f)
         x = max(x, -x, key=_representative_key)
         # + 0j turns the -0.0 parts of a negation into +0.0
         pairs[y] = (x + 0j, -x + 0j)
@@ -627,126 +674,85 @@ def _fixed_sqrt(a, b, f):
 
 def _round_fixed(a, b, f) -> complex:
     """(a + ib) / 2**f rounded to a multiple of 2**(f/4 - f) and then once
-    to a complex (int true division is correctly rounded)."""
+    to a complex (int true division is correctly rounded).  The f/4 bits
+    dropped first hold the truncation noise of the polish at the width
+    ``_polish_width`` chose, four times over."""
     drop = f // 4
     half = 1 << (drop - 1)
     kept = 1 << (f - drop)
     return complex(((a + half) >> drop) / kept, ((b + half) >> drop) / kept)
 
 
-def _polish_exact(coeffs, z: complex, f: int):
-    """(root, fixed): Newton refinement of z in fixed point at scale 2**f
-    against the exact Z[i] coefficients ``_fixed_coeffs(P, f)``, rounded
-    by ``_round_fixed``, and its unrounded (a, b) when the iteration
-    settled (``_newton_fixed``), else None.
-
-    The double-precision Aberth roots carry enough error at higher degrees
-    to blur the +-2 parabolic traces of the exceptional slopes.  A
-    non-finite z is returned unchanged, for the residual check to reject.
-    """
-    if not cmath.isfinite(z):
-        return z, None
-    a, b, settled = _newton_fixed(coeffs, _to_fixed(z.real, f),
-                                  _to_fixed(z.imag, f), f)
-    return _round_fixed(a, b, f), ((a, b) if settled else None)
-
-
-def _certified_roots(poly: TracePolynomial):
+def _certified_roots(poly: TracePolynomial, evaluate):
     """(roots, f, fixed): the roots of a squarefree P with nonzero constant
     term, certified by pairwise disjoint inclusion disks, the fixed-point
-    scale 2**f they were polished at, and for each root its unrounded
-    fixed-point (a, b) if its Newton polish settled, else None.
+    scale 2**f they were polished at (``_polish_width``), and for each root
+    its unrounded fixed-point (a, b).
 
-    The double Aberth roots are polished at f = _FIX_BITS.  Only where
-    Aberth does not converge or their disks overlap are they refined
-    (``_refined_roots``).
+    Aberth runs with ``evaluate``, or with Horner's rule on P's
+    coefficients where it is None.  A polish that does not settle on its
+    step test, or disks that overlap, raise a RootFindingError.
     """
-    z, converged = _aberth([complex(a, b) for a, b in poly.coeffs])
-    if converged:
-        coeffs = _fixed_coeffs(poly, _FIX_BITS)
-        polished = [_polish_exact(coeffs, zi, _FIX_BITS) for zi in z]
-        roots = [root for root, _ in polished]
-        if not _overlapping_disks(poly, roots):
-            return roots, _FIX_BITS, [fixed for _, fixed in polished]
-    return _refined_roots(poly, z)
+    coeffs = [complex(a, b) for a, b in poly.coeffs]
+    if evaluate is None:
+        evaluate = functools.partial(_horner, coeffs[::-1])
+    z = _aberth(coeffs, evaluate)
+    f = _polish_width(poly, z)
+    exact = _fixed_coeffs(poly, f)
+    polished = [_newton_fixed(exact, _to_fixed(zi.real, f),
+                              _to_fixed(zi.imag, f), f) for zi in z]
+    unsettled = [zi for zi, (_, _, settled) in zip(z, polished) if not settled]
+    if unsettled:
+        raise RootFindingError(
+            "Newton's polish did not settle in %d steps at %d bits for %d of "
+            "%d roots: %s" % (_POLISH_ROUNDS, f, len(unsettled), len(z),
+                              ", ".join(format(w, ".6g") for w in unsettled)),
+            partial_roots=z)
+    fixed = [(a, b) for a, b, _ in polished]
+    roots = [_round_fixed(a, b, f) for a, b in fixed]
+    overlaps = _overlapping_disks(poly, roots)
+    if overlaps:
+        raise RootFindingError(
+            "inclusion disks overlap at %d bits: %s" % (f, ", ".join(
+                "%s and %s" % (format(roots[i], ".6g"), format(roots[j], ".6g"))
+                for i, j in overlaps)),
+            partial_roots=roots)
+    return roots, f, fixed
 
 
-def _refined_roots(poly: TracePolynomial, z):
-    """(roots, f, fixed) for a squarefree P with nonzero constant term from
-    its double approximations z, as ``_certified_roots`` returns them.
-
-    Gauss-Seidel Aberth sweeps (``_aberth_fixed``) refine all of z at scale
-    2**_REFINE_BITS; a non-finite approximation restarts from its point of
-    ``_circle_start``.  Each root is then polished by Newton's method
-    _REFINE_EXTRA_BITS wider, at scale 2**f, and rounded as
-    ``_polish_exact`` rounds.  While the disks of the rounded roots overlap
-    the sweep width doubles, from the sweeps' last values; past
-    _MAX_REFINE_BITS a RootFindingError names the roots whose disks still
-    overlap.
+def _polish_width(poly: TracePolynomial, z) -> int:
+    """The fixed-point width f for polishing the double roots z of P:
+    max(_FIX_BITS, 4 (ceil(log2 noise) + 2)), where noise is the largest
+    sqrt(2) sum_{k<n} |z_i|^k / (|a_n| prod_{j != i} |z_i - z_j|), the
+    truncation noise of the polish at z_i in units of 2**-f.  Double roots
+    that are not finite, or two that coincide, bound no width and raise a
+    RootFindingError naming them.
     """
-    start = _circle_start([complex(a, b) for a, b in poly.coeffs])
-    bits = _REFINE_BITS
-    w = []
-    for zi, s0 in zip(z, start):
-        zi = zi if cmath.isfinite(zi) else s0
-        w.append((_to_fixed(zi.real, bits), _to_fixed(zi.imag, bits)))
-    while True:
-        w = _aberth_fixed(_fixed_coeffs(poly, bits), w, bits)
-        f = bits + _REFINE_EXTRA_BITS
-        coeffs = _fixed_coeffs(poly, f)
-        polished = [_newton_fixed(coeffs, a << _REFINE_EXTRA_BITS,
-                                  b << _REFINE_EXTRA_BITS, f) for a, b in w]
-        roots = [_round_fixed(a, b, f) for a, b, _ in polished]
-        overlaps = _overlapping_disks(poly, roots)
-        if not overlaps:
-            return roots, f, [(a, b) if settled else None
-                              for a, b, settled in polished]
-        if 2 * bits > _MAX_REFINE_BITS:
+    bad = [w for w in z if not cmath.isfinite(w)]
+    if bad:
+        raise RootFindingError(
+            "the double roots bound no polish width: %d of %d are not finite"
+            % (len(bad), len(z)), partial_roots=z)
+    ones = [1.0] * len(z)
+    lead = math.log2(abs(complex(*poly.coeffs[-1])))
+    noise = []  # log2 of each root's bound
+    for i, zi in enumerate(z):
+        size = _modulus_sum(ones, abs(zi))
+        if size == math.inf:
             raise RootFindingError(
-                "inclusion disks overlap at %d bits: %s" % (f, ", ".join(
-                    "%s and %s" % (format(roots[i], ".6g"), format(roots[j], ".6g"))
-                    for i, j in overlaps)),
-                partial_roots=roots)
-        w = [(a << bits, b << bits) for a, b in w]
-        bits *= 2
-
-
-def _aberth_fixed(coeffs, w, f):
-    """Gauss-Seidel Aberth sweeps on the roots w_i = (a_i + ib_i) / 2**f of
-    P, for ``_fixed_coeffs(P, f)``: w_i -= P(w_i) / (P'(w_i) - P(w_i) s_i)
-    with s_i the sum of 1 / (w_i - w_j) over the w_j other than w_i itself
-    (and any equal to it).
-
-    The sweeps stop after the first one in which every step is at most
-    2**(-3f/8) |w_i|, half the bits ``_round_fixed`` keeps, or after
-    _ABERTH_ROUNDS of them; past that bound the Newton polish finishes.
-    """
-    w = list(w)
-    tol = f - f // 4
-    for _ in range(_ABERTH_ROUNDS):
-        converged = True
-        for i, (a, b) in enumerate(w):
-            p_re, p_im, d_re, d_im = _fixed_horner(coeffs, a, b, f)
-            s_re = s_im = 0
-            for c, d in w:
-                e_re, e_im = a - c, b - d
-                norm = e_re * e_re + e_im * e_im
-                if norm:  # 1 / e at scale 2**f
-                    s_re += (e_re << 2 * f) // norm
-                    s_im -= (e_im << 2 * f) // norm
-            den_re = d_re - ((p_re * s_re - p_im * s_im) >> f)
-            den_im = d_im - ((p_re * s_im + p_im * s_re) >> f)
-            if den_re == 0 and den_im == 0:
-                continue
-            step_re, step_im = _fixed_quotient(p_re, p_im, den_re, den_im, f)
-            a -= step_re
-            b -= step_im
-            w[i] = (a, b)
-            if (step_re * step_re + step_im * step_im) << tol > a * a + b * b:
-                converged = False
-        if converged:
-            break
-    return w
+                "the double roots bound no polish width: the noise at %s "
+                "overflows" % format(zi, ".6g"), partial_roots=z)
+        noise.append(0.5 + math.log2(size) - lead)
+        for j, zj in enumerate(z[:i]):
+            if zi == zj:
+                raise RootFindingError(
+                    "the double roots bound no polish width: %s and %s "
+                    "coincide" % (format(zj, ".6g"), format(zi, ".6g")),
+                    partial_roots=z)
+            gap = math.log2(abs(zi - zj))
+            noise[i] -= gap
+            noise[j] -= gap
+    return max(_FIX_BITS, 4 * (math.ceil(max(noise)) + 2))
 
 
 def _overlapping_disks(poly: TracePolynomial, z):
@@ -761,10 +767,8 @@ def _overlapping_disks(poly: TracePolynomial, z):
     n = len(z)
     coeffs = [complex(a, b) for a, b in reversed(poly.coeffs)]
     sizes = [abs(c) for c in coeffs]
-    bounds = []
-    for zi in z:
-        p, _, size = _horner(coeffs, sizes, zi)
-        bounds.append(abs(p) + 8 * (n + 1) * _UNIT * size)
+    bounds = [abs(_horner(coeffs, zi)[0])
+              + 8 * (n + 1) * _UNIT * _modulus_sum(sizes, abs(zi)) for zi in z]
     pairs = _meeting_pairs(sizes[0], z, bounds)
     if pairs:
         for i in {i for pair in pairs for i in pair}:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalError, NonHyperbolicError, SlopeError
+from .errors import NonHyperbolicError, SlopeError
 
 __all__ = [
     "Slope",
@@ -30,10 +30,9 @@ __all__ = [
     "num_components",
     "fundamental_intervals",
     "farey_chain",
+    "accidental_parabolics",
     "off_chain_census",
     "reflection_in_edge",
-    "reduce_slope",
-    "is_nullhomotopic",
 ]
 
 
@@ -202,36 +201,48 @@ _ARITHMETIC_CENSUS = {
 }
 
 
-def off_chain_census(r: Slope) -> frozenset:
-    """A(r): the slopes off r's Farey chain whose loops may have a trace
-    with |phi| <= 2 under the geometric Markoff map of a hyperbolic r.
+def accidental_parabolics(r: Slope) -> tuple:
+    """Lee and Sakuma's accidental parabolics of a hyperbolic r, off its
+    Farey chain, as (form, slope) pairs: the form of r that places each.
 
-    Lee and Sakuma's work on homotopically equivalent simple loops on
-    2-bridge spheres places the accidental parabolics off the chain: for
-    p = 2n + 1 there is one on r = [n, 2] and on r = [2, n], and on their
-    mirrors 1 - r (for p = 5 the two forms coincide):
+    From their work on homotopically equivalent simple loops on 2-bridge
+    spheres, for p = 2n + 1 there is one on r = [n, 2] and on r = [2, n],
+    and on their mirrors 1 - r:
 
-    - q = 2 (r = [n, 2]): 1/p;       q = p - 2: (p - 1)/p;
-    - q = n (r = [2, n]): (n + 1)/p; q = n + 1: n/p.
+    - form "[n, 2]": q = 2 gives 1/p;       q = p - 2 gives (p - 1)/p;
+    - form "[2, n]": q = n gives (n + 1)/p; q = n + 1 gives n/p.
 
-    The figure-eight knot (2/5, 3/5) and the Whitehead link (3/8, 5/8)
-    add loxodromic small traces (``_ARITHMETIC_CENSUS``).  Every other r
-    has an empty A(r).  On all 1 134 hyperbolic slopes with p <= 64 the
-    interior census of the geometric map (its small traces inside the
-    cut-off intervals of the boundary edges) equals A(r) exactly, and
-    ``mcshane.census_scan`` rejects a root class at its first small trace
-    there outside A(r).
+    For p = 5 the two forms coincide and both are listed, "[n, 2]" first;
+    every other r has at most one, and an even p none.
     """
     if not is_hyperbolic(r):
         raise NonHyperbolicError(r)
     q, p = r.num, r.den
-    found = list(_ARITHMETIC_CENSUS.get((q, p), ()))
-    if p % 2:
-        n = p // 2
-        found += [(num, p) for num, hit in ((1, q == 2), (p - 1, q == p - 2),
-                                             (n + 1, q == n), (n, q == n + 1))
-                  if hit]
-    return frozenset(Slope(num, den) for num, den in found)
+    if p % 2 == 0:
+        return ()
+    n = p // 2
+    return tuple((form, Slope(num, p)) for form, num, hit in (
+        ("[n, 2]", 1, q == 2), ("[n, 2]", p - 1, q == p - 2),
+        ("[2, n]", n + 1, q == n), ("[2, n]", n, q == n + 1)) if hit)
+
+
+def off_chain_census(r: Slope) -> frozenset:
+    """A(r): the slopes off r's Farey chain whose loops may have a trace
+    with |phi| <= 2 under the geometric Markoff map of a hyperbolic r.
+
+    They are Lee and Sakuma's accidental parabolics
+    (``accidental_parabolics``), and for the figure-eight knot (2/5, 3/5)
+    and the Whitehead link (3/8, 5/8) the loxodromic small traces of
+    ``_ARITHMETIC_CENSUS``.  Every other r has an empty A(r).  On all
+    1 134 hyperbolic slopes with p <= 64 the interior census of the
+    geometric map (its small traces inside the cut-off intervals of the
+    boundary edges) equals A(r) exactly, and ``mcshane.census_scan``
+    rejects a root class at its first small trace there outside A(r).
+    """
+    found = {s for _, s in accidental_parabolics(r)}
+    found.update(Slope(num, den)
+                 for num, den in _ARITHMETIC_CENSUS.get((r.num, r.den), ()))
+    return frozenset(found)
 
 
 @dataclass(frozen=True)
@@ -246,11 +257,6 @@ class Interval:
             raise SlopeError("interval endpoints must be finite")
         if self.left > self.right:
             raise SlopeError("interval endpoints out of order")
-
-    def contains(self, s: Slope) -> bool:
-        if s.is_infinite:
-            return False
-        return self.left <= s <= self.right
 
     def __str__(self):
         return "[%s, %s]" % (self.left, self.right)
@@ -277,23 +283,16 @@ def fundamental_intervals(r: Slope):
 # Reflection group machinery
 
 
-def _mat_apply(m, s: Slope) -> Slope:
-    a, b, c, d = m
-    return Slope(a * s.num + b * s.den, c * s.num + d * s.den)
-
-
 @dataclass(frozen=True)
 class EdgeReflection:
     """Reflection of the Farey tessellation in the edge <u, v>.
 
-    On slopes it acts as the determinant -1 involution fixing u and v.
+    On slopes its matrix acts as the determinant -1 involution fixing u
+    and v.
     """
 
     edge: tuple
     matrix: tuple
-
-    def __call__(self, s: Slope) -> Slope:
-        return _mat_apply(self.matrix, s)
 
     def __str__(self):
         return "R<%s,%s>" % (str(self.edge[0]), str(self.edge[1]))
@@ -308,66 +307,3 @@ def reflection_in_edge(u: Slope, v: Slope) -> EdgeReflection:
     b, a = v.num, v.den
     m = (q * a + p * b, -2 * q * b, 2 * p * a, -(q * a + p * b))
     return EdgeReflection(edge=(u, v), matrix=m)
-
-
-def _infinity_reflection(k: int) -> EdgeReflection:
-    """Reflection z -> 2k - z in the edge <inf, k>."""
-    return reflection_in_edge(INFINITY, Slope(k, 1))
-
-
-def reduce_slope(s: Slope, r: Slope):
-    """Reduce s into I1(r) u I2(r) u {inf, r} by the reflection group.
-
-    Alternates (a) normalising into [0,1] with reflections fixing inf and
-    (b) reflecting in the gap edge <r, r1> or <r, r2> that brackets s.  The
-    numerator+denominator of the normalised slope strictly decreases at each
-    step (b), which is asserted, and this bounds the loop.  Returns
-    (s0, letters): the ``EdgeReflection``s in the order they act, which
-    take s to s0.
-    """
-    i1, i2 = fundamental_intervals(r)
-    r1, r2 = i1.right, i2.left
-    g_left = reflection_in_edge(r, r1)
-    g_right = reflection_in_edge(r, r2)
-
-    letters = []
-    cur = s
-    prev_metric = None
-    while True:
-        if cur.is_infinite:
-            return cur, tuple(letters)
-        if cur < ZERO or cur > ONE:
-            q, p = cur.num, cur.den
-            k = q // (2 * p)
-            if q - 2 * p * k <= p:  # translate z -> z - 2k
-                for letter in (_infinity_reflection(k), _infinity_reflection(0)):
-                    letters.append(letter)
-                    cur = letter(cur)
-            else:  # reflect z -> 2(k+1) - z
-                letter = _infinity_reflection(k + 1)
-                letters.append(letter)
-                cur = letter(cur)
-        if cur == r or i1.contains(cur) or i2.contains(cur):
-            return cur, tuple(letters)
-        metric = abs(cur.num) + cur.den
-        if prev_metric is not None and metric >= prev_metric:
-            raise InternalError(
-                "reduction metric did not decrease at %s (r=%s)" % (cur, r)
-            )
-        prev_metric = metric
-        letter = g_left if cur < r else g_right
-        letters.append(letter)
-        cur = letter(cur)
-
-
-def is_nullhomotopic(s: Slope, r: Slope) -> bool:
-    """True iff the simple loop of slope s dies in the link complement,
-    i.e. s reduces to inf or to r.
-
-    No subcommand and no pipeline stage calls it; it is a library entry
-    point.  The geometric-root filter cannot use it: ``reduce_slope``
-    leaves every slope of I1(r) u I2(r) where it is, so it finds none of
-    the accidental parabolics there, which ``off_chain_census`` lists.
-    """
-    s0, _ = reduce_slope(s, r)
-    return s0 == r or s0.is_infinite

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from slope_oracles import opposite_vertex
+from slope_oracles import contains, opposite_vertex, reduce_slope, reflect
 from twobridge import plat
 from twobridge.cusp_layout import check_simply_folded, layout_cusp
 from twobridge.endinvariants import bowditch_L, gap_intervals
@@ -23,7 +23,6 @@ from twobridge.slopes import (
     Slope,
     fundamental_intervals,
     is_hyperbolic,
-    reduce_slope,
     reflection_in_edge,
 )
 
@@ -228,14 +227,14 @@ def test_criterion_08_reduction_oracle():
                 new = set()
                 for t in frontier:
                     for g in gens:
-                        u = g(t)
+                        u = reflect(g, t)
                         if u not in ball:
                             ball.add(u)
                             new.add(u)
                 frontier = new
             members = {t for t in ball
                        if t.is_infinite or t == r
-                       or i1.contains(t) or i2.contains(t)}
+                       or contains(i1, t) or contains(i2, t)}
             assert s0 in members, (r, s)
             if s0 == r or s0.is_infinite:
                 assert all(m == r or m.is_infinite for m in members), (r, s)

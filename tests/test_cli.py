@@ -524,3 +524,19 @@ def test_near_parabolic_root_at_large_p(capsys):
     assert code == 0 and err == ""
     doc = json.loads(out)
     assert not doc["partial"] and doc["identity_residual"] <= 1e-6
+
+
+@pytest.mark.slow
+def test_identity_at_p301(capsys):
+    """100/301's double roots certify once Aberth evaluates its trace
+    polynomial by the mediant walk, and ``identity`` passes every
+    acceptance rule, with lambda within 1e-8 of its recorded value."""
+    code, out, err = run(capsys, "identity", "100/301")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert not doc["partial"]
+    assert doc["identity_residual"] <= 1e-6
+    assert doc["finite_identity_residual"] <= 1e-9
+    assert doc["form_disagreement"] <= 1e-6
+    lam = complex(*doc["lambda_link"])
+    assert abs(lam - complex(-2.99974098477, 2.64676906162)) <= 1e-8

@@ -160,132 +160,130 @@ class TestPolynomialRoots:
             for a, b in zip(got, want):
                 assert abs(a - b) < 1e-6 * (1 + abs(b))
 
-    def test_extended_precision(self):
-        """The fixed-point refinement, called directly, certifies the same
-        correctly rounded roots as double precision does, from the double
-        approximations and from a start that is off by far more."""
-        poly = trace_polynomial(S25)
-        poly = poly.shift_down(poly.content_power_of_x())
-        double, f, _ = markoff._certified_roots(poly)
-        assert f == markoff._FIX_BITS
-        for start in (double, [z * (1 + 1e-3j) for z in double]):
-            roots, f, _ = markoff._refined_roots(poly, start)
-            assert f == markoff._REFINE_BITS + markoff._REFINE_EXTRA_BITS
-            assert not markoff._overlapping_disks(poly, roots)
-            assert sorted(roots, key=repr) == sorted(double, key=repr)
-        assert min(abs(z - cmath.exp(-1j * cmath.pi / 6)) for z in roots) < 1e-14
+    def test_polish_width_read_off_the_roots(self, monkeypatch):
+        """The polish width is read off the double roots: _FIX_BITS on every
+        trace polynomial with p <= 24, and wider where the noise bound of a
+        root asks for it, as on 3/56 and 5/56."""
+        widths = []
+        width = markoff._polish_width
+        monkeypatch.setattr(markoff, "_polish_width", lambda poly, z: (
+            widths.append(width(poly, z)) or widths[-1]))
+        for r in _hyperbolic(24):
+            polynomial_roots(trace_polynomial(r))
+        assert set(widths) == {markoff._FIX_BITS}
+        for r in (Slope(3, 56), Slope(5, 56)):
+            widths.clear()
+            polynomial_roots(trace_polynomial(r))
+            assert widths == [192]
 
     @pytest.mark.parametrize("r", [(5, 27), (9, 17), (39, 41), (2, 47),
-                                   (3, 43), (3, 46), (7, 47)])
-    def test_roots_correctly_rounded(self, r, monkeypatch):
-        """Each root is the double nearest the exact root: Newton at 80
-        digits from the returned value, rounded once, gives it back, and no
-        two returned roots refine onto the same root.  Real roots come out
-        with imaginary part exactly 0.  On 2/47 the cluster near
+                                   (3, 43), (3, 46), (7, 47), (3, 56), (5, 56)])
+    def test_roots_correctly_rounded(self, r):
+        """Each root is the double nearest the exact root, at 80 digits
+        (``_assert_correctly_rounded``).  On 2/47 the cluster near
         +-1.98218 +- 0.00076i is ill-conditioned in x: its roots certify in
-        y = x^2, and each x = sqrt(y) is polished from the y polished
-        against Q.  The double roots of 3/43, 3/46 and 7/47 do not certify,
-        so these take the fixed-point refinement, and the others do not."""
-        refined = []
-        refine = markoff._refined_roots
-        monkeypatch.setattr(markoff, "_refined_roots",
-                            lambda poly, z: refined.append(poly) or refine(poly, z))
+        y = x^2, and each x = sqrt(y) is taken from the y polished against
+        Q.  The roots
+        of 3/43, 3/46 and 7/47 did not certify in double precision while
+        Aberth evaluated Q by Horner's rule.  3/56 and 5/56 are polished at
+        192 bits, read off their roots; at a fixed 160 bits two real roots
+        of 5/56 come out with imaginary part 1.5e-36."""
         poly = trace_polynomial(Slope(*r))
         k = poly.content_power_of_x()
-        coeffs = [mpmath.mpc(a, b) for a, b in reversed(poly.shift_down(k).coeffs)]
         roots = polynomial_roots(poly)
-        assert len(refined) == (r in [(3, 43), (3, 46), (7, 47)])
         assert roots[:k] == [0j] * k
-        limits = []
-        with mpmath.workdps(80):
-            for z in roots[k:]:
-                w = mpmath.mpc(z)
-                for _ in range(8):
-                    value, slope = mpmath.polyval(coeffs, w, derivative=True)
-                    w -= value / slope
-                assert z == complex(w)
-                limits.append(w)
-            assert all(abs(a - b) > 1e-30 for i, a in enumerate(limits)
-                       for b in limits[:i])
+        _assert_correctly_rounded(poly.shift_down(k), roots[k:], 80)
         if r == (5, 27):
             assert 1 + 0j in roots
 
+    @pytest.mark.slow
+    def test_roots_correctly_rounded_at_large_p(self):
+        """Every root of 3/200 (degree 200 in x, coefficients of up to 132
+        bits) is correctly rounded at 300 digits, and so each of its 64
+        nonzero real roots has imaginary part exactly 0 (28 of them had
+        parts of 2e-99 to 2e-81 while the width was not read off the
+        roots)."""
+        poly = trace_polynomial(Slope(3, 200))
+        k = poly.content_power_of_x()
+        roots = polynomial_roots(poly)
+        assert roots[:k] == [0j] * k
+        _assert_correctly_rounded(poly.shift_down(k), roots[k:], 300)
+        assert sum(z.imag == 0 for z in roots[k:]) == 64
+
     def test_double_roots_certified_up_to_p30(self, monkeypatch):
-        """Every squarefree part of a trace polynomial with p <= 30 is
-        certified in double precision: the fixed-point refinement never
-        runs.  Nor does it on 43/45, 39/46, 2/47 and 45/47, whose roots
-        needed more than double precision while they were found in x rather
-        than in y = x^2."""
-        escalated = []
-        refine = markoff._refined_roots
+        """Every Newton polish of a root y settles on its step test, and the
+        roots certify, on every trace polynomial with p <= 30 and on 43/45,
+        39/46, 45/47, 2/47, 42/47, 3/43, 3/46 and 7/47.  Horner's double
+        roots of the last five did not all settle or certify at 160 bits;
+        the walk's do."""
+        settled = []
+        newton = markoff._newton_fixed
 
-        def counting(poly, z):
-            escalated.append(poly.degree)
-            return refine(poly, z)
+        def recording(coeffs, a, b, f):
+            result = newton(coeffs, a, b, f)
+            settled.append(result[2])
+            return result
 
-        monkeypatch.setattr(markoff, "_refined_roots", counting)
+        monkeypatch.setattr(markoff, "_newton_fixed", recording)
         slopes = [Slope(q, p) for p in range(3, 31) for q in range(1, p)
                   if math.gcd(q, p) == 1 and is_hyperbolic(Slope(q, p))]
         assert len(slopes) == 220
-        slopes += [Slope(43, 45), Slope(39, 46), Slope(2, 47), Slope(45, 47)]
+        slopes += [Slope(43, 45), Slope(39, 46), Slope(45, 47), Slope(2, 47),
+                   Slope(42, 47), Slope(3, 43), Slope(3, 46), Slope(7, 47)]
         for r in slopes:
             poly = trace_polynomial(r)
             assert len(polynomial_roots(poly)) == poly.degree
-        assert escalated == []
+        assert len(settled) == 2365 and all(settled)  # one per simple root y
 
     def test_duplicated_approximation_fails_certification(self):
         """Two approximations of one root leave another root uncovered;
         their disks meet, whether the two are equal or merely close."""
         poly = trace_polynomial(Slope(3, 7))
         poly = poly.shift_down(poly.content_power_of_x())
-        roots, _, _ = markoff._certified_roots(poly)
+        roots, _, _ = markoff._certified_roots(poly, None)
         assert markoff._overlapping_disks(poly, roots) == []
         for copy in (roots[0], roots[0] + 1e-9):
             assert (0, 1) in markoff._overlapping_disks(poly, [roots[0], copy] + roots[2:])
 
-    def test_inseparable_roots_fail_past_the_width_cap(self):
-        """1 and 1 + 2**-60 round to the same double, so their disks meet
-        at every width: the refinement doubles up to its cap and then
-        names them."""
+    def test_inseparable_roots_raise(self):
+        """1 and 1 + 2**-60 round to the same double, and their double
+        approximations lie about 1e-8 from 1, where Newton's polish moves
+        linearly: a RootFindingError names both, with the width, and
+        nothing is retried at a greater width."""
         e = 2 ** 60
         poly = TracePolynomial([(e + 1, 0), (-(2 * e + 1), 0), (e, 0)])
-        with pytest.raises(RootFindingError,
-                           match=re.escape("overlap at 832 bits: 1+0j and 1+0j")) as info:
+        with pytest.raises(RootFindingError, match="did not settle in 6 steps "
+                           "at 160 bits for 2 of 2 roots") as info:
             polynomial_roots(poly)
-        assert info.value.partial_roots == [1 + 0j, 1 + 0j]
+        named = info.value.partial_roots
+        assert all(abs(z - 1) < 1e-7 for z in named)
+        assert str(info.value).endswith(", ".join(format(z, ".6g") for z in named))
 
     def test_non_finite_root_fails_residual_check(self, monkeypatch):
-        certified = markoff._certified_roots
+        nonzero = markoff._nonzero_roots
 
-        def one_nan(poly):
-            z, f, fixed = certified(poly)
-            return [complex("nan+nanj")] + z[1:], f, [None] + fixed[1:]
+        def one_nan(poly, evaluate=None):
+            return [complex("nan+nanj")] * 2 + nonzero(poly, evaluate)[2:]
 
-        monkeypatch.setattr(markoff, "_certified_roots", one_nan)
+        monkeypatch.setattr(markoff, "_nonzero_roots", one_nan)
         with pytest.raises(RootFindingError, match="residual check failed for 2 ") as info:
             polynomial_roots(trace_polynomial(Slope(3, 7)))
-        # a NaN y = x^2 gives the NaN pair x, -x
         assert sum(cmath.isnan(z) for z in info.value.partial_roots) == 2
 
-    def test_non_finite_approximation_refined_away(self, monkeypatch):
-        """A NaN among the double approximations fails certification; the
-        refinement restarts it from the circle and finds the root it
-        stood for."""
-        poly = trace_polynomial(Slope(3, 7))
-        want = polynomial_roots(poly)
+    def test_non_finite_approximation_raises(self, monkeypatch):
+        """A NaN among the double approximations bounds no polish width:
+        a RootFindingError says so, and nothing restarts it."""
         aberth = markoff._aberth
 
-        def one_nan(coeffs):
-            z, converged = aberth(coeffs)
-            return [complex("nan+nanj")] + z[1:], converged
+        def one_nan(coeffs, evaluate):
+            return [complex("nan+nanj")] + aberth(coeffs, evaluate)[1:]
 
         monkeypatch.setattr(markoff, "_aberth", one_nan)
-        refine = markoff._refined_roots
-        refined = []
-        monkeypatch.setattr(markoff, "_refined_roots",
-                            lambda poly, z: refined.append(z) or refine(poly, z))
-        assert polynomial_roots(poly) == want
-        assert len(refined) == 1 and cmath.isnan(refined[0][0])
+        with pytest.raises(RootFindingError,
+                           match="bound no polish width: 1 of 3 are not "
+                                 "finite") as info:
+            polynomial_roots(trace_polynomial(Slope(3, 7)))
+        assert cmath.isnan(info.value.partial_roots[0])
 
     def test_exact_gcd_only_for_repeated_roots(self, monkeypatch):
         """The modular test proves every other trace polynomial with p <= 30
@@ -300,12 +298,10 @@ class TestPolynomialRoots:
             return exact_split(poly)
 
         monkeypatch.setattr(markoff, "_squarefree_split", counted)
-        # the root i, as a settled fixed-point value, so x = sqrt(y) is
-        # taken without a polish against P
+        # the root i, with its fixed-point value for x = sqrt(y)
         unit = 1 << markoff._FIX_BITS
-        monkeypatch.setattr(markoff, "_certified_roots",
-                            lambda poly: ([1j] * poly.degree, markoff._FIX_BITS,
-                                          [(0, unit)] * poly.degree))
+        monkeypatch.setattr(markoff, "_certified_roots", lambda poly, evaluate: (
+            [1j] * poly.degree, markoff._FIX_BITS, [(0, unit)] * poly.degree))
         for p in range(3, 31):
             for q in range(1, p):
                 r = Slope(q, p)
@@ -316,26 +312,20 @@ class TestPolynomialRoots:
         assert set(calls) == {Slope(7, 24), Slope(17, 24)}
 
     def test_square_root_taken_only_from_a_settled_y(self, monkeypatch):
-        """x is the fixed-point square root of y's polished value only where
-        y's Newton polish settled on its step test.  On 42/47 and 2/47,
-        clusters near y = -3.58 do not settle in _POLISH_ROUNDS steps (5 and
-        6 of their 23 roots y), and those x are polished against P instead:
-        on 42/47 the square root of the unsettled y would lie 5e-6 from the
-        root 1.8969000191973682j, which comes out exactly, real part +0.0."""
-        taken, polished = [], []
-        fixed_sqrt, polish = markoff._fixed_sqrt, markoff._polish_exact
-        monkeypatch.setattr(markoff, "_fixed_sqrt",
-                            lambda *args: taken.append(1) or fixed_sqrt(*args))
-        monkeypatch.setattr(markoff, "_polish_exact",
-                            lambda *args: polished.append(1) or polish(*args))
-        counts, roots = {}, {}
+        """x is the fixed-point square root of y's polished value, and y's
+        Newton polish settled on its step test.  On 42/47 and 2/47 every
+        one of the 23 polishes settles, the clusters near y = -3.58
+        included, and the root 1.8969000191973682j of 42/47 comes out
+        exactly, real part +0.0."""
+        settled = []
+        newton = markoff._newton_fixed
+        monkeypatch.setattr(markoff, "_newton_fixed", lambda *args: (
+            settled.append(newton(*args)[2]) or newton(*args)))
+        roots = {}
         for r in ("42/47", "2/47"):
-            taken.clear()
-            polished.clear()
+            settled.clear()
             roots[r] = polynomial_roots(trace_polynomial(Slope.parse(r)))
-            # every root y is polished once; the rest of the calls polish x
-            counts[r] = (len(taken), len(polished) - 23)
-        assert counts == {"42/47": (18, 5), "2/47": (17, 6)}
+            assert settled == [True] * 23
         root = 1.8969000191973682j
         [z] = [z for z in roots["42/47"] if z == root]
         assert math.copysign(1.0, z.real) == 1.0 and -root in roots["42/47"]
@@ -379,28 +369,17 @@ class TestPolynomialRoots:
             assert len(roots) == poly.degree
             assert len(set(roots)) == len(roots) - 4  # two repeated y, +-x each
 
-    def test_fallback_polish_settles_or_raises(self, monkeypatch):
-        """Where y's Newton polish did not settle, x is polished against P,
-        and that polish must settle: on 42/47 all five such polishes do.
-        With one Newton step allowed, neither polish of 2/5 settles, and
-        the first x raises a RootFindingError that names it."""
-        polish = markoff._polish_exact
-        x_settled = []
-
-        def recording(coeffs, z, f):
-            result = polish(coeffs, z, f)
-            if len(coeffs) == 47:  # P / x^k of 42/47, degree 46, in x
-                x_settled.append(result[1] is not None)
-            return result
-
-        monkeypatch.setattr(markoff, "_polish_exact", recording)
-        polynomial_roots(trace_polynomial(Slope(42, 47)))
-        assert x_settled == [True] * 5
+    def test_unsettled_polish_raises(self, monkeypatch):
+        """A Newton polish of y that does not settle raises, with no polish
+        of x to fall back on: with one Newton step allowed, neither root of
+        2/5 in y settles, and a RootFindingError names both and the
+        width."""
         monkeypatch.setattr(markoff, "_POLISH_ROUNDS", 1)
         with pytest.raises(RootFindingError,
-                           match=r"polish of x = sqrt\(.*\) against P did not "
-                                 r"settle in 1 steps"):
+                           match=r"did not settle in 1 steps at 160 bits "
+                                 r"for 2 of 2 roots: \S+, \S+$") as info:
             polynomial_roots(trace_polynomial(Slope(2, 5)))
+        assert len(info.value.partial_roots) == 2
 
     def test_residual_checked_once_per_sign_class(self, monkeypatch):
         """Horner's rule gives |P(-x)| = |P(x)| exactly for an even or odd
@@ -477,6 +456,26 @@ def _q_i_split(poly):
     quotient = divmod_monic(p, gcd)[0]
     scale = math.lcm(*(x.denominator for c in quotient for x in c))
     return tuple((int(re * scale), int(im * scale)) for re, im in quotient), gcd
+
+
+def _assert_correctly_rounded(poly, roots, digits):
+    """Each of ``roots`` is the double nearest a root of ``poly``: Newton at
+    ``digits`` digits from it, rounded once, gives it back, and no two
+    refine onto the same root.  So a root whose exact value is real comes
+    out with imaginary part exactly 0.  The mpmath coefficients are built
+    inside ``workdps``: outside it mpmath rounds them to 53 bits."""
+    limits = []
+    with mpmath.workdps(digits):
+        coeffs = [mpmath.mpc(a, b) for a, b in reversed(poly.coeffs)]
+        for z in roots:
+            w = mpmath.mpc(z)
+            for _ in range(8):
+                value, slope = mpmath.polyval(coeffs, w, derivative=True)
+                w -= value / slope
+            assert z == complex(w), z
+            limits.append(w)
+        assert all(abs(a - b) > 1e-30 for i, a in enumerate(limits)
+                   for b in limits[:i])
 
 
 class TestGeometricSelection:

@@ -21,14 +21,6 @@ from twobridge import kernels
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
-# Exports that no code in the package uses, each kept as a library entry
-# point for the reason given.
-ENTRY_POINTS = {
-    "is_nullhomotopic",          # the limit-set test of one slope
-    "interval_meets_limit_set",  # the limit-set test of an open interval
-}
-
-
 def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
@@ -73,9 +65,8 @@ def _defined_names(stmt):
 
 def test_exported_names_are_used():
     """Code in twobridge reads every name in each module's ``__all__``
-    outside that name's own definition, unless it is listed in
-    ENTRY_POINTS.  The sources are parsed, so a docstring, a comment or an
-    import does not count as a use."""
+    outside that name's own definition.  The sources are parsed, so a
+    docstring, a comment or an import does not count as a use."""
     used = set()
     for path in Path(twobridge.__file__).resolve().parent.glob("*.py"):
         for stmt in ast.parse(path.read_text()).body:
@@ -94,7 +85,7 @@ def test_exported_names_are_used():
         module = importlib.import_module("twobridge." + info.name)
         unused += ["%s.%s" % (info.name, name)
                    for name in getattr(module, "__all__", ())
-                   if name not in used and name not in ENTRY_POINTS]
+                   if name not in used]
     assert not unused, unused
 
 
