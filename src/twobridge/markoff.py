@@ -4,8 +4,9 @@ geometric root.
 The trace of the slope-s loop is phi(s); on every Farey triangle the triple
 (x, y, z) of traces satisfies x^2 + y^2 + z^2 = xyz and across an edge
 phi(s0) + phi(s3) = phi(s1) phi(s2).  Normalising phi(inf) = 0 and
-phi(1) = i phi(0) turns phi(r) into a polynomial in x = phi(0) with Z[i]
-coefficients whose nonzero roots are the candidate holonomy traces.
+phi(1) = i phi(0) makes phi(q/p) = i^(q mod 2) psi(x), psi a polynomial in
+x = phi(0) with integer coefficients (``trace_polynomial``), whose nonzero
+roots are the candidate holonomy traces.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 from . import kernels
@@ -22,11 +24,10 @@ from .errors import (
     EllipticTraceError,
     InternalError,
     NoGeometricRootError,
-    NonHyperbolicError,
     NotGeometricEvaluationError,
     RootFindingError,
 )
-from .slopes import INFINITY, Slope, is_hyperbolic
+from .slopes import INFINITY, Slope
 
 __all__ = [
     "TracePolynomial",
@@ -39,145 +40,121 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# Z[i] polynomials
+# Integer polynomials
 
 
 class TracePolynomial:
-    """Polynomial in x with Gaussian-integer coefficients, ascending order.
+    """Polynomial in x with integer coefficients, ascending order.
 
-    Coefficients are (re, im) pairs of Python ints, so the symbolic chain
-    recursion is exact at any size.  ``slope`` is r when the polynomial is
-    phi(r) from ``trace_polynomial``, whose mediant walk then evaluates it
-    in ``polynomial_roots``; it is None for any other polynomial.
+    Coefficients are Python ints, so the chain recursion is exact at any
+    size.  ``edges`` is r's boundary edge system when the polynomial is
+    psi(r) from ``trace_polynomial``; ``polynomial_roots`` then evaluates it
+    by a walk down the Farey chain the edge system holds.  It is None for
+    any other polynomial.
     """
 
-    __slots__ = ("coeffs", "slope")
+    __slots__ = ("coeffs", "edges")
 
     def __init__(self, coeffs):
-        coeffs = [(int(a), int(b)) for a, b in coeffs]
-        while len(coeffs) > 1 and coeffs[-1] == (0, 0):
+        coeffs = [int(c) for c in coeffs]
+        while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
-        self.slope = None
-
-    @classmethod
-    def zero(cls):
-        return cls([(0, 0)])
-
-    @classmethod
-    def variable(cls, scale=(1, 0)):
-        """scale * x."""
-        return cls([(0, 0), scale])
+        self.edges = None
 
     @property
     def degree(self):
-        if self.coeffs == ((0, 0),):
+        if self.coeffs == (0,):
             return -1
         return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return self.coeffs == ((0, 0),)
-
-    def __eq__(self, other):
-        return isinstance(other, TracePolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [(0, 0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [(0, 0)] * (n - len(other.coeffs))
-        return TracePolynomial([(p[0] - q[0], p[1] - q[1]) for p, q in zip(a, b)])
-
-    def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return TracePolynomial.zero()
-        out = [(0, 0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, (a, b) in enumerate(self.coeffs):
-            if a == 0 and b == 0:
-                continue
-            for j, (c, d) in enumerate(other.coeffs):
-                re, im = out[i + j]
-                out[i + j] = (re + a * c - b * d, im + a * d + b * c)
-        return TracePolynomial(out)
 
     def __call__(self, x):
         """Horner evaluation at a complex x."""
         acc = 0j
-        for a, b in reversed(self.coeffs):
-            acc = acc * x + complex(a, b)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
         return acc
 
     def derivative(self):
-        if self.degree <= 0:
-            return TracePolynomial.zero()
-        return TracePolynomial(
-            [(k * a, k * b) for k, (a, b) in enumerate(self.coeffs)][1:]
-        )
+        return TracePolynomial([k * c for k, c in enumerate(self.coeffs)][1:] or [0])
 
     def max_coeff_abs(self):
-        return max(math.hypot(a, b) for a, b in self.coeffs)
+        return max(map(abs, self.coeffs))
 
     def content_power_of_x(self):
         """Largest k with x^k dividing the polynomial."""
         for k, c in enumerate(self.coeffs):
-            if c != (0, 0):
+            if c:
                 return k
         return 0
 
     def shift_down(self, k):
         """Divide by x^k (exact)."""
-        if any(c != (0, 0) for c in self.coeffs[:k]):
+        if any(self.coeffs[:k]):
             raise DomainError("polynomial not divisible by x^%d" % k)
-        return TracePolynomial(self.coeffs[k:] or [(0, 0)])
+        return TracePolynomial(self.coeffs[k:] or [0])
 
     def __str__(self):
-        terms = []
-        for k, (a, b) in enumerate(self.coeffs):
-            if (a, b) == (0, 0):
-                continue
-            if b == 0:
-                c = "%d" % a
-            elif a == 0:
-                c = "%di" % b
-            else:
-                c = "(%d%+di)" % (a, b)
-            terms.append(c if k == 0 else "%s*x^%d" % (c, k))
+        terms = ["%d" % c if k == 0 else "%d*x^%d" % (c, k)
+                 for k, c in enumerate(self.coeffs) if c]
         return " + ".join(terms) if terms else "0"
 
 
 def trace_polynomial(r: Slope) -> TracePolynomial:
-    """phi(r) as a polynomial in x = phi(0), from the symbolic edge relation
-    pushed down the mediant descent to r (``_descend``, the walk of
-    ``MarkoffEvaluation.phi``) from (phi(inf), phi(0), phi(1)) = (0, x, ix).
-    The descent crosses the triangles of r's Farey chain.
+    """psi(r) for r = q/p: the polynomial in x = phi(0) with integer
+    coefficients such that phi(r) = i^(q mod 2) psi(r).  It is read off
+    r's Farey chain, in the edge system ``mcshane.boundary_edge_sets(r)``
+    builds, which raises NonHyperbolicError on a non-hyperbolic r.
 
-    The result is checked to be even or odd (``_check_sign_symmetry``),
-    and its ``slope`` is r, so ``polynomial_roots`` evaluates it by the
-    same walk.
+    Why psi lies in Z[x]: write num(s) for the numerator of a slope s and
+    psi(s) = i^-(num(s) mod 2) phi(s).  The normalisation
+    (phi(inf), phi(0), phi(1)) = (0, x, ix) gives psi(inf) = 0 and
+    psi(0) = psi(1) = x.  In each chain triangle (lo, med, hi) the edge
+    relation is phi(med) = phi(lo) phi(hi) - phi(opp), opp the third
+    vertex of the triangle on <lo, hi> before it.  There
+    num(med) = num(lo) + num(hi), and num(opp) = +-(num(lo) - num(hi)) has
+    the same parity, so the relation becomes
+    psi(med) = sigma psi(lo) psi(hi) - psi(opp), with sigma = -1 when
+    num(lo) and num(hi) are both odd (i i = -1) and +1 otherwise.  By
+    induction down the chain every psi(s) lies in Z[x].  Roots and
+    residual moduli do not see the unit, so nothing needs phi(r)'s.
+
+    The result is checked to be even or odd (``_check_sign_symmetry``), and
+    its ``edges`` is r's edge system, so ``polynomial_roots`` walks the same
+    chain and ``geometric_evaluation`` hands the same edge system on to the
+    root selection.
     """
-    if not is_hyperbolic(r):
-        raise NonHyperbolicError(r)
-    poly = _descend(r, Slope(0, 1), Slope(1, 1), TracePolynomial.variable((1, 0)),
-                    TracePolynomial.variable((0, 1)), TracePolynomial.zero())
-    poly = _check_sign_symmetry(poly, r)
-    poly.slope = r
+    from . import mcshane  # imported here: mcshane imports this module's types
+
+    edges = mcshane.boundary_edge_sets(r)
+    lo = hi = [0, 1]  # psi(0/1) = psi(1/1) = x
+    opp = [0]  # psi(inf)
+    # the last triangle, (r1, r, r2), has no turn: its mediant is r
+    for (s_lo, _, s_hi), down in zip(edges.triangles[1:], edges.turns + (True,)):
+        sigma = -1 if s_lo.num & s_hi.num & 1 else 1
+        med = [0] * (len(lo) + len(hi) - 1)
+        for i, a in enumerate(lo):
+            if a:
+                a *= sigma
+                for j, b in enumerate(hi):
+                    med[i + j] += a * b
+        for k, c in enumerate(opp):  # deg psi(opp) < deg psi(med)
+            med[k] -= c
+        lo, hi, opp = (lo, med, hi) if down else (med, hi, lo)
+    poly = _check_sign_symmetry(TracePolynomial(med), r)
+    poly.edges = edges
     return poly
 
 
-def _descend(s: Slope, lo: Slope, hi: Slope, phi_lo, phi_hi, phi_opp, seen=None):
+def _descend(s: Slope, lo: Slope, hi: Slope, phi_lo, phi_hi, phi_opp, seen):
     """phi(s) for s strictly between the Farey neighbours lo < hi, by the
     edge relation phi(med) = phi(lo) phi(hi) - phi(opp) down the mediant
     descent, where opp is the third vertex of the triangle on <lo, hi>
-    away from s.  The values are complex numbers or ``TracePolynomial``s;
-    every mediant's value goes into the dict ``seen`` when one is given.
+    away from s; every mediant's value goes into the dict ``seen``.
     """
     while True:
         med = lo.mediant(hi)
-        phi_med = phi_lo * phi_hi - phi_opp
-        if seen is not None:
-            seen[med] = phi_med
+        phi_med = seen[med] = phi_lo * phi_hi - phi_opp
         if med == s:
             return phi_med
         if s < med:
@@ -196,7 +173,7 @@ def _check_sign_symmetry(poly: TracePolynomial, r) -> TracePolynomial:
     P(-x) = +-P(x), that is P(x) = x^k Q(x^2), and ``polynomial_roots``
     finds the roots of P in y = x^2, at half the degree.
     """
-    if len({k % 2 for k, c in enumerate(poly.coeffs) if c != (0, 0)}) > 1:
+    if len({k % 2 for k, c in enumerate(poly.coeffs) if c}) > 1:
         raise InternalError("trace polynomial of %s mixes even and odd powers "
                             "of x: %s" % (r, poly))
     return poly
@@ -206,27 +183,30 @@ def _check_sign_symmetry(poly: TracePolynomial, r) -> TracePolynomial:
 # Root finding
 #
 # Double-precision Aberth-Ehrlich iteration finds the roots of the
-# squarefree part, and Newton's method in fixed-point Gaussian integers
-# polishes each one against the exact Z[i] coefficients (``_newton_fixed``).
-# The squarefree part is P itself when P's image over GF(_P) is coprime to
-# its derivative (``_squarefree_mod_p``); otherwise it is P / gcd(P, P'),
-# computed exactly in Z[i][x] by a primitive pseudo-remainder sequence
+# squarefree part, and Newton's method in fixed point polishes each one
+# against the exact integer coefficients (``_newton_fixed``).  The
+# squarefree part is P itself when P's image over GF(_P) is coprime to its
+# derivative (``_squarefree_mod_p``); otherwise it is P / gcd(P, P'),
+# computed exactly in Z[x] by a primitive pseudo-remainder sequence
 # (``_squarefree_split``).  An even P(x) = Q(x^2), as every trace
 # polynomial is once its factor x^k is taken out, goes through all of this
 # as Q, in y = x^2, and each x is the fixed-point square root of its y
-# (``_nonzero_roots``, ``_fixed_sqrt``).
+# (``_nonzero_roots``, ``_fixed_sqrt``).  A coefficient past the range of a
+# double raises a RootFindingError before anything is converted
+# (``_double_coeffs``).
 #
-# Aberth evaluates a trace polynomial by r's mediant walk, not by Horner's
-# rule on its expanded coefficients (``_walk``): Q(y) = P(sqrt y) / y^(k/2)
-# and Q'(y) come from the edge relation phi(med) = phi(lo) phi(hi) -
-# phi(opp), carried with its derivative down the descent of ``_descend``.
-# Horner's rounding error grows with sum |c_k| |z|^k, not with |P(z)|
-# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed. (2002),
-# ch. 5), and at large p that sum dwarfs |P|: on 3/200 (Q of degree 99,
-# coefficients of up to 132 bits) 89 of Horner's 99 double roots were off
-# by more than 1e-6, relatively, and the walk's are off by at most 3.3e-16.
-# Horner's rule is left to polynomials with no walk: the factors of a split
-# Q (7/24 and 17/24 at p <= 64) and those ``trace_polynomial`` did not make.
+# Aberth evaluates a trace polynomial by a walk down r's Farey chain, not
+# by Horner's rule on its expanded coefficients (``_walk``): Q(y) =
+# P(sqrt y) / y^(k/2) and Q'(y), up to the unit i^(q mod 2), come from the
+# edge relation phi(med) = phi(lo) phi(hi) - phi(opp), carried with its
+# derivative down the chain.  Horner's rounding error grows with
+# sum |c_k| |z|^k, not with |P(z)| (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed. (2002), ch. 5), and at large p that sum
+# dwarfs |P|: on 3/200 (Q of degree 99, coefficients of up to 132 bits) 89
+# of Horner's 99 double roots were off by more than 1e-6, relatively, and
+# the walk's are off by at most 3.3e-16.  Horner's rule is left to
+# polynomials with no walk: the factors of a split Q (7/24 and 17/24 at
+# p <= 64) and those ``trace_polynomial`` did not make.
 #
 # A fixed-point value is w = (A + iB) / 2**f with Python ints A, B.
 # Truncation in the Horner pass of the polish leaves noise in the low bits
@@ -260,16 +240,13 @@ _ABERTH_ROUNDS = 1000
 # unit roundoff of a double
 _UNIT = 2.0 ** -53
 
-# _P = 2**64 - 59 is prime and _P = 5 (mod 8), so 2 is a quadratic
-# non-residue and 2**((_P - 1) / 4) is a square root of -1: i -> _I_MOD_P
-# is a ring map from Z[i] onto GF(_P).
+# a prime, for the squarefree test over GF(_P)
 _P = 2 ** 64 - 59
-_I_MOD_P = pow(2, (_P - 1) // 4, _P)
 
 
 def _horner(coeffs, x):
-    """(P(x), P'(x)) in double precision for the complex coeffs in
-    descending order."""
+    """(P(x), P'(x)) in double precision for the coeffs in descending
+    order."""
     p = dp = 0j
     for c in coeffs:
         dp = dp * x + p
@@ -286,32 +263,28 @@ def _modulus_sum(sizes, ax):
     return total
 
 
-def _walk(r: Slope, k: int):
-    """The evaluator y -> x^k (Q(y), Q'(y)), x = sqrt(y), of
-    Q(y) = P(x) / x^k, where P = phi(r) is divisible by exactly x^k: r's
-    mediant walk from (phi(inf), phi(0), phi(1)) = (0, x, ix), as
-    ``_descend`` takes it, with phi'(s) = d phi(s) / dx carried alongside
-    by the product rule; Q'(y) = (P'(x) / x^k - k P(x) / x^(k+1)) / 2x.
-    Either square root of y gives the same Newton ratio, and Aberth reads
-    no more than that ratio and whether a value is 0."""
-    turns = []  # True where the walk goes on with <med, hi>
-    lo, hi = Slope(0, 1), Slope(1, 1)
-    med = lo.mediant(hi)
-    while med != r:
-        turns.append(r > med)
-        lo, hi = (med, hi) if r > med else (lo, med)
-        med = lo.mediant(hi)
+def _walk(turns, k: int):
+    """The evaluator y -> u x^k (Q(y), Q'(y)), x = sqrt(y), of
+    Q(y) = P(x) / x^k, where P = psi(r) is divisible by exactly x^k and
+    u = i^(q mod 2) is the unit of phi(r) = u P(x).  ``turns`` are those of
+    r's Farey chain (``EdgeSystem.turns``: True where the chain goes on
+    with <lo, med>).  The evaluator walks phi down the chain from
+    (phi(inf), phi(0), phi(1)) = (0, x, ix), as ``trace_polynomial`` walks
+    psi, with phi'(s) = d phi(s) / dx carried alongside by the product
+    rule; Q'(y) = (P'(x) / x^k - k P(x) / x^(k+1)) / 2x.  Either square root
+    of y, and the unit u, give the same Newton ratio, and Aberth reads no
+    more than that ratio and whether a value is 0."""
 
     def evaluate(y):
         x = cmath.sqrt(y)
         lo, hi, opp = x, 1j * x, 0j
         d_lo, d_hi, d_opp = 1 + 0j, 1j, 0j
-        for up in turns:
+        for down in turns:
             med, d_med = lo * hi - opp, d_lo * hi + lo * d_hi - d_opp
-            if up:
-                lo, opp, d_lo, d_opp = med, lo, d_med, d_lo
-            else:
+            if down:
                 hi, opp, d_hi, d_opp = med, hi, d_med, d_hi
+            else:
+                lo, opp, d_lo, d_opp = med, lo, d_med, d_lo
         p, dp = lo * hi - opp, d_lo * hi + lo * d_hi - d_opp
         return p, (dp - k * p / x) / (2 * x)
 
@@ -334,7 +307,7 @@ def _circle_start(coeffs):
 
 def _aberth(coeffs, evaluate):
     """Simultaneous root iteration in double precision from
-    ``_circle_start``; ``coeffs`` complex, ascending, constant and leading
+    ``_circle_start``; ``coeffs`` ascending doubles, constant and leading
     coefficient nonzero, and ``evaluate(z)`` gives (P(z), P'(z)) up to a
     common factor.
 
@@ -379,7 +352,7 @@ def _aberth(coeffs, evaluate):
 
 
 def polynomial_roots(poly: TracePolynomial):
-    """All complex roots with multiplicity.
+    """All complex roots with multiplicity of an integer polynomial.
 
     Multiplicities are exact: the roots found numerically are those of the
     squarefree part P / gcd(P, P'), and the roots of the gcd, found the same
@@ -387,25 +360,27 @@ def polynomial_roots(poly: TracePolynomial):
     equal floats, so each root class appears once among the distinct values.
     A test over GF(2**64 - 59) proves most trace polynomials squarefree
     (see ``_squarefree_mod_p``), and P is then its own squarefree part; the
-    others are split exactly in Z[i][x] (``_squarefree_split``).
+    others are split exactly in Z[x] (``_squarefree_split``).  A coefficient
+    past the range of a double raises a RootFindingError that names its bit
+    length, before any is converted (``_double_coeffs``).
 
     An even P(x) / x^k = Q(x^2), as every trace polynomial gives (see
     ``trace_polynomial``), is solved in y = x^2 at half the degree: the
     squarefree test, the exact gcd, Aberth, the polish and the
     certification all run on Q.  Double-precision Aberth evaluates the Q
-    of phi(r) by r's mediant walk (``_walk``), and any other polynomial by
-    Horner's rule.  Each root is then polished by Newton's method in fixed
-    point against the exact coefficients, at a width read off the double
-    roots (``_polish_width``; 160 bits on every slope with p <= 24), and
-    rounded to a complex, so a root such as x = 1 comes out exact and a
-    real root has imaginary part 0.  x = sqrt(y) is taken in fixed point
-    from y's unrounded polished value.  The roots of each squarefree part
-    are certified: their inclusion disks are pairwise disjoint, so each
-    holds exactly one root and no root is missed or found twice.  Nothing
-    is retried at a greater width: where Aberth does not converge, the
-    double roots bound no width (two coincide, or one is not finite), a
-    polish does not settle in _POLISH_ROUNDS Newton steps or two disks
-    overlap, a RootFindingError names the roots and the width.
+    of psi(r) by a walk down r's Farey chain (``_walk``), and any other
+    polynomial by Horner's rule.  Each root is then polished by Newton's
+    method in fixed point against the exact coefficients, at a width read
+    off the double roots (``_polish_width``; 160 bits on every slope with
+    p <= 24), and rounded to a complex, so a root such as x = 1 comes out
+    exact and a real root has imaginary part 0.  x = sqrt(y) is taken in
+    fixed point from y's unrounded polished value.  The roots of each
+    squarefree part are certified: their inclusion disks are pairwise
+    disjoint, so each holds exactly one root and no root is missed or found
+    twice.  Nothing is retried at a greater width: where Aberth does not
+    converge, the double roots bound no width (two coincide, or one is not
+    finite), a polish does not settle in _POLISH_ROUNDS Newton steps or two
+    disks overlap, a RootFindingError names the roots and the width.
 
     The roots come in pairs x, -x, with x the sign class representative
     (Re x > 0, ties broken by Im x > 0) and -x its exact negation, which is
@@ -416,14 +391,14 @@ def polynomial_roots(poly: TracePolynomial):
     """
     if poly.degree < 1:
         raise DomainError("root finding needs degree >= 1")
+    scale = 1e-10 * max(map(abs, _double_coeffs(poly)))
     k = poly.content_power_of_x()
     base = poly.shift_down(k)
-    evaluate = None if poly.slope is None else _walk(poly.slope, k)
+    evaluate = None if poly.edges is None else _walk(poly.edges.turns, k)
     roots = [0j] * k + _nonzero_roots(base, evaluate)
-    scale = 1e-10 * poly.max_coeff_abs()
     # for an even or odd P, Horner's rule gives P(-z) = +-P(z) exactly, as
     # every product it forms changes sign exactly: one check per sign class
-    signed = all(c == (0, 0) for c in base.coeffs[1::2])
+    signed = not any(base.coeffs[1::2])
     verdicts, bad = {}, []
     for z in roots:
         key = max(z, -z, key=_representative_key) if signed else z
@@ -437,6 +412,18 @@ def polynomial_roots(poly: TracePolynomial):
             partial_roots=roots,
         )
     return roots
+
+
+def _double_coeffs(poly: TracePolynomial):
+    """P's coefficients as doubles, ascending.  A coefficient past the
+    largest double raises a RootFindingError naming its bit length, before
+    any is converted (int and float compare exactly)."""
+    top = poly.max_coeff_abs()
+    if top > sys.float_info.max:
+        raise RootFindingError(
+            "a coefficient of %d bits lies past the 1024-bit range of a "
+            "double, which the root finder works in" % top.bit_length())
+    return [float(c) for c in poly.coeffs]
 
 
 def _residual_ok(poly: TracePolynomial, z, scale) -> bool:
@@ -454,7 +441,7 @@ def _nonzero_roots(poly: TracePolynomial, evaluate=None):
     or None for Horner's rule; the factors of a split have no walk."""
     if poly.degree < 1:
         return []
-    even = all(c == (0, 0) for c in poly.coeffs[1::2])
+    even = not any(poly.coeffs[1::2])
     base = TracePolynomial(poly.coeffs[::2]) if even else poly
     if _squarefree_mod_p(base):
         square_free, repeated = base, []
@@ -475,19 +462,16 @@ def _nonzero_roots(poly: TracePolynomial, evaluate=None):
     return [x for y in roots for x in pairs[y]]
 
 
-# Arithmetic in GF(_P)[x]: ascending lists of residues.
-
-
 def _squarefree_mod_p(poly: TracePolynomial) -> bool:
     """True when P is proved squarefree by its image over GF(_P).
 
-    If i -> _I_MOD_P keeps the leading coefficient and the image is coprime
-    to its derivative, the image's discriminant is nonzero.  It is the image
-    of disc(P), so disc(P) != 0 and gcd(P, P') = 1 over Q(i).  False says
-    only that the test cannot decide: P has a repeated factor, or _P
+    If reduction mod _P keeps the leading coefficient and the image is
+    coprime to its derivative, the image's discriminant is nonzero.  It is
+    the image of disc(P), so disc(P) != 0 and gcd(P, P') = 1 over Q.  False
+    says only that the test cannot decide: P has a repeated factor, or _P
     divides disc(P) or the leading coefficient.
     """
-    a = [(re + im * _I_MOD_P) % _P for re, im in poly.coeffs]
+    a = [c % _P for c in poly.coeffs]
     if a[-1] == 0:
         return False
     b = [k * c % _P for k, c in enumerate(a)][1:]  # deg P < _P: degree kept
@@ -497,7 +481,8 @@ def _squarefree_mod_p(poly: TracePolynomial) -> bool:
 
 
 def _rem_mod_p(a, b):
-    """Remainder of a by b, whose leading residue is nonzero."""
+    """Remainder of a by b, whose leading residue is nonzero, in GF(_P)[x]:
+    ascending lists of residues."""
     a = list(a)
     n = len(b) - 1
     inverse = pow(b[-1], -1, _P)
@@ -512,63 +497,34 @@ def _rem_mod_p(a, b):
     return a
 
 
-# Exact arithmetic in Z[i][x]: coefficients are (re, im) pairs of ints, in
-# ascending order with a nonzero leading pair.
-
-
-def _gauss_mul(u, v):
-    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
-
-
-def _gauss_gcd(u, v):
-    """A gcd of the Gaussian integers u and v, by Euclid with the nearest
-    Gaussian integer as quotient (remainder norm at most half the
-    divisor's)."""
-    while v != (0, 0):
-        norm = v[0] * v[0] + v[1] * v[1]
-        re, im = u[0] * v[0] + u[1] * v[1], u[1] * v[0] - u[0] * v[1]
-        q = ((2 * re + norm) // (2 * norm), (2 * im + norm) // (2 * norm))
-        qv = _gauss_mul(q, v)
-        u, v = v, (u[0] - qv[0], u[1] - qv[1])
-    return u
-
-
-def _gauss_div(u, v):
-    """u / v for a Gaussian integer v that divides u."""
-    norm = v[0] * v[0] + v[1] * v[1]
-    return ((u[0] * v[0] + u[1] * v[1]) // norm,
-            (u[1] * v[0] - u[0] * v[1]) // norm)
+# Exact arithmetic in Z[x]: ascending lists of ints with a nonzero leading
+# coefficient.
 
 
 def _primitive(a):
     """a divided by the gcd of its coefficients."""
-    content = (0, 0)
-    for c in a:
-        content = _gauss_gcd(c, content)
-        if content[0] * content[0] + content[1] * content[1] == 1:
-            return a
-    return [_gauss_div(c, content) for c in a]
+    content = math.gcd(*a)
+    return a if content == 1 else [c // content for c in a]
 
 
 def _pseudo_remainder(a, b):
-    """The remainder of lc(b)^(deg a - deg b + 1) a by b, in Z[i][x]."""
+    """The remainder of lc(b)^(deg a - deg b + 1) a by b, in Z[x]."""
     a = list(a)
     lead = b[-1]
     n = len(b) - 1
     while len(a) > n:
         top = a.pop()
         shift = len(a) - n
-        a = [_gauss_mul(lead, c) for c in a]
+        a = [lead * c for c in a]
         for i, c in enumerate(b[:-1]):
-            t = _gauss_mul(top, c)
-            a[shift + i] = (a[shift + i][0] - t[0], a[shift + i][1] - t[1])
-        while a and a[-1] == (0, 0):
+            a[shift + i] -= top * c
+        while a and a[-1] == 0:
             a.pop()
     return a
 
 
 def _primitive_gcd(a, b):
-    """The primitive gcd of a and b, up to a unit, by the primitive
+    """The primitive gcd of a and b, up to sign, by the primitive
     pseudo-remainder sequence."""
     a, b = _primitive(a), _primitive(b)
     while b:
@@ -579,15 +535,14 @@ def _primitive_gcd(a, b):
 
 
 def _exact_quotient(a, b):
-    """a / b for a b that divides a in Z[i][x]."""
+    """a / b for a b that divides a in Z[x]."""
     a = list(a)
     lead = b[-1]
-    quotient = [(0, 0)] * (len(a) - len(b) + 1)
+    quotient = [0] * (len(a) - len(b) + 1)
     for k in range(len(quotient) - 1, -1, -1):
-        q = quotient[k] = _gauss_div(a[k + len(b) - 1], lead)
+        q = quotient[k] = a[k + len(b) - 1] // lead
         for i, c in enumerate(b):
-            t = _gauss_mul(q, c)
-            a[k + i] = (a[k + i][0] - t[0], a[k + i][1] - t[1])
+            a[k + i] -= q * c
     return quotient
 
 
@@ -595,11 +550,11 @@ def _squarefree_split(poly: TracePolynomial):
     """(square_free, repeated) of a P that may have a repeated factor:
     square_free = lc(g) P / g and repeated = g, g the primitive gcd of P
     and P' (``_primitive_gcd``).  lc(g) P / g is P divided by the monic
-    gcd over Q(i), which lies in Z[i][x] by Gauss's lemma and does not
-    depend on the unit g is taken up to."""
+    gcd over Q, which lies in Z[x] by Gauss's lemma and does not depend on
+    the sign g is taken up to."""
     g = _primitive_gcd(poly.coeffs, poly.derivative().coeffs)
     lead = g[-1]
-    square_free = [_gauss_mul(lead, c) for c in _exact_quotient(poly.coeffs, g)]
+    square_free = [lead * c for c in _exact_quotient(poly.coeffs, g)]
     return TracePolynomial(square_free), TracePolynomial(g)
 
 
@@ -610,20 +565,20 @@ def _to_fixed(x: float, f: int) -> int:
 
 
 def _fixed_coeffs(poly: TracePolynomial, f: int):
-    """The Z[i] coefficients at scale 2**f, in descending order."""
-    return [(re << f, im << f) for re, im in reversed(poly.coeffs)]
+    """The coefficients at scale 2**f, in descending order."""
+    return [c << f for c in reversed(poly.coeffs)]
 
 
 def _fixed_horner(coeffs, a, b, f):
     """(Re P(w), Im P(w), Re P'(w), Im P'(w)) at w = (a + ib) / 2**f, all at
     scale 2**f, for ``_fixed_coeffs(P, f)``; each product is truncated."""
-    p_re, p_im = coeffs[0]
+    p_re, p_im = coeffs[0], 0
     d_re = d_im = 0
-    for c_re, c_im in coeffs[1:]:
+    for c in coeffs[1:]:
         d_re, d_im = (((d_re * a - d_im * b) >> f) + p_re,
                       ((d_re * b + d_im * a) >> f) + p_im)
-        p_re, p_im = (((p_re * a - p_im * b) >> f) + c_re,
-                      ((p_re * b + p_im * a) >> f) + c_im)
+        p_re, p_im = (((p_re * a - p_im * b) >> f) + c,
+                      (p_re * b + p_im * a) >> f)
     return p_re, p_im, d_re, d_im
 
 
@@ -693,7 +648,7 @@ def _certified_roots(poly: TracePolynomial, evaluate):
     coefficients where it is None.  A polish that does not settle on its
     step test, or disks that overlap, raise a RootFindingError.
     """
-    coeffs = [complex(a, b) for a, b in poly.coeffs]
+    coeffs = _double_coeffs(poly)
     if evaluate is None:
         evaluate = functools.partial(_horner, coeffs[::-1])
     z = _aberth(coeffs, evaluate)
@@ -734,7 +689,7 @@ def _polish_width(poly: TracePolynomial, z) -> int:
             "the double roots bound no polish width: %d of %d are not finite"
             % (len(bad), len(z)), partial_roots=z)
     ones = [1.0] * len(z)
-    lead = math.log2(abs(complex(*poly.coeffs[-1])))
+    lead = math.log2(abs(poly.coeffs[-1]))
     noise = []  # log2 of each root's bound
     for i, zi in enumerate(z):
         size = _modulus_sum(ones, abs(zi))
@@ -765,7 +720,7 @@ def _overlapping_disks(poly: TracePolynomial, z):
     ``_exact_residual``.  A non-finite or repeated z_i meets every disk.
     """
     n = len(z)
-    coeffs = [complex(a, b) for a, b in reversed(poly.coeffs)]
+    coeffs = _double_coeffs(poly)[::-1]
     sizes = [abs(c) for c in coeffs]
     bounds = [abs(_horner(coeffs, zi)[0])
               + 8 * (n + 1) * _UNIT * _modulus_sum(sizes, abs(zi)) for zi in z]
@@ -801,12 +756,11 @@ def _exact_residual(poly: TracePolynomial, z: complex) -> float:
     e = max(e_a, e_b)
     a <<= e - e_a
     b <<= e - e_b
-    g_re, g_im = poly.coeffs[-1]
+    g_re, g_im = poly.coeffs[-1], 0
     shift = 0
-    for c_re, c_im in reversed(poly.coeffs[:-1]):
+    for c in reversed(poly.coeffs[:-1]):
         shift += e
-        g_re, g_im = (g_re * a - g_im * b + (c_re << shift),
-                      g_re * b + g_im * a + (c_im << shift))
+        g_re, g_im = g_re * a - g_im * b + (c << shift), g_re * b + g_im * a
     norm = g_re * g_re + g_im * g_im
     root = math.isqrt(norm)
     return (root + (root * root < norm)) / (1 << shift)
@@ -826,8 +780,8 @@ class MarkoffEvaluation:
     phi(s) is computed by the canonical mediant walk from <0,1,inf> and every
     intermediate slope's trace is kept in ``traces``.  ``edges`` is r's
     boundary edge system (``mcshane.boundary_edge_sets(r)``), which holds
-    r's Farey chain: ``select_geometric_root`` gives every candidate the one
-    it builds.  ``finite_sums`` keeps the pair of finite edge sums
+    r's Farey chain: ``select_geometric_root`` gives every candidate the
+    same one.  ``finite_sums`` keeps the pair of finite edge sums
     (``mcshane.finite_edge_sums``) once computed, so one request computes
     each once; that pass walks r's chain with phi's own recurrence and
     leaves the chain's traces in ``traces``, bitwise as phi computes them.
@@ -931,15 +885,17 @@ def _rejection(ev: MarkoffEvaluation):
     return None, lam
 
 
-def select_geometric_root(roots, r: Slope) -> MarkoffEvaluation:
+def select_geometric_root(roots, r: Slope, edges=None) -> MarkoffEvaluation:
     """Filter trace-polynomial roots down to the holonomy trace.
 
     The roots are grouped into sign classes {x, -x}, which give the same
     traces up to sign.  ``polynomial_roots`` gives each class as a root x
     and its exact negation, and equal roots as equal floats, so each class
     is judged once, with no tolerance, at its representative (Re x > 0,
-    ties broken by Im x > 0).  A class is rejected by the first of these
-    checks it fails, cheapest first:
+    ties broken by Im x > 0).  The classes are judged in the order of their
+    representatives (by real part, then imaginary part), so the report
+    does not depend on the order the root finder lists them in.  A class is
+    rejected by the first of these checks it fails, cheapest first:
 
     1. x = 0 (the trivial triple);
     2. a zero trace on the chain, where the edge sums are undefined;
@@ -964,10 +920,11 @@ def select_geometric_root(roots, r: Slope) -> MarkoffEvaluation:
     class's root and reason on a line of its own; if more than one does,
     AmbiguousGeometricRootError, which names their roots.
 
-    r's boundary edge system, and with it r's Farey chain, is built here
-    once and given to every candidate's constructor.  The evaluation
-    returned is the one the checks ran on, so it keeps that edge system and
-    the finite edge sums of step 3.
+    ``edges`` is r's boundary edge system, and with it r's Farey chain, as
+    ``trace_polynomial(r).edges`` holds it; it is built here when None.
+    Every candidate's constructor is given it.  The evaluation returned is
+    the one the checks ran on, so it keeps that edge system and the finite
+    edge sums of step 3.
 
     Every candidate's report gives the reason it was rejected; the
     selection report is attached to the returned evaluation and to the
@@ -977,10 +934,12 @@ def select_geometric_root(roots, r: Slope) -> MarkoffEvaluation:
 
     report = SelectionReport(r=r)
     # -x is the exact negation of x; + 0j turns -0.0 parts into +0.0
-    classes = list(dict.fromkeys(
-        max(z, -z, key=_representative_key) + 0j for z in map(complex, roots)))
+    classes = sorted(dict.fromkeys(
+        max(z, -z, key=_representative_key) + 0j for z in map(complex, roots)),
+        key=_representative_key)
 
-    edges = mcshane.boundary_edge_sets(r)
+    if edges is None:
+        edges = mcshane.boundary_edge_sets(r)
     survivors = []
     for rep in classes:
         ev = MarkoffEvaluation(r, rep, edges)
@@ -1011,5 +970,7 @@ def select_geometric_root(roots, r: Slope) -> MarkoffEvaluation:
 
 def geometric_evaluation(r: Slope) -> MarkoffEvaluation:
     """Full pipeline polynomial -> roots -> geometric root; r's Farey chain
-    is built once, with its edge system, by the root selection."""
-    return select_geometric_root(polynomial_roots(trace_polynomial(r)), r)
+    is built once, with its edge system, by ``trace_polynomial``, and the
+    root selection reads the same edge system."""
+    poly = trace_polynomial(r)
+    return select_geometric_root(polynomial_roots(poly), r, poly.edges)

@@ -123,8 +123,9 @@ def boundary_edge_sets(r: Slope) -> EdgeSystem:
     This is the one place that builds r's Farey chain, and a
     non-hyperbolic r raises NonHyperbolicError.  The final triangle is
     (r1, r, r2), r1 and r2 the Farey parents of r that bound I1 and I2, so
-    e+ is <r1, r2>.  ``select_geometric_root`` gives the edge system to
-    every ``MarkoffEvaluation`` it builds.
+    e+ is <r1, r2>.  ``markoff.trace_polynomial`` reads psi(r) off the
+    edge system, and ``select_geometric_root`` gives it to every
+    ``MarkoffEvaluation`` it builds.
     """
     if not is_hyperbolic(r):
         raise NonHyperbolicError(r)

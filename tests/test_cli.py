@@ -89,11 +89,21 @@ class TestIdentity:
         assert head == "no geometric root found for 3/7:"
         assert lines == ["%s: %s" % (format(c.root, ".6g"), c.reason)
                          for c in candidates]
-        assert len(lines) == 4 and lines[-1].endswith("e(<2/5,1/2>; head 1/3)")
+        # the classes are listed by representative, the geometric one third
+        assert len(lines) == 4 and lines[2].endswith("e(<2/5,1/2>; head 1/3)")
 
         code, out, err = run(capsys, "identity", "3/7")
         assert (code, out) == (1, "")
         assert err == "error: %s\n" % info.value
+
+    def test_coefficient_past_double_range_exit_1(self, capsys):
+        """A coefficient of 2/1601's trace polynomial has 1 105 bits, past
+        the range of a double: ``identity`` exits 1 with an error line that
+        names its bit length, not a traceback."""
+        code, out, err = run(capsys, "identity", "2/1601")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: a coefficient of 1105 bits lies past "
+                              "the 1024-bit range of a double")
 
     def test_csv_census(self, capsys):
         code, out, _ = run(capsys, "identity", "2/5", "--format", "csv")
@@ -371,9 +381,9 @@ class TestCaches:
         calls = []
         original = markoff.select_geometric_root
 
-        def counted(roots, r):
+        def counted(roots, r, edges=None):
             calls.append(r)
-            return original(roots, r)
+            return original(roots, r, edges)
 
         monkeypatch.setattr(markoff, "select_geometric_root", counted)
         for command in ("identity", "cusp", "identity"):

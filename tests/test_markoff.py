@@ -59,13 +59,13 @@ class TestTracePolynomial:
     def test_figure_eight(self):
         poly = trace_polynomial(S25)
         # -x (x^4 - x^2 + 1)
-        assert poly.coeffs == ((0, 0), (-1, 0), (0, 0), (1, 0), (0, 0), (-1, 0))
+        assert poly.coeffs == (0, -1, 0, 1, 0, -1)
 
     def test_always_divisible_by_x(self):
         for p in range(5, 21):
             for q in range(2, p):
                 if math.gcd(q, p) == 1 and is_hyperbolic(Slope(q, p)):
-                    assert trace_polynomial(Slope(q, p)).coeffs[0] == (0, 0)
+                    assert trace_polynomial(Slope(q, p)).coeffs[0] == 0
 
     def test_single_parity_up_to_p40(self):
         """x -> -x sends every trace to +-itself, so the nonzero coefficients
@@ -75,47 +75,52 @@ class TestTracePolynomial:
         assert len(slopes) == 412
         for r in slopes:
             poly = trace_polynomial(r)
-            assert len({k % 2 for k, c in enumerate(poly.coeffs)
-                        if c != (0, 0)}) == 1
+            assert len({k % 2 for k, c in enumerate(poly.coeffs) if c}) == 1
 
     def test_mixed_parity_raises(self):
-        even = TracePolynomial([(1, 0), (0, 0), (0, -3)])
-        odd = TracePolynomial([(0, 0), (2, 1), (0, 0), (-1, 0)])
+        even = TracePolynomial([1, 0, -3])
+        odd = TracePolynomial([0, 2, 0, -1])
         for poly in (even, odd):
             assert markoff._check_sign_symmetry(poly, S25) is poly
-        mixed = TracePolynomial([(0, 0), (1, 0), (1, 0)])  # x + x^2
+        mixed = TracePolynomial([0, 1, 1])  # x + x^2
         with pytest.raises(InternalError, match="mixes even and odd powers"):
             markoff._check_sign_symmetry(mixed, S25)
 
     @pytest.mark.parametrize("r", [(2, 5), (3, 7), (3, 8), (5, 17), (4, 13)])
     def test_sympy_oracle(self, r):
+        """phi(q/p) = i^(q mod 2) psi(x), exactly, against the recursion on
+        phi in sympy's Gaussian arithmetic."""
         poly = trace_polynomial(Slope(*r))
         oracle = _sympy_trace_polynomial(Slope(*r))
-        got = {k: complex(a, b) for k, (a, b) in enumerate(poly.coeffs)}
-        want = {poly.degree - i: complex(c) for i, c in enumerate(oracle.all_coeffs())}
-        for k in range(poly.degree + 1):
-            assert got.get(k, 0) == want.get(k, 0)
+        x = oracle.gens[0]
+        psi = sum(c * x ** k for k, c in enumerate(poly.coeffs))
+        assert sympy.expand(sympy.I ** (r[0] % 2) * psi - oracle.as_expr()) == 0
 
     def test_symbolic_matches_numeric_recursion(self):
+        """On every hyperbolic slope with p <= 64, the numeric walk
+        ``MarkoffEvaluation.phi(r)`` at a random x equals
+        i^(q mod 2) psi_r(x), the parity fact ``trace_polynomial`` rests on,
+        to 1e-10 relative.  psi_r(x) is evaluated at 60 digits: Horner's
+        rule in doubles on the expanded coefficients loses every digit on
+        2/53."""
         random.seed(3)
-        for p in range(5, 31):
-            qs = [q for q in range(2, p)
-                  if math.gcd(q, p) == 1 and is_hyperbolic(Slope(q, p))]
-            if not qs:
-                continue
-            r = Slope(qs[0], p)
+        slopes = _hyperbolic(64)
+        assert len(slopes) == 1134
+        for r in slopes:
             poly = trace_polynomial(r)
             x = complex(random.uniform(0.5, 2), random.uniform(-1, 1))
-            ev = MarkoffEvaluation(r, x, boundary_edge_sets(r))
+            ev = MarkoffEvaluation(r, x, poly.edges)
             num = ev.phi(r)
-            sym = poly(x)
-            assert abs(num - sym) <= 1e-10 * max(1.0, abs(sym))
+            with mpmath.workdps(60):
+                sym = complex(1j ** (r.num % 2) * mpmath.polyval(
+                    [mpmath.mpf(c) for c in reversed(poly.coeffs)], mpmath.mpc(x)))
+            assert abs(num - sym) <= 1e-10 * max(1.0, abs(sym)), r
 
 
 class TestPolynomialRoots:
     def test_quartic(self):
         # x^4 - x^2 + 1: roots are the primitive 12th roots of unity
-        poly = TracePolynomial([(1, 0), (0, 0), (-1, 0), (0, 0), (1, 0)])
+        poly = TracePolynomial([1, 0, -1, 0, 1])
         roots = sorted(polynomial_roots(poly), key=lambda z: (round(z.real, 6), round(z.imag, 6)))
         expected = sorted(
             [cmath.exp(1j * cmath.pi * k / 6) for k in (1, 5, 7, 11)],
@@ -125,21 +130,20 @@ class TestPolynomialRoots:
             assert abs(a - b) < 1e-12
 
     def test_exact_multiplicities(self):
-        # x (x - 1)^3 (x + i)^2 = x^6 - (3 - 2i) x^5 + (2 - 6i) x^4
-        #                         + (2 + 6i) x^3 - (3 + 2i) x^2 + x
-        poly = TracePolynomial([(0, 0), (1, 0), (-3, -2), (2, 6), (2, -6),
-                                (-3, 2), (1, 0)])
+        # x (x - 1)^3 (x^2 + 1)^2, neither even nor odd
+        poly = TracePolynomial(_product([[0, 1]] + [[-1, 1]] * 3 + [[1, 0, 1]] * 2))
         roots = polynomial_roots(poly)
         assert roots.count(0j) == 1
         ones = [z for z in roots if abs(z - 1) < 1e-6]
-        minus_i = [z for z in roots if abs(z + 1j) < 1e-6]
         assert len(ones) == 3 and len(set(ones)) == 1 and abs(ones[0] - 1) < 1e-14
-        assert len(minus_i) == 2 and len(set(minus_i)) == 1
+        for unit in (1j, -1j):
+            near = [z for z in roots if abs(z - unit) < 1e-6]
+            assert len(near) == 2 and len(set(near)) == 1
 
     def test_simple_cases(self):
-        assert sorted(polynomial_roots(TracePolynomial([(1, 0), (0, 0), (1, 0)])),
+        assert sorted(polynomial_roots(TracePolynomial([1, 0, 1])),
                       key=lambda z: z.imag) == [-1j, 1j]
-        roots = polynomial_roots(TracePolynomial([(0, 0), (-2, 0), (1, 0)]))
+        roots = polynomial_roots(TracePolynomial([0, -2, 1]))
         assert sorted(z.real for z in roots) == pytest.approx([0.0, 2.0])
 
     def test_residual_bound_and_numpy_crosscheck(self):
@@ -154,7 +158,7 @@ class TestPolynomialRoots:
             bound = 1e-10 * poly.max_coeff_abs()
             for z in roots:
                 assert abs(poly(z)) <= bound * (1 + abs(z)) ** poly.degree
-            np_roots = np.roots([complex(a, b) for a, b in reversed(poly.coeffs)])
+            np_roots = np.roots([float(c) for c in reversed(poly.coeffs)])
             got = sorted(roots, key=lambda z: (round(z.real, 7), round(z.imag, 7)))
             want = sorted(np_roots, key=lambda z: (round(z.real, 7), round(z.imag, 7)))
             for a, b in zip(got, want):
@@ -251,7 +255,7 @@ class TestPolynomialRoots:
         linearly: a RootFindingError names both, with the width, and
         nothing is retried at a greater width."""
         e = 2 ** 60
-        poly = TracePolynomial([(e + 1, 0), (-(2 * e + 1), 0), (e, 0)])
+        poly = TracePolynomial([e + 1, -(2 * e + 1), e])
         with pytest.raises(RootFindingError, match="did not settle in 6 steps "
                            "at 160 bits for 2 of 2 roots") as info:
             polynomial_roots(poly)
@@ -287,7 +291,7 @@ class TestPolynomialRoots:
 
     def test_exact_gcd_only_for_repeated_roots(self, monkeypatch):
         """The modular test proves every other trace polynomial with p <= 30
-        squarefree, so only 7/24 and 17/24 run the exact split over Z[i].
+        squarefree, so only 7/24 and 17/24 run the exact split over Z.
         The numeric root finder is stubbed out: only the split into
         squarefree part and repeated roots is under test."""
         exact_split = markoff._squarefree_split
@@ -331,40 +335,35 @@ class TestPolynomialRoots:
         assert math.copysign(1.0, z.real) == 1.0 and -root in roots["42/47"]
 
     @pytest.mark.parametrize("factors", [
-        # (2+i)(y - i)^2 (y + 1): a content that is not a unit
-        [[(2, 1)], [(0, -1), (1, 0)], [(0, -1), (1, 0)], [(1, 0), (1, 0)]],
-        # 6(1+i)(y - 2)^3 (y + i)^2 (y^2 + 1)
-        [[(6, 6)]] + [[(-2, 0), (1, 0)]] * 3 + [[(0, 1), (1, 0)]] * 2
-        + [[(1, 0), (0, 0), (1, 0)]],
-        # (3y^2 + (1+2i))^2 (5y - 1): a repeated factor with no root in Q(i)
-        [[(1, 2), (0, 0), (3, 0)]] * 2 + [[(-1, 0), (5, 0)]],
+        # 6 (y - 1)^2 (y + 1): a content that is not a unit
+        [[6], [-1, 1], [-1, 1], [1, 1]],
+        # 12 (y - 2)^3 (y^2 + 1)^2 (y + 3)
+        [[12]] + [[-2, 1]] * 3 + [[1, 0, 1]] * 2 + [[3, 1]],
+        # (3y^2 + 7)^2 (5y - 1): a repeated factor with no root in Q
+        [[7, 0, 3]] * 2 + [[-1, 5]],
         # squarefree, content 4: the gcd is a unit
-        [[(4, 0)], [(0, -1), (1, 0)], [(1, 0), (1, 0)]],
+        [[4], [-1, 1], [1, 1]],
     ])
     def test_squarefree_split_matches_q_i(self, factors):
-        """The exact split in Z[i] gives the squarefree part P / gcd(P, P')
-        over Q(i), coefficient for coefficient, and a gcd whose monic
-        associate is the monic gcd over Q(i) (``_q_i_split``)."""
-        poly = TracePolynomial([(1, 0)])
-        for f in factors:
-            poly = poly * TracePolynomial(f)
+        """The exact split in Z[x] gives the squarefree part P / gcd(P, P')
+        over Q, coefficient for coefficient, and a gcd whose monic associate
+        is the monic gcd over Q (``_q_split``)."""
+        poly = TracePolynomial(_product(factors))
         square_free, gcd = markoff._squarefree_split(poly)
-        want_free, want_gcd = _q_i_split(poly)
+        want_free, want_gcd = _q_split(poly)
         assert square_free.coeffs == want_free
-        lead = complex(*gcd.coeffs[-1])
-        assert [_gauss_frac_div(c, gcd.coeffs[-1]) for c in gcd.coeffs] == want_gcd
-        assert lead != 0
+        assert [Fraction(c, gcd.coeffs[-1]) for c in gcd.coeffs] == want_gcd
 
     def test_squarefree_split_of_repeated_trace_polynomials(self):
         """On 7/24 and 17/24, whose trace polynomials in y = x^2 have a
-        repeated factor, the split agrees with the Q(i) Euclid, and their
+        repeated factor, the split agrees with Euclid over Q, and their
         roots keep their multiplicities."""
         for r in (Slope(7, 24), Slope(17, 24)):
             poly = trace_polynomial(r)
             poly = poly.shift_down(poly.content_power_of_x())
             base = TracePolynomial(poly.coeffs[::2])
             square_free, gcd = markoff._squarefree_split(base)
-            assert (square_free.coeffs, gcd.degree) == (_q_i_split(base)[0], 2)
+            assert (square_free.coeffs, gcd.degree) == (_q_split(base)[0], 2)
             roots = [z for z in polynomial_roots(trace_polynomial(r)) if z]
             assert len(roots) == poly.degree
             assert len(set(roots)) == len(roots) - 4  # two repeated y, +-x each
@@ -403,59 +402,68 @@ class TestPolynomialRoots:
                 for z in checked} == classes
 
     def test_squarefree_mod_p_cannot_decide(self):
-        assert markoff._I_MOD_P ** 2 % markoff._P == markoff._P - 1
         # x^4 - x^2 + 1 is squarefree
-        assert markoff._squarefree_mod_p(
-            TracePolynomial([(1, 0), (0, 0), (-1, 0), (0, 0), (1, 0)]))
+        assert markoff._squarefree_mod_p(TracePolynomial([1, 0, -1, 0, 1]))
         # (x - 1)^2 (x + 2) = x^3 - 3x + 2
-        assert not markoff._squarefree_mod_p(
-            TracePolynomial([(2, 0), (-3, 0), (0, 0), (1, 0)]))
+        assert not markoff._squarefree_mod_p(TracePolynomial([2, -3, 0, 1]))
         # p x^2 + x + 1 is squarefree, but its image over GF(p) has degree 1
-        lead_vanishes = TracePolynomial([(1, 0), (1, 0), (markoff._P, 0)])
+        lead_vanishes = TracePolynomial([1, 1, markoff._P])
         assert not markoff._squarefree_mod_p(lead_vanishes)
         roots = polynomial_roots(lead_vanishes)
         assert len(set(roots)) == 2
 
+    def test_coefficient_past_double_range_named(self):
+        """A coefficient past the largest double raises a RootFindingError
+        that names its bit length, before anything is converted to a
+        double (``float`` would raise OverflowError)."""
+        poly = TracePolynomial([1, 0, 2 ** 1100])
+        with pytest.raises(RootFindingError,
+                           match="coefficient of 1101 bits lies past the "
+                                 "1024-bit range of a double"):
+            polynomial_roots(poly)
 
-def _gauss_frac_div(u, v):
-    """u / v in Q(i) as a pair of Fractions."""
-    norm = v[0] * v[0] + v[1] * v[1]
-    return (Fraction(u[0] * v[0] + u[1] * v[1], norm),
-            Fraction(u[1] * v[0] - u[0] * v[1], norm))
+
+def _product(factors):
+    """The ascending int coefficients of the product of the ascending
+    coefficient lists ``factors``."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
 
 
-def _q_i_split(poly):
-    """Reference for ``markoff._squarefree_split``, by Euclid over Q(i):
+def _q_split(poly):
+    """Reference for ``markoff._squarefree_split``, by Euclid over Q:
     (the coefficients of lcm(denominators) P / g, g the monic gcd of P and
-    P', and those of g), ascending pairs of Fractions."""
-    def mul(u, v):
-        return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
-
+    P', and those of g), ascending, as ints and Fractions."""
     def monic(a):
-        return [_gauss_frac_div(c, a[-1]) for c in a]
+        return [c / a[-1] for c in a]
 
     def divmod_monic(a, b):
-        a, quotient = list(a), [(0, 0)] * (len(a) - len(b) + 1)
+        a, quotient = list(a), [0] * (len(a) - len(b) + 1)
         for k in range(len(quotient) - 1, -1, -1):
             lead = quotient[k] = a[k + len(b) - 1]
             for i, c in enumerate(b):
-                t = mul(lead, c)
-                a[k + i] = (a[k + i][0] - t[0], a[k + i][1] - t[1])
+                a[k + i] -= lead * c
         remainder = a[:len(b) - 1]
-        while remainder and remainder[-1] == (0, 0):
+        while remainder and remainder[-1] == 0:
             remainder.pop()
         return quotient, remainder
 
-    a = [(Fraction(re), Fraction(im)) for re, im in poly.coeffs]
-    b = [(Fraction(re), Fraction(im)) for re, im in poly.derivative().coeffs]
+    a = [Fraction(c) for c in poly.coeffs]
+    b = [Fraction(c) for c in poly.derivative().coeffs]
     p = a
     while b:
         b = monic(b)
         a, b = b, divmod_monic(a, b)[1]
     gcd = monic(a)
     quotient = divmod_monic(p, gcd)[0]
-    scale = math.lcm(*(x.denominator for c in quotient for x in c))
-    return tuple((int(re * scale), int(im * scale)) for re, im in quotient), gcd
+    scale = math.lcm(*(c.denominator for c in quotient))
+    return tuple(int(c * scale) for c in quotient), gcd
 
 
 def _assert_correctly_rounded(poly, roots, digits):
@@ -466,7 +474,7 @@ def _assert_correctly_rounded(poly, roots, digits):
     inside ``workdps``: outside it mpmath rounds them to 53 bits."""
     limits = []
     with mpmath.workdps(digits):
-        coeffs = [mpmath.mpc(a, b) for a, b in reversed(poly.coeffs)]
+        coeffs = [mpmath.mpf(c) for c in reversed(poly.coeffs)]
         for z in roots:
             w = mpmath.mpc(z)
             for _ in range(8):
@@ -548,6 +556,28 @@ class TestGeometricSelection:
     def test_chain_built_once(self, count_farey_chains):
         geometric_evaluation(Slope(5, 17))
         assert count_farey_chains == [Slope(5, 17)]
+
+    def test_report_independent_of_root_order(self, monkeypatch):
+        """The root classes are judged in the order of their
+        representatives, so reversing the root finder's output leaves the
+        selection report of 4/9, and the lines of a NoGeometricRootError,
+        as they were."""
+        r = Slope(4, 9)
+        want = geometric_evaluation(r).selection
+        keys = [markoff._representative_key(c.root) for c in want.candidates]
+        assert keys == sorted(keys) and len(keys) > 2
+        original = markoff.polynomial_roots
+        monkeypatch.setattr(markoff, "polynomial_roots",
+                            lambda poly: original(poly)[::-1])
+        assert geometric_evaluation(r).selection == want
+
+        roots = original(trace_polynomial(Slope(3, 7)))  # not 2/5's roots
+        messages = set()
+        for order in (roots, roots[::-1]):
+            with pytest.raises(NoGeometricRootError) as info:
+                select_geometric_root(order, S25)
+            messages.add(str(info.value))
+        assert len(messages) == 1
 
     @pytest.mark.parametrize("r", [(3, 7), (5, 17), (3, 8), (5, 12)])
     def test_constraint_residual(self, r, evaluation_for):
@@ -716,18 +746,19 @@ class TestMirror:
     geometric root is the conjugate root turned by -i."""
 
     def test_polynomial_of_mirror_is_rotated(self):
-        """P_{(p-q)/p}(x) = +-P_{q/p}(i x), coefficient for coefficient in
-        exact Gaussian integers, for every hyperbolic slope with p <= 40."""
+        """P_{(p-q)/p}(x) = +-P_{q/p}(i x) for the traces P = i^(q mod 2) psi,
+        so psi_{(p-q)/p} has the coefficients +-i^(k + q mod 2 - (p-q) mod 2)
+        c_k of psi_{q/p}, each exponent even, exactly in integers, for
+        every hyperbolic slope with p <= 40."""
         for r in _hyperbolic(40):
-            coeffs = trace_polynomial(r).coeffs
+            q, p = r.num, r.den
             rotated = []
-            for k, (a, b) in enumerate(coeffs):
-                for _ in range(k % 4):
-                    a, b = -b, a  # times i
-                rotated.append((a, b))
-            negated = [(-a, -b) for a, b in rotated]
-            mirror = list(trace_polynomial(Slope(r.den - r.num, r.den)).coeffs)
-            assert mirror in (rotated, negated), r
+            for k, c in enumerate(trace_polynomial(r).coeffs):
+                e = k + q % 2 - (p - q) % 2
+                assert c == 0 or e % 2 == 0, r
+                rotated.append(-c if e // 2 % 2 else c)
+            mirror = list(trace_polynomial(Slope(p - q, p)).coeffs)
+            assert mirror in (rotated, [-c for c in rotated]), r
 
     def test_root_of_mirror_is_rotated_conjugate(self, evaluation_for):
         """The geometric root of (p-q)/p is -i conj(x*) = -Im x* - i Re x*
