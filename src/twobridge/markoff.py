@@ -68,13 +68,6 @@ class TracePolynomial:
             return -1
         return len(self.coeffs) - 1
 
-    def __call__(self, x):
-        """Horner evaluation at a complex x."""
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def derivative(self):
         return TracePolynomial([k * c for k, c in enumerate(self.coeffs)][1:] or [0])
 
@@ -220,11 +213,14 @@ def _check_sign_symmetry(poly: TracePolynomial, r) -> TracePolynomial:
 #
 # The polished roots z_1..z_n of the squarefree part are then certified by
 # their inclusion disks, centred at z_i with radius
-# r_i = n |P(z_i)| / |a_n prod_{j != i} (z_i - z_j)|.  The union of the
-# disks holds every root, and a connected union of m disks holds exactly m
-# of them (Neumaier, "Enclosing clusters of zeros of polynomials",
-# J. Comput. Appl. Math. 156 (2003)), so pairwise disjoint disks hold one
-# root each (``_overlapping_disks``).  Nothing is retried at a greater
+# r_i = n |P(z_i)| / |a_n prod_{j != i} (z_i - z_j)|, and by nothing else.
+# The union of the disks holds every root, and a connected union of m
+# disks holds exactly m of them (Neumaier, "Enclosing clusters of zeros of
+# polynomials", J. Comput. Appl. Math. 156 (2003)), so pairwise disjoint
+# disks hold one root each (``_overlapping_disks``).  |P(z_i)| is bounded
+# exactly, in integer arithmetic on the dyadic z_i (``_exact_residual``),
+# once per root: a double evaluation of P is no bound at large p, where
+# its rounding error dwarfs |P(z_i)|.  Nothing is retried at a greater
 # width: Aberth that does not converge, double roots that bound no width
 # (coincident or not finite), a polish that does not settle and
 # overlapping disks each raise a RootFindingError that names the roots and
@@ -252,15 +248,6 @@ def _horner(coeffs, x):
         dp = dp * x + p
         p = p * x + c
     return p, dp
-
-
-def _modulus_sum(sizes, ax):
-    """sum_k sizes[k] ax^k for ``sizes`` in descending order, by Horner's
-    rule."""
-    total = 0.0
-    for a in sizes:
-        total = total * ax + a
-    return total
 
 
 def _walk(turns, k: int):
@@ -374,44 +361,26 @@ def polynomial_roots(poly: TracePolynomial):
     off the double roots (``_polish_width``; 160 bits on every slope with
     p <= 24), and rounded to a complex, so a root such as x = 1 comes out
     exact and a real root has imaginary part 0.  x = sqrt(y) is taken in
-    fixed point from y's unrounded polished value.  The roots of each
-    squarefree part are certified: their inclusion disks are pairwise
-    disjoint, so each holds exactly one root and no root is missed or found
-    twice.  Nothing is retried at a greater width: where Aberth does not
-    converge, the double roots bound no width (two coincide, or one is not
-    finite), a polish does not settle in _POLISH_ROUNDS Newton steps or two
-    disks overlap, a RootFindingError names the roots and the width.
+    fixed point from y's unrounded polished value.
+
+    The roots of each squarefree part are certified by their inclusion
+    disks, with |P(z_i)| bounded exactly (``_overlapping_disks``): pairwise
+    disjoint disks hold exactly one root each, so no root is missed or
+    found twice.  Nothing else checks the roots.  Nothing is retried at a
+    greater width: where Aberth does not converge, the double roots bound
+    no width (two coincide, or one is not finite), a polish does not settle
+    in _POLISH_ROUNDS Newton steps or two disks overlap, a RootFindingError
+    names the roots and the width.
 
     The roots come in pairs x, -x, with x the sign class representative
     (Re x > 0, ties broken by Im x > 0) and -x its exact negation, which is
-    correctly rounded too.  As a last safety check every returned root is
-    finite and satisfies |P(root)| <= 1e-10 * max|coeff| * (1+|root|)^deg,
-    otherwise a RootFindingError carrying the partial results is raised;
-    the check, exact under x -> -x for an even or odd P, runs once per pair.
+    correctly rounded too.
     """
     if poly.degree < 1:
         raise DomainError("root finding needs degree >= 1")
-    scale = 1e-10 * max(map(abs, _double_coeffs(poly)))
     k = poly.content_power_of_x()
-    base = poly.shift_down(k)
     evaluate = None if poly.edges is None else _walk(poly.edges.turns, k)
-    roots = [0j] * k + _nonzero_roots(base, evaluate)
-    # for an even or odd P, Horner's rule gives P(-z) = +-P(z) exactly, as
-    # every product it forms changes sign exactly: one check per sign class
-    signed = not any(base.coeffs[1::2])
-    verdicts, bad = {}, []
-    for z in roots:
-        key = max(z, -z, key=_representative_key) if signed else z
-        if key not in verdicts:
-            verdicts[key] = _residual_ok(poly, z, scale)
-        if not verdicts[key]:
-            bad.append(z)
-    if bad:
-        raise RootFindingError(
-            "residual check failed for %d of %d roots" % (len(bad), len(roots)),
-            partial_roots=roots,
-        )
-    return roots
+    return [0j] * k + _nonzero_roots(poly.shift_down(k), evaluate)
 
 
 def _double_coeffs(poly: TracePolynomial):
@@ -424,14 +393,6 @@ def _double_coeffs(poly: TracePolynomial):
             "a coefficient of %d bits lies past the 1024-bit range of a "
             "double, which the root finder works in" % top.bit_length())
     return [float(c) for c in poly.coeffs]
-
-
-def _residual_ok(poly: TracePolynomial, z, scale) -> bool:
-    """z is finite and |P(z)| <= scale * (1 + |z|)^deg, where ``scale`` is
-    1e-10 * max|coeff|, computed once per polynomial."""
-    z = complex(z)
-    return (cmath.isfinite(z)
-            and abs(poly(z)) <= scale * (1.0 + abs(z)) ** poly.degree)
 
 
 def _nonzero_roots(poly: TracePolynomial, evaluate=None):
@@ -688,11 +649,12 @@ def _polish_width(poly: TracePolynomial, z) -> int:
         raise RootFindingError(
             "the double roots bound no polish width: %d of %d are not finite"
             % (len(bad), len(z)), partial_roots=z)
-    ones = [1.0] * len(z)
     lead = math.log2(abs(poly.coeffs[-1]))
     noise = []  # log2 of each root's bound
     for i, zi in enumerate(z):
-        size = _modulus_sum(ones, abs(zi))
+        ax, size = abs(zi), 0.0
+        for _ in z:  # sum_{k<n} |z_i|^k by Horner's rule
+            size = size * ax + 1.0
         if size == math.inf:
             raise RootFindingError(
                 "the double roots bound no polish width: the noise at %s "
@@ -713,44 +675,31 @@ def _polish_width(poly: TracePolynomial, z) -> int:
 def _overlapping_disks(poly: TracePolynomial, z):
     """Index pairs (i, j), i < j, whose inclusion disks meet.
 
-    |P(z_i)| is bounded first by its double Horner value plus the rounding
-    error of that value, at most 8 (n + 1) u sum |c_k| |z_i|^k with
-    u = 2**-53 (the rounding of the coefficients included).  Only a root
-    whose disk then meets another gets the exact bound of
-    ``_exact_residual``.  A non-finite or repeated z_i meets every disk.
+    The disk of z_i has radius n |P(z_i)| / |a_n prod_{j != i} (z_i - z_j)|,
+    with |P(z_i)| bounded exactly by ``_exact_residual``, and is enlarged
+    by 8 (n + 2) u, u = 2**-53, for the rounding of the product, of the
+    distances and of the bound.  A non-finite z_i is bounded by infinity,
+    with no exact evaluation, so its radius is not finite, nor is its
+    distance to any other root: its disk meets every other.  So does the
+    disk of a repeated z_i, whose radius is infinite.
     """
     n = len(z)
-    coeffs = _double_coeffs(poly)[::-1]
-    sizes = [abs(c) for c in coeffs]
-    bounds = [abs(_horner(coeffs, zi)[0])
-              + 8 * (n + 1) * _UNIT * _modulus_sum(sizes, abs(zi)) for zi in z]
-    pairs = _meeting_pairs(sizes[0], z, bounds)
-    if pairs:
-        for i in {i for pair in pairs for i in pair}:
-            if cmath.isfinite(z[i]):
-                bounds[i] = _exact_residual(poly, z[i])
-        pairs = _meeting_pairs(sizes[0], z, bounds)
-    return pairs
-
-
-def _meeting_pairs(lead, z, bounds):
-    """Pairs whose disks meet, with radii n bounds[i] / |lead prod (z_i - z_j)|
-    enlarged by 8 (n + 2) u for the rounding of the product and of the
-    distances."""
-    n = len(z)
-    dist = [[abs(a - b) for b in z] for a in z]
+    lead = abs(float(poly.coeffs[-1]))
     scale = n * (1 + 8 * (n + 2) * _UNIT)
+    dist = [[abs(a - b) for b in z] for a in z]
     radii = []
-    for i, row in enumerate(dist):
+    for i, (zi, row) in enumerate(zip(z, dist)):
+        bound = _exact_residual(poly, zi) if cmath.isfinite(zi) else math.inf
         denom = lead * math.prod(row[:i]) * math.prod(row[i + 1:])
-        radii.append(scale * bounds[i] / denom if denom > 0 else math.inf)
+        radii.append(scale * bound / denom if denom > 0 else math.inf)
     return [(i, j) for i in range(n) for j in range(i + 1, n)
             if not radii[i] + radii[j] < dist[i][j]]
 
 
 def _exact_residual(poly: TracePolynomial, z: complex) -> float:
-    """|P(z)| rounded up, exactly: z is dyadic, (A + iB) / 2**e, so
-    2**(e n) P(z) is a Gaussian integer, found by one Horner pass."""
+    """|P(z)|, bounded exactly and rounded once to a double: z is dyadic,
+    (A + iB) / 2**e, so 2**(e n) P(z) is a Gaussian integer, found by one
+    Horner pass, and the ceiling of its modulus is divided by 2**(e n)."""
     (a, den_a), (b, den_b) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
     e_a, e_b = den_a.bit_length() - 1, den_b.bit_length() - 1
     e = max(e_a, e_b)

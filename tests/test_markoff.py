@@ -157,7 +157,8 @@ class TestPolynomialRoots:
             assert len(roots) == poly.degree
             bound = 1e-10 * poly.max_coeff_abs()
             for z in roots:
-                assert abs(poly(z)) <= bound * (1 + abs(z)) ** poly.degree
+                value, _ = markoff._horner(poly.coeffs[::-1], z)
+                assert abs(value) <= bound * (1 + abs(z)) ** poly.degree
             np_roots = np.roots([float(c) for c in reversed(poly.coeffs)])
             got = sorted(roots, key=lambda z: (round(z.real, 7), round(z.imag, 7)))
             want = sorted(np_roots, key=lambda z: (round(z.real, 7), round(z.imag, 7)))
@@ -239,15 +240,50 @@ class TestPolynomialRoots:
             assert len(polynomial_roots(poly)) == poly.degree
         assert len(settled) == 2365 and all(settled)  # one per simple root y
 
-    def test_duplicated_approximation_fails_certification(self):
+    @pytest.mark.parametrize("r", ["3/7", "2/53", "13/64"])
+    def test_duplicated_approximation_fails_certification(self, r, monkeypatch):
         """Two approximations of one root leave another root uncovered;
-        their disks meet, whether the two are equal or merely close."""
-        poly = trace_polynomial(Slope(3, 7))
-        poly = poly.shift_down(poly.content_power_of_x())
-        roots, _, _ = markoff._certified_roots(poly, None)
-        assert markoff._overlapping_disks(poly, roots) == []
-        for copy in (roots[0], roots[0] + 1e-9):
-            assert (0, 1) in markoff._overlapping_disks(poly, [roots[0], copy] + roots[2:])
+        their disks meet, whether the two are equal or merely close.  Q is
+        solved in y with the walk, as ``polynomial_roots`` solves it
+        (Aberth with Horner's rule does not converge on 2/53).  The disks
+        evaluate Q only exactly: on 2/53 and 13/64 a double evaluation of
+        Q(z_i) bounds no disk small enough to separate the roots."""
+        poly = trace_polynomial(Slope.parse(r))
+        k = poly.content_power_of_x()
+        q = TracePolynomial(poly.shift_down(k).coeffs[::2])
+        assert markoff._squarefree_mod_p(q)
+        roots, _, _ = markoff._certified_roots(q, markoff._walk(poly.edges.turns, k))
+
+        def evaluated(*args):
+            raise AssertionError("the disks evaluate Q in doubles")
+
+        monkeypatch.setattr(markoff, "_horner", evaluated)
+        monkeypatch.setattr(markoff, "_double_coeffs", evaluated)
+        assert markoff._overlapping_disks(q, roots) == []
+        for copy in (roots[0], roots[0] * (1 + 1e-9)):
+            assert (0, 1) in markoff._overlapping_disks(q, [roots[0], copy] + roots[2:])
+
+    def test_exact_residual_once_per_root(self, monkeypatch):
+        """The disks bound |Q(z_i)| exactly once per root of each
+        squarefree part, in the order the roots are certified, on every
+        trace polynomial with p <= 24; 7/24 and 17/24 certify their
+        squarefree part and their gcd."""
+        bounded, certified = [], []
+        exact = markoff._exact_residual
+        monkeypatch.setattr(markoff, "_exact_residual", lambda poly, z: (
+            bounded.append((poly.coeffs, z)) or exact(poly, z)))
+        certify = markoff._certified_roots
+
+        def recording(poly, evaluate):
+            result = certify(poly, evaluate)
+            certified.extend((poly.coeffs, z) for z in result[0])
+            return result
+
+        monkeypatch.setattr(markoff, "_certified_roots", recording)
+        slopes = _hyperbolic(24)
+        for r in slopes:
+            polynomial_roots(trace_polynomial(r))
+        assert len(bounded) > len(slopes) and bounded == certified
 
     def test_inseparable_roots_raise(self):
         """1 and 1 + 2**-60 round to the same double, and their double
@@ -263,16 +299,29 @@ class TestPolynomialRoots:
         assert all(abs(z - 1) < 1e-7 for z in named)
         assert str(info.value).endswith(", ".join(format(z, ".6g") for z in named))
 
-    def test_non_finite_root_fails_residual_check(self, monkeypatch):
-        nonzero = markoff._nonzero_roots
+    def test_non_finite_root_meets_every_disk(self, monkeypatch):
+        """A NaN among the polished roots of a squarefree part gets no exact
+        bound (``float.as_integer_ratio`` would raise ValueError), and its
+        disk meets the others: the RootFindingError of the inclusion disks
+        names it."""
+        rounded = []
+        round_fixed = markoff._round_fixed
 
-        def one_nan(poly, evaluate=None):
-            return [complex("nan+nanj")] * 2 + nonzero(poly, evaluate)[2:]
+        def first_nan(a, b, f):
+            rounded.append(round_fixed(a, b, f))
+            return complex("nan+nanj") if len(rounded) == 1 else rounded[-1]
 
-        monkeypatch.setattr(markoff, "_nonzero_roots", one_nan)
-        with pytest.raises(RootFindingError, match="residual check failed for 2 ") as info:
+        bounded = []
+        exact = markoff._exact_residual
+        monkeypatch.setattr(markoff, "_round_fixed", first_nan)
+        monkeypatch.setattr(markoff, "_exact_residual", lambda poly, z: (
+            bounded.append(z) or exact(poly, z)))
+        with pytest.raises(RootFindingError, match=r"^inclusion disks overlap "
+                           r"at 160 bits: nan\+nanj and \S+, nan\+nanj and ") as info:
             polynomial_roots(trace_polynomial(Slope(3, 7)))
-        assert sum(cmath.isnan(z) for z in info.value.partial_roots) == 2
+        assert len(info.value.partial_roots) == 3
+        assert cmath.isnan(info.value.partial_roots[0])
+        assert bounded == rounded[1:]
 
     def test_non_finite_approximation_raises(self, monkeypatch):
         """A NaN among the double approximations bounds no polish width:
@@ -379,27 +428,6 @@ class TestPolynomialRoots:
                                  r"for 2 of 2 roots: \S+, \S+$") as info:
             polynomial_roots(trace_polynomial(Slope(2, 5)))
         assert len(info.value.partial_roots) == 2
-
-    def test_residual_checked_once_per_sign_class(self, monkeypatch):
-        """Horner's rule gives |P(-x)| = |P(x)| exactly for an even or odd
-        P, bitwise on every root of the trace polynomials with p <= 24, so
-        the residual check runs once per pair x, -x (and once on x = 0)."""
-        for p in range(5, 25):
-            for q in range(1, p):
-                r = Slope(q, p)
-                if math.gcd(q, p) == 1 and is_hyperbolic(r):
-                    poly = trace_polynomial(r)
-                    assert all(abs(poly(-z)) == abs(poly(z))
-                               for z in polynomial_roots(poly)), r
-        checked = []
-        residual_ok = markoff._residual_ok
-        monkeypatch.setattr(markoff, "_residual_ok", lambda poly, z, scale: (
-            checked.append(z) or residual_ok(poly, z, scale)))
-        roots = polynomial_roots(trace_polynomial(Slope(5, 17)))
-        classes = {max(z, -z, key=markoff._representative_key) for z in roots}
-        assert len(checked) == len(classes) < len(roots)
-        assert {max(z, -z, key=markoff._representative_key)
-                for z in checked} == classes
 
     def test_squarefree_mod_p_cannot_decide(self):
         # x^4 - x^2 + 1 is squarefree

@@ -2,9 +2,10 @@
 breaks ``perfbench/run.py --trace 1`` and nothing else.  And every name a
 module exports: a deleted function left in ``__all__`` breaks only
 ``from ... import *``, and an export that only the tests use is dead code;
-so is a class member that only the tests read.  And the package's
-start-up: importing the CLI loads no mpmath, which only the tests use, as
-a reference.  And its memory: no cache grows without bound."""
+so is a private helper or a class member that only the tests read.  And
+the package's start-up: importing the CLI loads no mpmath, which only the
+tests use, as a reference.  And its memory: no cache grows without
+bound."""
 
 import ast
 import importlib
@@ -63,10 +64,10 @@ def _defined_names(stmt):
             if isinstance(node, ast.Name)}
 
 
-def test_exported_names_are_used():
-    """Code in twobridge reads every name in each module's ``__all__``
-    outside that name's own definition.  The sources are parsed, so a
-    docstring, a comment or an import does not count as a use."""
+def _names_read():
+    """The names code in twobridge reads, as a name or as ``.name``,
+    outside the top-level statement that defines them.  The sources are
+    parsed, so a docstring, a comment or an import does not count."""
     used = set()
     for path in Path(twobridge.__file__).resolve().parent.glob("*.py"):
         for stmt in ast.parse(path.read_text()).body:
@@ -80,12 +81,35 @@ def test_exported_names_are_used():
                     continue
                 if name not in own:
                     used.add(name)
+    return used
+
+
+def test_exported_names_are_used():
+    """Code in twobridge reads every name in each module's ``__all__``
+    outside that name's own definition (``_names_read``)."""
+    used = _names_read()
     unused = []
     for info in pkgutil.iter_modules(twobridge.__path__):
         module = importlib.import_module("twobridge." + info.name)
         unused += ["%s.%s" % (info.name, name)
                    for name in getattr(module, "__all__", ())
                    if name not in used]
+    assert not unused, unused
+
+
+def test_private_names_are_used():
+    """Code in twobridge reads every private module-level name, function,
+    class or constant, outside that name's own definition
+    (``_names_read``): a helper that a deletion leaves behind fails here."""
+    used = _names_read()
+    unused = []
+    for info in pkgutil.iter_modules(twobridge.__path__):
+        module = importlib.import_module("twobridge." + info.name)
+        for stmt in ast.parse(Path(module.__file__).read_text()).body:
+            unused += ["%s.%s" % (info.name, name)
+                       for name in sorted(_defined_names(stmt))
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in used]
     assert not unused, unused
 
 
