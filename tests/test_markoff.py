@@ -240,28 +240,31 @@ class TestPolynomialRoots:
             assert len(polynomial_roots(poly)) == poly.degree
         assert len(settled) == 2365 and all(settled)  # one per simple root y
 
-    @pytest.mark.parametrize("r", ["3/7", "2/53", "13/64"])
-    def test_duplicated_approximation_fails_certification(self, r, monkeypatch):
+    def test_duplicated_approximation_fails_certification(self, monkeypatch):
         """Two approximations of one root leave another root uncovered;
         their disks meet, whether the two are equal or merely close.  Q is
         solved in y with the walk, as ``polynomial_roots`` solves it
         (Aberth with Horner's rule does not converge on 2/53).  The disks
         evaluate Q only exactly: on 2/53 and 13/64 a double evaluation of
         Q(z_i) bounds no disk small enough to separate the roots."""
-        poly = trace_polynomial(Slope.parse(r))
-        k = poly.content_power_of_x()
-        q = TracePolynomial(poly.shift_down(k).coeffs[::2])
-        assert markoff._squarefree_mod_p(q)
-        roots, _, _ = markoff._certified_roots(q, markoff._walk(poly.edges.turns, k))
 
         def evaluated(*args):
             raise AssertionError("the disks evaluate Q in doubles")
 
-        monkeypatch.setattr(markoff, "_horner", evaluated)
-        monkeypatch.setattr(markoff, "_double_coeffs", evaluated)
-        assert markoff._overlapping_disks(q, roots) == []
-        for copy in (roots[0], roots[0] * (1 + 1e-9)):
-            assert (0, 1) in markoff._overlapping_disks(q, [roots[0], copy] + roots[2:])
+        for r in ("3/7", "2/53", "13/64"):
+            poly = trace_polynomial(Slope.parse(r))
+            k = poly.content_power_of_x()
+            q = TracePolynomial(poly.shift_down(k).coeffs[::2])
+            assert markoff._squarefree_mod_p(q), r
+            roots, _, _ = markoff._certified_roots(
+                q, markoff._walk(poly.edges.turns, k))
+            with monkeypatch.context() as m:
+                m.setattr(markoff, "_horner", evaluated)
+                m.setattr(markoff, "_double_coeffs", evaluated)
+                assert markoff._overlapping_disks(q, roots) == [], r
+                for copy in (roots[0], roots[0] * (1 + 1e-9)):
+                    assert (0, 1) in markoff._overlapping_disks(
+                        q, [roots[0], copy] + roots[2:]), r
 
     def test_exact_residual_once_per_root(self, monkeypatch):
         """The disks bound |Q(z_i)| exactly once per root of each
@@ -299,11 +302,11 @@ class TestPolynomialRoots:
         assert all(abs(z - 1) < 1e-7 for z in named)
         assert str(info.value).endswith(", ".join(format(z, ".6g") for z in named))
 
-    def test_non_finite_root_meets_every_disk(self, monkeypatch):
+    def test_non_finite_root_fails_residual_check(self, monkeypatch):
         """A NaN among the polished roots of a squarefree part gets no exact
-        bound (``float.as_integer_ratio`` would raise ValueError), and its
-        disk meets the others: the RootFindingError of the inclusion disks
-        names it."""
+        residual bound (``float.as_integer_ratio`` would raise ValueError)
+        but infinity, and its disk meets the others: the RootFindingError
+        of the inclusion disks names it."""
         rounded = []
         round_fixed = markoff._round_fixed
 
@@ -428,6 +431,21 @@ class TestPolynomialRoots:
                                  r"for 2 of 2 roots: \S+, \S+$") as info:
             polynomial_roots(trace_polynomial(Slope(2, 5)))
         assert len(info.value.partial_roots) == 2
+
+    def test_residual_checked_once_per_sign_class(self, monkeypatch):
+        """The exact residual behind the inclusion disks is bounded once
+        per root y of Q, so once per pair x, -x of roots of P(x) = x Q(x^2);
+        x = 0, split off exactly as a power of x, is not checked."""
+        checked = []
+        exact = markoff._exact_residual
+        monkeypatch.setattr(markoff, "_exact_residual", lambda poly, z: (
+            checked.append(z) or exact(poly, z)))
+        roots = polynomial_roots(trace_polynomial(Slope(5, 17)))
+        classes = {max(z, -z, key=markoff._representative_key) for z in roots}
+        assert 0 in classes
+        assert len(checked) == len(classes) - 1 < len(roots)
+        for x in classes - {0}:
+            assert min(abs(x * x - y) for y in checked) <= 1e-12 * abs(x * x)
 
     def test_squarefree_mod_p_cannot_decide(self):
         # x^4 - x^2 + 1 is squarefree
