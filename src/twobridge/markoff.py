@@ -175,18 +175,21 @@ def _check_sign_symmetry(poly: TracePolynomial, r) -> TracePolynomial:
 # ---------------------------------------------------------------------------
 # Root finding
 #
-# Double-precision Aberth-Ehrlich iteration finds the roots of the
-# squarefree part, and Newton's method in fixed point polishes each one
-# against the exact integer coefficients (``_newton_fixed``).  The
-# squarefree part is P itself when P's image over GF(_P) is coprime to its
-# derivative (``_squarefree_mod_p``); otherwise it is P / gcd(P, P'),
-# computed exactly in Z[x] by a primitive pseudo-remainder sequence
-# (``_squarefree_split``).  An even P(x) = Q(x^2), as every trace
-# polynomial is once its factor x^k is taken out, goes through all of this
-# as Q, in y = x^2, and each x is the fixed-point square root of its y
-# (``_nonzero_roots``, ``_fixed_sqrt``).  A coefficient past the range of a
-# double raises a RootFindingError before anything is converted
-# (``_double_coeffs``).
+# Double-precision Aberth-Ehrlich iteration finds the roots, and Newton's
+# method in fixed point polishes each one against the exact integer
+# coefficients (``_newton_fixed``).  A coefficient past the range of a
+# double raises a RootFindingError first, before any root work
+# (``_double_coeffs``).  An even P(x) = Q(x^2), as every trace polynomial
+# is once its factor x^k is taken out, goes through all of this as Q, in
+# y = x^2, and each x is the fixed-point square root of its y
+# (``_nonzero_roots``, ``_fixed_sqrt``).  P is not split first: the
+# certificate below proves its roots simple, and so P squarefree.  Only
+# where it fails with finite approximations, as at a cluster of
+# approximations of a repeated root, is P split exactly in Z[x] into its
+# squarefree part P / gcd(P, P') and the gcd, by a primitive
+# pseudo-remainder sequence (``_squarefree_split``); a trivial gcd
+# re-raises the certificate's error.  At p <= 130 only 7/24 and 17/24 are
+# split.
 #
 # Aberth evaluates a trace polynomial by a walk down r's Farey chain, not
 # by Horner's rule on its expanded coefficients (``_walk``): Q(y) =
@@ -208,23 +211,25 @@ def _check_sign_symmetry(poly: TracePolynomial, r) -> TracePolynomial:
 # double roots (``_polish_width``) so that the f/4 low bits ``_round_fixed``
 # drops hold four times the largest such noise, and a vanishing component,
 # or an exact root such as x = 1, comes out exact.  f is _FIX_BITS (about
-# 48 decimal digits) on every trace polynomial with p <= 24, at most 224
-# for p <= 64, and 296-968 on 89/233, 3/200, 100/301, 2/241 and 2/255.
+# 48 decimal digits) on every trace polynomial with p <= 24 (168 for the
+# first, failed attempt on 7/24's Q, before it is split), at most 224 for
+# p <= 64, and 296-968 on 89/233, 3/200, 100/301, 2/241 and 2/255.
 #
-# The polished roots z_1..z_n of the squarefree part are then certified by
-# their inclusion disks, centred at z_i with radius
+# The polished roots z_1..z_n of P, degree n, are then certified by their
+# inclusion disks, centred at z_i with radius
 # r_i = n |P(z_i)| / |a_n prod_{j != i} (z_i - z_j)|, and by nothing else.
 # The union of the disks holds every root, and a connected union of m
 # disks holds exactly m of them (Neumaier, "Enclosing clusters of zeros of
-# polynomials", J. Comput. Appl. Math. 156 (2003)), so pairwise disjoint
-# disks hold one root each (``_overlapping_disks``).  |P(z_i)| is bounded
-# exactly, in integer arithmetic on the dyadic z_i (``_exact_residual``),
-# once per root: a double evaluation of P is no bound at large p, where
-# its rounding error dwarfs |P(z_i)|.  Nothing is retried at a greater
-# width: Aberth that does not converge, double roots that bound no width
-# (coincident or not finite), a polish that does not settle and
-# overlapping disks each raise a RootFindingError that names the roots and
-# the width.
+# polynomials", J. Comput. Appl. Math. 156 (2003)), so n pairwise disjoint
+# disks hold one root each: the roots are simple, and P is squarefree
+# (``_overlapping_disks``).  |P(z_i)| is bounded exactly, in integer
+# arithmetic on the dyadic z_i (``_exact_residual``), once per root: a
+# double evaluation of P is no bound at large p, where its rounding error
+# dwarfs |P(z_i)|.  Nothing is retried at a greater width: Aberth that
+# does not converge, double roots that bound no width (coincident or not
+# finite), a polish that does not settle and overlapping disks each raise
+# a RootFindingError that names the roots and the width, and carries the
+# approximations in ``partial_roots`` for the split to read.
 _FIX_BITS = 160
 _POLISH_ROUNDS = 6
 
@@ -235,9 +240,6 @@ _ABERTH_TOL = 2.0 ** -40
 _ABERTH_ROUNDS = 1000
 # unit roundoff of a double
 _UNIT = 2.0 ** -53
-
-# a prime, for the squarefree test over GF(_P)
-_P = 2 ** 64 - 59
 
 
 def _horner(coeffs, x):
@@ -341,36 +343,39 @@ def _aberth(coeffs, evaluate):
 def polynomial_roots(poly: TracePolynomial):
     """All complex roots with multiplicity of an integer polynomial.
 
-    Multiplicities are exact: the roots found numerically are those of the
-    squarefree part P / gcd(P, P'), and the roots of the gcd, found the same
-    way, repeat their nearest squarefree root.  Equal roots are therefore
-    equal floats, so each root class appears once among the distinct values.
-    A test over GF(2**64 - 59) proves most trace polynomials squarefree
-    (see ``_squarefree_mod_p``), and P is then its own squarefree part; the
-    others are split exactly in Z[x] (``_squarefree_split``).  A coefficient
-    past the range of a double raises a RootFindingError that names its bit
-    length, before any is converted (``_double_coeffs``).
+    A coefficient past the range of a double raises a RootFindingError that
+    names its bit length, first, before any root work (``_double_coeffs``).
 
     An even P(x) / x^k = Q(x^2), as every trace polynomial gives (see
-    ``trace_polynomial``), is solved in y = x^2 at half the degree: the
-    squarefree test, the exact gcd, Aberth, the polish and the
-    certification all run on Q.  Double-precision Aberth evaluates the Q
-    of psi(r) by a walk down r's Farey chain (``_walk``), and any other
-    polynomial by Horner's rule.  Each root is then polished by Newton's
-    method in fixed point against the exact coefficients, at a width read
-    off the double roots (``_polish_width``; 160 bits on every slope with
-    p <= 24), and rounded to a complex, so a root such as x = 1 comes out
-    exact and a real root has imaginary part 0.  x = sqrt(y) is taken in
-    fixed point from y's unrounded polished value.
+    ``trace_polynomial``), is solved in y = x^2 at half the degree: Aberth,
+    the polish, the certificate and the exact split all run on Q.
+    Double-precision Aberth evaluates the Q of psi(r) by a walk down r's
+    Farey chain (``_walk``), and any other polynomial by Horner's rule.
+    Each root is then polished by Newton's method in fixed point against
+    the exact coefficients, at a width read off the double roots
+    (``_polish_width``; 160 bits on every slope with p <= 24), and rounded
+    to a complex, so a root such as x = 1 comes out exact and a real root
+    has imaginary part 0.  x = sqrt(y) is taken in fixed point from y's
+    unrounded polished value.
 
-    The roots of each squarefree part are certified by their inclusion
-    disks, with |P(z_i)| bounded exactly (``_overlapping_disks``): pairwise
-    disjoint disks hold exactly one root each, so no root is missed or
-    found twice.  Nothing else checks the roots.  Nothing is retried at a
-    greater width: where Aberth does not converge, the double roots bound
-    no width (two coincide, or one is not finite), a polish does not settle
-    in _POLISH_ROUNDS Newton steps or two disks overlap, a RootFindingError
-    names the roots and the width.
+    The roots are certified by their inclusion disks, with |P(z_i)| bounded
+    exactly (``_overlapping_disks``): n pairwise disjoint disks of a
+    degree-n polynomial hold exactly one root each, so the roots are simple,
+    P is squarefree, and none is missed or found twice.  Nothing else checks
+    the roots.  Only a certificate that fails with finite approximations
+    sends P to the exact split in Z[x] into its squarefree part
+    P / gcd(P, P') and the gcd (``_squarefree_split``).  A trivial gcd
+    re-raises the certificate's error; otherwise the roots of the
+    squarefree part are certified, and the roots of the gcd, found the same
+    way, repeat their nearest squarefree root.  So multiplicities are
+    exact, equal roots are equal floats, and each root class appears once
+    among the distinct values.
+
+    Nothing is retried at a greater width: where Aberth does not converge,
+    the double roots bound no width (two coincide, or one is not finite), a
+    polish does not settle in _POLISH_ROUNDS Newton steps or two disks
+    overlap, and the split does not apply, a RootFindingError names the
+    roots and the width.
 
     The roots come in pairs x, -x, with x the sign class representative
     (Re x > 0, ties broken by Im x > 0) and -x its exact negation, which is
@@ -399,18 +404,28 @@ def _nonzero_roots(poly: TracePolynomial, evaluate=None):
     """Roots with multiplicity of a polynomial with nonzero constant term;
     an even one in y = x^2, its roots in sign pairs (``polynomial_roots``).
     ``evaluate`` is the walk of an even trace polynomial's Q (``_walk``),
-    or None for Horner's rule; the factors of a split have no walk."""
+    or None for Horner's rule; the factors of a split have no walk.
+
+    The roots are certified first; a certificate that fails with finite
+    approximations sends the polynomial to the exact split, and a trivial
+    gcd re-raises its error (``polynomial_roots``)."""
     if poly.degree < 1:
         return []
     even = not any(poly.coeffs[1::2])
     base = TracePolynomial(poly.coeffs[::2]) if even else poly
-    if _squarefree_mod_p(base):
-        square_free, repeated = base, []
-    else:
+    coeffs = _double_coeffs(base)  # outside the try: no split on a range error
+    repeated = []
+    try:
+        simple, f, fixed = _certified_roots(base, coeffs, evaluate)
+    except RootFindingError as failure:
+        if not all(map(cmath.isfinite, failure.partial_roots)):
+            raise
         square_free, gcd = _squarefree_split(base)
+        if gcd.degree == 0:
+            raise
         repeated = _nonzero_roots(gcd)
-        evaluate = None
-    simple, f, fixed = _certified_roots(square_free, evaluate)
+        simple, f, fixed = _certified_roots(
+            square_free, _double_coeffs(square_free), None)
     roots = simple + [min(simple, key=lambda z: abs(z - w)) for w in repeated]
     if not even:
         return roots
@@ -421,41 +436,6 @@ def _nonzero_roots(poly: TracePolynomial, evaluate=None):
         # + 0j turns the -0.0 parts of a negation into +0.0
         pairs[y] = (x + 0j, -x + 0j)
     return [x for y in roots for x in pairs[y]]
-
-
-def _squarefree_mod_p(poly: TracePolynomial) -> bool:
-    """True when P is proved squarefree by its image over GF(_P).
-
-    If reduction mod _P keeps the leading coefficient and the image is
-    coprime to its derivative, the image's discriminant is nonzero.  It is
-    the image of disc(P), so disc(P) != 0 and gcd(P, P') = 1 over Q.  False
-    says only that the test cannot decide: P has a repeated factor, or _P
-    divides disc(P) or the leading coefficient.
-    """
-    a = [c % _P for c in poly.coeffs]
-    if a[-1] == 0:
-        return False
-    b = [k * c % _P for k, c in enumerate(a)][1:]  # deg P < _P: degree kept
-    while b:
-        a, b = b, _rem_mod_p(a, b)
-    return len(a) == 1
-
-
-def _rem_mod_p(a, b):
-    """Remainder of a by b, whose leading residue is nonzero, in GF(_P)[x]:
-    ascending lists of residues."""
-    a = list(a)
-    n = len(b) - 1
-    inverse = pow(b[-1], -1, _P)
-    for k in range(len(a) - 1, n - 1, -1):
-        q = a[k] * inverse % _P
-        if q:
-            for i, c in enumerate(b):
-                a[k - n + i] = (a[k - n + i] - q * c) % _P
-    del a[n:]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
 
 
 # Exact arithmetic in Z[x]: ascending lists of ints with a nonzero leading
@@ -512,7 +492,12 @@ def _squarefree_split(poly: TracePolynomial):
     square_free = lc(g) P / g and repeated = g, g the primitive gcd of P
     and P' (``_primitive_gcd``).  lc(g) P / g is P divided by the monic
     gcd over Q, which lies in Z[x] by Gauss's lemma and does not depend on
-    the sign g is taken up to."""
+    the sign g is taken up to.
+
+    The split runs only where the inclusion disks fail to certify P's
+    roots with finite approximations (``_nonzero_roots``): certified roots
+    are simple, so a certified P needs no split.  A coefficient past double
+    range is named before, and P is not split then."""
     g = _primitive_gcd(poly.coeffs, poly.derivative().coeffs)
     lead = g[-1]
     square_free = [lead * c for c in _exact_quotient(poly.coeffs, g)]
@@ -599,17 +584,18 @@ def _round_fixed(a, b, f) -> complex:
     return complex(((a + half) >> drop) / kept, ((b + half) >> drop) / kept)
 
 
-def _certified_roots(poly: TracePolynomial, evaluate):
-    """(roots, f, fixed): the roots of a squarefree P with nonzero constant
-    term, certified by pairwise disjoint inclusion disks, the fixed-point
-    scale 2**f they were polished at (``_polish_width``), and for each root
-    its unrounded fixed-point (a, b).
+def _certified_roots(poly: TracePolynomial, coeffs, evaluate):
+    """(roots, f, fixed): the roots of P with nonzero constant term,
+    certified by pairwise disjoint inclusion disks, which proves them
+    simple, the fixed-point scale 2**f they were polished at
+    (``_polish_width``), and for each root its unrounded fixed-point
+    (a, b).  ``coeffs`` are P's coefficients as doubles (``_double_coeffs``).
 
-    Aberth runs with ``evaluate``, or with Horner's rule on P's
-    coefficients where it is None.  A polish that does not settle on its
-    step test, or disks that overlap, raise a RootFindingError.
+    Aberth runs with ``evaluate``, or with Horner's rule on ``coeffs``
+    where it is None.  A polish that does not settle on its step test, or
+    disks that overlap, raise a RootFindingError carrying the
+    approximations.
     """
-    coeffs = _double_coeffs(poly)
     if evaluate is None:
         evaluate = functools.partial(_horner, coeffs[::-1])
     z = _aberth(coeffs, evaluate)

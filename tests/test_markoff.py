@@ -167,19 +167,23 @@ class TestPolynomialRoots:
 
     def test_polish_width_read_off_the_roots(self, monkeypatch):
         """The polish width is read off the double roots: _FIX_BITS on every
-        trace polynomial with p <= 24, and wider where the noise bound of a
-        root asks for it, as on 3/56 and 5/56."""
+        trace polynomial with p <= 24 but one, and wider where the noise
+        bound of a root asks for it, as on 3/56 and 5/56.  The one is the
+        first attempt on 7/24's Q, whose approximations cluster at its
+        triple root y = 1 and which fails before Q is split: 168 bits."""
         widths = []
         width = markoff._polish_width
         monkeypatch.setattr(markoff, "_polish_width", lambda poly, z: (
-            widths.append(width(poly, z)) or widths[-1]))
+            widths.append((r, poly.degree, width(poly, z))) or widths[-1][2]))
         for r in _hyperbolic(24):
             polynomial_roots(trace_polynomial(r))
-        assert set(widths) == {markoff._FIX_BITS}
+        assert {f for _, _, f in widths} == {markoff._FIX_BITS, 168}
+        assert [(r, n) for r, n, f in widths if f == 168] == [(Slope(7, 24), 11)]
+        assert [f for r, _, f in widths if r == Slope(7, 24)][0] == 168
         for r in (Slope(3, 56), Slope(5, 56)):
             widths.clear()
             polynomial_roots(trace_polynomial(r))
-            assert widths == [192]
+            assert [f for _, _, f in widths] == [192]
 
     @pytest.mark.parametrize("r", [(5, 27), (9, 17), (39, 41), (2, 47),
                                    (3, 43), (3, 46), (7, 47), (3, 56), (5, 56)])
@@ -216,20 +220,34 @@ class TestPolynomialRoots:
         assert sum(z.imag == 0 for z in roots[k:]) == 64
 
     def test_double_roots_certified_up_to_p30(self, monkeypatch):
-        """Every Newton polish of a root y settles on its step test, and the
-        roots certify, on every trace polynomial with p <= 30 and on 43/45,
-        39/46, 45/47, 2/47, 42/47, 3/43, 3/46 and 7/47.  Horner's double
-        roots of the last five did not all settle or certify at 160 bits;
-        the walk's do."""
-        settled = []
+        """Every Newton polish of a returned root y settles on its step
+        test, and the roots certify, on every trace polynomial with p <= 30
+        and on 43/45, 39/46, 45/47, 2/47, 42/47, 3/43, 3/46 and 7/47.
+        Horner's double roots of the last five did not all settle or
+        certify at 160 bits; the walk's do.  The only failed attempts are
+        the first ones on 7/24's and 17/24's Q (11 polishes each) and on
+        their gcds (y -+ 1)^2 (2 each), before each is split."""
+        settled, attempt, failed = [], [], []
         newton = markoff._newton_fixed
+        certify = markoff._certified_roots
 
         def recording(coeffs, a, b, f):
             result = newton(coeffs, a, b, f)
-            settled.append(result[2])
+            attempt.append(result[2])
+            return result
+
+        def attempted(poly, coeffs, evaluate):
+            attempt.clear()
+            try:
+                result = certify(poly, coeffs, evaluate)
+            except RootFindingError:
+                failed.append((r, poly.degree, len(attempt)))
+                raise
+            settled.extend(attempt)
             return result
 
         monkeypatch.setattr(markoff, "_newton_fixed", recording)
+        monkeypatch.setattr(markoff, "_certified_roots", attempted)
         slopes = [Slope(q, p) for p in range(3, 31) for q in range(1, p)
                   if math.gcd(q, p) == 1 and is_hyperbolic(Slope(q, p))]
         assert len(slopes) == 220
@@ -239,6 +257,9 @@ class TestPolynomialRoots:
             poly = trace_polynomial(r)
             assert len(polynomial_roots(poly)) == poly.degree
         assert len(settled) == 2365 and all(settled)  # one per simple root y
+        assert failed == [(Slope(7, 24), 11, 11), (Slope(7, 24), 2, 2),
+                          (Slope(17, 24), 11, 11), (Slope(17, 24), 2, 2)]
+        assert len(settled) + sum(n for _, _, n in failed) == 2391
 
     def test_duplicated_approximation_fails_certification(self, monkeypatch):
         """Two approximations of one root leave another root uncovered;
@@ -255,9 +276,9 @@ class TestPolynomialRoots:
             poly = trace_polynomial(Slope.parse(r))
             k = poly.content_power_of_x()
             q = TracePolynomial(poly.shift_down(k).coeffs[::2])
-            assert markoff._squarefree_mod_p(q), r
+            assert markoff._squarefree_split(q)[1].degree == 0, r
             roots, _, _ = markoff._certified_roots(
-                q, markoff._walk(poly.edges.turns, k))
+                q, markoff._double_coeffs(q), markoff._walk(poly.edges.turns, k))
             with monkeypatch.context() as m:
                 m.setattr(markoff, "_horner", evaluated)
                 m.setattr(markoff, "_double_coeffs", evaluated)
@@ -277,8 +298,8 @@ class TestPolynomialRoots:
             bounded.append((poly.coeffs, z)) or exact(poly, z)))
         certify = markoff._certified_roots
 
-        def recording(poly, evaluate):
-            result = certify(poly, evaluate)
+        def recording(poly, coeffs, evaluate):
+            result = certify(poly, coeffs, evaluate)
             certified.extend((poly.coeffs, z) for z in result[0])
             return result
 
@@ -328,13 +349,19 @@ class TestPolynomialRoots:
 
     def test_non_finite_approximation_raises(self, monkeypatch):
         """A NaN among the double approximations bounds no polish width:
-        a RootFindingError says so, and nothing restarts it."""
+        a RootFindingError says so, and nothing restarts it.  Nor is P
+        split: a walk that left double range is no cluster at a repeated
+        root."""
         aberth = markoff._aberth
 
         def one_nan(coeffs, evaluate):
             return [complex("nan+nanj")] + aberth(coeffs, evaluate)[1:]
 
+        def unreached(poly):
+            raise AssertionError("split after a non-finite approximation")
+
         monkeypatch.setattr(markoff, "_aberth", one_nan)
+        monkeypatch.setattr(markoff, "_squarefree_split", unreached)
         with pytest.raises(RootFindingError,
                            match="bound no polish width: 1 of 3 are not "
                                  "finite") as info:
@@ -342,10 +369,9 @@ class TestPolynomialRoots:
         assert cmath.isnan(info.value.partial_roots[0])
 
     def test_exact_gcd_only_for_repeated_roots(self, monkeypatch):
-        """The modular test proves every other trace polynomial with p <= 30
-        squarefree, so only 7/24 and 17/24 run the exact split over Z.
-        The numeric root finder is stubbed out: only the split into
-        squarefree part and repeated roots is under test."""
+        """The inclusion disks certify every other trace polynomial with
+        p <= 30, which proves it squarefree, so only 7/24 and 17/24 run the
+        exact split over Z: once on Q, and once on its gcd (y -+ 1)^2."""
         exact_split = markoff._squarefree_split
         calls = []
 
@@ -354,18 +380,13 @@ class TestPolynomialRoots:
             return exact_split(poly)
 
         monkeypatch.setattr(markoff, "_squarefree_split", counted)
-        # the root i, with its fixed-point value for x = sqrt(y)
-        unit = 1 << markoff._FIX_BITS
-        monkeypatch.setattr(markoff, "_certified_roots", lambda poly, evaluate: (
-            [1j] * poly.degree, markoff._FIX_BITS, [(0, unit)] * poly.degree))
         for p in range(3, 31):
             for q in range(1, p):
                 r = Slope(q, p)
                 if math.gcd(q, p) == 1 and is_hyperbolic(r):
                     poly = trace_polynomial(r)
-                    poly = poly.shift_down(poly.content_power_of_x())
-                    assert len(markoff._nonzero_roots(poly)) == poly.degree
-        assert set(calls) == {Slope(7, 24), Slope(17, 24)}
+                    assert len(polynomial_roots(poly)) == poly.degree
+        assert calls == [Slope(7, 24)] * 2 + [Slope(17, 24)] * 2
 
     def test_square_root_taken_only_from_a_settled_y(self, monkeypatch):
         """x is the fixed-point square root of y's polished value, and y's
@@ -447,16 +468,67 @@ class TestPolynomialRoots:
         for x in classes - {0}:
             assert min(abs(x * x - y) for y in checked) <= 1e-12 * abs(x * x)
 
-    def test_squarefree_mod_p_cannot_decide(self):
-        # x^4 - x^2 + 1 is squarefree
-        assert markoff._squarefree_mod_p(TracePolynomial([1, 0, -1, 0, 1]))
-        # (x - 1)^2 (x + 2) = x^3 - 3x + 2
-        assert not markoff._squarefree_mod_p(TracePolynomial([2, -3, 0, 1]))
-        # p x^2 + x + 1 is squarefree, but its image over GF(p) has degree 1
-        lead_vanishes = TracePolynomial([1, 1, markoff._P])
-        assert not markoff._squarefree_mod_p(lead_vanishes)
-        roots = polynomial_roots(lead_vanishes)
+    def test_huge_leading_coefficient_gives_distinct_roots(self):
+        # p x^2 + x + 1, p = 2^64 - 59, is squarefree
+        roots = polynomial_roots(TracePolynomial([1, 1, 2 ** 64 - 59]))
         assert len(set(roots)) == 2
+
+    def test_repeated_factor_split_after_failed_certificate(self):
+        """(x - 1)^3 (x + 2) (x^2 + x + 5), no trace polynomial: the
+        approximations cluster at 1, the certificate fails, and the exact
+        split gives x = 1 exactly, three times."""
+        poly = TracePolynomial(_product([[-1, 1]] * 3 + [[2, 1], [5, 1, 1]]))
+        roots = polynomial_roots(poly)
+        assert len(roots) == 6 and roots.count(1 + 0j) == 3
+        assert sum(abs(z - 1) < 1e-6 for z in roots) == 3
+
+    def test_failed_certificate_of_squarefree_polynomial_reraises(
+            self, monkeypatch):
+        """On a squarefree trace polynomial whose disks are made to meet,
+        the split finds a trivial gcd, once, and the certificate's own
+        error is raised."""
+        gcds = []
+        split = markoff._squarefree_split
+        monkeypatch.setattr(markoff, "_squarefree_split", lambda poly: (
+            gcds.append(split(poly)[1].coeffs) or split(poly)))
+        monkeypatch.setattr(markoff, "_overlapping_disks",
+                            lambda poly, z: [(0, 1)])
+        with pytest.raises(RootFindingError,
+                           match="^inclusion disks overlap at 160 bits: "):
+            polynomial_roots(trace_polynomial(Slope(3, 7)))
+        assert len(gcds) == 1 and len(gcds[0]) == 1
+
+    @pytest.mark.parametrize("name, stub, message", [
+        ("_ABERTH_ROUNDS", 1, "did not converge in 1 rounds"),
+        ("_aberth", lambda coeffs, evaluate, aberth=markoff._aberth: (
+            lambda z: z[:1] + z[:-1])(aberth(coeffs, evaluate)), "coincide"),
+        ("_POLISH_ROUNDS", 1, "did not settle in 1 steps"),
+        ("_overlapping_disks", lambda poly, z: [(0, 1)],
+         "inclusion disks overlap"),
+    ], ids=["aberth", "coincident", "unsettled", "overlap"])
+    def test_certificate_errors_carry_approximations(self, monkeypatch, name,
+                                                     stub, message):
+        """Each RootFindingError the split fallback catches carries the
+        approximations, all of them finite here: the fallback reads them to
+        tell a cluster at a repeated root from a walk that left double
+        range."""
+        monkeypatch.setattr(markoff, name, stub)
+        with pytest.raises(RootFindingError, match=message) as info:
+            polynomial_roots(trace_polynomial(Slope(3, 7)))
+        approximations = info.value.partial_roots
+        assert len(approximations) == 3
+        assert all(map(cmath.isfinite, approximations))
+
+    def test_repeated_factors_up_to_p64(self):
+        """The fact the split fallback leans on: only 7/24 and 17/24 have a
+        repeated factor in y among the hyperbolic slopes with p <= 64."""
+        assert _repeated_factors(64) == {Slope(7, 24): (1, -2, 1),
+                                         Slope(17, 24): (1, 2, 1)}
+
+    @pytest.mark.slow
+    def test_repeated_factors_up_to_p130(self):
+        assert _repeated_factors(130) == {Slope(7, 24): (1, -2, 1),
+                                          Slope(17, 24): (1, 2, 1)}
 
     def test_coefficient_past_double_range_named(self):
         """A coefficient past the largest double raises a RootFindingError
@@ -467,6 +539,32 @@ class TestPolynomialRoots:
                            match="coefficient of 1101 bits lies past the "
                                  "1024-bit range of a double"):
             polynomial_roots(poly)
+
+    def test_range_named_before_any_root_work(self, monkeypatch):
+        """2/1601's coefficient of 1 105 bits is named before Aberth runs,
+        and before any exact split."""
+        def unreached(*args):
+            raise AssertionError("root work before the range check")
+
+        monkeypatch.setattr(markoff, "_aberth", unreached)
+        monkeypatch.setattr(markoff, "_squarefree_split", unreached)
+        with pytest.raises(RootFindingError, match="coefficient of 1105 bits"):
+            polynomial_roots(trace_polynomial(Slope(2, 1601)))
+
+
+def _repeated_factors(pmax):
+    """{r: gcd(Q, Q')} over the hyperbolic slopes with p <= pmax whose Q,
+    psi(r) / x^k in y = x^2, has a repeated factor; each gcd ascending,
+    primitive, with a positive leading coefficient."""
+    repeated = {}
+    for r in _hyperbolic(pmax):
+        poly = trace_polynomial(r)
+        k = poly.content_power_of_x()
+        q = TracePolynomial(poly.shift_down(k).coeffs[::2])
+        gcd = markoff._squarefree_split(q)[1].coeffs
+        if len(gcd) > 1:
+            repeated[r] = tuple(c if gcd[-1] > 0 else -c for c in gcd)
+    return repeated
 
 
 def _product(factors):
